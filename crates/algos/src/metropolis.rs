@@ -20,7 +20,7 @@
 //! with finite dynamic diameter follows from Moreau's theorem, quadratic
 //! rates from \[10\].
 
-use kya_runtime::{BroadcastAlgorithm, FlatAlgorithm, IsotropicAlgorithm};
+use kya_runtime::{BroadcastAlgorithm, FlatAlgorithm, Inbox, IsotropicAlgorithm};
 
 /// Metropolis averaging: `x_i += Σ_j (x_j - x_i) / (1 + max(d_i, d_j))`
 /// over distinct neighbors `j` (the self term vanishes, so the inbox can
@@ -90,11 +90,11 @@ impl FlatAlgorithm for Metropolis {
         msg[1] = outdegree.saturating_sub(1) as f64;
     }
 
-    fn transition(&self, state: &[f64], inbox: &[f64], next: &mut [f64]) {
+    fn transition(&self, state: &[f64], inbox: Inbox<'_>, next: &mut [f64]) {
         let x = state[0];
-        let own = (inbox.len() / 2).saturating_sub(1) as f64;
+        let own = inbox.len().saturating_sub(1) as f64;
         let mut acc = x;
-        for m in inbox.chunks_exact(2) {
+        for m in inbox.iter() {
             let dmax = m[1].max(own);
             let w = 1.0 / (1.0 + dmax);
             acc += w * (m[0] - x);

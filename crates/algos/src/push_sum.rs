@@ -22,7 +22,7 @@
 
 use kya_arith::{BigInt, BigRational};
 use kya_runtime::faults::FaultAwareIsotropic;
-use kya_runtime::{FlatAlgorithm, IsotropicAlgorithm};
+use kya_runtime::{FlatAlgorithm, Inbox, IsotropicAlgorithm};
 use std::collections::BTreeMap;
 
 // ---------------------------------------------------------------------
@@ -117,10 +117,10 @@ impl FlatAlgorithm for PushSum {
         msg[1] = state[1] / d;
     }
 
-    fn transition(&self, _state: &[f64], inbox: &[f64], next: &mut [f64]) {
+    fn transition(&self, _state: &[f64], inbox: Inbox<'_>, next: &mut [f64]) {
         let mut y = 0.0;
         let mut z = 0.0;
-        for m in inbox.chunks_exact(2) {
+        for m in inbox.iter() {
             y += m[0];
             z += m[1];
         }

@@ -39,7 +39,7 @@
 
 use crate::push_sum::PushSumState;
 use kya_runtime::faults::FaultAwareIsotropic;
-use kya_runtime::{FlatAlgorithm, IsotropicAlgorithm, MessageCodec};
+use kya_runtime::{FlatAlgorithm, Inbox, IsotropicAlgorithm, MessageCodec};
 
 /// Reinterpret a token lane as a count: the dynamics keep every lane a
 /// nonnegative integer below 2^53, so the cast is exact.
@@ -215,7 +215,7 @@ impl FlatAlgorithm for QuantizedPushSum {
         msg[1] = qz as f64;
     }
 
-    fn transition(&self, _state: &[f64], _inbox: &[f64], _next: &mut [f64]) {
+    fn transition(&self, _state: &[f64], _inbox: Inbox<'_>, _next: &mut [f64]) {
         unreachable!(
             "QuantizedPushSum's residual carry needs the round's outdegree; \
              executors must call transition_with_outdegree"
@@ -226,7 +226,7 @@ impl FlatAlgorithm for QuantizedPushSum {
         &self,
         state: &[f64],
         outdegree: usize,
-        inbox: &[f64],
+        inbox: Inbox<'_>,
         next: &mut [f64],
     ) {
         let s = PushSumState {
@@ -237,7 +237,7 @@ impl FlatAlgorithm for QuantizedPushSum {
         let d = outdegree.max(1) as u64;
         let mut y = tokens(state[0]) - d * qy;
         let mut z = tokens(state[1]) - d * qz;
-        for m in inbox.chunks_exact(2) {
+        for m in inbox.iter() {
             y += tokens(m[0]);
             z += tokens(m[1]);
         }
@@ -406,12 +406,12 @@ impl FlatAlgorithm for QuantizedMetropolis {
         msg[1] = outdegree.saturating_sub(1) as f64;
     }
 
-    fn transition(&self, state: &[f64], inbox: &[f64], next: &mut [f64]) {
-        let own = (inbox.len() / 2).saturating_sub(1) as u64;
+    fn transition(&self, state: &[f64], inbox: Inbox<'_>, next: &mut [f64]) {
+        let own = inbox.len().saturating_sub(1) as u64;
         next[0] = self.fold(
             tokens(state[0]),
             own,
-            inbox.chunks_exact(2).map(|m| (tokens(m[0]), tokens(m[1]))),
+            inbox.iter().map(|m| (tokens(m[0]), tokens(m[1]))),
         );
     }
 

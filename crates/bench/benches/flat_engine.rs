@@ -2,8 +2,8 @@
 //! on the same graphs and rounds. Both paths compute bit-identical
 //! Push-Sum states (the conformance flat oracle pins that), so the gap
 //! is pure engine overhead: per-round message boxing and inbox
-//! allocation on the boxed side vs a precomputed gather over reused
-//! flat buffers on the flat side.
+//! allocation on the boxed side vs one pass over reused state and
+//! message columns, routed by a precomputed plan, on the flat side.
 //!
 //! The `flat_probe_overhead` group is the **NullProbe guard**: `run` vs
 //! `run_probed::<NullProbe>` (must be indistinguishable — the probe

@@ -23,7 +23,7 @@ use serde::Value;
 use std::time::Instant;
 
 /// Version of the `BENCH_flat.json` schema this build writes.
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// The `kind` discriminator of a snapshot document.
 pub const KIND: &str = "kya-flat-profile";
@@ -92,15 +92,22 @@ fn map(fields: Vec<(&str, Value)>) -> Value {
     )
 }
 
+fn host_cpus() -> usize {
+    std::thread::available_parallelism().map_or(0, |p| p.get())
+}
+
 fn host_fingerprint() -> Value {
-    let cpus = std::thread::available_parallelism()
-        .map(|p| p.get() as u64)
-        .unwrap_or(0);
     map(vec![
         ("os", Value::Str(std::env::consts::OS.to_string())),
         ("arch", Value::Str(std::env::consts::ARCH.to_string())),
-        ("cpus", Value::UInt(cpus)),
+        ("cpus", Value::UInt(host_cpus() as u64)),
     ])
+}
+
+/// Whether a cell runs more threads than the host has CPUs. Such a
+/// cell time-slices cores: its rounds/s is not a speedup measurement.
+fn oversubscribed(threads: usize) -> Value {
+    Value::Bool(threads > host_cpus())
 }
 
 fn opt_u64(v: Option<u64>) -> Value {
@@ -136,6 +143,7 @@ fn flat_cell(cfg: &ProfileConfig, g: &Digraph, n: usize, threads: usize) -> Valu
         ("topology", Value::Str(cfg.topology_label(n))),
         ("n", Value::UInt(n as u64)),
         ("threads", Value::UInt(threads as u64)),
+        ("oversubscribed", oversubscribed(threads)),
         ("rounds", Value::UInt(cfg.rounds)),
         ("rounds_per_sec", Value::Float(cfg.rounds as f64 / secs)),
         (
@@ -144,16 +152,12 @@ fn flat_cell(cfg: &ProfileConfig, g: &Digraph, n: usize, threads: usize) -> Valu
         ),
         ("converged_at", opt_u64(report.converged_at)),
         ("messages_routed", Value::UInt(summary.messages_routed)),
-        (
-            "arena_high_water_bytes",
-            Value::UInt(summary.arena_high_water_bytes),
-        ),
+        ("inbox_bytes", Value::UInt(summary.inbox_bytes)),
         (
             "phase_us",
             map(vec![
                 ("route", Value::UInt(times.route_us)),
-                ("send", Value::UInt(times.send_us)),
-                ("transition", Value::UInt(times.transition_us)),
+                ("pass", Value::UInt(times.pass_us)),
                 ("merge", Value::UInt(times.merge_us)),
             ]),
         ),
@@ -174,12 +178,13 @@ fn boxed_cell(cfg: &ProfileConfig, g: &Digraph, n: usize) -> Value {
         ("topology", Value::Str(cfg.topology_label(n))),
         ("n", Value::UInt(n as u64)),
         ("threads", Value::UInt(1)),
+        ("oversubscribed", oversubscribed(1)),
         ("rounds", Value::UInt(cfg.rounds)),
         ("rounds_per_sec", Value::Float(cfg.rounds as f64 / secs)),
         ("bytes_per_agent", Value::Null),
         ("converged_at", Value::Null),
         ("messages_routed", Value::Null),
-        ("arena_high_water_bytes", Value::Null),
+        ("inbox_bytes", Value::Null),
         ("phase_us", Value::Null),
     ])
 }
@@ -265,9 +270,9 @@ fn expect_key(cell: &Value, key: &str, where_: &str) -> Result<(), String> {
 
 /// Check a parsed snapshot against the [`SCHEMA_VERSION`] schema: the
 /// version/kind discriminators, the host fingerprint, the config block,
-/// and every cell's required keys (flat cells must carry
-/// `bytes_per_agent`, `messages_routed`, and the four-phase `phase_us`
-/// block). Returns the first violation.
+/// and every cell's required keys (each labelled `oversubscribed` or
+/// not; flat cells must carry `bytes_per_agent`, `messages_routed`, and
+/// the three-phase `phase_us` block). Returns the first violation.
 pub fn validate(doc: &Value) -> Result<(), String> {
     match doc.get("schema_version").map(value_u64) {
         Some(Some(v)) if v == SCHEMA_VERSION => {}
@@ -305,12 +310,13 @@ pub fn validate(doc: &Value) -> Result<(), String> {
             "topology",
             "n",
             "threads",
+            "oversubscribed",
             "rounds",
             "rounds_per_sec",
             "bytes_per_agent",
             "converged_at",
             "messages_routed",
-            "arena_high_water_bytes",
+            "inbox_bytes",
             "phase_us",
         ] {
             expect_key(cell, key, &where_)?;
@@ -322,7 +328,7 @@ pub fn validate(doc: &Value) -> Result<(), String> {
                 }
             }
             let phases = cell.get("phase_us").ok_or("unreachable")?;
-            for key in ["route", "send", "transition", "merge"] {
+            for key in ["route", "pass", "merge"] {
                 expect_key(phases, key, &format!("{where_}.phase_us"))?;
             }
         }
@@ -351,6 +357,31 @@ mod tests {
         let text = doc.to_json();
         let back = Value::from_json(&text).expect("parses");
         validate(&back).expect("round-tripped snapshot still valid");
+    }
+
+    #[test]
+    fn cells_past_the_cpu_count_are_labelled_oversubscribed() {
+        let cpus = host_cpus();
+        let doc = run(&ProfileConfig {
+            threads: vec![1, cpus + 1],
+            ..tiny()
+        });
+        let labels: Vec<(u64, bool)> = doc
+            .get("cells")
+            .and_then(Value::as_seq)
+            .expect("cells")
+            .iter()
+            .map(|c| {
+                let threads = c.get("threads").and_then(value_u64).expect("threads");
+                let over = matches!(c.get("oversubscribed"), Some(Value::Bool(true)));
+                (threads, over)
+            })
+            .collect();
+        // Two flat cells plus the one-thread boxed baseline.
+        assert_eq!(
+            labels,
+            vec![(1, cpus < 1), ((cpus + 1) as u64, true), (1, cpus < 1)]
+        );
     }
 
     #[test]

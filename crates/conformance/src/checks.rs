@@ -383,9 +383,10 @@ fn check_flat(ctx: &CellCtx) -> CellOutcome {
 /// the [`CountingProbe`] NDJSON streams — merged per-round counters plus
 /// the bit-exact strided sample digests — are **byte-identical**, then
 /// check the counters against the routing plan's ground truth: every
-/// round delivers exactly `plan.slots()` messages and touches exactly
-/// `slots × MSG_LANES × 8` arena bytes. Returns the fingerprint of the
-/// (shared) stream.
+/// round delivers exactly `plan.slots()` messages, reads exactly
+/// `slots × MSG_LANES × 8` message-column bytes, and writes one state and
+/// one message per agent. Returns the fingerprint of the (shared)
+/// stream.
 fn probe_streams_agree<F: FlatAlgorithm + Clone>(
     flat: F,
     columns: Vec<Vec<f64>>,
@@ -413,13 +414,15 @@ fn probe_streams_agree<F: FlatAlgorithm + Clone>(
                 rounds * slots
             ));
         }
-        let arena = slots * (F::MSG_LANES * std::mem::size_of::<f64>()) as u64;
+        let bytes = slots * (F::MSG_LANES * std::mem::size_of::<f64>()) as u64;
+        let writes = (g.n() * (F::STATE_LANES + F::MSG_LANES)) as u64;
         for e in probe.events() {
-            if e.messages_routed != slots || e.arena_bytes != arena {
+            if (e.messages_routed, e.inbox_bytes, e.lane_writes) != (slots, bytes, writes) {
                 return Err(format!(
                     "round {}: probe at {t} thread(s) reported {} messages / \
-                     {} arena bytes, plan ground truth is {slots} / {arena}",
-                    e.round, e.messages_routed, e.arena_bytes
+                     {} inbox bytes / {} lane writes, plan ground truth is \
+                     {slots} / {bytes} / {writes}",
+                    e.round, e.messages_routed, e.inbox_bytes, e.lane_writes
                 ));
             }
         }

@@ -5,134 +5,114 @@
 //! `(source id, port rank)` order. The boxed executors re-derive that
 //! order every round by sorting per-destination message lists; a
 //! [`RoutingPlan`] instead sorts **once** at construction and records,
-//! for every inbox slot, which send slot feeds it. A round of routing
-//! then degenerates to a gather: `arena[slot] = send_buf[gather[slot]]`,
-//! with zero comparisons, zero allocation, and a layout that shards over
-//! contiguous vertex ranges — the backbone of the flat executor's
-//! million-agent hot path.
+//! for every inbox slot, the source vertex that feeds it. Isotropic
+//! algorithms send one message per source per round, so a round of
+//! routing degenerates to an indexed read of a per-vertex message
+//! column, `inbox[k] = msgs[sources[k]]`: zero comparisons, zero
+//! allocation, and a layout that shards over contiguous vertex ranges —
+//! the backbone of the flat executor's million-agent hot path.
 //!
-//! Layout (all offsets in *message slots*, not bytes):
+//! Layout (offsets in *inbox slots*, one per in-edge, not bytes):
 //!
-//! - `send_start[v]..send_start[v + 1]` — the send slots of vertex `v`,
-//!   one per out-edge, ordered by port rank. The slot of edge `e` is
-//!   `send_start[src(e)] + rank(e)`.
-//! - `inbox_start[v]..inbox_start[v + 1]` — the arena slots of `v`'s
-//!   inbox, in canonical `(source id, port rank)` order.
-//! - `gather[s]` — for each arena slot `s`, the send slot that feeds it.
+//! - `inbox_start[v]..inbox_start[v + 1]` — the slots of `v`'s inbox, in
+//!   canonical `(source id, port rank)` order.
+//! - `sources[k]` — the source vertex of inbox slot `k`. A parallel edge
+//!   appears once per edge, in rank order.
+//! - `outdegree[v]` — the out-degree of `v` (the divisor of isotropic
+//!   share-splitting algorithms).
 
 use crate::digraph::{Digraph, Vertex};
 use std::ops::Range;
 
-/// A precomputed gather plan realizing the canonical delivery order of
+/// A precomputed routing plan realizing the canonical delivery order of
 /// one [`Digraph`]; see the module docs for the layout.
 #[derive(Clone, Debug)]
 pub struct RoutingPlan {
-    n: usize,
-    send_start: Vec<usize>,
     inbox_start: Vec<usize>,
-    gather: Vec<usize>,
+    sources: Vec<u32>,
+    outdegree: Vec<u32>,
 }
 
 impl RoutingPlan {
-    /// Freeze the canonical routing of `g` into a gather plan.
+    /// Freeze the canonical routing of `g` into a plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a vertex id or a degree does not fit in a `u32` (the
+    /// plan's index width, chosen to halve the bytes a round reads).
     pub fn new(g: &Digraph) -> RoutingPlan {
         let n = g.n();
+        assert!(
+            n <= u32::MAX as usize + 1,
+            "{n} vertices exceed the plan's u32 vertex ids"
+        );
         let order = g.port_ranks();
-        let mut send_start = Vec::with_capacity(n + 1);
-        send_start.push(0usize);
-        for v in 0..n {
-            send_start.push(send_start[v] + g.outdegree(v));
-        }
+        let edges = g.edges();
         let mut inbox_start = Vec::with_capacity(n + 1);
         inbox_start.push(0usize);
+        let mut sources = Vec::with_capacity(g.edge_count());
+        let mut outdegree = Vec::with_capacity(n);
+        let mut incoming: Vec<(u32, u32)> = Vec::new();
         for v in 0..n {
-            inbox_start.push(inbox_start[v] + g.indegree(v));
-        }
-        let edges = g.edges();
-        let mut gather = Vec::with_capacity(g.edge_count());
-        let mut incoming: Vec<(Vertex, u32)> = Vec::new();
-        for v in 0..n {
+            let out = g.outdegree(v);
+            assert!(out <= u32::MAX as usize, "vertex {v}: outdegree {out}");
+            outdegree.push(out as u32);
             incoming.clear();
-            incoming.extend(g.in_edges(v).map(|e| (edges[e].src, order.rank(e))));
+            incoming.extend(g.in_edges(v).map(|e| (edges[e].src as u32, order.rank(e))));
             // (src, rank) is unique per in-edge, so the sort is total and
             // the slot order is exactly the executors' delivery order.
             incoming.sort_unstable();
-            gather.extend(
-                incoming
-                    .iter()
-                    .map(|&(src, rank)| send_start[src] + rank as usize),
-            );
+            sources.extend(incoming.iter().map(|&(src, _)| src));
+            inbox_start.push(sources.len());
         }
         RoutingPlan {
-            n,
-            send_start,
             inbox_start,
-            gather,
+            sources,
+            outdegree,
         }
     }
 
     /// Number of vertices the plan was built for.
     pub fn n(&self) -> usize {
-        self.n
+        self.outdegree.len()
     }
 
-    /// Total number of message slots (= the graph's edge count).
+    /// Total number of inbox slots (= the graph's edge count).
     pub fn slots(&self) -> usize {
-        self.gather.len()
+        self.sources.len()
     }
 
-    /// First send slot of vertex `v` (`v == n()` gives the total).
-    pub fn send_start(&self, v: Vertex) -> usize {
-        self.send_start[v]
-    }
-
-    /// The send slots of vertex `v`, one per out-edge in rank order.
-    pub fn send_range(&self, v: Vertex) -> Range<usize> {
-        self.send_start[v]..self.send_start[v + 1]
-    }
-
-    /// First inbox slot of vertex `v` (`v == n()` gives the total).
-    pub fn inbox_start(&self, v: Vertex) -> usize {
-        self.inbox_start[v]
-    }
-
-    /// The arena slots of vertex `v`'s inbox, in canonical order.
+    /// The inbox slots of vertex `v`, in canonical order.
     pub fn inbox_range(&self, v: Vertex) -> Range<usize> {
         self.inbox_start[v]..self.inbox_start[v + 1]
     }
 
-    /// For each arena slot, the send slot that feeds it.
-    pub fn gather(&self) -> &[usize] {
-        &self.gather
+    /// The source vertex of every inbox slot of `v`, in canonical
+    /// delivery order.
+    pub fn sources_of(&self, v: Vertex) -> &[u32] {
+        &self.sources[self.inbox_range(v)]
     }
 
-    /// Out-degree of vertex `v` under the plan (= its send-slot count).
+    /// Out-degree of vertex `v`.
     pub fn outdegree(&self, v: Vertex) -> usize {
-        self.send_start[v + 1] - self.send_start[v]
+        self.outdegree[v] as usize
     }
 
-    /// In-degree of vertex `v` under the plan (= its inbox-slot count).
+    /// In-degree of vertex `v` (= its inbox-slot count).
     pub fn indegree(&self, v: Vertex) -> usize {
         self.inbox_start[v + 1] - self.inbox_start[v]
     }
 
-    /// Send slots owned by the contiguous vertex range — the shard
-    /// accounting behind the flat executor's per-shard probe counters
-    /// (a shard routes exactly this many messages in phase 1).
-    pub fn send_slots_in(&self, range: Range<Vertex>) -> usize {
-        self.send_start[range.end] - self.send_start[range.start]
-    }
-
     /// Inbox slots owned by the contiguous vertex range — the number of
-    /// messages a phase-2 shard gathers and folds.
+    /// messages a flat-executor shard over that range folds per round.
     pub fn inbox_slots_in(&self, range: Range<Vertex>) -> usize {
         self.inbox_start[range.end] - self.inbox_start[range.start]
     }
 
     /// Resident size of the plan's arrays in bytes.
     pub fn resident_bytes(&self) -> usize {
-        std::mem::size_of::<usize>()
-            * (self.send_start.len() + self.inbox_start.len() + self.gather.len())
+        std::mem::size_of::<usize>() * self.inbox_start.len()
+            + std::mem::size_of::<u32>() * (self.sources.len() + self.outdegree.len())
     }
 }
 
@@ -154,27 +134,13 @@ mod tests {
         assert_eq!(plan.slots(), g.edge_count());
         // Hub inbox: sources 0 (self-loop), 1, 2, 3 in ascending order
         // regardless of edge insertion order.
+        assert_eq!(plan.sources_of(0), &[0, 1, 2, 3]);
+        // Every in-edge of every vertex is fed by its own source.
         let edges = g.edges();
-        let hub: Vec<usize> = plan.inbox_range(0).collect();
-        let sources: Vec<usize> = hub
-            .iter()
-            .map(|&slot| {
-                let send = plan.gather()[slot];
-                (0..4)
-                    .find(|&v| plan.send_range(v).contains(&send))
-                    .unwrap()
-            })
-            .collect();
-        assert_eq!(sources, vec![0, 1, 2, 3]);
-        // Every in-edge of every vertex is fed by its own source's slot.
         for v in 0..4 {
             assert_eq!(plan.inbox_range(v).len(), g.indegree(v));
-            for slot in plan.inbox_range(v) {
-                let send = plan.gather()[slot];
-                let src = (0..4)
-                    .find(|&u| plan.send_range(u).contains(&send))
-                    .unwrap();
-                assert!(edges.iter().any(|e| e.src == src && e.dst == v));
+            for &src in plan.sources_of(v) {
+                assert!(edges.iter().any(|e| e.src == src as usize && e.dst == v));
             }
         }
     }
@@ -191,34 +157,41 @@ mod tests {
         for v in 0..5 {
             assert_eq!(plan.outdegree(v), g.outdegree(v));
             assert_eq!(plan.indegree(v), g.indegree(v));
-            assert_eq!(plan.send_slots_in(v..v + 1), plan.send_range(v).len());
             assert_eq!(plan.inbox_slots_in(v..v + 1), plan.inbox_range(v).len());
         }
         // Any split of 0..n partitions the slot total exactly.
         for cut in 0..=5 {
             assert_eq!(
-                plan.send_slots_in(0..cut) + plan.send_slots_in(cut..5),
-                plan.slots()
-            );
-            assert_eq!(
                 plan.inbox_slots_in(0..cut) + plan.inbox_slots_in(cut..5),
                 plan.slots()
             );
         }
-        assert_eq!(plan.send_slots_in(2..2), 0);
+        assert_eq!(plan.inbox_slots_in(2..2), 0);
     }
 
     #[test]
-    fn parallel_edges_get_distinct_slots_in_rank_order() {
+    fn parallel_edges_get_one_slot_each_in_rank_order() {
         let mut g = Digraph::new(2);
         g.add_edge(0, 1);
         g.add_edge(0, 1);
         g.add_edge(0, 0);
         g.add_edge(1, 1);
         let plan = RoutingPlan::new(&g);
-        // Vertex 1's inbox: the two parallel 0->1 edges in rank order
-        // (ranks 0 and 1 = send slots 0 and 1), then the self-loop.
-        let fed: Vec<usize> = plan.inbox_range(1).map(|s| plan.gather()[s]).collect();
-        assert_eq!(fed, vec![0, 1, plan.send_start(1)]);
+        // Vertex 1's inbox: the two parallel 0->1 edges, then the
+        // self-loop; vertex 0 sends over three out-edges.
+        assert_eq!(plan.sources_of(1), &[0, 0, 1]);
+        assert_eq!(plan.outdegree(0), 3);
+        assert_eq!(plan.outdegree(1), 1);
+    }
+
+    #[test]
+    fn resident_bytes_counts_offsets_and_u32_indices() {
+        let g = crate::generators::directed_ring(10).with_self_loops();
+        let plan = RoutingPlan::new(&g);
+        // 11 usize offsets + 20 u32 sources + 10 u32 outdegrees.
+        assert_eq!(
+            plan.resident_bytes(),
+            11 * std::mem::size_of::<usize>() + 30 * 4
+        );
     }
 }

@@ -1,29 +1,38 @@
-//! The flat executor: struct-of-arrays state, CSR routing, zero
-//! per-round allocation — the million-agent hot path.
+//! The flat executor: struct-of-arrays state, CSR routing, one message
+//! per agent, one pass per round — the million-agent hot path.
 //!
 //! The boxed [`Execution`](crate::Execution) allocates a
 //! `Vec<Vec<A::Msg>>` of inboxes every round and re-derives the
 //! canonical delivery order by sorting; that tops out around 10^3–10^4
 //! agents. [`FlatExecution`] rebuilds the round loop from the ground up
-//! for f64 algorithms on **static** graphs:
+//! for isotropic f64 algorithms on **static** graphs:
 //!
-//! - **State** lives in `STATE_LANES` parallel `Vec<f64>` columns (one
-//!   entry per agent) — no boxed automata, no per-agent allocation.
+//! - **State** lives in `STATE_LANES` `Vec<f64>` columns (one entry per
+//!   agent), updated in place — no boxed automata, no per-agent
+//!   allocation, no state double-buffer (an agent's transition reads
+//!   only its own state and its inbox).
+//! - **Messages** live in a double-buffered `n × MSG_LANES` message
+//!   column. An isotropic agent sends the *same* message on every port,
+//!   so the column holds each message exactly once; nothing is copied
+//!   per edge.
 //! - **Routing** is frozen at construction into a
-//!   [`RoutingPlan`](kya_graph::RoutingPlan): per-edge send slots in
-//!   port-rank order plus per-destination inbox offsets sorted once
-//!   into the canonical ascending `(source id, port rank)` order. A
-//!   round's routing is then a pure gather,
-//!   `arena[slot] = send_buf[gather[slot]]`.
-//! - **Messages** are written into a single reusable flat arena indexed
-//!   by those offsets; after the first round the executor allocates
-//!   nothing.
-//! - **Parallelism** shards both the send and the gather+transition
-//!   phases over contiguous agent ranges (crossbeam scope, split
-//!   mutable slices — no unsafe). Every slot is statically assigned,
-//!   so parallel runs are **bitwise identical** to sequential ones at
-//!   any thread count (`kya check` oracle `flat`, and the proptest in
+//!   [`RoutingPlan`](kya_graph::RoutingPlan): per destination, the list
+//!   of in-sources sorted once into the canonical ascending
+//!   `(source id, port rank)` order. An agent's [`Inbox`] is a view of
+//!   the message column through that list.
+//! - **A round is one pass**: per agent, fold the inbox into the new
+//!   state and emit the next round's message from it into the other
+//!   message buffer. After construction the executor allocates nothing
+//!   but the per-round shard bookkeeping.
+//! - **Parallelism** shards that pass over contiguous agent ranges (one
+//!   crossbeam scope per round, the calling thread working the first
+//!   shard; split mutable slices — no unsafe). Every write is statically
+//!   assigned and every read is of the previous round's column, so
+//!   parallel runs are **bitwise identical** to sequential ones at any
+//!   thread count (`kya check` oracle `flat`, and the proptest in
 //!   `tests/flat_equivalence.rs`, pin this against the boxed path).
+//!   Shards too small to repay a thread spawn run in order on the
+//!   calling thread — the same partition, hence the same bits.
 //!
 //! The price is genericity: a [`FlatAlgorithm`] is isotropic (one
 //! message per round, replicated to every port) with fixed-width f64
@@ -44,6 +53,11 @@ use crate::report::CellReport;
 /// [`FlatProbe::on_lane_sample`] each round. The stride is computed
 /// from `n` alone, so the sample set is independent of thread count.
 const LANE_SAMPLE_TARGET: usize = 64;
+
+/// Smallest shard worth a thread of its own. Below it a round's shards
+/// run in order on the calling thread: a spawn costs more than folding
+/// this many agents' inboxes.
+const MIN_SPAWN_AGENTS: usize = 4096;
 
 /// Maximum number of f64 lanes a flat state or message may use; bounds
 /// the executor's stack scratch buffers.
@@ -87,6 +101,49 @@ pub fn exact_degree(d: usize) -> Result<f64, DegreeOverflow> {
     }
 }
 
+/// One agent's inbox for one round: a read-only view of the round's
+/// message column through the agent's in-source list, yielding one
+/// `MSG_LANES`-lane message per in-edge in the canonical
+/// `(source id, port rank)` delivery order. Nothing is copied until a
+/// transition reads it.
+#[derive(Clone, Copy, Debug)]
+pub struct Inbox<'a> {
+    column: &'a [f64],
+    sources: &'a [u32],
+    lanes: usize,
+}
+
+impl<'a> Inbox<'a> {
+    /// The inbox that delivers, in order, message `sources[k]` of
+    /// `column` (a column of `lanes`-lane messages, one per agent).
+    pub(crate) fn new(column: &'a [f64], sources: &'a [u32], lanes: usize) -> Inbox<'a> {
+        Inbox {
+            column,
+            sources,
+            lanes,
+        }
+    }
+
+    /// Number of messages delivered (the agent's in-degree).
+    pub fn len(&self) -> usize {
+        self.sources.len()
+    }
+
+    /// Whether no message is delivered.
+    pub fn is_empty(&self) -> bool {
+        self.sources.is_empty()
+    }
+
+    /// The messages, each `lanes` lanes wide, in delivery order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &'a [f64]> + 'a {
+        let (column, lanes) = (self.column, self.lanes);
+        self.sources.iter().map(move |&src| {
+            let at = src as usize * lanes;
+            &column[at..at + lanes]
+        })
+    }
+}
+
 /// An isotropic f64 algorithm in struct-of-arrays form, runnable by
 /// [`FlatExecution`].
 ///
@@ -95,8 +152,9 @@ pub fn exact_degree(d: usize) -> Result<f64, DegreeOverflow> {
 /// replicated to every output port; the transition folds the inbox —
 /// delivered in the canonical `(source id, port rank)` order — into the
 /// next state. To stay bitwise identical to a boxed twin, perform the
-/// same floating-point operations in the same order (the inbox arrives
-/// as `MSG_LANES`-sized chunks in exactly the boxed delivery order).
+/// same floating-point operations in the same order (the [`Inbox`]
+/// yields `MSG_LANES`-sized messages in exactly the boxed delivery
+/// order).
 pub trait FlatAlgorithm: Sync {
     /// Number of f64 lanes per agent state (1..=[`MAX_LANES`]).
     const STATE_LANES: usize;
@@ -107,9 +165,9 @@ pub trait FlatAlgorithm: Sync {
     /// into `msg` (`MSG_LANES` lanes), given the sender's outdegree.
     fn message(&self, state: &[f64], outdegree: usize, msg: &mut [f64]);
 
-    /// Fold `inbox` (`indegree × MSG_LANES` lanes, canonical delivery
-    /// order) into `next` (`STATE_LANES` lanes).
-    fn transition(&self, state: &[f64], inbox: &[f64], next: &mut [f64]);
+    /// Fold `inbox` (one message per in-edge, canonical delivery order)
+    /// into `next` (`STATE_LANES` lanes).
+    fn transition(&self, state: &[f64], inbox: Inbox<'_>, next: &mut [f64]);
 
     /// [`FlatAlgorithm::transition`], additionally told the agent's own
     /// outdegree — the flat spelling of
@@ -121,7 +179,7 @@ pub trait FlatAlgorithm: Sync {
         &self,
         state: &[f64],
         outdegree: usize,
-        inbox: &[f64],
+        inbox: Inbox<'_>,
         next: &mut [f64],
     ) {
         let _ = outdegree;
@@ -132,24 +190,25 @@ pub trait FlatAlgorithm: Sync {
     fn output(&self, state: &[f64]) -> f64;
 }
 
-/// A flat execution: SoA state columns plus one CSR-routed message
-/// arena, stepped in place with zero per-round allocation. See the
-/// module docs for the layout and determinism contract.
+/// A flat execution: SoA state columns plus a double-buffered message
+/// column, stepped in one pass per round. See the module docs for the
+/// layout and determinism contract.
 pub struct FlatExecution<A: FlatAlgorithm> {
     algo: A,
-    n: usize,
     round: u64,
     plan: RoutingPlan,
     cols: Vec<Vec<f64>>,
-    next: Vec<Vec<f64>>,
-    send_buf: Vec<f64>,
-    arena: Vec<f64>,
+    /// This round's messages: agent `v` owns lanes
+    /// `v * MSG_LANES..(v + 1) * MSG_LANES`.
+    msgs: Vec<f64>,
+    /// The next round's messages, written by the round's pass.
+    next_msgs: Vec<f64>,
 }
 
 impl<A: FlatAlgorithm> FlatExecution<A> {
     /// Build a flat execution of `algo` on the **static** graph `graph`
     /// from the given state columns (`STATE_LANES` columns of one entry
-    /// per agent).
+    /// per agent), and emit the first round's messages.
     ///
     /// # Panics
     ///
@@ -180,22 +239,28 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
                 panic!("vertex {v}: {e}");
             }
         }
-        let slots = plan.slots();
+        let ml = A::MSG_LANES;
+        let mut msgs = vec![0.0; n * ml];
+        let mut state = [0.0f64; MAX_LANES];
+        for (v, msg) in msgs.chunks_exact_mut(ml).enumerate() {
+            for (l, col) in columns.iter().enumerate() {
+                state[l] = col[v];
+            }
+            algo.message(&state[..A::STATE_LANES], plan.outdegree(v), msg);
+        }
         FlatExecution {
             algo,
-            n,
             round: 0,
             plan,
-            next: columns.clone(),
             cols: columns,
-            send_buf: vec![0.0; slots * A::MSG_LANES],
-            arena: vec![0.0; slots * A::MSG_LANES],
+            next_msgs: vec![0.0; n * ml],
+            msgs,
         }
     }
 
     /// Number of agents.
     pub fn n(&self) -> usize {
-        self.n
+        self.plan.n()
     }
 
     /// Rounds executed so far.
@@ -226,7 +291,7 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
     /// Current outputs, indexed by agent.
     pub fn outputs(&self) -> Vec<f64> {
         let mut state = [0.0f64; MAX_LANES];
-        (0..self.n)
+        (0..self.n())
             .map(|v| {
                 for (l, col) in self.cols.iter().enumerate() {
                     state[l] = col[v];
@@ -237,30 +302,16 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
     }
 
     /// Resident buffer bytes — the flat engine's whole per-run
-    /// footprint after warm-up: state columns and their double-buffer,
-    /// the send buffer, the full message arena (its high-water mark:
-    /// every inbox slot is re-gathered each round), and the routing
-    /// plan's offset arrays. Measured over *capacities*, so it is what
+    /// footprint: the state columns, both message buffers, and the
+    /// routing plan's arrays. Measured over *capacities*, so it is what
     /// the allocator actually holds. `tests/flat_probe.rs` pins this
-    /// against the 128–168 B/agent figures in EXPERIMENTS.md.
+    /// against the B/agent figures in EXPERIMENTS.md.
     pub fn resident_bytes(&self) -> usize {
-        let f = std::mem::size_of::<f64>();
-        f * (self.send_buf.capacity()
-            + self.arena.capacity()
-            + self.cols.iter().map(Vec::capacity).sum::<usize>()
-            + self.next.iter().map(Vec::capacity).sum::<usize>())
+        std::mem::size_of::<f64>()
+            * (self.msgs.capacity()
+                + self.next_msgs.capacity()
+                + self.cols.iter().map(Vec::capacity).sum::<usize>())
             + self.plan.resident_bytes()
-    }
-
-    /// High-water mark of message-arena bytes touched by any executed
-    /// round — zero before the first round, then the full arena (every
-    /// inbox slot is re-gathered each round).
-    pub fn arena_high_water(&self) -> usize {
-        if self.round == 0 {
-            0
-        } else {
-            std::mem::size_of::<f64>() * self.arena.len()
-        }
     }
 
     /// Execute one round sequentially.
@@ -268,9 +319,9 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
         self.step_threads(1);
     }
 
-    /// Execute one round with both phases sharded across `threads`
-    /// contiguous agent ranges. Bitwise identical to [`FlatExecution::step`]
-    /// at any thread count.
+    /// Execute one round with its pass sharded across `threads`
+    /// contiguous agent ranges. Bitwise identical to
+    /// [`FlatExecution::step`] at any thread count.
     ///
     /// # Panics
     ///
@@ -280,9 +331,9 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
     }
 
     /// Execute one round under a [`FlatProbe`]: per-shard counters are
-    /// merged and delivered in ascending shard order after the joins,
-    /// state lanes are sampled at a thread-independent stride, and the
-    /// wall-clock phase breakdown arrives through the separate
+    /// delivered in ascending shard order after the join, state lanes
+    /// are sampled at a thread-independent stride, and the wall-clock
+    /// phase breakdown arrives through the separate
     /// [`FlatProbe::on_phase_times`] hook. With [`NullProbe`] (whose
     /// `ENABLED` is `false`) every probe branch const-folds away and
     /// this *is* [`FlatExecution::step_threads`].
@@ -292,9 +343,10 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
     /// Panics if `threads == 0`.
     pub fn step_probed<P: FlatProbe>(&mut self, threads: usize, probe: &mut P) {
         assert!(threads > 0, "at least one worker thread");
+        let n = self.n();
         let round = self.round + 1;
         if P::ENABLED {
-            probe.on_round_start(round, self.n);
+            probe.on_round_start(round, n);
         }
         let mut times = PhaseTimes::default();
         let mut mark = if P::ENABLED {
@@ -303,130 +355,70 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
             None
         };
 
-        let ranges = shard_ranges(self.n, threads);
+        // Each shard owns its contiguous agent range's spans of every
+        // state column and of the next message buffer; all shards read
+        // the whole current message column.
+        let ranges = shard_ranges(n, threads);
         let ml = A::MSG_LANES;
-        let algo = &self.algo;
-        let plan = &self.plan;
-        let cols = &self.cols;
+        let mut shards: Vec<Shard<'_>> = split_spans(&mut self.next_msgs, &ranges, ml)
+            .into_iter()
+            .zip(&ranges)
+            .map(|(msgs, range)| Shard {
+                range: range.clone(),
+                state: Vec::with_capacity(A::STATE_LANES),
+                msgs,
+            })
+            .collect();
+        for col in self.cols.iter_mut() {
+            for (span, shard) in split_spans(col, &ranges, 1).into_iter().zip(&mut shards) {
+                shard.state.push(span);
+            }
+        }
+        let (algo, plan, msgs) = (&self.algo, &self.plan, &self.msgs[..]);
         lap(&mut mark, &mut times.route_us);
 
-        // Phase 1: sends — each shard owns the send-buffer span of its
-        // contiguous source range. Join order is shard order, so the
-        // counters come back canonically regardless of scheduling.
-        let send_counters: Vec<ShardCounters> = if ranges.len() == 1 {
-            vec![send_range::<A, P>(
-                algo,
-                plan,
-                cols,
-                &mut self.send_buf,
-                &ranges[0],
-            )]
+        let counters: Vec<ShardCounters> = if n / shards.len() < MIN_SPAWN_AGENTS {
+            shards
+                .into_iter()
+                .map(|s| pass_range::<A, P>(algo, plan, msgs, s))
+                .collect()
         } else {
-            let parts = split_spans(&mut self.send_buf, &ranges, |v| plan.send_start(v) * ml);
-            let mut counters = Vec::new();
+            let mut shards = shards.into_iter();
+            let first = shards.next().expect("at least one shard");
+            let mut counters = Vec::with_capacity(ranges.len());
             crossbeam::scope(|scope| {
-                let handles: Vec<_> = ranges
-                    .iter()
-                    .zip(parts)
-                    .map(|(r, part)| {
-                        scope.spawn(move |_| send_range::<A, P>(algo, plan, cols, part, r))
-                    })
+                let handles: Vec<_> = shards
+                    .map(|s| scope.spawn(move |_| pass_range::<A, P>(algo, plan, msgs, s)))
                     .collect();
-                counters = handles
-                    .into_iter()
-                    .map(|h| h.join().expect("flat send worker panicked"))
-                    .collect();
+                counters.push(pass_range::<A, P>(algo, plan, msgs, first));
+                for h in handles {
+                    counters.push(h.join().expect("flat round worker panicked"));
+                }
             })
             .expect("crossbeam scope");
             counters
         };
-        lap(&mut mark, &mut times.send_us);
+        lap(&mut mark, &mut times.pass_us);
 
-        // Phase 2: gather + transition fused — each shard owns the
-        // arena span and next-column spans of its contiguous
-        // destination range, and reads the whole send buffer.
-        let gather_counters: Vec<ShardCounters> = {
-            let send_buf = &self.send_buf;
-            if ranges.len() == 1 {
-                let mut next: Vec<&mut [f64]> =
-                    self.next.iter_mut().map(Vec::as_mut_slice).collect();
-                vec![gather_transition_range::<A, P>(
-                    algo,
-                    plan,
-                    cols,
-                    send_buf,
-                    &mut self.arena,
-                    &mut next,
-                    &ranges[0],
-                )]
-            } else {
-                let arena_parts =
-                    split_spans(&mut self.arena, &ranges, |v| plan.inbox_start(v) * ml);
-                // Per-shard bundles of (arena span, one span per next column).
-                let mut bundles: Vec<(&mut [f64], Vec<&mut [f64]>)> = arena_parts
-                    .into_iter()
-                    .map(|a| (a, Vec::with_capacity(A::STATE_LANES)))
-                    .collect();
-                for col in self.next.iter_mut() {
-                    for (part, bundle) in split_spans(col, &ranges, |v| v)
-                        .into_iter()
-                        .zip(&mut bundles)
-                    {
-                        bundle.1.push(part);
-                    }
-                }
-                let mut counters = Vec::new();
-                crossbeam::scope(|scope| {
-                    let handles: Vec<_> = ranges
-                        .iter()
-                        .zip(bundles)
-                        .map(|(r, (arena, mut next))| {
-                            scope.spawn(move |_| {
-                                gather_transition_range::<A, P>(
-                                    algo, plan, cols, send_buf, arena, &mut next, r,
-                                )
-                            })
-                        })
-                        .collect();
-                    counters = handles
-                        .into_iter()
-                        .map(|h| h.join().expect("flat transition worker panicked"))
-                        .collect();
-                })
-                .expect("crossbeam scope");
-                counters
-            }
-        };
-        lap(&mut mark, &mut times.transition_us);
-
-        std::mem::swap(&mut self.cols, &mut self.next);
+        std::mem::swap(&mut self.msgs, &mut self.next_msgs);
         self.round += 1;
 
         if P::ENABLED {
-            for (i, c) in send_counters.iter().enumerate() {
-                probe.on_send_shard(i, c);
-            }
-            for (i, c) in gather_counters.iter().enumerate() {
-                probe.on_gather_shard(i, c);
-            }
-            let mut send_total = ShardCounters::default();
-            for c in &send_counters {
-                send_total.merge(c);
-            }
-            let mut gather_total = ShardCounters::default();
-            for c in &gather_counters {
-                gather_total.merge(c);
+            let mut total = ShardCounters::default();
+            for (i, c) in counters.iter().enumerate() {
+                probe.on_shard(i, c);
+                total.merge(c);
             }
             // Strided lane sampling over the post-round state; the
             // stride depends on n only, never on the thread count.
-            let stride = (self.n / LANE_SAMPLE_TARGET).max(1);
-            let mut samples = Vec::with_capacity(self.n.div_ceil(stride));
+            let stride = (n / LANE_SAMPLE_TARGET).max(1);
+            let mut samples = Vec::with_capacity(n.div_ceil(stride));
             for (lane, col) in self.cols.iter().enumerate() {
                 samples.clear();
                 samples.extend(col.iter().step_by(stride).copied());
                 probe.on_lane_sample(round, lane, &samples);
             }
-            probe.on_round_end(round, &send_total, &gather_total);
+            probe.on_round_end(round, &total);
             lap(&mut mark, &mut times.merge_us);
             probe.on_phase_times(round, &times);
         }
@@ -477,7 +469,7 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
         let mut executed: u64 = 0;
         while executed < rounds {
             if let Some((cap, ledger)) = bandwidth {
-                // One send slot per edge: the same per-round charge as
+                // One delivery per edge: the same per-round charge as
                 // the boxed drive's `edge_count()`.
                 ledger.charge_round(self.plan.slots() as u64, cap.bits_per_edge());
             }
@@ -521,117 +513,70 @@ fn lap(mark: &mut Option<Instant>, slot: &mut u64) {
 }
 
 /// Split `buf` into one mutable span per range, where range `r` owns
-/// `buf[offset(r.start)..offset(r.end)]`. `offset` must be monotone
-/// with `offset(0) == 0` and `offset(n)` == `buf.len()` over the
-/// ranges' union — which shard layouts from [`shard_ranges`] guarantee.
+/// `buf[r.start * width..r.end * width]`. The ranges must tile
+/// `0..buf.len() / width` in order — which [`shard_ranges`] guarantees.
 fn split_spans<'b>(
     buf: &'b mut [f64],
     ranges: &[Range<usize>],
-    offset: impl Fn(usize) -> usize,
+    width: usize,
 ) -> Vec<&'b mut [f64]> {
     let mut parts = Vec::with_capacity(ranges.len());
     let mut rest = buf;
-    let mut consumed = 0;
     for r in ranges {
-        let end = offset(r.end);
-        let (head, tail) = rest.split_at_mut(end - consumed);
+        let (head, tail) = rest.split_at_mut(r.len() * width);
         parts.push(head);
         rest = tail;
-        consumed = end;
     }
     parts
 }
 
-/// Phase 1 for one contiguous source range: compute each agent's
-/// isotropic message once and replicate it into the agent's send slots
-/// (one per out-edge, rank order). `out` is the range's span of the
-/// send buffer. Returns the shard's counters — all accumulation is
-/// gated on `P::ENABLED`, so the [`NullProbe`] instantiation pays
-/// nothing.
-fn send_range<A: FlatAlgorithm, P: FlatProbe>(
-    algo: &A,
-    plan: &RoutingPlan,
-    cols: &[Vec<f64>],
-    out: &mut [f64],
-    range: &Range<usize>,
-) -> ShardCounters {
-    let ml = A::MSG_LANES;
-    let base = plan.send_start(range.start);
-    let mut state = [0.0f64; MAX_LANES];
-    let mut msg = [0.0f64; MAX_LANES];
-    let mut counters = ShardCounters::default();
-    if P::ENABLED {
-        counters.agents = range.len() as u64;
-        counters.messages_routed = plan.send_slots_in(range.clone()) as u64;
-        counters.lane_writes = counters.messages_routed * ml as u64;
-    }
-    for v in range.clone() {
-        let slots = plan.send_range(v);
-        let outdeg = slots.len();
-        if outdeg == 0 {
-            continue;
-        }
-        for (l, col) in cols.iter().enumerate() {
-            state[l] = col[v];
-        }
-        algo.message(&state[..A::STATE_LANES], outdeg, &mut msg[..ml]);
-        let first = (slots.start - base) * ml;
-        for chunk in out[first..first + outdeg * ml].chunks_exact_mut(ml) {
-            chunk.copy_from_slice(&msg[..ml]);
-        }
-    }
-    counters
+/// One shard of a round's pass: a contiguous agent range with its spans
+/// of every state column and of the next message buffer.
+struct Shard<'b> {
+    range: Range<usize>,
+    state: Vec<&'b mut [f64]>,
+    msgs: &'b mut [f64],
 }
 
-/// Phase 2 for one contiguous destination range: gather each agent's
-/// inbox from the send buffer into the arena span (already in canonical
-/// delivery order, by construction of the plan) and fold it into the
-/// next-state columns. Returns the shard's counters (see
-/// [`send_range`]).
-fn gather_transition_range<A: FlatAlgorithm, P: FlatProbe>(
+/// The round's pass over one shard: per agent, fold the inbox (a view of
+/// the current message column) into the new state, store it in place,
+/// and emit the next round's message from it. Returns the shard's
+/// counters — all accumulation is gated on `P::ENABLED`, so the
+/// [`NullProbe`] instantiation pays nothing.
+fn pass_range<A: FlatAlgorithm, P: FlatProbe>(
     algo: &A,
     plan: &RoutingPlan,
-    cols: &[Vec<f64>],
-    send_buf: &[f64],
-    arena: &mut [f64],
-    next: &mut [&mut [f64]],
-    range: &Range<usize>,
+    msgs: &[f64],
+    shard: Shard<'_>,
 ) -> ShardCounters {
-    let ml = A::MSG_LANES;
+    let Shard {
+        range,
+        mut state,
+        msgs: out,
+    } = shard;
+    let (sl, ml) = (A::STATE_LANES, A::MSG_LANES);
     let mut counters = ShardCounters::default();
     if P::ENABLED {
         let slots = plan.inbox_slots_in(range.clone()) as u64;
         counters.agents = range.len() as u64;
         counters.messages_routed = slots;
-        // Gathered lanes plus the per-agent next-state writes.
-        counters.lane_writes = slots * ml as u64 + (range.len() * A::STATE_LANES) as u64;
-        counters.arena_bytes = slots * (ml * std::mem::size_of::<f64>()) as u64;
+        // One state write and one message write per agent.
+        counters.lane_writes = (range.len() * (sl + ml)) as u64;
+        counters.inbox_bytes = slots * (ml * std::mem::size_of::<f64>()) as u64;
     }
-    let base = plan.inbox_start(range.start);
-    let gather = plan.gather();
-    let mut state = [0.0f64; MAX_LANES];
-    let mut out = [0.0f64; MAX_LANES];
-    for v in range.clone() {
-        let slots = plan.inbox_range(v);
-        let local = (slots.start - base) * ml..(slots.end - base) * ml;
-        {
-            let inbox = &mut arena[local.clone()];
-            for (&slot, chunk) in gather[slots.clone()].iter().zip(inbox.chunks_exact_mut(ml)) {
-                chunk.copy_from_slice(&send_buf[slot * ml..(slot + 1) * ml]);
-            }
+    let mut cur = [0.0f64; MAX_LANES];
+    let mut next = [0.0f64; MAX_LANES];
+    for (i, (v, msg)) in range.zip(out.chunks_exact_mut(ml)).enumerate() {
+        for (l, col) in state.iter().enumerate() {
+            cur[l] = col[i];
         }
-        for (l, col) in cols.iter().enumerate() {
-            state[l] = col[v];
+        let outdegree = plan.outdegree(v);
+        let inbox = Inbox::new(msgs, plan.sources_of(v), ml);
+        algo.transition_with_outdegree(&cur[..sl], outdegree, inbox, &mut next[..sl]);
+        for (l, col) in state.iter_mut().enumerate() {
+            col[i] = next[l];
         }
-        algo.transition_with_outdegree(
-            &state[..A::STATE_LANES],
-            plan.outdegree(v),
-            &arena[local],
-            &mut out[..A::STATE_LANES],
-        );
-        for (l, col) in next.iter_mut().enumerate() {
-            col[v - range.start] = out[l];
-        }
+        algo.message(&next[..sl], outdegree, msg);
     }
     counters
 }
@@ -650,8 +595,8 @@ mod tests {
         fn message(&self, state: &[f64], _outdegree: usize, msg: &mut [f64]) {
             msg[0] = state[0];
         }
-        fn transition(&self, _state: &[f64], inbox: &[f64], next: &mut [f64]) {
-            next[0] = inbox.iter().fold(0.0, |acc, m| acc + m);
+        fn transition(&self, _state: &[f64], inbox: Inbox<'_>, next: &mut [f64]) {
+            next[0] = inbox.iter().fold(0.0, |acc, m| acc + m[0]);
         }
         fn output(&self, state: &[f64]) -> f64 {
             state[0]
@@ -685,6 +630,28 @@ mod tests {
             }
         }
         assert_eq!(seq.round(), 4);
+    }
+
+    #[test]
+    fn spawned_shards_match_the_sequential_pass() {
+        // Large enough that 2 and 3 threads really spawn workers: every
+        // shard spans at least `MIN_SPAWN_AGENTS` agents.
+        let n = 3 * MIN_SPAWN_AGENTS;
+        let g = generators::random_strongly_connected(n, 2 * n, 9).with_self_loops();
+        let inits: Vec<f64> = (0..n).map(|i| ((i * 7919) % 1013) as f64 * 1e-3).collect();
+        let mut seq = FlatExecution::new(OrderSum, &g, vec![inits.clone()]);
+        let mut two = FlatExecution::new(OrderSum, &g, vec![inits.clone()]);
+        let mut three = FlatExecution::new(OrderSum, &g, vec![inits]);
+        for _ in 0..3 {
+            seq.step();
+            two.step_threads(2);
+            three.step_threads(3);
+        }
+        let bits = |e: &FlatExecution<OrderSum>| -> Vec<u64> {
+            e.lane(0).iter().map(|x| x.to_bits()).collect()
+        };
+        assert_eq!(bits(&seq), bits(&two));
+        assert_eq!(bits(&seq), bits(&three));
     }
 
     #[test]
@@ -723,7 +690,18 @@ mod tests {
     }
 
     #[test]
-    fn zero_allocation_after_warmup_costs_nothing_per_round() {
+    fn inbox_views_the_column_in_source_order() {
+        let column = [10.0, 11.0, 20.0, 21.0, 30.0, 31.0];
+        let inbox = Inbox::new(&column, &[2, 0, 2], 2);
+        assert_eq!(inbox.len(), 3);
+        assert!(!inbox.is_empty());
+        let msgs: Vec<&[f64]> = inbox.iter().collect();
+        assert_eq!(msgs, vec![&[30.0, 31.0][..], &[10.0, 11.0], &[30.0, 31.0]]);
+        assert!(Inbox::new(&column, &[], 2).is_empty());
+    }
+
+    #[test]
+    fn zero_allocation_after_construction_costs_nothing_per_round() {
         // Behavioural proxy: the resident footprint is invariant across
         // rounds (the buffers are reused, never regrown).
         let g = generators::directed_ring(32).with_self_loops();

@@ -76,7 +76,9 @@ pub use algorithm::{
 pub use bandwidth::{BandwidthCap, ByteLedger, MessageCodec};
 pub use config::{Backend, FlatRunConfig, RunConfig};
 pub use execution::Execution;
-pub use flat::{exact_degree, DegreeOverflow, FlatAlgorithm, FlatExecution, MAX_EXACT_DEGREE};
+pub use flat::{
+    exact_degree, DegreeOverflow, FlatAlgorithm, FlatExecution, Inbox, MAX_EXACT_DEGREE,
+};
 pub use probe::{
     CountingProbe, FlatProbe, FlatProbeSummary, FlatRoundEvent, NullProbe, PhaseTimes,
     ShardCounters,

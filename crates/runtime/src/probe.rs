@@ -4,12 +4,13 @@
 //! The boxed executor's [`Observer`](crate::Observer) sees every message
 //! as a value — far too slow for the million-agent flat engine, whose
 //! whole point is that messages are never materialized individually. A
-//! [`FlatProbe`] instead hooks the *phase* structure of
+//! [`FlatProbe`] instead hooks the *shard* structure of
 //! [`FlatExecution::step_probed`](crate::FlatExecution::step_probed):
-//! each shard accumulates plain counters ([`ShardCounters`]) while it
-//! runs, and the main thread merges them in canonical ascending shard
-//! order after the joins, so a probe observes the same stream at any
-//! thread count. On top of the counters, the executor samples a strided
+//! each shard of the round's single pass accumulates plain counters
+//! ([`ShardCounters`]) while it runs, and the main thread merges them in
+//! canonical ascending shard order after the join, so a probe observes
+//! the same stream at any thread count. On top of the counters, the
+//! executor samples a strided
 //! subset of every state lane each round ([`FlatProbe::on_lane_sample`])
 //! — enough to fingerprint the trajectory without walking all `n`
 //! agents.
@@ -33,7 +34,7 @@
 use crate::telemetry::Log2Histogram;
 use serde::{Deserialize, Serialize};
 
-/// Plain counters accumulated by one shard of one phase of one round.
+/// Plain counters accumulated by one shard of one round's pass.
 ///
 /// Per-shard values depend on the shard layout (and therefore on the
 /// thread count); only the merged per-round totals delivered to
@@ -43,14 +44,15 @@ use serde::{Deserialize, Serialize};
 pub struct ShardCounters {
     /// Agents the shard processed (its contiguous range length).
     pub agents: u64,
-    /// Message slots the shard routed (send slots written in phase 1,
-    /// inbox slots gathered in phase 2).
+    /// Messages the shard delivered: the inbox slots (in-edges) of its
+    /// agents.
     pub messages_routed: u64,
-    /// f64 lane writes the shard performed into the send buffer, arena,
-    /// and next-state columns.
+    /// f64 lane writes the shard performed: each agent's new state and
+    /// next message.
     pub lane_writes: u64,
-    /// Bytes of the message arena the shard touched (phase 2 only).
-    pub arena_bytes: u64,
+    /// Message-column bytes the shard's inboxes read
+    /// (`messages_routed × MSG_LANES × 8`).
+    pub inbox_bytes: u64,
 }
 
 impl ShardCounters {
@@ -59,7 +61,7 @@ impl ShardCounters {
         self.agents += other.agents;
         self.messages_routed += other.messages_routed;
         self.lane_writes += other.lane_writes;
-        self.arena_bytes += other.arena_bytes;
+        self.inbox_bytes += other.inbox_bytes;
     }
 }
 
@@ -74,11 +76,10 @@ impl ShardCounters {
 pub struct PhaseTimes {
     /// Shard layout and span splitting.
     pub route_us: u64,
-    /// Phase 1: isotropic message computation + send-slot replication.
-    pub send_us: u64,
-    /// Phase 2: inbox gather + transition fold.
-    pub transition_us: u64,
-    /// Counter merge, lane sampling, and the column swap.
+    /// The round's pass: inbox fold, transition, and next-message
+    /// emission, fused per agent.
+    pub pass_us: u64,
+    /// Counter merge and lane sampling.
     pub merge_us: u64,
 }
 
@@ -86,14 +87,13 @@ impl PhaseTimes {
     /// Accumulate another round's phase times into this block.
     pub fn accumulate(&mut self, other: &PhaseTimes) {
         self.route_us += other.route_us;
-        self.send_us += other.send_us;
-        self.transition_us += other.transition_us;
+        self.pass_us += other.pass_us;
         self.merge_us += other.merge_us;
     }
 
-    /// Total microseconds across all four phases.
+    /// Total microseconds across all three phases.
     pub fn total_us(&self) -> u64 {
-        self.route_us + self.send_us + self.transition_us + self.merge_us
+        self.route_us + self.pass_us + self.merge_us
     }
 }
 
@@ -101,10 +101,9 @@ impl PhaseTimes {
 /// [`FlatExecution::step_probed`](crate::FlatExecution::step_probed).
 ///
 /// Per round, the call order is fixed: `on_round_start` → one
-/// `on_send_shard` per phase-1 shard in ascending shard order → one
-/// `on_gather_shard` per phase-2 shard in ascending shard order → one
-/// `on_lane_sample` per state lane in lane order → `on_round_end` with
-/// the merged totals → `on_phase_times`. All hooks run on the calling
+/// `on_shard` per shard in ascending shard order → one `on_lane_sample`
+/// per state lane in lane order → `on_round_end` with the merged totals
+/// → `on_phase_times`. All hooks run on the calling
 /// thread; worker threads only fill [`ShardCounters`] by value.
 pub trait FlatProbe {
     /// Whether the executor should do any probe work at all. The hot
@@ -118,13 +117,8 @@ pub trait FlatProbe {
         let _ = (round, n);
     }
 
-    /// Phase-1 counters of shard `shard` (ascending order).
-    fn on_send_shard(&mut self, shard: usize, counters: &ShardCounters) {
-        let _ = (shard, counters);
-    }
-
-    /// Phase-2 counters of shard `shard` (ascending order).
-    fn on_gather_shard(&mut self, shard: usize, counters: &ShardCounters) {
+    /// Counters of shard `shard` (ascending order).
+    fn on_shard(&mut self, shard: usize, counters: &ShardCounters) {
         let _ = (shard, counters);
     }
 
@@ -135,10 +129,10 @@ pub trait FlatProbe {
         let _ = (round, lane, samples);
     }
 
-    /// The round finished; `send` and `gather` are the per-phase totals
-    /// merged over all shards (thread-count invariant).
-    fn on_round_end(&mut self, round: u64, send: &ShardCounters, gather: &ShardCounters) {
-        let _ = (round, send, gather);
+    /// The round finished; `total` is merged over all shards
+    /// (thread-count invariant).
+    fn on_round_end(&mut self, round: u64, total: &ShardCounters) {
+        let _ = (round, total);
     }
 
     /// Wall-clock phase breakdown of the round. Keep this out of any
@@ -163,20 +157,16 @@ impl<P: FlatProbe> FlatProbe for &mut P {
         (**self).on_round_start(round, n);
     }
 
-    fn on_send_shard(&mut self, shard: usize, counters: &ShardCounters) {
-        (**self).on_send_shard(shard, counters);
-    }
-
-    fn on_gather_shard(&mut self, shard: usize, counters: &ShardCounters) {
-        (**self).on_gather_shard(shard, counters);
+    fn on_shard(&mut self, shard: usize, counters: &ShardCounters) {
+        (**self).on_shard(shard, counters);
     }
 
     fn on_lane_sample(&mut self, round: u64, lane: usize, samples: &[f64]) {
         (**self).on_lane_sample(round, lane, samples);
     }
 
-    fn on_round_end(&mut self, round: u64, send: &ShardCounters, gather: &ShardCounters) {
-        (**self).on_round_end(round, send, gather);
+    fn on_round_end(&mut self, round: u64, total: &ShardCounters) {
+        (**self).on_round_end(round, total);
     }
 
     fn on_phase_times(&mut self, round: u64, times: &PhaseTimes) {
@@ -194,10 +184,10 @@ pub struct FlatRoundEvent {
     pub round: u64,
     /// Messages delivered this round (= the plan's slot count).
     pub messages_routed: u64,
-    /// f64 lane writes across both phases.
+    /// f64 lane writes of the round's pass.
     pub lane_writes: u64,
-    /// Message-arena bytes touched this round.
-    pub arena_bytes: u64,
+    /// Message-column bytes read by the round's inboxes.
+    pub inbox_bytes: u64,
     /// FNV-1a over the bit patterns of the round's strided lane samples.
     pub sample_digest: u64,
 }
@@ -212,8 +202,8 @@ pub struct FlatProbeSummary {
     pub messages_routed: u64,
     /// Total f64 lane writes.
     pub lane_writes: u64,
-    /// High-water mark of per-round arena bytes touched.
-    pub arena_high_water_bytes: u64,
+    /// Total message-column bytes read by inboxes.
+    pub inbox_bytes: u64,
     /// Individual lane samples hashed into the round digests.
     pub lane_samples: u64,
 }
@@ -238,8 +228,7 @@ pub struct CountingProbe {
     volume: Log2Histogram,
     timing: PhaseTimes,
     shard_merges: u64,
-    cur_send: ShardCounters,
-    cur_gather: ShardCounters,
+    cur: ShardCounters,
     cur_digest: u64,
 }
 
@@ -273,7 +262,7 @@ impl CountingProbe {
         self.timing
     }
 
-    /// Shard counter blocks merged (2 × shards per round). Like
+    /// Shard counter blocks merged (one per shard per round). Like
     /// [`timing`](CountingProbe::timing), this depends on the shard
     /// layout — and therefore the thread count — so it is a diagnostic,
     /// deliberately **not** part of [`FlatProbeSummary`] or the stream.
@@ -296,18 +285,12 @@ impl CountingProbe {
 
 impl FlatProbe for CountingProbe {
     fn on_round_start(&mut self, _round: u64, _n: usize) {
-        self.cur_send = ShardCounters::default();
-        self.cur_gather = ShardCounters::default();
+        self.cur = ShardCounters::default();
         self.cur_digest = FNV_OFFSET;
     }
 
-    fn on_send_shard(&mut self, _shard: usize, counters: &ShardCounters) {
-        self.cur_send.merge(counters);
-        self.shard_merges += 1;
-    }
-
-    fn on_gather_shard(&mut self, _shard: usize, counters: &ShardCounters) {
-        self.cur_gather.merge(counters);
+    fn on_shard(&mut self, _shard: usize, counters: &ShardCounters) {
+        self.cur.merge(counters);
         self.shard_merges += 1;
     }
 
@@ -319,19 +302,17 @@ impl FlatProbe for CountingProbe {
         self.summary.lane_samples += samples.len() as u64;
     }
 
-    fn on_round_end(&mut self, round: u64, send: &ShardCounters, gather: &ShardCounters) {
-        let lane_writes = send.lane_writes + gather.lane_writes;
+    fn on_round_end(&mut self, round: u64, total: &ShardCounters) {
         self.summary.rounds += 1;
-        self.summary.messages_routed += gather.messages_routed;
-        self.summary.lane_writes += lane_writes;
-        self.summary.arena_high_water_bytes =
-            self.summary.arena_high_water_bytes.max(gather.arena_bytes);
-        self.volume.record_count(gather.messages_routed);
+        self.summary.messages_routed += total.messages_routed;
+        self.summary.lane_writes += total.lane_writes;
+        self.summary.inbox_bytes += total.inbox_bytes;
+        self.volume.record_count(total.messages_routed);
         self.events.push(FlatRoundEvent {
             round,
-            messages_routed: gather.messages_routed,
-            lane_writes,
-            arena_bytes: gather.arena_bytes,
+            messages_routed: total.messages_routed,
+            lane_writes: total.lane_writes,
+            inbox_bytes: total.inbox_bytes,
             sample_digest: self.cur_digest,
         });
     }
@@ -357,41 +338,34 @@ mod tests {
     fn counting_probe_merges_shards_into_round_totals() {
         let mut p = CountingProbe::new();
         p.on_round_start(1, 8);
-        p.on_send_shard(
+        p.on_shard(
             0,
             &ShardCounters {
                 agents: 4,
                 messages_routed: 9,
-                lane_writes: 18,
-                arena_bytes: 0,
+                lane_writes: 16,
+                inbox_bytes: 144,
             },
         );
-        p.on_send_shard(
+        p.on_shard(
             1,
             &ShardCounters {
                 agents: 4,
                 messages_routed: 7,
-                lane_writes: 14,
-                arena_bytes: 0,
+                lane_writes: 16,
+                inbox_bytes: 112,
             },
         );
-        let g = ShardCounters {
-            agents: 8,
-            messages_routed: 16,
-            lane_writes: 40,
-            arena_bytes: 256,
-        };
-        p.on_gather_shard(0, &g);
         p.on_lane_sample(1, 0, &[1.0, 2.0]);
-        let (send, gather) = (p.cur_send, p.cur_gather);
-        assert_eq!(send.messages_routed, 16);
-        p.on_round_end(1, &send, &gather);
+        let total = p.cur;
+        assert_eq!(total.messages_routed, 16);
+        p.on_round_end(1, &total);
         let s = p.summary();
         assert_eq!(s.rounds, 1);
         assert_eq!(s.messages_routed, 16);
-        assert_eq!(s.lane_writes, 32 + 40);
-        assert_eq!(s.arena_high_water_bytes, 256);
-        assert_eq!(p.shard_merges(), 3);
+        assert_eq!(s.lane_writes, 32);
+        assert_eq!(s.inbox_bytes, 256);
+        assert_eq!(p.shard_merges(), 2);
         assert_eq!(s.lane_samples, 2);
         assert_eq!(p.events().len(), 1);
         assert_eq!(p.volume_histogram().count(4), 1, "16 messages → bucket 4");
@@ -411,8 +385,7 @@ mod tests {
         for (p, x) in [(&mut a, 1.0f64), (&mut b, 1.0 + f64::EPSILON)] {
             p.on_round_start(1, 2);
             p.on_lane_sample(1, 0, &[x]);
-            let z = ShardCounters::default();
-            p.on_round_end(1, &z, &z);
+            p.on_round_end(1, &ShardCounters::default());
         }
         assert_ne!(a.events()[0].sample_digest, b.events()[0].sample_digest);
     }
@@ -424,8 +397,7 @@ mod tests {
             1,
             &PhaseTimes {
                 route_us: 1,
-                send_us: 2,
-                transition_us: 3,
+                pass_us: 5,
                 merge_us: 4,
             },
         );
@@ -433,8 +405,7 @@ mod tests {
             2,
             &PhaseTimes {
                 route_us: 10,
-                send_us: 20,
-                transition_us: 30,
+                pass_us: 50,
                 merge_us: 40,
             },
         );
@@ -448,7 +419,7 @@ mod tests {
             rounds: 5,
             messages_routed: 100,
             lane_writes: 400,
-            arena_high_water_bytes: 1600,
+            inbox_bytes: 1600,
             lane_samples: 40,
         };
         let json = serde::to_json_string(&s);

@@ -49,14 +49,14 @@ fn main() {
     let summary = probe.summary();
     let times = probe.timing();
     println!(
-        "ran {} rounds at {threads} threads: {} messages routed, arena high water {:.1} MiB",
+        "ran {} rounds at {threads} threads: {} messages routed, {:.1} MiB of inbox reads",
         summary.rounds,
         summary.messages_routed,
-        summary.arena_high_water_bytes as f64 / (1024.0 * 1024.0)
+        summary.inbox_bytes as f64 / (1024.0 * 1024.0)
     );
     println!(
-        "phase breakdown: route {} us, send {} us, transition {} us, merge {} us",
-        times.route_us, times.send_us, times.transition_us, times.merge_us
+        "phase breakdown: route {} us, pass {} us, merge {} us",
+        times.route_us, times.pass_us, times.merge_us
     );
     match report.converged_at {
         Some(r) => println!("converged to the average at round {r} (eps 1e-9)"),

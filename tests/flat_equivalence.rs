@@ -1,9 +1,9 @@
 //! Property test: the flat SoA/CSR engine ([`FlatExecution`]) is
 //! **bitwise** identical to the boxed executor — not approximately, not
 //! up to reassociation — on random seeded digraphs, at every thread
-//! count. The flat engine's send slots replay port-rank order and its
-//! inbox offsets replay the canonical ascending `(source id, port
-//! rank)` delivery order, so every f64 operation happens in the same
+//! count. The flat engine's in-source lists replay the canonical
+//! ascending `(source id, port rank)` delivery order over a column of
+//! one message per agent, so every f64 operation happens in the same
 //! sequence as in `Execution::step`; this test is the contract.
 
 use kya_algos::metropolis::Metropolis;
@@ -143,6 +143,41 @@ proptest! {
                     "agent {} at {} threads, b={}", v, threads, bits
                 );
             }
+        }
+    }
+}
+
+/// The proptests above stay small, so their shards run in order on the
+/// calling thread. At 20 000 agents every shard at 2 and 3 threads is
+/// big enough to get a worker thread of its own; the bits still match.
+#[test]
+fn flat_pushsum_is_bitwise_boxed_on_worker_threads() {
+    let n = 20_000;
+    let g = generators::random_strongly_connected(n, 2 * n, 17).with_self_loops();
+    let values: Vec<f64> = (0..n).map(|i| ((i * 37) % 101) as f64).collect();
+    let states = PushSumState::averaging(&values);
+    let rounds = 4;
+
+    let mut boxed = Execution::new(Isotropic(PushSum), states.clone());
+    boxed.drive(
+        &kya_graph::StaticGraph::new(g.clone()),
+        RunConfig::rounds(rounds),
+    );
+
+    for threads in [2usize, 3] {
+        let mut flat = FlatExecution::new(PushSum, &g, PushSumState::columns(&states));
+        flat.run(rounds, threads);
+        for (v, s) in boxed.states().iter().enumerate() {
+            assert_eq!(
+                flat.lane(0)[v].to_bits(),
+                s.y.to_bits(),
+                "y, agent {v}, {threads} threads"
+            );
+            assert_eq!(
+                flat.lane(1)[v].to_bits(),
+                s.z.to_bits(),
+                "z, agent {v}, {threads} threads"
+            );
         }
     }
 }

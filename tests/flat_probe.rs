@@ -56,8 +56,9 @@ proptest! {
     }
 }
 
-/// Every per-round event restates the routing plan: a round routes
-/// exactly `plan.slots()` messages and regathers the full arena.
+/// Every per-round event restates the routing plan: a round delivers
+/// exactly `plan.slots()` messages, each read once from the message
+/// column, and writes one state and one message per agent.
 #[test]
 fn probe_counters_match_the_routing_plan() {
     let n = 17;
@@ -71,19 +72,15 @@ fn probe_counters_match_the_routing_plan() {
     assert_eq!(probe.events().len() as u64, rounds);
     for event in probe.events() {
         assert_eq!(event.messages_routed, slots);
-        assert_eq!(event.arena_bytes, slots * 2 * 8, "MSG_LANES=2 f64 slots");
-        // Lane writes: send fills `slots × MSG_LANES`, gather reads the
-        // same plus one `STATE_LANES` write per agent.
-        assert_eq!(event.lane_writes, 4 * slots + 2 * n as u64);
+        assert_eq!(event.inbox_bytes, slots * 2 * 8, "MSG_LANES=2 f64 lanes");
+        // Lane writes: `STATE_LANES + MSG_LANES` per agent, independent
+        // of the edge count — nothing is copied per edge.
+        assert_eq!(event.lane_writes, 4 * n as u64);
     }
     let summary = probe.summary();
     assert_eq!(summary.rounds, rounds);
     assert_eq!(summary.messages_routed, rounds * slots);
-    assert_eq!(summary.arena_high_water_bytes, slots * 16);
-    assert_eq!(
-        summary.arena_high_water_bytes as usize,
-        exec.arena_high_water()
-    );
+    assert_eq!(summary.inbox_bytes, rounds * slots * 16);
 }
 
 /// A measured flat drive reports `converged_at` (and the residual
@@ -128,31 +125,26 @@ fn measured_flat_drive_matches_boxed_convergence() {
     }
 }
 
-/// The resident footprint is exactly the EXPERIMENTS.md figures: a
-/// directed ring with self-loops (2 slots/agent) holds 128 B/agent, a
-/// ring-plus-chord (3 slots/agent) holds 168 B/agent, plus the plans'
-/// constant 16 B of prefix-array overhead.
+/// The resident footprint is exactly the EXPERIMENTS.md figures. Push-Sum
+/// holds 16 B of state and 32 B of double-buffered messages per agent,
+/// and the plan 12 B per agent plus 4 B per slot, plus one trailing 8 B
+/// offset: a directed ring with self-loops (2 slots/agent) holds
+/// 68 B/agent, a ring-plus-chord (3 slots/agent) 72 B/agent.
 #[test]
 fn resident_bytes_pins_the_experiments_numbers() {
     let n = 1024;
-    // Ring + self-loops: slots = 2n, so 96n f64 buffer bytes + 32n + 16
-    // plan bytes.
+    // Ring + self-loops: slots = 2n, so 48n f64 buffer bytes + 12n + 8n
+    // + 8 plan bytes.
     let ring = generators::directed_ring(n).with_self_loops();
     let states = PushSumState::columns(&PushSumState::averaging(&values_for(n, 1)));
     let mut exec = FlatExecution::new(PushSum, &ring, states.clone());
-    assert_eq!(exec.resident_bytes(), 128 * n + 16);
-    // The footprint is capacity-based, so running rounds (which touches
-    // the whole arena) changes nothing.
-    assert_eq!(exec.arena_high_water(), 0, "no round executed yet");
+    assert_eq!(exec.resident_bytes(), 68 * n + 8);
+    // The footprint is capacity-based and no buffer grows with rounds
+    // or thread count.
     exec.run(3, 2);
-    assert_eq!(exec.resident_bytes(), 128 * n + 16);
-    assert_eq!(
-        exec.arena_high_water(),
-        2 * n * 16,
-        "2n slots × 2 lanes × 8 B"
-    );
+    assert_eq!(exec.resident_bytes(), 68 * n + 8);
 
-    // Ring + chord v→v+2 + self-loops: slots = 3n → 128n + 40n + 16.
+    // Ring + chord v→v+2 + self-loops: slots = 3n → 68n + 4n + 8.
     let mut chord = Digraph::new(n);
     for v in 0..n {
         chord.add_edge(v, (v + 1) % n);
@@ -160,7 +152,7 @@ fn resident_bytes_pins_the_experiments_numbers() {
     }
     let chord = chord.with_self_loops();
     let exec = FlatExecution::new(PushSum, &chord, states);
-    assert_eq!(exec.resident_bytes(), 168 * n + 16);
+    assert_eq!(exec.resident_bytes(), 72 * n + 8);
 }
 
 /// `NullProbe` is purely an erasure: stepping with it (or through the
