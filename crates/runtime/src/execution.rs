@@ -6,43 +6,9 @@ use crate::config::RunConfig;
 use crate::faults::FaultEvents;
 use crate::metric::Metric;
 use crate::report::CellReport;
+use crate::shard::{map_agents, shard_ranges};
 use crate::telemetry::{NullObserver, Observer};
 use kya_graph::{Digraph, DynamicGraph};
-use std::ops::Range;
-
-/// Split `0..n` into at most `threads` contiguous, gap-free ranges of
-/// near-equal length — the sharding layout every parallel phase uses.
-/// Shards concatenate back in range order, so no post-sort is needed.
-pub(crate) fn shard_ranges(n: usize, threads: usize) -> Vec<Range<usize>> {
-    let shards = threads.min(n).max(1);
-    (0..shards)
-        .map(|t| (t * n / shards)..((t + 1) * n / shards))
-        .collect()
-}
-
-/// Run `f` over each range on its own crossbeam worker and concatenate
-/// the per-range outputs in range order. With a single range, runs on
-/// the calling thread — same values either way, since every shard's
-/// output depends only on its own range.
-pub(crate) fn run_sharded<T, F>(ranges: &[Range<usize>], f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&Range<usize>) -> Vec<T> + Sync,
-{
-    if ranges.len() == 1 {
-        return f(&ranges[0]);
-    }
-    let mut out = Vec::new();
-    crossbeam::scope(|scope| {
-        let f = &f;
-        let handles: Vec<_> = ranges.iter().map(|r| scope.spawn(move |_| f(r))).collect();
-        for h in handles {
-            out.extend(h.join().expect("shard worker panicked"));
-        }
-    })
-    .expect("crossbeam scope");
-    out
-}
 
 /// An execution of an [`Algorithm`] on a network: the sequence of global
 /// states `C^0, C^1, ...` of §2.2, advanced one communication-closed round
@@ -329,8 +295,7 @@ impl<A: Algorithm> Execution<A> {
     }
 
     /// Like [`Execution::step`], but computes sends, routing, and
-    /// transitions in parallel across agents (`threads` crossbeam
-    /// workers).
+    /// transitions sharded over `threads` contiguous agent ranges.
     ///
     /// Bit-identical to `step` — the round is communication closed, so
     /// per-agent work is embarrassingly parallel, and routing is sharded
@@ -340,8 +305,10 @@ impl<A: Algorithm> Execution<A> {
     /// [`Execution::step_observed`]). In-edge lists are in insertion
     /// order, not source order, so the sort is load-bearing: without it
     /// f64 runs diverge bitwise from the sequential path
-    /// (`tests/conformance.rs` pins this). Useful for large-`n`
-    /// simulations; for small networks the sequential `step` is faster.
+    /// (`tests/conformance.rs` pins this). Each phase spawns threads
+    /// only if every shard holds at least [`crate::MIN_SPAWN_AGENTS`]
+    /// agents, and then the calling thread works the first shard;
+    /// otherwise the phase's shards run in order on the calling thread.
     ///
     /// # Panics
     ///
@@ -372,20 +339,8 @@ impl<A: Algorithm> Execution<A> {
 
         // Phase 1: sends, sharded over contiguous agent ranges; shards
         // concatenate in range order, so no re-sort is needed.
-        let sends: Vec<Vec<A::Msg>> = run_sharded(&ranges, |r| {
-            r.clone()
-                .map(|v| {
-                    let outdeg = graph.outdegree(v);
-                    let msgs = algo.send(&states[v], outdeg);
-                    assert_eq!(
-                        msgs.len(),
-                        outdeg,
-                        "round {round}: wrong message count from agent {v}"
-                    );
-                    msgs
-                })
-                .collect()
-        });
+        let sends: Vec<Vec<A::Msg>> =
+            map_agents(&ranges, |v| send_checked(algo, graph, states, round, v));
 
         // Phase 2: routing, sharded by contiguous destination ranges.
         // Workers read in-edges (insertion order) and sort each inbox
@@ -393,34 +348,25 @@ impl<A: Algorithm> Execution<A> {
         // order; sends[v][r] is the message the algorithm addressed to
         // port rank r of agent v.
         let sends_ref = &sends;
-        let inboxes: Vec<Vec<A::Msg>> = run_sharded(&ranges, |r| {
-            r.clone()
-                .map(|dst| {
-                    let mut keyed: Vec<(u64, A::Msg)> = graph
-                        .in_edges(dst)
-                        .map(|e| {
-                            let src = graph.edges()[e].src;
-                            let rank = order.rank(e);
-                            let key = ((src as u64) << 32) | rank as u64;
-                            (key, sends_ref[src][rank as usize].clone())
-                        })
-                        .collect();
-                    keyed.sort_unstable_by_key(|&(k, _)| k);
-                    keyed.into_iter().map(|(_, m)| m).collect::<Vec<_>>()
+        let inboxes: Vec<Vec<A::Msg>> = map_agents(&ranges, |dst| {
+            let mut keyed: Vec<(u64, A::Msg)> = graph
+                .in_edges(dst)
+                .map(|e| {
+                    let src = graph.edges()[e].src;
+                    let rank = order.rank(e);
+                    let key = ((src as u64) << 32) | rank as u64;
+                    (key, sends_ref[src][rank as usize].clone())
                 })
-                .collect()
+                .collect();
+            keyed.sort_unstable_by_key(|&(k, _)| k);
+            keyed.into_iter().map(|(_, m)| m).collect()
         });
 
         // Phase 3: transitions, sharded over contiguous agent ranges.
         let inboxes_ref = &inboxes;
-        let next: Vec<A::State> = run_sharded(&ranges, |r| {
-            r.clone()
-                .map(|v| {
-                    algo.transition_with_outdegree(&states[v], graph.outdegree(v), &inboxes_ref[v])
-                })
-                .collect()
+        self.states = map_agents(&ranges, |v| {
+            algo.transition_with_outdegree(&states[v], graph.outdegree(v), &inboxes_ref[v])
         });
-        self.states = next;
     }
 
     /// Like [`Execution::step_parallel`], with an [`Observer`].
@@ -462,20 +408,8 @@ impl<A: Algorithm> Execution<A> {
         let ranges = shard_ranges(n, threads);
 
         // Phase 1: sends, sharded over contiguous agent ranges.
-        let sends: Vec<Vec<A::Msg>> = run_sharded(&ranges, |r| {
-            r.clone()
-                .map(|v| {
-                    let outdeg = graph.outdegree(v);
-                    let msgs = algo.send(&states[v], outdeg);
-                    assert_eq!(
-                        msgs.len(),
-                        outdeg,
-                        "round {round}: wrong message count from agent {v}"
-                    );
-                    msgs
-                })
-                .collect()
-        });
+        let sends: Vec<Vec<A::Msg>> =
+            map_agents(&ranges, |v| send_checked(algo, graph, states, round, v));
 
         // Phase 2: route (sequential — cheap) with the same port order as
         // the sequential step.
@@ -493,14 +427,9 @@ impl<A: Algorithm> Execution<A> {
 
         // Phase 3: transitions, sharded over contiguous agent ranges.
         let inboxes_ref = &inboxes;
-        let next: Vec<A::State> = run_sharded(&ranges, |r| {
-            r.clone()
-                .map(|v| {
-                    algo.transition_with_outdegree(&states[v], graph.outdegree(v), &inboxes_ref[v])
-                })
-                .collect()
+        self.states = map_agents(&ranges, |v| {
+            algo.transition_with_outdegree(&states[v], graph.outdegree(v), &inboxes_ref[v])
         });
-        self.states = next;
         obs.on_round_end(self.round, &self.algo, &self.states);
     }
 
@@ -666,6 +595,25 @@ impl<A: Algorithm> Execution<A> {
         };
         self.drive(net, RunConfig::rounds(max_rounds).measure_with(dist, eps))
     }
+}
+
+/// Agent `v`'s round-`round` messages, checked to be one per output
+/// port — the send phase of both parallel steps.
+fn send_checked<A: Algorithm>(
+    algo: &A,
+    graph: &Digraph,
+    states: &[A::State],
+    round: u64,
+    v: usize,
+) -> Vec<A::Msg> {
+    let outdeg = graph.outdegree(v);
+    let msgs = algo.send(&states[v], outdeg);
+    assert_eq!(
+        msgs.len(),
+        outdeg,
+        "round {round}: wrong message count from agent {v}"
+    );
+    msgs
 }
 
 #[cfg(test)]
@@ -1020,6 +968,36 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "f64 paths diverged bitwise");
             }
         }
+    }
+
+    /// Sends one message too few from the last agent: a send-contract
+    /// violation that only a spawned shard sees.
+    struct ShortLast {
+        n: usize,
+    }
+    impl Algorithm for ShortLast {
+        type State = usize;
+        type Msg = ();
+        type Output = usize;
+        fn send(&self, v: &usize, outdegree: usize) -> Vec<()> {
+            let short = usize::from(*v == self.n - 1);
+            vec![(); outdegree - short]
+        }
+        fn transition(&self, v: &usize, _: &[()]) -> usize {
+            *v
+        }
+        fn output(&self, v: &usize) -> usize {
+            *v
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "wrong message count")]
+    fn spawned_shard_panic_keeps_its_message() {
+        let n = 3 * crate::MIN_SPAWN_AGENTS;
+        let g = generators::directed_ring(n).with_self_loops();
+        let mut exec = Execution::new(ShortLast { n }, (0..n).collect());
+        exec.step_parallel(&g, 2);
     }
 
     #[test]

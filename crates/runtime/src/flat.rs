@@ -24,15 +24,17 @@
 //!   state and emit the next round's message from it into the other
 //!   message buffer. After construction the executor allocates nothing
 //!   but the per-round shard bookkeeping.
-//! - **Parallelism** shards that pass over contiguous agent ranges (one
-//!   crossbeam scope per round, the calling thread working the first
-//!   shard; split mutable slices — no unsafe). Every write is statically
-//!   assigned and every read is of the previous round's column, so
-//!   parallel runs are **bitwise identical** to sequential ones at any
-//!   thread count (`kya check` oracle `flat`, and the proptest in
-//!   `tests/flat_equivalence.rs`, pin this against the boxed path).
-//!   Shards too small to repay a thread spawn run in order on the
-//!   calling thread — the same partition, hence the same bits.
+//! - **Parallelism** shards that pass over contiguous agent ranges
+//!   (split mutable slices — no unsafe), under the spawn rule the boxed
+//!   executor uses too: the calling thread works the first shard and
+//!   one scoped worker each of the others, unless a shard is under
+//!   [`MIN_SPAWN_AGENTS`](crate::MIN_SPAWN_AGENTS) agents — then all of
+//!   them run in order on the calling thread, the same partition, hence
+//!   the same bits. Every write is statically assigned and every read is
+//!   of the previous round's column, so parallel runs are **bitwise
+//!   identical** to sequential ones at any thread count (`kya check`
+//!   oracle `flat`, and the proptest in `tests/flat_equivalence.rs`, pin
+//!   this against the boxed path).
 //!
 //! The price is genericity: a [`FlatAlgorithm`] is isotropic (one
 //! message per round, replicated to every port) with fixed-width f64
@@ -44,20 +46,15 @@ use std::ops::Range;
 use std::time::Instant;
 
 use crate::config::FlatRunConfig;
-use crate::execution::shard_ranges;
 use crate::faults::FaultEvents;
 use crate::probe::{FlatProbe, NullProbe, PhaseTimes, ShardCounters};
 use crate::report::CellReport;
+use crate::shard::{run_shards, shard_ranges};
 
 /// Target number of strided samples per state lane handed to
 /// [`FlatProbe::on_lane_sample`] each round. The stride is computed
 /// from `n` alone, so the sample set is independent of thread count.
 const LANE_SAMPLE_TARGET: usize = 64;
-
-/// Smallest shard worth a thread of its own. Below it a round's shards
-/// run in order on the calling thread: a spawn costs more than folding
-/// this many agents' inboxes.
-const MIN_SPAWN_AGENTS: usize = 4096;
 
 /// Maximum number of f64 lanes a flat state or message may use; bounds
 /// the executor's stack scratch buffers.
@@ -377,27 +374,8 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
         let (algo, plan, msgs) = (&self.algo, &self.plan, &self.msgs[..]);
         lap(&mut mark, &mut times.route_us);
 
-        let counters: Vec<ShardCounters> = if n / shards.len() < MIN_SPAWN_AGENTS {
-            shards
-                .into_iter()
-                .map(|s| pass_range::<A, P>(algo, plan, msgs, s))
-                .collect()
-        } else {
-            let mut shards = shards.into_iter();
-            let first = shards.next().expect("at least one shard");
-            let mut counters = Vec::with_capacity(ranges.len());
-            crossbeam::scope(|scope| {
-                let handles: Vec<_> = shards
-                    .map(|s| scope.spawn(move |_| pass_range::<A, P>(algo, plan, msgs, s)))
-                    .collect();
-                counters.push(pass_range::<A, P>(algo, plan, msgs, first));
-                for h in handles {
-                    counters.push(h.join().expect("flat round worker panicked"));
-                }
-            })
-            .expect("crossbeam scope");
-            counters
-        };
+        let counters: Vec<ShardCounters> =
+            run_shards(&ranges, shards, |s| pass_range::<A, P>(algo, plan, msgs, s));
         lap(&mut mark, &mut times.pass_us);
 
         std::mem::swap(&mut self.msgs, &mut self.next_msgs);
@@ -584,6 +562,7 @@ fn pass_range<A: FlatAlgorithm, P: FlatProbe>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::MIN_SPAWN_AGENTS;
     use kya_graph::generators;
 
     /// Order-sensitive f64 fold: sums the first message lane in

@@ -67,6 +67,7 @@ pub mod flat;
 pub mod metric;
 pub mod probe;
 pub mod report;
+mod shard;
 pub mod telemetry;
 pub mod testing;
 
@@ -84,6 +85,7 @@ pub use probe::{
     ShardCounters,
 };
 pub use report::CellReport;
+pub use shard::MIN_SPAWN_AGENTS;
 pub use telemetry::{
     CountSummary, CountingObserver, Log2Histogram, NullObserver, Observer, ResidualObserver,
     RoundEvent, TraceSink,

@@ -4,15 +4,19 @@
 //! through an identical event stream (same hooks, same order, same
 //! arguments). The routing phase of the parallel step iterates agents
 //! and ports in the sequential executor's order precisely so this
-//! holds; this test pins it.
+//! holds; this test pins it, on a small network whose shards run on
+//! the calling thread and on one large enough to spawn workers.
 
 use kya_algos::frequency::{CensusOutdegree, CensusPorts, CensusSymmetric};
 use kya_algos::gossip::SetGossip;
 use kya_algos::metropolis::{FixedWeight, LazyMetropolis, Metropolis};
 use kya_algos::min_base::{MinBaseBroadcast, MinBaseOutdegree, MinBasePorts, ViewState};
 use kya_algos::push_sum::{PushSum, PushSumState, SelfHealingPushSum};
+use kya_graph::{generators, Digraph};
 use kya_harness::parse_graph;
-use kya_runtime::{Algorithm, Broadcast, Execution, Isotropic, Observer};
+use kya_runtime::{
+    Algorithm, Broadcast, CountingObserver, Execution, Isotropic, Observer, MIN_SPAWN_AGENTS,
+};
 
 /// Records every observer hook as a rendered line, so two runs can be
 /// compared with one `assert_eq!` regardless of state/message types.
@@ -148,5 +152,80 @@ fn every_algorithm_agrees_between_schedules() {
     check(
         || Execution::new(Broadcast(FixedWeight::new(6)), floats.clone()),
         "FixedWeight",
+    );
+}
+
+/// Steps `make()` three ways on `g` — sequentially, at 2 threads and at
+/// 3 threads — and requires bitwise-equal states every round; then runs
+/// the observed twins and requires equal [`CountingObserver`] counters.
+fn check_spawned<A, F, B>(make: F, g: &Digraph, bits: B, label: &str)
+where
+    A: Algorithm + Sync,
+    A::State: Send + Sync,
+    A::Msg: Send + Sync,
+    F: Fn() -> Execution<A>,
+    B: Fn(&[A::State]) -> Vec<u64>,
+{
+    let mut seq = make();
+    let mut two = make();
+    let mut three = make();
+    for round in 1..=3 {
+        seq.step(g);
+        two.step_parallel(g, 2);
+        three.step_parallel(g, 3);
+        let want = bits(seq.states());
+        assert!(
+            want == bits(two.states()),
+            "{label}: 2 threads, round {round}"
+        );
+        assert!(
+            want == bits(three.states()),
+            "{label}: 3 threads, round {round}"
+        );
+    }
+    let (mut seq, mut par) = (make(), make());
+    let (mut seq_obs, mut par_obs) = (CountingObserver::new(), CountingObserver::new());
+    for _ in 0..3 {
+        seq.step_observed(g, &mut seq_obs);
+        par.step_parallel_observed(g, 3, &mut par_obs);
+    }
+    assert_eq!(
+        seq_obs.summary(),
+        par_obs.summary(),
+        "{label}: observer counters"
+    );
+    assert!(
+        bits(seq.states()) == bits(par.states()),
+        "{label}: observed states"
+    );
+}
+
+/// Every shard of a `3 · MIN_SPAWN_AGENTS`-agent network at 2 or 3
+/// threads is at least `MIN_SPAWN_AGENTS` long, so these parallel
+/// steps run on spawned workers, not only on the calling thread.
+#[test]
+fn spawned_shards_agree_with_the_sequential_step() {
+    let n = 3 * MIN_SPAWN_AGENTS;
+    let g = generators::random_strongly_connected(n, 2 * n, 17).with_self_loops();
+    // Full 53-bit mantissas, so any reordered sum shows in the bits.
+    let floats: Vec<f64> = (0..n)
+        .map(|i| (i as f64 * 0.618_033_988_749_895).fract() * 1e3)
+        .collect();
+    check_spawned(
+        || Execution::new(Isotropic(PushSum), PushSumState::averaging(&floats)),
+        &g,
+        |states| {
+            states
+                .iter()
+                .flat_map(|s| [s.y.to_bits(), s.z.to_bits()])
+                .collect()
+        },
+        "PushSum",
+    );
+    check_spawned(
+        || Execution::new(Isotropic(Metropolis), floats.clone()),
+        &g,
+        |states| states.iter().map(|x| x.to_bits()).collect(),
+        "Metropolis",
     );
 }
