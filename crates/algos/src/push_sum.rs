@@ -662,6 +662,31 @@ mod tests {
         assert_eq!(z_now, total_z, "z mass is conserved exactly");
     }
 
+    /// Pins the exact referee's bytes: FNV-1a over the `Display` of every
+    /// final `(y, z)` of exact Push-Sum on `star:64` and
+    /// `directed_ring:128` after 200 rounds. The constant was computed
+    /// with the allocating ℚ kernels that the word-sized fast paths
+    /// replaced, so a kernel that changes a single exact state fails here.
+    #[test]
+    fn exact_pushsum_fingerprint() {
+        const EXPECTED: u64 = 0xe012_7846_20ab_2795;
+        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+        for g in [generators::star(64), generators::directed_ring(128)] {
+            let values: Vec<i64> = (0..g.n() as i64).map(|i| i * 7919 % 1001 - 500).collect();
+            let mut exec = Execution::new(
+                Isotropic(PushSumExact),
+                PushSumExactState::averaging(&values),
+            );
+            exec.drive(&StaticGraph::new(g), RunConfig::rounds(200));
+            for st in exec.states() {
+                for byte in format!("{} {}\n", st.y, st.z).bytes() {
+                    hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!(hash, EXPECTED, "exact Push-Sum fingerprint {hash:#018x}");
+    }
+
     #[test]
     fn averaging_on_dynamic_graphs() {
         let net = RandomDynamicGraph::directed(8, 6, 77);

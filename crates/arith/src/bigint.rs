@@ -8,6 +8,13 @@
 //! (Stein) algorithm with a `u64` fast path. Both are differentially
 //! tested against the simple bit-at-a-time references they replaced,
 //! which are kept in the test module.
+//!
+//! Allocation discipline: a kernel allocates at most its result. A
+//! word-sized operand never allocates on its own — remainders by a limb
+//! are a fold, a limb multiply is one pass, and a divisor of ±1 or a
+//! power of two is a clone or a shift. Multi-limb loops (the Stein
+//! subtract-and-shift, Algorithm D's working copies and remainder,
+//! `+=` and `-=`) work in place on buffers they own.
 
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -94,16 +101,61 @@ fn mag_cmp(a: &[u64], b: &[u64]) -> Ordering {
     Ordering::Equal
 }
 
-fn mag_add(a: &[u64], b: &[u64]) -> Vec<u64> {
-    let (long, short) = if a.len() >= b.len() { (a, b) } else { (b, a) };
-    let mut out = Vec::with_capacity(long.len() + 1);
+/// `a += b` in place.
+fn mag_add_assign(a: &mut Vec<u64>, b: &[u64]) {
+    if a.len() < b.len() {
+        a.resize(b.len(), 0);
+    }
+    let mut carry = false;
+    for (i, x) in a.iter_mut().enumerate() {
+        if i >= b.len() && !carry {
+            break;
+        }
+        let (s, c1) = x.overflowing_add(b.get(i).copied().unwrap_or(0));
+        let (s, c2) = s.overflowing_add(u64::from(carry));
+        *x = s;
+        carry = c1 || c2;
+    }
+    if carry {
+        a.push(1);
+    }
+}
+
+/// Requires `a >= b`.
+fn mag_sub(a: &[u64], b: &[u64]) -> Vec<u64> {
+    let mut out = a.to_vec();
+    mag_sub_assign(&mut out, b);
+    out
+}
+
+/// `a -= b` in place. Requires `a >= b`.
+fn mag_sub_assign(a: &mut Vec<u64>, b: &[u64]) {
+    debug_assert!(mag_cmp(a, b) != Ordering::Less);
+    let mut borrow = false;
+    for (i, x) in a.iter_mut().enumerate() {
+        if i >= b.len() && !borrow {
+            break;
+        }
+        let (d, b1) = x.overflowing_sub(b.get(i).copied().unwrap_or(0));
+        let (d, b2) = d.overflowing_sub(u64::from(borrow));
+        *x = d;
+        borrow = b1 || b2;
+    }
+    debug_assert!(!borrow);
+    mag_trim(a);
+}
+
+/// `a * m` for a single limb `m`: one pass, one allocation.
+fn mag_mul_limb(a: &[u64], m: u64) -> Vec<u64> {
+    if m == 0 {
+        return Vec::new();
+    }
+    let mut out = Vec::with_capacity(a.len() + 1);
     let mut carry = 0u64;
-    for (i, &limb) in long.iter().enumerate() {
-        let x = limb as u128;
-        let y = *short.get(i).unwrap_or(&0) as u128;
-        let s = x + y + carry as u128;
-        out.push(s as u64);
-        carry = (s >> 64) as u64;
+    for &x in a {
+        let p = x as u128 * m as u128 + carry as u128;
+        out.push(p as u64);
+        carry = (p >> 64) as u64;
     }
     if carry != 0 {
         out.push(carry);
@@ -111,31 +163,21 @@ fn mag_add(a: &[u64], b: &[u64]) -> Vec<u64> {
     out
 }
 
-/// Requires `a >= b`.
-fn mag_sub(a: &[u64], b: &[u64]) -> Vec<u64> {
-    debug_assert!(mag_cmp(a, b) != Ordering::Less);
-    let mut out = Vec::with_capacity(a.len());
-    let mut borrow = 0i128;
-    for (i, &limb) in a.iter().enumerate() {
-        let x = limb as i128;
-        let y = *b.get(i).unwrap_or(&0) as i128;
-        let mut d = x - y - borrow;
-        if d < 0 {
-            d += 1i128 << 64;
-            borrow = 1;
-        } else {
-            borrow = 0;
-        }
-        out.push(d as u64);
-    }
-    debug_assert_eq!(borrow, 0);
-    mag_trim(&mut out);
-    out
-}
-
 fn mag_mul(a: &[u64], b: &[u64]) -> Vec<u64> {
     if a.is_empty() || b.is_empty() {
         return Vec::new();
+    }
+    if b.len() == 1 {
+        return mag_mul_limb(a, b[0]);
+    }
+    if a.len() == 1 {
+        return mag_mul_limb(b, a[0]);
+    }
+    if let Some(k) = mag_pow2_exponent(b) {
+        return mag_shl(a, k);
+    }
+    if let Some(k) = mag_pow2_exponent(a) {
+        return mag_shl(b, k);
     }
     let mut out = vec![0u64; a.len() + b.len()];
     for (i, &x) in a.iter().enumerate() {
@@ -164,48 +206,53 @@ fn mag_shl(a: &[u64], bits: usize) -> Vec<u64> {
     if a.is_empty() {
         return Vec::new();
     }
-    let limb_shift = bits / 64;
-    let bit_shift = bits % 64;
-    let mut out = vec![0u64; limb_shift];
-    if bit_shift == 0 {
-        out.extend_from_slice(a);
-    } else {
-        let mut carry = 0u64;
-        for &x in a {
-            out.push((x << bit_shift) | carry);
-            carry = x >> (64 - bit_shift);
-        }
-        if carry != 0 {
-            out.push(carry);
-        }
-    }
+    let mut out = Vec::with_capacity(bits / 64 + a.len() + 1);
+    out.resize(bits / 64, 0);
+    mag_shl_extend(&mut out, a, bits % 64);
     mag_trim(&mut out);
     out
 }
 
+/// Appends `a << shift` (with `shift < 64`) to `out`; the carry-out limb
+/// is appended only when non-zero.
+fn mag_shl_extend(out: &mut Vec<u64>, a: &[u64], shift: usize) {
+    debug_assert!(shift < 64);
+    if shift == 0 {
+        out.extend_from_slice(a);
+        return;
+    }
+    let mut carry = 0u64;
+    for &x in a {
+        out.push((x << shift) | carry);
+        carry = x >> (64 - shift);
+    }
+    if carry != 0 {
+        out.push(carry);
+    }
+}
+
 fn mag_shr(a: &[u64], bits: usize) -> Vec<u64> {
+    let mut out = a.get(bits / 64..).unwrap_or(&[]).to_vec();
+    mag_shr_assign(&mut out, bits % 64);
+    out
+}
+
+/// `a >>= bits` in place.
+fn mag_shr_assign(a: &mut Vec<u64>, bits: usize) {
     let limb_shift = bits / 64;
     if limb_shift >= a.len() {
-        return Vec::new();
+        a.clear();
+        return;
     }
+    a.drain(..limb_shift);
     let bit_shift = bits % 64;
-    let mut out = Vec::with_capacity(a.len() - limb_shift);
-    if bit_shift == 0 {
-        out.extend_from_slice(&a[limb_shift..]);
-    } else {
-        let src = &a[limb_shift..];
-        for i in 0..src.len() {
-            let lo = src[i] >> bit_shift;
-            let hi = if i + 1 < src.len() {
-                src[i + 1] << (64 - bit_shift)
-            } else {
-                0
-            };
-            out.push(lo | hi);
+    if bit_shift != 0 {
+        for i in 0..a.len() {
+            let hi = a.get(i + 1).map_or(0, |&h| h << (64 - bit_shift));
+            a[i] = (a[i] >> bit_shift) | hi;
         }
     }
-    mag_trim(&mut out);
-    out
+    mag_trim(a);
 }
 
 /// Whether any of the low `bits` bits of the magnitude are set — the
@@ -245,12 +292,48 @@ fn mag_divmod_limb(a: &[u64], d: u64) -> (Vec<u64>, u64) {
     (q, rem as u64)
 }
 
+/// `a mod d` for a single non-zero limb `d`, without allocating.
+fn mag_rem_limb(a: &[u64], d: u64) -> u64 {
+    debug_assert!(d != 0);
+    if d.is_power_of_two() {
+        return a.first().map_or(0, |&x| x & (d - 1));
+    }
+    a.iter().rev().fold(0, |rem, &x| {
+        ((((rem as u128) << 64) | x as u128) % d as u128) as u64
+    })
+}
+
+/// `k` when the magnitude is exactly `2^k`.
+fn mag_pow2_exponent(a: &[u64]) -> Option<usize> {
+    let (&top, low) = a.split_last()?;
+    (top.is_power_of_two() && low.iter().all(|&x| x == 0)).then(|| mag_bits(a) - 1)
+}
+
+/// The low `bits` bits of the magnitude (`a mod 2^bits`).
+fn mag_low_bits(a: &[u64], bits: usize) -> Vec<u64> {
+    let limbs = bits.div_ceil(64);
+    let mut out = a[..a.len().min(limbs)].to_vec();
+    if out.len() == limbs && !bits.is_multiple_of(64) {
+        out[limbs - 1] &= (1u64 << (bits % 64)) - 1;
+    }
+    mag_trim(&mut out);
+    out
+}
+
 /// Full multi-limb division.
 /// Returns (quotient, remainder) with `a = q*b + r`, `0 <= r < b`.
+///
+/// A power-of-two divisor is a shift and a mask (when every outdegree is
+/// a power of two, so is every exact Push-Sum denominator and every gcd
+/// of two); a single-limb divisor is one limb pass; everything else is
+/// Algorithm D.
 fn mag_divmod(a: &[u64], b: &[u64]) -> (Vec<u64>, Vec<u64>) {
     assert!(!b.is_empty(), "division by zero");
     if mag_cmp(a, b) == Ordering::Less {
         return (Vec::new(), a.to_vec());
+    }
+    if let Some(k) = mag_pow2_exponent(b) {
+        return (mag_shr(a, k), mag_low_bits(a, k));
     }
     if b.len() == 1 {
         let (q, r) = mag_divmod_limb(a, b[0]);
@@ -318,18 +401,19 @@ fn mag_divmod_knuth(a: &[u64], b: &[u64]) -> (Vec<u64>, Vec<u64>) {
         }
         q[j] = qhat as u64;
     }
-    // D8: denormalize the remainder.
+    // D8: denormalize the remainder in place.
     un.truncate(n);
-    let rem = mag_shr(&un, shift);
+    mag_shr_assign(&mut un, shift);
     mag_trim(&mut q);
-    (q, rem)
+    (q, un)
 }
 
-/// `a << shift` (with `shift < 64`) padded/truncated to exactly `len`
-/// limbs — the fixed-width shift Algorithm D needs for its working copies.
+/// `a << shift` (with `shift < 64`) zero-padded to exactly `len` limbs,
+/// in one allocation — the fixed-width shift Algorithm D needs for its
+/// working copies.
 fn mag_shl_fixed(a: &[u64], shift: usize, len: usize) -> Vec<u64> {
-    debug_assert!(shift < 64);
-    let mut out = mag_shl(a, shift);
+    let mut out = Vec::with_capacity(len);
+    mag_shl_extend(&mut out, a, shift);
     debug_assert!(out.len() <= len);
     out.resize(len, 0);
     out
@@ -350,7 +434,7 @@ fn mag_trailing_zeros(a: &[u64]) -> usize {
 }
 
 /// Binary (Stein) gcd on `u64`.
-fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+pub(crate) fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
     if a == 0 {
         return b;
     }
@@ -373,11 +457,12 @@ fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
 
 /// Limb-level binary (Stein) gcd of two magnitudes.
 ///
-/// Single-limb operands take a `u64` fast path; a mixed big/small pair is
-/// reduced with one `O(len)` limb division first (one Euclid step), which
-/// avoids the long subtraction chains plain Stein would need there. The
-/// general multi-limb case is the classical odd-odd subtract-and-shift
-/// loop, re-entering the fast paths as the operands shrink.
+/// A single-limb operand takes the `u64` fast path after one
+/// allocation-free remainder (one Euclid step), which avoids the long
+/// subtraction chains plain Stein would need for a mixed big/small pair.
+/// The general multi-limb case is the classical odd-odd
+/// subtract-and-shift loop, working in place on its two owned buffers
+/// and re-entering the fast path as the operands shrink.
 fn mag_gcd(a: &[u64], b: &[u64]) -> Vec<u64> {
     if a.is_empty() {
         return b.to_vec();
@@ -386,11 +471,15 @@ fn mag_gcd(a: &[u64], b: &[u64]) -> Vec<u64> {
         return a.to_vec();
     }
     if b.len() == 1 {
-        let (_, r) = mag_divmod_limb(a, b[0]);
-        let g = gcd_u64(r, b[0]);
-        return vec![g];
+        return vec![gcd_u64(mag_rem_limb(a, b[0]), b[0])];
     }
     if a.len() == 1 {
+        return mag_gcd(b, a);
+    }
+    if let Some(k) = mag_pow2_exponent(b) {
+        return mag_shl(&[1], k.min(mag_trailing_zeros(a)));
+    }
+    if mag_pow2_exponent(a).is_some() {
         return mag_gcd(b, a);
     }
     // Both multi-limb: factor out the common power of two, make both odd.
@@ -409,9 +498,9 @@ fn mag_gcd(a: &[u64], b: &[u64]) -> Vec<u64> {
             Ordering::Less => std::mem::swap(&mut a, &mut b),
             Ordering::Greater => {}
         }
-        a = mag_sub(&a, &b); // even and non-zero (a != b, both odd)
+        mag_sub_assign(&mut a, &b); // even and non-zero (a != b, both odd)
         let z = mag_trailing_zeros(&a);
-        a = mag_shr(&a, z);
+        mag_shr_assign(&mut a, z);
     }
     mag_shl(&a, k)
 }
@@ -509,11 +598,22 @@ impl BigInt {
     /// Simultaneous quotient and remainder (truncated toward zero, like
     /// Rust's primitive `/` and `%`).
     ///
+    /// Division by ±1 — the common "gcd was 1" case of rational
+    /// normalization — is a clone.
+    ///
     /// # Panics
     ///
     /// Panics if `other` is zero.
     pub fn div_rem(&self, other: &BigInt) -> (BigInt, BigInt) {
         assert!(!other.is_zero(), "division by zero");
+        if other.mag == [1] {
+            let q = if other.is_positive() {
+                self.clone()
+            } else {
+                -self
+            };
+            return (q, BigInt::zero());
+        }
         if self.is_zero() {
             return (BigInt::zero(), BigInt::zero());
         }
@@ -534,6 +634,49 @@ impl BigInt {
             BigInt::from_mag(q_sign, q_mag),
             BigInt::from_mag(r_sign, r_mag),
         )
+    }
+
+    /// `self += sign · mag`, in `self`'s own buffer unless the signs
+    /// differ and `|self| < mag`.
+    fn add_signed_assign(&mut self, sign: Sign, mag: &[u64]) {
+        match (self.sign, sign) {
+            (_, Sign::Zero) => {}
+            (Sign::Zero, _) => {
+                self.sign = sign;
+                self.mag.extend_from_slice(mag);
+            }
+            (a, b) if a == b => mag_add_assign(&mut self.mag, mag),
+            _ => match mag_cmp(&self.mag, mag) {
+                Ordering::Equal => *self = BigInt::zero(),
+                Ordering::Greater => mag_sub_assign(&mut self.mag, mag),
+                Ordering::Less => {
+                    self.sign = sign;
+                    self.mag = mag_sub(mag, &self.mag);
+                }
+            },
+        }
+    }
+
+    /// `|self| mod d` for a non-zero word `d`, without allocating.
+    pub(crate) fn rem_u64(&self, d: u64) -> u64 {
+        mag_rem_limb(&self.mag, d)
+    }
+
+    /// `self / d` truncated toward zero, for a non-zero word `d`: a shift
+    /// (a plain copy for `d == 1`) when `d` is a power of two, one limb
+    /// pass otherwise.
+    pub(crate) fn div_u64(&self, d: u64) -> BigInt {
+        let q = if d.is_power_of_two() {
+            mag_shr(&self.mag, d.trailing_zeros() as usize)
+        } else {
+            mag_divmod_limb(&self.mag, d).0
+        };
+        BigInt::from_mag(self.sign, q)
+    }
+
+    /// `self * m` for a word `m`, in one limb-multiply pass.
+    pub(crate) fn mul_u64(&self, m: u64) -> BigInt {
+        BigInt::from_mag(self.sign, mag_mul_limb(&self.mag, m))
     }
 
     /// Correctly rounded conversion to `f64` (round-to-nearest-even;
@@ -617,8 +760,12 @@ impl BigInt {
 
     /// Greatest common divisor (always non-negative; `gcd(0, 0) == 0`).
     ///
-    /// Limb-level binary (Stein) gcd with a `u64` fast path — the
-    /// normalization kernel of every [`crate::BigRational`] operation.
+    /// Limb-level binary (Stein) gcd — the normalization kernel of every
+    /// [`crate::BigRational`] operation. It allocates only its two odd
+    /// working copies and its result: a single-limb operand is reduced
+    /// by an allocation-free remainder to a `u64` gcd, a power-of-two
+    /// operand is answered from trailing zeros, and the multi-limb loop
+    /// subtracts and shifts in place.
     pub fn gcd(&self, other: &BigInt) -> BigInt {
         let mag = mag_gcd(&self.mag, &other.mag);
         if mag.is_empty() {
@@ -740,23 +887,27 @@ impl Neg for BigInt {
 impl Add for &BigInt {
     type Output = BigInt;
     fn add(self, rhs: &BigInt) -> BigInt {
-        match (self.sign, rhs.sign) {
-            (Sign::Zero, _) => rhs.clone(),
-            (_, Sign::Zero) => self.clone(),
-            (a, b) if a == b => BigInt::from_mag(a, mag_add(&self.mag, &rhs.mag)),
-            (a, _) => match mag_cmp(&self.mag, &rhs.mag) {
-                Ordering::Equal => BigInt::zero(),
-                Ordering::Greater => BigInt::from_mag(a, mag_sub(&self.mag, &rhs.mag)),
-                Ordering::Less => BigInt::from_mag(a.flip(), mag_sub(&rhs.mag, &self.mag)),
-            },
-        }
+        let (long, short) = if self.mag.len() >= rhs.mag.len() {
+            (self, rhs)
+        } else {
+            (rhs, self)
+        };
+        let mut out = BigInt {
+            sign: long.sign,
+            mag: Vec::with_capacity(long.mag.len() + 1),
+        };
+        out.mag.extend_from_slice(&long.mag);
+        out.add_signed_assign(short.sign, &short.mag);
+        out
     }
 }
 
 impl Sub for &BigInt {
     type Output = BigInt;
     fn sub(self, rhs: &BigInt) -> BigInt {
-        self + &(-rhs)
+        let mut out = self.clone();
+        out -= rhs;
+        out
     }
 }
 
@@ -809,13 +960,13 @@ forward_owned_binop!(Add, add; Sub, sub; Mul, mul; Div, div; Rem, rem);
 
 impl AddAssign<&BigInt> for BigInt {
     fn add_assign(&mut self, rhs: &BigInt) {
-        *self = &*self + rhs;
+        self.add_signed_assign(rhs.sign, &rhs.mag);
     }
 }
 
 impl SubAssign<&BigInt> for BigInt {
     fn sub_assign(&mut self, rhs: &BigInt) {
-        *self = &*self - rhs;
+        self.add_signed_assign(rhs.sign.flip(), &rhs.mag);
     }
 }
 
@@ -946,6 +1097,113 @@ mod tests {
 
     fn big(v: i128) -> BigInt {
         BigInt::from(v)
+    }
+
+    /// The pre-in-place allocating limb add, kept verbatim as the
+    /// differential reference for `mag_add_assign`.
+    fn mag_add(a: &[u64], b: &[u64]) -> Vec<u64> {
+        let (long, short) = if a.len() >= b.len() { (a, b) } else { (b, a) };
+        let mut out = Vec::with_capacity(long.len() + 1);
+        let mut carry = 0u64;
+        for (i, &limb) in long.iter().enumerate() {
+            let x = limb as u128;
+            let y = *short.get(i).unwrap_or(&0) as u128;
+            let s = x + y + carry as u128;
+            out.push(s as u64);
+            carry = (s >> 64) as u64;
+        }
+        if carry != 0 {
+            out.push(carry);
+        }
+        out
+    }
+
+    /// The pre-in-place allocating limb subtract (`a >= b`), kept
+    /// verbatim as the differential reference for `mag_sub_assign`.
+    fn mag_sub_reference(a: &[u64], b: &[u64]) -> Vec<u64> {
+        let mut out = Vec::with_capacity(a.len());
+        let mut borrow = 0i128;
+        for (i, &limb) in a.iter().enumerate() {
+            let x = limb as i128;
+            let y = *b.get(i).unwrap_or(&0) as i128;
+            let mut d = x - y - borrow;
+            if d < 0 {
+                d += 1i128 << 64;
+                borrow = 1;
+            } else {
+                borrow = 0;
+            }
+            out.push(d as u64);
+        }
+        assert_eq!(borrow, 0);
+        mag_trim(&mut out);
+        out
+    }
+
+    /// Signed addition built from the reference limb loops: the
+    /// sign-magnitude case split the in-place `add_signed_assign` replaced.
+    fn add_reference(a: &BigInt, b: &BigInt) -> BigInt {
+        match (a.sign, b.sign) {
+            (Sign::Zero, _) => b.clone(),
+            (_, Sign::Zero) => a.clone(),
+            (x, y) if x == y => BigInt::from_mag(x, mag_add(&a.mag, &b.mag)),
+            (x, _) => match mag_cmp(&a.mag, &b.mag) {
+                Ordering::Equal => BigInt::zero(),
+                Ordering::Greater => BigInt::from_mag(x, mag_sub_reference(&a.mag, &b.mag)),
+                Ordering::Less => BigInt::from_mag(x.flip(), mag_sub_reference(&b.mag, &a.mag)),
+            },
+        }
+    }
+
+    /// Shift-and-add multiplication, one set bit of `b` at a time: the
+    /// differential reference for the limb-multiply and power-of-two
+    /// fast paths of `mag_mul`.
+    fn mag_mul_shift_add_reference(a: &[u64], b: &[u64]) -> Vec<u64> {
+        let mut acc = Vec::new();
+        for bit in 0..mag_bits(b) {
+            if b[bit / 64] >> (bit % 64) & 1 == 1 {
+                acc = mag_add(&acc, &mag_shl(a, bit));
+            }
+        }
+        mag_trim(&mut acc);
+        acc
+    }
+
+    /// Bit-at-a-time binary gcd — one shift or one subtraction per step,
+    /// each into a fresh buffer: the differential reference for the
+    /// in-place Stein loop and its word-sized and power-of-two fast paths.
+    fn mag_gcd_bitwise_reference(a: &[u64], b: &[u64]) -> Vec<u64> {
+        if a.is_empty() {
+            return b.to_vec();
+        }
+        if b.is_empty() {
+            return a.to_vec();
+        }
+        let (mut a, mut b) = (a.to_vec(), b.to_vec());
+        let mut k = 0;
+        while a[0] & 1 == 0 && b[0] & 1 == 0 {
+            a = mag_shr(&a, 1);
+            b = mag_shr(&b, 1);
+            k += 1;
+        }
+        while !a.is_empty() {
+            while a[0] & 1 == 0 {
+                a = mag_shr(&a, 1);
+            }
+            while b[0] & 1 == 0 {
+                b = mag_shr(&b, 1);
+            }
+            if mag_cmp(&a, &b) == Ordering::Less {
+                std::mem::swap(&mut a, &mut b);
+            }
+            a = mag_sub_reference(&a, &b);
+        }
+        mag_shl(&b, k)
+    }
+
+    /// A signed big integer over a random magnitude.
+    fn signed(mag: Vec<u64>, neg: bool) -> BigInt {
+        BigInt::from_mag(if neg { Sign::Negative } else { Sign::Positive }, mag)
     }
 
     /// The pre-Algorithm-D bit-by-bit binary long division, kept verbatim
@@ -1190,6 +1448,104 @@ mod tests {
             prop_assert!((&g % &BigInt::from_mag(Sign::Positive, f)).is_zero());
             prop_assert!((&fa % &g).is_zero());
             prop_assert!((&fb % &g).is_zero());
+        }
+
+        /// The in-place Stein loop and its fast paths agree with the
+        /// bit-at-a-time reference, on random operands and on operands
+        /// sharing a random common factor.
+        #[test]
+        fn gcd_matches_bitwise_reference(a in arb_mag(12), b in arb_mag(12), f in arb_mag(4)) {
+            prop_assert_eq!(mag_gcd(&a, &b), mag_gcd_bitwise_reference(&a, &b));
+            let (fa, fb) = (mag_mul(&a, &f), mag_mul(&b, &f));
+            prop_assert_eq!(mag_gcd(&fa, &fb), mag_gcd_bitwise_reference(&fa, &fb));
+        }
+
+        /// Word-sized and power-of-two operands take the fast paths.
+        #[test]
+        fn gcd_with_word_or_power_of_two_matches_reference(
+            a in arb_mag(16),
+            w in any::<u64>(),
+            k in 0usize..700,
+        ) {
+            let word = if w == 0 { Vec::new() } else { vec![w] };
+            prop_assert_eq!(mag_gcd(&a, &word), mag_gcd_bitwise_reference(&a, &word));
+            prop_assert_eq!(mag_gcd(&word, &a), mag_gcd_bitwise_reference(&word, &a));
+            let pow = mag_shl(&[1], k);
+            prop_assert_eq!(mag_gcd(&a, &pow), mag_gcd_bitwise_reference(&a, &pow));
+            prop_assert_eq!(mag_gcd(&pow, &a), mag_gcd_bitwise_reference(&pow, &a));
+        }
+
+        /// A power-of-two divisor (a shift and a mask) and a single-limb
+        /// divisor agree with binary long division; the allocation-free
+        /// remainder agrees with the dividing one.
+        #[test]
+        fn divmod_by_word_or_power_of_two_matches_reference(
+            a in arb_mag(32),
+            k in 0usize..2100,
+            w in 1u64..u64::MAX,
+        ) {
+            let pow = mag_shl(&[1], k);
+            prop_assert_eq!(mag_divmod(&a, &pow), mag_divmod_binary_reference(&a, &pow));
+            for d in [w, 1, 2, 257, 1 << 63, u64::MAX] {
+                prop_assert_eq!(mag_divmod(&a, &[d]), mag_divmod_binary_reference(&a, &[d]));
+                prop_assert_eq!(mag_rem_limb(&a, d), mag_divmod_limb(&a, d).1);
+            }
+        }
+
+        /// Division by ±1 is a clone of the dividend (negated for -1),
+        /// with a zero remainder, for either sign of the dividend.
+        #[test]
+        fn div_rem_by_unit_matches_i128_and_reconstructs(
+            a in arb_mag(16),
+            neg in any::<bool>(),
+            v in any::<i128>(),
+        ) {
+            let a = signed(a, neg);
+            for d in [BigInt::one(), -BigInt::one()] {
+                let (q, r) = a.div_rem(&d);
+                prop_assert!(r.is_zero());
+                prop_assert_eq!(&q * &d, a.clone());
+                prop_assert_eq!(big(v).div_rem(&d), (big(v / d.to_i64().unwrap() as i128), BigInt::zero()));
+            }
+        }
+
+        /// The limb-multiply and power-of-two multiply fast paths agree
+        /// with shift-and-add.
+        #[test]
+        fn mul_matches_shift_add_reference(a in arb_mag(16), b in arb_mag(3), k in 0usize..300) {
+            prop_assert_eq!(mag_mul(&a, &b), mag_mul_shift_add_reference(&a, &b));
+            prop_assert_eq!(mag_mul(&b, &a), mag_mul_shift_add_reference(&a, &b));
+            let pow = mag_shl(&[1], k);
+            prop_assert_eq!(mag_mul(&a, &pow), mag_mul_shift_add_reference(&a, &pow));
+            prop_assert_eq!(mag_mul(&pow, &a), mag_mul_shift_add_reference(&a, &pow));
+        }
+
+        /// In-place sums and differences, over every owned/borrowed
+        /// operand form, agree with the allocating reference.
+        #[test]
+        fn add_sub_match_reference(
+            a in arb_mag(8),
+            b in arb_mag(8),
+            signs in (any::<bool>(), any::<bool>()),
+        ) {
+            let (a, b) = (signed(a, signs.0), signed(b, signs.1));
+            let sum = add_reference(&a, &b);
+            prop_assert_eq!(&a + &b, sum.clone());
+            prop_assert_eq!(a.clone() + b.clone(), sum.clone());
+            prop_assert_eq!(a.clone() + &b, sum.clone());
+            prop_assert_eq!(&a + b.clone(), sum.clone());
+            let mut acc = a.clone();
+            acc += &b;
+            prop_assert_eq!(acc, sum);
+            let diff = add_reference(&a, &-&b);
+            prop_assert_eq!(&a - &b, diff.clone());
+            prop_assert_eq!(a.clone() - b.clone(), diff.clone());
+            prop_assert_eq!(a.clone() - &b, diff.clone());
+            prop_assert_eq!(&a - b.clone(), diff.clone());
+            let mut acc = a.clone();
+            acc -= &b;
+            prop_assert_eq!(acc, diff);
+            prop_assert!((&a - &a).is_zero());
         }
 
         #[test]

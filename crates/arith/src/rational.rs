@@ -6,6 +6,7 @@
 //! the nearest rational with denominator at most `N`, turning approximate
 //! convergence into exact stabilization.
 
+use crate::bigint::gcd_u64;
 use crate::{gcd, BigInt};
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
@@ -212,8 +213,11 @@ impl BigRational {
 
     /// Divide by a positive machine integer — the per-neighbor share
     /// split of exact Push-Sum (`y / outdegree`) — without materializing
-    /// the integer as a rational: one small gcd against the numerator
-    /// replaces the full normalization of `self / from_integer(k)`.
+    /// the integer as a rational. The numerator's remainder mod `k` is a
+    /// limb loop that allocates nothing, so the cancelling factor
+    /// `g = gcd(num, k)` is a `u64` gcd; the numerator is divided only
+    /// when `g > 1`, and the denominator is scaled by `k / g` in one
+    /// limb-multiply pass. The result is already in lowest terms.
     ///
     /// # Panics
     ///
@@ -223,11 +227,10 @@ impl BigRational {
         if self.is_zero() {
             return BigRational::zero();
         }
-        let kb = BigInt::from(k);
-        let g = self.num.gcd(&kb);
+        let g = gcd_u64(self.num.rem_u64(k), k);
         BigRational {
-            num: &self.num / &g,
-            den: &self.den * &(&kb / &g),
+            num: self.num.div_u64(g),
+            den: self.den.mul_u64(k / g),
         }
     }
 
@@ -541,7 +544,22 @@ impl Ord for BigRational {
 /// can share with the product denominator divides `g`, so one *small*
 /// gcd replaces the full-size normalization gcd of `BigRational::new` —
 /// this is what keeps Push-Sum's `y/z` intermediates from ballooning.
+///
+/// Equal denominators — neighbouring Push-Sum shares usually have them —
+/// skip the decomposition: one add, one gcd with the shared denominator,
+/// and two divisions, each a clone when that gcd is 1.
 fn add_big(x: &BigRational, y_num: &BigInt, y_den: &BigInt) -> BigRational {
+    if x.den == *y_den {
+        let t = &x.num + y_num;
+        if t.is_zero() {
+            return BigRational::zero();
+        }
+        let g = t.gcd(y_den);
+        return BigRational {
+            num: &t / &g,
+            den: y_den / &g,
+        };
+    }
     let g = x.den.gcd(y_den);
     if g.is_one() {
         // Coprime denominators: the result is already in lowest terms.
@@ -688,13 +706,21 @@ impl Neg for BigRational {
 
 impl Sum for BigRational {
     fn sum<I: Iterator<Item = BigRational>>(iter: I) -> BigRational {
-        iter.fold(BigRational::zero(), |a, b| a + b)
+        iter.reduce(|a, b| a + b).unwrap_or_default()
     }
 }
 
+/// Starts from the first two terms, so a sum of two or more borrowed
+/// terms clones none of them (no `0 + a` start).
 impl<'a> Sum<&'a BigRational> for BigRational {
-    fn sum<I: Iterator<Item = &'a BigRational>>(iter: I) -> BigRational {
-        iter.fold(BigRational::zero(), |a, b| &a + b)
+    fn sum<I: Iterator<Item = &'a BigRational>>(mut iter: I) -> BigRational {
+        let Some(first) = iter.next() else {
+            return BigRational::zero();
+        };
+        let Some(second) = iter.next() else {
+            return first.clone();
+        };
+        iter.fold(first + second, |a, b| &a + b)
     }
 }
 
@@ -815,6 +841,27 @@ mod tests {
                 }
                 BigRational::new(num, den)
             })
+    }
+
+    /// Zero, word-sized or multi-limb rationals of either sign.
+    fn arb_rat_shape() -> impl Strategy<Value = BigRational> {
+        (0u8..4, arb_big_rat(), -1000i64..1000, 1i64..1000).prop_map(|(shape, big, n, d)| {
+            match shape {
+                0 => BigRational::zero(),
+                1 => rat(n, d),
+                _ => big,
+            }
+        })
+    }
+
+    /// A partner for `x` with exactly `x`'s denominator: `(s·n + i·d)/d`
+    /// with `s = ±1` is still in lowest terms, since `gcd(n, d) = 1`.
+    fn same_denominator(x: &BigRational, neg: bool, i: &BigInt) -> BigRational {
+        let s = if neg { -x.numer() } else { x.numer().clone() };
+        BigRational {
+            num: s + i * x.denom(),
+            den: x.denom().clone(),
+        }
     }
 
     #[test]
@@ -1302,6 +1349,63 @@ mod tests {
             let got = x.div_integer(k);
             prop_assert_eq!(&got, &expect);
             assert_normalized(&got);
+        }
+
+        /// div_integer on the divisors the fast paths single out — 1, a
+        /// power of two, a small odd prime, 2^63, u64::MAX — and an
+        /// arbitrary word, for zero, negative and multi-limb numerators.
+        #[test]
+        fn div_integer_matches_reference_on_chosen_divisors(
+            x in arb_rat_shape(),
+            k in 1u64..u64::MAX,
+        ) {
+            for k in [1, 2, 257, 1 << 63, u64::MAX, k] {
+                let got = x.div_integer(k);
+                prop_assert_eq!(&got, &(&x / &BigRational::from_integer(k)));
+                assert_normalized(&got);
+            }
+        }
+
+        /// The equal-denominator add path agrees with the cross-multiply
+        /// references, including cancellation to zero and sums that share
+        /// a factor with the denominator.
+        #[test]
+        fn equal_denominator_add_sub_match_reference(
+            x in arb_rat_shape(),
+            neg in any::<bool>(),
+            i in arb_rat_shape(),
+        ) {
+            let y = same_denominator(&x, neg, &i.floor());
+            assert_normalized(&y);
+            prop_assert_eq!(x.denom(), y.denom());
+            for (a, b) in [(&x, &y), (&y, &x), (&x, &x)] {
+                let sum = a + b;
+                prop_assert_eq!(&sum, &add_reference(a, b));
+                assert_normalized(&sum);
+                let diff = a - b;
+                prop_assert_eq!(&diff, &sub_reference(a, b));
+                assert_normalized(&diff);
+            }
+            let cancel = &x + &-&x;
+            prop_assert!(cancel.is_zero());
+            assert_normalized(&cancel);
+        }
+
+        /// Borrowed and owned sums over 0, 1 and many terms agree with a
+        /// pairwise reference fold from zero.
+        #[test]
+        fn sum_matches_pairwise_fold(
+            xs in proptest::collection::vec(arb_rat_shape(), 0usize..7),
+            len in 0usize..7,
+        ) {
+            let xs = &xs[..len.min(xs.len())];
+            let want = xs.iter().fold(BigRational::zero(), |a, b| add_reference(&a, b));
+            let borrowed: BigRational = xs.iter().sum();
+            prop_assert_eq!(&borrowed, &want);
+            assert_normalized(&borrowed);
+            let owned: BigRational = xs.iter().cloned().sum();
+            prop_assert_eq!(&owned, &want);
+            assert_normalized(&owned);
         }
 
         /// to_f64 stays within 1 ulp of the cross-checked quotient for

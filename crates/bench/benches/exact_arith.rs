@@ -5,45 +5,63 @@
 //!
 //! - `exact_pushsum_*`: full exact Push-Sum runs (200 rounds) on the
 //!   cycle and the star, n ∈ {8, 32, 128} — the workload whose
-//!   rounds/sec figures are tracked in EXPERIMENTS.md;
-//! - `bigint_*`: the two kernels the rational ops bottom out in
-//!   (multi-limb division and gcd) on operands of a few thousand bits.
+//!   rounds/sec figures are tracked in EXPERIMENTS.md — plus the
+//!   census-sized cells `exact_pushsum_star/256` and
+//!   `exact_pushsum_cycle/1024` (50 rounds, so `--test` stays quick);
+//! - `bigint_kernels`: the kernels the rational ops bottom out in
+//!   (multi-limb division and gcd) on operands of a few thousand bits,
+//!   and the two rational hot-path calls of exact Push-Sum on
+//!   numerators of the same size over a power-of-two denominator:
+//!   `div_integer` (the share split) and `rat_add_equal_den` (summing
+//!   two shares with the same denominator).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kya_algos::push_sum::{PushSumExact, PushSumExactState};
-use kya_arith::{gcd, BigInt};
+use kya_arith::{gcd, BigInt, BigRational};
 use kya_graph::{generators, StaticGraph};
 use kya_runtime::{Execution, Isotropic, RunConfig};
 use std::time::Duration;
 
 const ROUNDS: u64 = 200;
+/// Rounds of the census-sized cells.
+const CENSUS_ROUNDS: u64 = 50;
 
-fn exact_run(net: &StaticGraph, n: usize) -> Vec<kya_arith::BigRational> {
+fn exact_run(net: &StaticGraph, n: usize, rounds: u64) -> Vec<BigRational> {
     let values: Vec<i64> = (0..n).map(|i| (i * i % 97) as i64).collect();
     let mut exec = Execution::new(
         Isotropic(PushSumExact),
         PushSumExactState::averaging(&values),
     );
-    exec.drive(net, RunConfig::rounds(ROUNDS));
+    exec.drive(net, RunConfig::rounds(rounds));
     exec.outputs()
 }
 
 fn bench_exact_pushsum(c: &mut Criterion) {
-    for (family, make) in [
+    for (family, make, census_n) in [
         (
             "exact_pushsum_cycle",
             generators::directed_ring as fn(usize) -> _,
+            1024,
         ),
-        ("exact_pushsum_star", generators::star as fn(usize) -> _),
+        (
+            "exact_pushsum_star",
+            generators::star as fn(usize) -> _,
+            256,
+        ),
     ] {
         let mut group = c.benchmark_group(family);
         group
             .measurement_time(Duration::from_secs(5))
             .sample_size(10);
-        for n in [8usize, 32, 128] {
+        for (n, rounds) in [
+            (8usize, ROUNDS),
+            (32, ROUNDS),
+            (128, ROUNDS),
+            (census_n, CENSUS_ROUNDS),
+        ] {
             let net = StaticGraph::new(make(n));
             group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-                b.iter(|| exact_run(&net, n))
+                b.iter(|| exact_run(&net, n, rounds))
             });
         }
         group.finish();
@@ -79,6 +97,21 @@ fn bench_bigint_kernels(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("gcd", limbs * 64), &limbs, |bench, _| {
             bench.iter(|| gcd(&a, &b))
         });
+        // Odd numerators over one power-of-two denominator: the shape of
+        // exact Push-Sum shares on the census cells.
+        let den = &BigInt::one() << (limbs * 64);
+        let x = BigRational::new(b.clone(), den.clone());
+        let y = BigRational::new(pseudo_big(limbs, 0x5EED_CAFE), den);
+        group.bench_with_input(
+            BenchmarkId::new("div_integer", limbs * 64),
+            &limbs,
+            |bench, _| bench.iter(|| x.div_integer(2)),
+        );
+        group.bench_with_input(
+            BenchmarkId::new("rat_add_equal_den", limbs * 64),
+            &limbs,
+            |bench, _| bench.iter(|| &x + &y),
+        );
     }
     group.finish();
 }
