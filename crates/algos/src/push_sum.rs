@@ -21,7 +21,6 @@
 //! exploit).
 
 use kya_arith::{BigInt, BigRational};
-use kya_runtime::faults::FaultAwareIsotropic;
 use kya_runtime::{FlatAlgorithm, Inbox, IsotropicAlgorithm};
 use std::collections::BTreeMap;
 
@@ -138,17 +137,17 @@ impl FlatAlgorithm for PushSum {
 // ---------------------------------------------------------------------
 
 /// Push-Sum with a link-layer bounce handler: the same dynamics as
-/// [`PushSum`], plus
-/// [`FaultAwareIsotropic::reabsorb`](kya_runtime::faults::FaultAwareIsotropic)
-/// folding undelivered shares back into the sender's masses.
+/// [`PushSum`], plus an [`IsotropicAlgorithm::reabsorb`] that folds
+/// undelivered shares back into the sender's masses.
 ///
 /// Why this matters: Push-Sum conserves `Σ y` and `Σ z` because the
 /// rescattering matrix is column-stochastic — every share the sender
-/// splits off lands *somewhere*. Under message loss
-/// ([`kya_runtime::faults::FaultyExecution`]) a dropped share lands
-/// nowhere and the invariant breaks permanently: plain Push-Sum then
-/// converges to the quot-sum of whatever mass survived, which is wrong
-/// (the [`kya_runtime::faults::Lossy`] negative control exhibits this).
+/// splits off lands *somewhere*. Under message loss (an execution with a
+/// fault plan, [`kya_runtime::Execution::faults`]) a dropped share lands
+/// nowhere and the invariant breaks permanently: plain Push-Sum, which
+/// keeps the default discarding `reabsorb`, then converges to the
+/// quot-sum of whatever mass survived, which is wrong (the F6 negative
+/// control exhibits this).
 /// Re-absorbing the bounced share restores column-stochasticity of the
 /// *effective* rescattering — the lost fraction simply stays with the
 /// sender for one round — so both totals are conserved through arbitrary
@@ -158,16 +157,16 @@ impl FlatAlgorithm for PushSum {
 /// ```
 /// use kya_algos::push_sum::{total_mass, PushSumState, SelfHealingPushSum};
 /// use kya_graph::{generators, StaticGraph};
-/// use kya_runtime::faults::{FaultPlan, FaultyExecution};
-/// use kya_runtime::{Isotropic, RunConfig};
+/// use kya_runtime::faults::FaultPlan;
+/// use kya_runtime::{Execution, Isotropic, RunConfig};
 ///
 /// let net = StaticGraph::new(generators::directed_ring(4));
 /// let plan = FaultPlan::new(9).drop_links(0.3).until(30);
-/// let mut exec = FaultyExecution::new(
+/// let mut exec = Execution::new(
 ///     Isotropic(SelfHealingPushSum),
 ///     PushSumState::averaging(&[0.0, 4.0, 0.0, 0.0]),
-///     plan,
-/// );
+/// )
+/// .faults(plan);
 /// exec.drive(&net, RunConfig::rounds(300));
 /// let (y, z) = total_mass(exec.states());
 /// assert!((y - 4.0).abs() < 1e-9 && (z - 4.0).abs() < 1e-9);
@@ -192,9 +191,7 @@ impl IsotropicAlgorithm for SelfHealingPushSum {
     fn output(&self, state: &PushSumState) -> f64 {
         IsotropicAlgorithm::output(&PushSum, state)
     }
-}
 
-impl FaultAwareIsotropic for SelfHealingPushSum {
     fn reabsorb(&self, state: &PushSumState, lost: &[(f64, f64)]) -> PushSumState {
         let mut next = *state;
         for &(ys, zs) in lost {
@@ -577,7 +574,7 @@ mod tests {
     use super::*;
     use kya_graph::{generators, DynamicGraph, RandomDynamicGraph, StaticGraph};
     use kya_runtime::adversary::AsyncStarts;
-    use kya_runtime::faults::{FaultPlan, FaultyExecution, Lossy};
+    use kya_runtime::faults::FaultPlan;
     use kya_runtime::RunConfig;
     use kya_runtime::{Execution, Isotropic};
 
@@ -721,11 +718,11 @@ mod tests {
         let n = values.len();
         let net = StaticGraph::new(generators::bidirectional_ring(n));
         let plan = FaultPlan::new(42).drop_links(0.3).until(60);
-        let mut exec = FaultyExecution::new(
+        let mut exec = Execution::new(
             Isotropic(SelfHealingPushSum),
             PushSumState::averaging(&values),
-            plan,
-        );
+        )
+        .faults(plan);
         let y0: f64 = values.iter().sum();
         for _ in 0..500u64 {
             let g = net.graph(exec.round() + 1);
@@ -752,11 +749,11 @@ mod tests {
         let values = [10.0, 0.0, 0.0, 0.0, 0.0];
         let net = StaticGraph::new(generators::complete(5));
         let plan = FaultPlan::new(7).crash(0, 5..25);
-        let mut exec = FaultyExecution::new(
+        let mut exec = Execution::new(
             Isotropic(SelfHealingPushSum),
             PushSumState::averaging(&values),
-            plan,
-        );
+        )
+        .faults(plan);
         for _ in 0..400u64 {
             let g = net.graph(exec.round() + 1);
             exec.step(&g);
@@ -772,18 +769,15 @@ mod tests {
     #[test]
     fn plain_push_sum_leaks_mass_under_drops() {
         // Negative control: identical fault pattern, but the bounced
-        // shares are discarded (Lossy). The conserved quantity decays
+        // shares are discarded (the default `reabsorb`). The conserved quantity decays
         // and never comes back: the deficit persists long after the
         // faults cease.
         let values = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0];
         let n = values.len();
         let net = StaticGraph::new(generators::bidirectional_ring(n));
         let plan = FaultPlan::new(42).drop_links(0.3).until(60);
-        let mut exec = FaultyExecution::new(
-            Lossy(Isotropic(PushSum)),
-            PushSumState::averaging(&values),
-            plan,
-        );
+        let mut exec =
+            Execution::new(Isotropic(PushSum), PushSumState::averaging(&values)).faults(plan);
         exec.drive(&net, RunConfig::rounds(500));
         let (_, z) = total_mass(exec.states());
         let deficit = n as f64 - z;

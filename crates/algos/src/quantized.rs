@@ -38,7 +38,6 @@
 //! [`RunConfig::bandwidth`]: kya_runtime::RunConfig::bandwidth
 
 use crate::push_sum::PushSumState;
-use kya_runtime::faults::FaultAwareIsotropic;
 use kya_runtime::{FlatAlgorithm, Inbox, IsotropicAlgorithm, MessageCodec};
 
 /// Reinterpret a token lane as a count: the dynamics keep every lane a
@@ -67,8 +66,8 @@ fn tokens(lane: f64) -> u64 {
 /// receives its own self-loop share back, so the output never divides
 /// by zero.
 ///
-/// Under message faults it is self-healing ([`FaultAwareIsotropic`]):
-/// bounced shares are integer token parcels and reabsorbing them
+/// Under message faults it is self-healing (it overrides
+/// [`IsotropicAlgorithm::reabsorb`]): bounced shares are integer token parcels and reabsorbing them
 /// restores the sum exactly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct QuantizedPushSum {
@@ -181,9 +180,7 @@ impl IsotropicAlgorithm for QuantizedPushSum {
     fn output(&self, state: &PushSumState) -> f64 {
         state.y / state.z
     }
-}
 
-impl FaultAwareIsotropic for QuantizedPushSum {
     fn reabsorb(&self, state: &PushSumState, lost: &[(f64, f64)]) -> PushSumState {
         let mut y = tokens(state.y);
         let mut z = tokens(state.z);
@@ -424,7 +421,7 @@ impl FlatAlgorithm for QuantizedMetropolis {
 mod tests {
     use super::*;
     use kya_graph::{generators, Digraph, StaticGraph};
-    use kya_runtime::faults::{FaultPlan, FaultyExecution};
+    use kya_runtime::faults::FaultPlan;
     use kya_runtime::{BandwidthCap, ByteLedger, Execution, Isotropic, RunConfig};
 
     fn biring(n: usize) -> Digraph {
@@ -494,7 +491,7 @@ mod tests {
         let before = QuantizedPushSum::total_tokens(&states);
         let g = generators::random_strongly_connected(5, 6, 3).with_self_loops();
         let plan = FaultPlan::new(0xfeed).drop_links(0.3).until(60);
-        let mut exec = FaultyExecution::new(Isotropic(algo), states, plan);
+        let mut exec = Execution::new(Isotropic(algo), states).faults(plan);
         let report = exec.drive(&StaticGraph::new(g), RunConfig::rounds(60));
         assert!(report.events.dropped > 0, "plan injected no drops");
         assert_eq!(QuantizedPushSum::total_tokens(exec.states()), before);
@@ -520,7 +517,7 @@ mod tests {
         let net = ChurnMasked::new(StaticGraph::new(biring(6)), membership.clone());
         let plan = FaultPlan::new(0xbeef).drop_links(0.3).until(40);
         let keep = |_: usize, parked: &PushSumState| *parked;
-        let mut exec = FaultyExecution::new(Isotropic(algo), states, plan);
+        let mut exec = Execution::new(Isotropic(algo), states).faults(plan);
         let report = exec.drive(&net, RunConfig::rounds(50).membership(&membership, &keep));
         assert!(report.events.dropped > 0, "plan injected no drops");
         assert_eq!(QuantizedPushSum::total_tokens(exec.states()), before);

@@ -8,7 +8,7 @@
 //!   dynamic digraph.
 //!
 //! Cells early-exit once the outputs have stayed in the ε-ball for 500
-//! consecutive rounds (`run_until_converged`); Push-Sum on these
+//! consecutive rounds (`RunConfig::confirm`); Push-Sum on these
 //! networks never leaves the ball again, so `converged_at` matches the
 //! full-budget answer at a fraction of the wall-clock.
 

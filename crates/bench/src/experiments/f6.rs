@@ -12,10 +12,8 @@ use super::{f64_list_flag, Experiment};
 use kya_algos::push_sum::{total_mass, PushSum, PushSumState, SelfHealingPushSum};
 use kya_graph::StaticGraph;
 use kya_harness::{Args, CellCtx, CellOutcome, ExperimentSpec, PlanSpec, ResultSink, SpecError};
-use kya_runtime::faults::{FaultyExecution, Lossy};
 use kya_runtime::metric::EuclideanMetric;
-use kya_runtime::Isotropic;
-use kya_runtime::RunConfig;
+use kya_runtime::{Execution, Isotropic, RunConfig};
 
 /// The F6 registry entry.
 pub const EXPERIMENT: Experiment = Experiment {
@@ -66,28 +64,25 @@ fn cell(ctx: &CellCtx) -> CellOutcome {
     // z mass starts (and must stay) at n: the signed deficit is n - Σz.
     let z_deficit = move |states: &[PushSumState]| n as f64 - total_mass(states).1;
     let report = match ctx.cell.algorithm.as_str() {
-        "healing" => FaultyExecution::new(
+        "healing" => Execution::new(
             Isotropic(SelfHealingPushSum),
             PushSumState::averaging(&values),
-            plan,
         )
+        .faults(plan)
         .drive(
             &net,
             RunConfig::rounds(ctx.rounds())
                 .measure(&EuclideanMetric, &target, ctx.eps())
                 .invariant(&z_deficit),
         ),
-        "plain" => FaultyExecution::new(
-            Lossy(Isotropic(PushSum)),
-            PushSumState::averaging(&values),
-            plan,
-        )
-        .drive(
-            &net,
-            RunConfig::rounds(ctx.rounds())
-                .measure(&EuclideanMetric, &target, ctx.eps())
-                .invariant(&z_deficit),
-        ),
+        "plain" => Execution::new(Isotropic(PushSum), PushSumState::averaging(&values))
+            .faults(plan)
+            .drive(
+                &net,
+                RunConfig::rounds(ctx.rounds())
+                    .measure(&EuclideanMetric, &target, ctx.eps())
+                    .invariant(&z_deficit),
+            ),
         other => panic!("unknown f6 algorithm `{other}`"),
     };
     CellOutcome::new().report(report.without_trace())

@@ -148,7 +148,7 @@ pub fn run_collect(
 }
 
 /// Run `exec` until its outputs sit in a stable ε-ball around `target`
-/// (`run_until_converged` semantics), honouring the context's telemetry
+/// (`RunConfig::confirm` semantics), honouring the context's telemetry
 /// mode: with telemetry on, a [`TraceSink`] with a residual column
 /// observes every round and its counters/events land in the outcome;
 /// with `--residuals`, the report additionally keeps its per-round

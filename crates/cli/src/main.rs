@@ -70,7 +70,6 @@ use kya_fibration::MinimumBase;
 use kya_graph::{connectivity, Digraph, RandomDynamicGraph, StaticGraph};
 use kya_harness::{Args, CellOutcome, ChurnSpec, ExperimentSpec, PlanSpec, Runner, TelemetryMode};
 use kya_runtime::churn::ChurnMasked;
-use kya_runtime::faults::{FaultyExecution, Lossy};
 use kya_runtime::metric::EuclideanMetric;
 use kya_runtime::{BandwidthCap, Broadcast, ByteLedger, Execution, Isotropic, RunConfig};
 use spec::{parse_graph, parse_values, SpecError};
@@ -379,19 +378,23 @@ fn cmd_faults(args: &Args) -> Result<(), SpecError> {
         // z mass starts (and must stay) at n: the signed deficit is n - Σz.
         let z_deficit = move |states: &[PushSumState]| n as f64 - total_mass(states).1;
         let report = if plain {
-            FaultyExecution::new(Lossy(Isotropic(PushSum)), states, ctx.fault_plan()).drive(
-                &net,
-                RunConfig::rounds(ctx.rounds())
-                    .measure(&EuclideanMetric, &target, ctx.eps())
-                    .invariant(&z_deficit),
-            )
+            Execution::new(Isotropic(PushSum), states)
+                .faults(ctx.fault_plan())
+                .drive(
+                    &net,
+                    RunConfig::rounds(ctx.rounds())
+                        .measure(&EuclideanMetric, &target, ctx.eps())
+                        .invariant(&z_deficit),
+                )
         } else {
-            FaultyExecution::new(Isotropic(SelfHealingPushSum), states, ctx.fault_plan()).drive(
-                &net,
-                RunConfig::rounds(ctx.rounds())
-                    .measure(&EuclideanMetric, &target, ctx.eps())
-                    .invariant(&z_deficit),
-            )
+            Execution::new(Isotropic(SelfHealingPushSum), states)
+                .faults(ctx.fault_plan())
+                .drive(
+                    &net,
+                    RunConfig::rounds(ctx.rounds())
+                        .measure(&EuclideanMetric, &target, ctx.eps())
+                        .invariant(&z_deficit),
+                )
         };
         CellOutcome::new().report(report)
     });
@@ -647,35 +650,29 @@ fn cmd_churn(args: &Args) -> Result<(), SpecError> {
                 let fresh = PushSumState::averaging(&inputs);
                 let reinit = |v: usize, _parked: &PushSumState| fresh[v];
                 let z_deficit = move |states: &[PushSumState]| n as f64 - total_mass(states).1;
-                FaultyExecution::new(
-                    Isotropic(SelfHealingPushSum),
-                    fresh.clone(),
-                    ctx.fault_plan(),
-                )
-                .drive(
-                    &stack,
-                    RunConfig::rounds(ctx.rounds())
-                        .membership(&membership, &reinit)
-                        .measure(&EuclideanMetric, &target, ctx.eps())
-                        .invariant(&z_deficit),
-                )
+                Execution::new(Isotropic(SelfHealingPushSum), fresh.clone())
+                    .faults(ctx.fault_plan())
+                    .drive(
+                        &stack,
+                        RunConfig::rounds(ctx.rounds())
+                            .membership(&membership, &reinit)
+                            .measure(&EuclideanMetric, &target, ctx.eps())
+                            .invariant(&z_deficit),
+                    )
             }
             _ => {
                 let reinit = |v: usize, _parked: &f64| inputs[v];
                 let x0: f64 = inputs.iter().sum();
                 let x_deficit = move |states: &[f64]| x0 - states.iter().sum::<f64>();
-                FaultyExecution::new(
-                    Lossy(Isotropic(Metropolis)),
-                    inputs.clone(),
-                    ctx.fault_plan(),
-                )
-                .drive(
-                    &stack,
-                    RunConfig::rounds(ctx.rounds())
-                        .membership(&membership, &reinit)
-                        .measure(&EuclideanMetric, &target, ctx.eps())
-                        .invariant(&x_deficit),
-                )
+                Execution::new(Isotropic(Metropolis), inputs.clone())
+                    .faults(ctx.fault_plan())
+                    .drive(
+                        &stack,
+                        RunConfig::rounds(ctx.rounds())
+                            .membership(&membership, &reinit)
+                            .measure(&EuclideanMetric, &target, ctx.eps())
+                            .invariant(&x_deficit),
+                    )
             }
         };
         CellOutcome::new().report(report)

@@ -26,7 +26,7 @@ use kya_arith::{BigInt, BigRational};
 use kya_graph::{Digraph, DynamicGraph, StaticGraph};
 use kya_harness::{parse_graph, CellCtx, CellOutcome, ChurnSpec};
 use kya_runtime::churn::ChurnMasked;
-use kya_runtime::faults::{FaultPlan, FaultyExecution, FaultyNetwork, Lossy};
+use kya_runtime::faults::{FaultPlan, FaultyNetwork};
 use kya_runtime::metric::EuclideanMetric;
 use kya_runtime::telemetry::{CountingObserver, NullObserver, Observer};
 use kya_runtime::{
@@ -174,9 +174,9 @@ fn fail(msg: impl Into<String>) -> CellOutcome {
 /// Run the five entry points side by side and demand bit-identical
 /// global states after every round: `step` (the reference), the
 /// destination-sharded `step_parallel`, `step_observed`, the sequential-
-/// routing `step_parallel_observed`, and `FaultyExecution` under a
-/// quiescent plan. f64 `Debug` is shortest-roundtrip, so equal renderings
-/// mean equal bit patterns.
+/// routing `step_parallel_observed`, and `step` on an execution under a
+/// quiescent fault plan (`faulty_quiescent`). f64 `Debug` is
+/// shortest-roundtrip, so equal renderings mean equal bit patterns.
 fn paths_agree<A>(
     algo: A,
     inits: Vec<A::State>,
@@ -192,7 +192,7 @@ where
     let mut par = Execution::new(algo.clone(), inits.clone());
     let mut obs = Execution::new(algo.clone(), inits.clone());
     let mut par_obs = Execution::new(algo.clone(), inits.clone());
-    let mut faulty = FaultyExecution::new(Lossy(algo), inits, FaultPlan::new(0));
+    let mut faulty = Execution::new(algo, inits).faults(FaultPlan::new(0));
     let mut counter = CountingObserver::new();
     let mut fp = Fingerprint::new();
     for t in 1..=rounds {
@@ -1136,16 +1136,17 @@ fn check_mass(ctx: &CellCtx) -> CellOutcome {
             }
             CellOutcome::new().ok(true)
         }
-        // Message-level faults (FaultyExecution): dropped shares bounce
+        // Message-level faults (the plan as the executor's delivery
+        // policy): dropped shares bounce
         // back to the sender and SelfHealingPushSum reabsorbs them, so
         // f64 mass is conserved up to accumulated rounding.
         "healing-message-faults" => {
             let floats: Vec<f64> = vals.iter().map(|&v| v as f64).collect();
-            let mut exec = FaultyExecution::new(
+            let mut exec = Execution::new(
                 Isotropic(SelfHealingPushSum),
                 PushSumState::averaging(&floats),
-                plan,
-            );
+            )
+            .faults(plan);
             exec.drive(&StaticGraph::new(g), RunConfig::rounds(rounds));
             let (_, z) = total_mass(exec.states());
             let deficit = (n as f64 - z).abs();
@@ -1289,7 +1290,8 @@ fn check_churn(ctx: &CellCtx) -> CellOutcome {
                 ledger_z.set(ledger_z.get() + (f.z - parked.z));
                 f
             };
-            let mut exec = FaultyExecution::new(Isotropic(SelfHealingPushSum), fresh.clone(), plan);
+            let mut exec =
+                Execution::new(Isotropic(SelfHealingPushSum), fresh.clone()).faults(plan);
             let report = exec.drive(
                 &stack,
                 RunConfig::rounds(rounds)

@@ -113,6 +113,23 @@ pub trait Algorithm {
         self.transition(state, inbox)
     }
 
+    /// The state after folding back `lost`: the messages this agent
+    /// sent this round that a fault plan kept from their recipient
+    /// (dropped in flight, or bounced off a crashed agent; see
+    /// [`crate::faults`]). The executor returns them within the same
+    /// communication-closed round, a link-layer bounce, and calls this
+    /// after the transition, only when `lost` is non-empty.
+    ///
+    /// This is the algorithm's self-healing hook: a mass-conserving
+    /// algorithm re-merges the lost shares, which are rescattered over
+    /// the surviving links next round. The default discards them, so a
+    /// fault-oblivious algorithm leaks what the network loses; plain
+    /// Push-Sum under drops is the F6 negative control.
+    fn reabsorb(&self, state: &Self::State, lost: &[Self::Msg]) -> Self::State {
+        let _ = lost;
+        state.clone()
+    }
+
     /// The agent's current output.
     fn output(&self, state: &Self::State) -> Self::Output;
 }
@@ -146,6 +163,13 @@ pub trait IsotropicAlgorithm {
     ) -> Self::State {
         let _ = outdegree;
         self.transition(state, inbox)
+    }
+
+    /// The state after folding back undelivered messages; see
+    /// [`Algorithm::reabsorb`]. Defaults to discarding them.
+    fn reabsorb(&self, state: &Self::State, lost: &[Self::Msg]) -> Self::State {
+        let _ = lost;
+        state.clone()
     }
 
     /// The agent's current output.
@@ -200,6 +224,10 @@ impl<A: IsotropicAlgorithm> Algorithm for Isotropic<A> {
         inbox: &[Self::Msg],
     ) -> Self::State {
         self.0.transition_with_outdegree(state, outdegree, inbox)
+    }
+
+    fn reabsorb(&self, state: &Self::State, lost: &[Self::Msg]) -> Self::State {
+        self.0.reabsorb(state, lost)
     }
 
     fn output(&self, state: &Self::State) -> Self::Output {

@@ -24,9 +24,8 @@
 //!   call site, so the oracle can check conservation *modulo the ledger
 //!   of declared deltas*.
 //!
-//! The executor side lives on [`crate::Execution::run_churned`] and
-//! [`crate::faults::FaultyExecution::run_with_recovery_churned`]; the
-//! composition order with the other adversaries is pairing ∘ churn ∘
+//! The executor side is [`crate::RunConfig::membership`], applied by
+//! [`crate::Execution::drive`] before every round; the composition order with the other adversaries is pairing ∘ churn ∘
 //! faults ∘ async-starts (see DESIGN.md).
 
 use kya_graph::{Digraph, DynamicGraph};
@@ -183,9 +182,8 @@ impl ChurnPlan {
 /// when, over a fixed universe of `n` agent slots.
 ///
 /// Built by [`ChurnPlan::membership`]; threaded through
-/// [`crate::Execution::run_churned`] and
-/// [`crate::faults::FaultyExecution::run_with_recovery_churned`], and
-/// into the [`ChurnMasked`] graph adversary.
+/// [`crate::RunConfig::membership`] into [`crate::Execution::drive`],
+/// and into the [`ChurnMasked`] graph adversary.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Membership {
     n: usize,

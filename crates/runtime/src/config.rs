@@ -1,11 +1,9 @@
-//! The unified run configuration consumed by
-//! [`Execution::drive`](crate::Execution::drive) and
-//! [`FaultyExecution::drive`](crate::faults::FaultyExecution::drive).
+//! The run configuration consumed by
+//! [`Execution::drive`](crate::Execution::drive), faulted or not, and
+//! its flat twin consumed by
+//! [`FlatExecution::drive`](crate::FlatExecution::drive).
 //!
-//! Before this builder existed the executors grew one entry point per
-//! feature combination (`run`, `run_observed`, `run_until`,
-//! `run_until_converged`, `run_churned`, `run_with_recovery`, ...).
-//! [`RunConfig`] collapses that zoo into orthogonal knobs:
+//! [`RunConfig`] describes a run as orthogonal knobs:
 //!
 //! - [`rounds`](RunConfig::rounds) — the round budget (the only
 //!   mandatory knob, and the constructor);
@@ -23,8 +21,9 @@
 //! - [`invariant`](RunConfig::invariant) — evaluate a mass functional
 //!   over the final states into the report.
 //!
-//! Every legacy entry point is now a thin deprecated wrapper over one
-//! `RunConfig` spelling; see DESIGN.md for the migration table.
+//! A fault plan is not a knob of the run but the execution's delivery
+//! policy, attached once with
+//! [`Execution::faults`](crate::Execution::faults).
 
 use crate::algorithm::Algorithm;
 use crate::bandwidth::{BandwidthCap, ByteLedger};
@@ -127,10 +126,8 @@ impl<'a, A: Algorithm> RunConfig<'a, A> {
     }
 
     /// Shard each round across `threads` workers over contiguous agent
-    /// ranges. Bit-identical to `threads = 1` at any count.
-    ///
-    /// [`FaultyExecution::drive`](crate::faults::FaultyExecution::drive)
-    /// is sequential and panics when `threads != 1`.
+    /// ranges. Bit-identical to `threads = 1` at any count, observed or
+    /// not, with or without a fault plan.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self

@@ -3,9 +3,9 @@
 use crate::algorithm::Algorithm;
 use crate::churn::{Membership, ReinjectPolicy};
 use crate::config::RunConfig;
-use crate::faults::FaultEvents;
+use crate::faults::{FaultEvents, FaultPlan};
 use crate::metric::Metric;
-use crate::report::CellReport;
+use crate::report::{CellReport, Measure, Seal};
 use crate::shard::{map_agents, shard_ranges};
 use crate::telemetry::{NullObserver, Observer};
 use kya_graph::{Digraph, DynamicGraph};
@@ -20,11 +20,17 @@ use kya_graph::{Digraph, DynamicGraph};
 /// port labels when present (sorted by label) and edge insertion order
 /// otherwise, so port-aware algorithms require port-colored static
 /// graphs to be meaningful — exactly the paper's proviso (§2.2).
+///
+/// Message loss changes only what a round delivers: attach a
+/// [`FaultPlan`] with [`Execution::faults`] and every round applies its
+/// crash, drop and duplication coins in flight (see [`crate::faults`]).
 #[derive(Clone, Debug)]
 pub struct Execution<A: Algorithm> {
     algo: A,
     states: Vec<A::State>,
     round: u64,
+    plan: Option<FaultPlan>,
+    events: FaultEvents,
 }
 
 impl<A: Algorithm> Execution<A> {
@@ -34,7 +40,45 @@ impl<A: Algorithm> Execution<A> {
             algo,
             states: initial_states,
             round: 0,
+            plan: None,
+            events: FaultEvents::default(),
         }
+    }
+
+    /// Deliver every round under `plan`, the **message-level** reading
+    /// of link faults: senders compute their messages against the
+    /// scripted graph, and the plan decides what arrives. Per round `t`:
+    ///
+    /// 1. A **crashed** agent (per the plan's windows) sends nothing and
+    ///    keeps its state frozen — it resumes from that state if its
+    ///    window ends (crash-recover) or never (crash-stop).
+    /// 2. Every live agent sends as usual. Each non-self-loop message is
+    ///    then bounced if its recipient is crashed, else dropped with the
+    ///    plan's drop rate, else delivered twice with its duplication
+    ///    rate. Self-loop messages always deliver.
+    /// 3. Live agents transition on what actually arrived, then
+    ///    [`Algorithm::reabsorb`] their dropped and bounced messages.
+    ///
+    /// The coins are the same pure functions
+    /// [`FaultyNetwork`](crate::faults::FaultyNetwork) uses, so one plan
+    /// describes one fault pattern at either layer. Surviving messages
+    /// keep the canonical delivery order (see [`Execution::step`]), so
+    /// a quiescent plan is bit-identical to no plan.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a crash window names an agent outside `0..n()`.
+    pub fn faults(mut self, plan: FaultPlan) -> Execution<A> {
+        for w in plan.crashes() {
+            assert!(
+                w.agent < self.states.len(),
+                "crash window names agent {} but there are {} agents",
+                w.agent,
+                self.states.len()
+            );
+        }
+        self.plan = Some(plan);
+        self
     }
 
     /// Number of agents.
@@ -62,6 +106,12 @@ impl<A: Algorithm> Execution<A> {
         &self.algo
     }
 
+    /// Counters of the faults the plan has injected so far (all zero
+    /// without a plan).
+    pub fn events(&self) -> &FaultEvents {
+        &self.events
+    }
+
     /// Execute one round on the given communication graph.
     ///
     /// The graph must have `n()` vertices and a self-loop at every vertex
@@ -71,76 +121,49 @@ impl<A: Algorithm> Execution<A> {
     /// `(source id, port rank)` order, where the port rank of an edge is
     /// its index in the source's `(port label, edge id)`-sorted out-edge
     /// list. Algorithms must treat the inbox as a multiset, but f64
-    /// summation is order-sensitive, so all execution paths — `step`,
-    /// [`Execution::step_parallel`], and `FaultyExecution` — pin this
-    /// one order to keep float runs bit-identical across paths
-    /// (conformance check `paths`, `kya check`).
+    /// summation is order-sensitive, so every execution path — `step`,
+    /// [`Execution::step_parallel`], faulted or not — pins this one
+    /// order to keep float runs bit-identical across paths (conformance
+    /// check `paths`, `kya check`).
     ///
     /// # Panics
     ///
     /// Panics if the vertex count mismatches, a self-loop is missing, or
     /// the algorithm returns the wrong number of port messages.
     pub fn step(&mut self, graph: &Digraph) {
-        self.step_observed(graph, &mut NullObserver);
+        self.route_round(graph, &Inline, &mut NullObserver);
     }
 
     /// Like [`Execution::step`], with an [`Observer`] seeing the round
-    /// boundaries and every delivered message (in the deterministic
-    /// routing order).
+    /// boundaries, every delivered message (in the deterministic routing
+    /// order; twice for a duplicated one) and every message a fault plan
+    /// kept from its recipient (`on_message_dropped`).
     ///
     /// # Panics
     ///
     /// Same contract as [`Execution::step`].
     pub fn step_observed<O: Observer<A>>(&mut self, graph: &Digraph, obs: &mut O) {
-        assert_eq!(graph.n(), self.states.len(), "graph size != agent count");
-        self.round += 1;
-        obs.on_round_start(self.round, &self.states);
-        let n = graph.n();
-        let mut inboxes: Vec<Vec<A::Msg>> = (0..n)
-            .map(|v| Vec::with_capacity(graph.indegree(v)))
-            .collect();
-        for v in 0..n {
-            assert!(
-                graph.has_self_loop(v),
-                "round {}: vertex {v} lacks a self-loop",
-                self.round
-            );
-            let outdeg = graph.outdegree(v);
-            let msgs = self.algo.send(&self.states[v], outdeg);
-            assert_eq!(
-                msgs.len(),
-                outdeg,
-                "algorithm produced {} messages for outdegree {outdeg}",
-                msgs.len()
-            );
-            // Port discipline: out-edges in (port, edge id) order, from
-            // the graph's cached canonical port order.
-            for (msg, &e) in msgs.into_iter().zip(graph.port_ranks().out_edges_ranked(v)) {
-                let dst = graph.edges()[e].dst;
-                obs.on_message(self.round, v, dst, &msg);
-                inboxes[dst].push(msg);
-            }
-        }
-        for (v, inbox) in inboxes.into_iter().enumerate() {
-            self.states[v] =
-                self.algo
-                    .transition_with_outdegree(&self.states[v], graph.outdegree(v), &inbox);
-        }
-        obs.on_round_end(self.round, &self.algo, &self.states);
+        self.route_round(graph, &Inline, obs);
     }
 
-    /// Execute one configured run: the single entry point behind every
-    /// legacy `run*` method (see [`RunConfig`] for the knobs).
+    /// Execute one configured run (see [`RunConfig`] for the knobs).
     ///
     /// Per round: apply the membership's rejoin policy (if churned),
     /// fetch the round's graph, step — sequentially or sharded over
-    /// `cfg.threads` contiguous agent ranges, observed or not — and,
-    /// if measuring, record the round's distance. Convergence at
-    /// tolerance ε is judged post hoc over the whole trace (§2.3): the
-    /// full budget is executed unless a [`RunConfig::confirm`] window
-    /// closes early or an output goes non-finite (no later round can
-    /// converge, so the run ends at once with
-    /// [`CellReport::diverged_at`] set).
+    /// `cfg.threads` contiguous agent ranges, observed or not, under the
+    /// fault plan if one is attached — and, if measuring, record the
+    /// round's distance. Convergence at tolerance ε is judged post hoc
+    /// over the whole trace (§2.3): the full budget is executed unless a
+    /// [`RunConfig::confirm`] window closes early or an output goes
+    /// non-finite (no later round can converge, so the run ends at once
+    /// with [`CellReport::diverged_at`] set).
+    ///
+    /// The report's `last_fault_round` is the later of the last fault
+    /// the plan injected during the run and — when a
+    /// [`membership`](RunConfig::membership) is attached — the last
+    /// membership transition inside the budget, so `converged_at` only
+    /// reports recovery after both scripts went quiet. Its `events` are
+    /// the fault counters' delta over this run.
     ///
     /// Non-consuming: the execution can be driven again afterwards; a
     /// second call measures from the current round. For unmeasured
@@ -169,78 +192,51 @@ impl<A: Algorithm> Execution<A> {
             bandwidth,
         } = cfg;
         let start = self.round;
-        let mut distances = Vec::new();
-        let mut entered: Option<u64> = None;
-        let mut executed: u64 = 0;
-        while executed < rounds {
+        let before = self.events;
+        let measure = Measure {
+            rounds,
+            dist,
+            eps,
+            confirm,
+        };
+        let step = |exec: &mut Self| {
             if let Some((membership, reinit)) = membership {
-                self.apply_rejoins(membership, reinit);
+                exec.apply_rejoins(membership, reinit);
             }
-            let g = net.graph_ref(self.round + 1);
+            let g = net.graph_ref(exec.round + 1);
             if let Some((cap, ledger)) = bandwidth {
                 ledger.charge_round(g.edge_count() as u64, cap.bits_per_edge());
             }
             match (&mut observer, threads) {
-                (None, 1) => self.step(&g),
-                (None, t) => self.step_parallel(&g, t),
-                (Some(o), 1) => self.step_observed(&g, o),
-                (Some(o), t) => self.step_parallel_observed(&g, t, o),
+                (Some(o), t) => exec.route_round(&g, &Sharded(t), o),
+                (None, 1) => exec.step(&g),
+                (None, t) => exec.step_parallel(&g, t),
             }
-            executed += 1;
-            if let Some(dist) = &dist {
-                let d = dist(&self.outputs());
-                distances.push(d);
-                if !d.is_finite() {
-                    break;
-                }
-                if let Some(confirm) = confirm {
-                    if d <= eps {
-                        let at = *entered.get_or_insert(self.round);
-                        if self.round - at >= confirm {
-                            break;
-                        }
-                    } else {
-                        entered = None;
-                    }
-                }
+        };
+        let seal = |exec: &Self| {
+            // Only rounds inside this run count; a membership transition
+            // beyond the budget is clamped to the final round, which
+            // leaves the trace unconverged — the honest verdict.
+            let since_start = |r: u64| if r > start { r } else { 0 };
+            let faults = since_start(exec.events.last_fault_round);
+            let churn = membership.map_or(0, |(m, _)| since_start(m.last_transition()));
+            Seal {
+                last_fault_round: faults.max(churn.min(exec.round)),
+                events: FaultEvents {
+                    dropped: exec.events.dropped - before.dropped,
+                    duplicated: exec.events.duplicated - before.duplicated,
+                    bounced_to_crashed: exec.events.bounced_to_crashed - before.bounced_to_crashed,
+                    crashed_rounds: exec.events.crashed_rounds - before.crashed_rounds,
+                    last_fault_round: exec.events.last_fault_round,
+                },
+                mass: invariant.map(|f| f(&exec.states)),
             }
-        }
-        let measured = dist.is_some();
-        let mass = invariant.map(|f| f(&self.states));
-        let mut report =
-            CellReport::from_trace(start, distances, eps, 0, FaultEvents::default(), mass);
-        if !measured {
-            report.rounds_run = executed;
-        }
-        if let Some(obs) = observer.as_mut() {
-            if let Some(round) = report.converged_at {
-                obs.on_converged(round, report.final_distance);
-            }
+        };
+        let report = measure.run(self, start, step, Self::outputs, seal);
+        if let (Some(obs), Some(round)) = (observer.as_mut(), report.converged_at) {
+            obs.on_converged(round, report.final_distance);
         }
         report
-    }
-
-    /// Execute `rounds` rounds on a dynamic graph, starting from the round
-    /// after the current one.
-    #[deprecated(note = "use `drive(net, RunConfig::rounds(rounds))`")]
-    pub fn run(&mut self, net: &dyn DynamicGraph, rounds: u64)
-    where
-        A: Sync,
-        A::State: Send + Sync,
-        A::Msg: Send + Sync,
-    {
-        let _ = self.drive(net, RunConfig::rounds(rounds));
-    }
-
-    /// Like [`Execution::run`], driving an [`Observer`] each round.
-    #[deprecated(note = "use `drive(net, RunConfig::rounds(rounds).observer(obs))`")]
-    pub fn run_observed<O: Observer<A>>(&mut self, net: &dyn DynamicGraph, rounds: u64, obs: &mut O)
-    where
-        A: Sync,
-        A::State: Send + Sync,
-        A::Msg: Send + Sync,
-    {
-        let _ = self.drive(net, RunConfig::rounds(rounds).observer(obs));
     }
 
     /// Apply the membership's rejoin transitions for the **upcoming**
@@ -254,7 +250,8 @@ impl<A: Algorithm> Execution<A> {
     /// accumulating into a `std::cell::Cell` captured by the closure.
     ///
     /// Call this immediately before stepping on the round's graph;
-    /// [`Execution::run_churned`] does so for every round it runs.
+    /// [`Execution::drive`] does so for every round it runs when the
+    /// config carries a [`membership`](RunConfig::membership).
     pub fn apply_rejoins(
         &mut self,
         membership: &Membership,
@@ -269,43 +266,20 @@ impl<A: Algorithm> Execution<A> {
         rejoining
     }
 
-    /// Execute `rounds` rounds under churn: each round, first apply the
-    /// membership's rejoin policy ([`Execution::apply_rejoins`]), then
-    /// step on the network's graph. The network is expected to mask
-    /// absent agents (wrap it in [`crate::churn::ChurnMasked`]) — this
-    /// method only owns the *state* side of churn, the re-injection.
-    #[deprecated(
-        note = "use `drive(net, RunConfig::rounds(rounds).membership(membership, reinit))`"
-    )]
-    pub fn run_churned(
-        &mut self,
-        net: &dyn DynamicGraph,
-        membership: &Membership,
-        reinit: &dyn Fn(usize, &A::State) -> A::State,
-        rounds: u64,
-    ) where
-        A: Sync,
-        A::State: Send + Sync,
-        A::Msg: Send + Sync,
-    {
-        let _ = self.drive(
-            net,
-            RunConfig::rounds(rounds).membership(membership, reinit),
-        );
-    }
-
     /// Like [`Execution::step`], but computes sends, routing, and
     /// transitions sharded over `threads` contiguous agent ranges.
     ///
     /// Bit-identical to `step` — the round is communication closed, so
-    /// per-agent work is embarrassingly parallel, and routing is sharded
-    /// by *destination*: each worker assembles its agents' inboxes from
-    /// the in-edge lists and then restores the canonical ascending
-    /// `(source id, port rank)` delivery order (see
-    /// [`Execution::step_observed`]). In-edge lists are in insertion
-    /// order, not source order, so the sort is load-bearing: without it
-    /// f64 runs diverge bitwise from the sequential path
-    /// (`tests/conformance.rs` pins this). Each phase spawns threads
+    /// per-agent work is embarrassingly parallel. Without a fault plan,
+    /// routing is sharded by *destination*: each worker assembles its
+    /// agents' inboxes from the in-edge lists and then restores the
+    /// canonical ascending `(source id, port rank)` delivery order (see
+    /// [`Execution::step`]). In-edge lists are in insertion order, not
+    /// source order, so the sort is load-bearing: without it f64 runs
+    /// diverge bitwise from the sequential path (`tests/conformance.rs`
+    /// pins this). Under a fault plan the coins are tossed in the
+    /// sequential routing order instead, as in
+    /// [`Execution::step_parallel_observed`]. Each phase spawns threads
     /// only if every shard holds at least [`crate::MIN_SPAWN_AGENTS`]
     /// agents, and then the calling thread works the first shard;
     /// otherwise the phase's shards run in order on the calling thread.
@@ -320,27 +294,19 @@ impl<A: Algorithm> Execution<A> {
         A::State: Send + Sync,
         A::Msg: Send + Sync,
     {
-        assert!(threads > 0, "at least one worker thread");
+        if self.plan.is_some() {
+            return self.route_round(graph, &Sharded(threads), &mut NullObserver);
+        }
+        let ranges = Sharded(threads).ranges(self.n());
         assert_eq!(graph.n(), self.states.len(), "graph size != agent count");
         self.round += 1;
-        let n = graph.n();
-        for v in 0..n {
-            assert!(
-                graph.has_self_loop(v),
-                "round {}: vertex {v} lacks a self-loop",
-                self.round
-            );
-        }
-        let algo = &self.algo;
+        let cx = RoundCtx::new(&self.algo, graph, self.round, Vec::new());
         let states = &self.states;
-        let round = self.round;
-        let ranges = shard_ranges(n, threads);
         let order = graph.port_ranks();
 
         // Phase 1: sends, sharded over contiguous agent ranges; shards
         // concatenate in range order, so no re-sort is needed.
-        let sends: Vec<Vec<A::Msg>> =
-            map_agents(&ranges, |v| send_checked(algo, graph, states, round, v));
+        let sends: Vec<Vec<A::Msg>> = map_agents(&ranges, |v| cx.send(v, &states[v]));
 
         // Phase 2: routing, sharded by contiguous destination ranges.
         // Workers read in-edges (insertion order) and sort each inbox
@@ -363,19 +329,17 @@ impl<A: Algorithm> Execution<A> {
         });
 
         // Phase 3: transitions, sharded over contiguous agent ranges.
-        let inboxes_ref = &inboxes;
-        self.states = map_agents(&ranges, |v| {
-            algo.transition_with_outdegree(&states[v], graph.outdegree(v), &inboxes_ref[v])
-        });
+        Sharded(threads).transitions(&cx, &mut self.states, inboxes, &[]);
     }
 
     /// Like [`Execution::step_parallel`], with an [`Observer`].
     ///
     /// The observer runs on the calling thread and sees the **same event
-    /// stream** as [`Execution::step_observed`]: `on_message` fires in
-    /// the sequential routing phase, which iterates agents and ports in
-    /// the sequential executor's order. `tests/parallel_equivalence.rs`
-    /// pins this for every algorithm in `kya_algos`.
+    /// stream** as [`Execution::step_observed`]: sends and transitions
+    /// are sharded, but routing — observer callbacks and fault coins —
+    /// is one sequential pass in the sequential executor's order.
+    /// `tests/parallel_equivalence.rs` pins this for every algorithm in
+    /// `kya_algos`.
     ///
     /// # Panics
     ///
@@ -390,177 +354,81 @@ impl<A: Algorithm> Execution<A> {
         A::State: Send + Sync,
         A::Msg: Send + Sync,
     {
-        assert!(threads > 0, "at least one worker thread");
+        self.route_round(graph, &Sharded(threads), obs);
+    }
+
+    /// The one sequential-routing round body. Sends run under
+    /// `schedule`; then one routing pass in the canonical `(source id,
+    /// port rank)` order tosses the fault plan's coins, feeds the
+    /// observer and fills the inboxes; then transitions (with
+    /// [`Algorithm::reabsorb`] of lost messages) run under `schedule`.
+    fn route_round<S: Schedule<A>, O: Observer<A>>(
+        &mut self,
+        graph: &Digraph,
+        schedule: &S,
+        obs: &mut O,
+    ) {
         assert_eq!(graph.n(), self.states.len(), "graph size != agent count");
         self.round += 1;
-        obs.on_round_start(self.round, &self.states);
+        let t = self.round;
         let n = graph.n();
-        for v in 0..n {
-            assert!(
-                graph.has_self_loop(v),
-                "round {}: vertex {v} lacks a self-loop",
-                self.round
-            );
+        let frozen: Vec<bool> = match &self.plan {
+            Some(plan) => (0..n).map(|v| plan.is_crashed(v, t)).collect(),
+            None => Vec::new(),
+        };
+        if frozen.contains(&true) {
+            self.events.crashed_rounds += 1;
+            self.events.last_fault_round = t;
         }
-        let algo = &self.algo;
-        let states = &self.states;
-        let round = self.round;
-        let ranges = shard_ranges(n, threads);
+        obs.on_round_start(t, &self.states);
+        let cx = RoundCtx::new(&self.algo, graph, t, frozen);
 
-        // Phase 1: sends, sharded over contiguous agent ranges.
-        let sends: Vec<Vec<A::Msg>> =
-            map_agents(&ranges, |v| send_checked(algo, graph, states, round, v));
-
-        // Phase 2: route (sequential — cheap) with the same port order as
-        // the sequential step.
         let mut inboxes: Vec<Vec<A::Msg>> = (0..n)
             .map(|v| Vec::with_capacity(graph.indegree(v)))
             .collect();
+        let mut lost: Vec<Vec<A::Msg>> = match &self.plan {
+            Some(_) => (0..n).map(|_| Vec::new()).collect(),
+            None => Vec::new(),
+        };
         let order = graph.port_ranks();
-        for (v, msgs) in sends.into_iter().enumerate() {
+        for (v, msgs) in schedule.sends(&cx, &self.states).enumerate() {
             for (msg, &e) in msgs.into_iter().zip(order.out_edges_ranked(v)) {
                 let dst = graph.edges()[e].dst;
-                obs.on_message(self.round, v, dst, &msg);
+                if let Some(plan) = self.plan.as_ref().filter(|_| dst != v) {
+                    let fault = if cx.is_frozen(dst) {
+                        Some(&mut self.events.bounced_to_crashed)
+                    } else if plan.drops(t, v, dst) {
+                        Some(&mut self.events.dropped)
+                    } else {
+                        None
+                    };
+                    if let Some(count) = fault {
+                        *count += 1;
+                        self.events.last_fault_round = t;
+                        obs.on_message_dropped(t, v, dst, &msg);
+                        lost[v].push(msg);
+                        continue;
+                    }
+                    if plan.duplicates(t, v, dst) {
+                        self.events.duplicated += 1;
+                        self.events.last_fault_round = t;
+                        obs.on_message(t, v, dst, &msg);
+                        inboxes[dst].push(msg.clone());
+                    }
+                }
+                obs.on_message(t, v, dst, &msg);
                 inboxes[dst].push(msg);
             }
         }
 
-        // Phase 3: transitions, sharded over contiguous agent ranges.
-        let inboxes_ref = &inboxes;
-        self.states = map_agents(&ranges, |v| {
-            algo.transition_with_outdegree(&states[v], graph.outdegree(v), &inboxes_ref[v])
-        });
-        obs.on_round_end(self.round, &self.algo, &self.states);
+        schedule.transitions(&cx, &mut self.states, inboxes, &lost);
+        obs.on_round_end(t, &self.algo, &self.states);
     }
 
-    /// Run for up to `max_rounds` rounds, measuring the worst-case
-    /// distance of the outputs from `target` each round, and report when
-    /// the outputs entered the ε-ball *and stayed there* for the rest of
-    /// the run (§2.3's convergence at tolerance `eps`).
-    ///
-    /// The full budget is executed — convergence is judged post-hoc over
-    /// the whole trace, so a transient dip into the ball does not count —
-    /// unless an output goes non-finite, which ends the run at once with
-    /// [`CellReport::diverged_at`] set. Non-consuming: the execution can
-    /// be stepped or measured again afterwards; a second call measures
-    /// from the current round.
-    #[deprecated(
-        note = "use `drive(net, RunConfig::rounds(max_rounds).measure(metric, target, eps))`"
-    )]
-    pub fn run_until<M: Metric<A::Output>>(
-        &mut self,
-        net: &dyn DynamicGraph,
-        metric: &M,
-        target: &A::Output,
-        eps: f64,
-        max_rounds: u64,
-    ) -> CellReport
-    where
-        A: Sync,
-        A::State: Send + Sync,
-        A::Msg: Send + Sync,
-    {
-        self.drive(
-            net,
-            RunConfig::rounds(max_rounds).measure(metric, target, eps),
-        )
-    }
-
-    /// Like [`Execution::run_until`], driving an [`Observer`] each round
-    /// (and firing `on_converged` when the sealed report says so).
-    #[deprecated(
-        note = "use `drive(net, RunConfig::rounds(max_rounds).measure(metric, target, eps).observer(obs))`"
-    )]
-    pub fn run_until_observed<M: Metric<A::Output>, O: Observer<A>>(
-        &mut self,
-        net: &dyn DynamicGraph,
-        metric: &M,
-        target: &A::Output,
-        eps: f64,
-        max_rounds: u64,
-        obs: &mut O,
-    ) -> CellReport
-    where
-        A: Sync,
-        A::State: Send + Sync,
-        A::Msg: Send + Sync,
-    {
-        self.drive(
-            net,
-            RunConfig::rounds(max_rounds)
-                .measure(metric, target, eps)
-                .observer(obs),
-        )
-    }
-
-    /// Like [`Execution::run_until`], but stop early once the outputs
-    /// have stayed within `eps` of `target` for `confirm` consecutive
-    /// rounds — the budget-saving variant for sweeps whose cells
-    /// converge long before `max_rounds`.
-    ///
-    /// The stay-in-ball criterion is unchanged; only the observation
-    /// window is truncated, so `converged_at` equals the full-budget
-    /// answer whenever the algorithm does not leave the ball again after
-    /// `confirm` rounds inside it.
-    #[deprecated(
-        note = "use `drive(net, RunConfig::rounds(max_rounds).measure(metric, target, eps).confirm(confirm))`"
-    )]
-    pub fn run_until_converged<M: Metric<A::Output>>(
-        &mut self,
-        net: &dyn DynamicGraph,
-        metric: &M,
-        target: &A::Output,
-        eps: f64,
-        max_rounds: u64,
-        confirm: u64,
-    ) -> CellReport
-    where
-        A: Sync,
-        A::State: Send + Sync,
-        A::Msg: Send + Sync,
-    {
-        self.drive(
-            net,
-            RunConfig::rounds(max_rounds)
-                .measure(metric, target, eps)
-                .confirm(confirm),
-        )
-    }
-
-    /// Like [`Execution::run_until_converged`], driving an [`Observer`]
-    /// each round.
-    #[allow(clippy::too_many_arguments)] // mirrors run_until_converged + observer
-    #[deprecated(
-        note = "use `drive(net, RunConfig::rounds(max_rounds).measure(metric, target, eps).confirm(confirm).observer(obs))`"
-    )]
-    pub fn run_until_converged_observed<M: Metric<A::Output>, O: Observer<A>>(
-        &mut self,
-        net: &dyn DynamicGraph,
-        metric: &M,
-        target: &A::Output,
-        eps: f64,
-        max_rounds: u64,
-        confirm: u64,
-        obs: &mut O,
-    ) -> CellReport
-    where
-        A: Sync,
-        A::State: Send + Sync,
-        A::Msg: Send + Sync,
-    {
-        self.drive(
-            net,
-            RunConfig::rounds(max_rounds)
-                .measure(metric, target, eps)
-                .confirm(confirm)
-                .observer(obs),
-        )
-    }
-
-    /// Like [`Execution::run_until`], but against per-agent targets:
-    /// the measured distance of a round is `max_i δ(output_i,
-    /// targets[i])`. This is the primitive behind
-    /// [`crate::testing::check_self_stabilization`].
+    /// Run for up to `max_rounds` rounds against per-agent targets: the
+    /// measured distance of a round is `max_i δ(output_i, targets[i])`,
+    /// and ε-convergence is judged as in [`Execution::drive`]. This is
+    /// the primitive behind [`crate::testing::check_self_stabilization`].
     ///
     /// # Panics
     ///
@@ -597,23 +465,168 @@ impl<A: Algorithm> Execution<A> {
     }
 }
 
-/// Agent `v`'s round-`round` messages, checked to be one per output
-/// port — the send phase of both parallel steps.
-fn send_checked<A: Algorithm>(
-    algo: &A,
-    graph: &Digraph,
-    states: &[A::State],
+/// One round's read-only inputs: what the per-agent send and transition
+/// work of every schedule reads besides the agent's own state.
+struct RoundCtx<'r, A: Algorithm> {
+    algo: &'r A,
+    graph: &'r Digraph,
     round: u64,
-    v: usize,
-) -> Vec<A::Msg> {
-    let outdeg = graph.outdegree(v);
-    let msgs = algo.send(&states[v], outdeg);
-    assert_eq!(
-        msgs.len(),
-        outdeg,
-        "round {round}: wrong message count from agent {v}"
+    /// Crashed agents this round; empty without a fault plan.
+    frozen: Vec<bool>,
+}
+
+impl<'r, A: Algorithm> RoundCtx<'r, A> {
+    /// The context of round `round` on `graph`, after checking the
+    /// self-loop closure of §2.1.
+    fn new(algo: &'r A, graph: &'r Digraph, round: u64, frozen: Vec<bool>) -> Self {
+        for v in 0..graph.n() {
+            assert!(
+                graph.has_self_loop(v),
+                "round {round}: vertex {v} lacks a self-loop"
+            );
+        }
+        RoundCtx {
+            algo,
+            graph,
+            round,
+            frozen,
+        }
+    }
+
+    fn is_frozen(&self, v: usize) -> bool {
+        self.frozen.get(v).copied().unwrap_or(false)
+    }
+
+    /// Agent `v`'s messages, checked to be one per output port; none
+    /// from a crashed agent.
+    fn send(&self, v: usize, state: &A::State) -> Vec<A::Msg> {
+        if self.is_frozen(v) {
+            return Vec::new();
+        }
+        let outdeg = self.graph.outdegree(v);
+        let msgs = self.algo.send(state, outdeg);
+        assert_eq!(
+            msgs.len(),
+            outdeg,
+            "round {}: wrong message count from agent {v}",
+            self.round
+        );
+        msgs
+    }
+
+    /// Agent `v`'s next state from its inbox and its entry of `lost`
+    /// (which is empty without a fault plan); `None` for a crashed
+    /// agent, whose state stays as it is.
+    fn transition(
+        &self,
+        v: usize,
+        state: &A::State,
+        inbox: &[A::Msg],
+        lost: &[Vec<A::Msg>],
+    ) -> Option<A::State> {
+        if self.is_frozen(v) {
+            return None;
+        }
+        let next = self
+            .algo
+            .transition_with_outdegree(state, self.graph.outdegree(v), inbox);
+        match lost.get(v) {
+            Some(lost) if !lost.is_empty() => Some(self.algo.reabsorb(&next, lost)),
+            _ => Some(next),
+        }
+    }
+}
+
+/// Where a round's per-agent send and transition phases run. A trait
+/// rather than a thread count so that [`Execution::step`] needs no
+/// `Send`/`Sync` bounds: [`Inline`] runs every agent on the calling
+/// thread, [`Sharded`] over contiguous agent ranges.
+trait Schedule<A: Algorithm> {
+    /// Every agent's messages, in agent order.
+    fn sends<'s>(
+        &'s self,
+        cx: &'s RoundCtx<'s, A>,
+        states: &'s [A::State],
+    ) -> impl Iterator<Item = Vec<A::Msg>> + 's;
+
+    /// Replace every live agent's state by its transition.
+    fn transitions(
+        &self,
+        cx: &RoundCtx<'_, A>,
+        states: &mut Vec<A::State>,
+        inboxes: Vec<Vec<A::Msg>>,
+        lost: &[Vec<A::Msg>],
     );
-    msgs
+}
+
+/// Every agent on the calling thread, in agent order. Sends are
+/// produced as the routing pass consumes them, and each inbox is
+/// dropped as soon as its agent has transitioned in place.
+struct Inline;
+
+impl<A: Algorithm> Schedule<A> for Inline {
+    fn sends<'s>(
+        &'s self,
+        cx: &'s RoundCtx<'s, A>,
+        states: &'s [A::State],
+    ) -> impl Iterator<Item = Vec<A::Msg>> + 's {
+        states.iter().enumerate().map(|(v, s)| cx.send(v, s))
+    }
+
+    fn transitions(
+        &self,
+        cx: &RoundCtx<'_, A>,
+        states: &mut Vec<A::State>,
+        inboxes: Vec<Vec<A::Msg>>,
+        lost: &[Vec<A::Msg>],
+    ) {
+        for (v, inbox) in inboxes.into_iter().enumerate() {
+            if let Some(next) = cx.transition(v, &states[v], &inbox, lost) {
+                states[v] = next;
+            }
+        }
+    }
+}
+
+/// Contiguous agent ranges, one per thread, under the spawn rule of
+/// [`map_agents`].
+struct Sharded(usize);
+
+impl Sharded {
+    fn ranges(&self, n: usize) -> Vec<std::ops::Range<usize>> {
+        assert!(self.0 > 0, "at least one worker thread");
+        shard_ranges(n, self.0)
+    }
+}
+
+impl<A> Schedule<A> for Sharded
+where
+    A: Algorithm + Sync,
+    A::State: Send + Sync,
+    A::Msg: Send + Sync,
+{
+    fn sends<'s>(
+        &'s self,
+        cx: &'s RoundCtx<'s, A>,
+        states: &'s [A::State],
+    ) -> impl Iterator<Item = Vec<A::Msg>> + 's {
+        map_agents(&self.ranges(states.len()), |v| cx.send(v, &states[v])).into_iter()
+    }
+
+    fn transitions(
+        &self,
+        cx: &RoundCtx<'_, A>,
+        states: &mut Vec<A::State>,
+        inboxes: Vec<Vec<A::Msg>>,
+        lost: &[Vec<A::Msg>],
+    ) {
+        let current = &states[..];
+        let next = map_agents(&self.ranges(current.len()), |v| {
+            cx.transition(v, &current[v], &inboxes[v], lost)
+                .unwrap_or_else(|| current[v].clone())
+        });
+        *states = next;
+    }
 }
 
 #[cfg(test)]
@@ -676,7 +689,7 @@ mod tests {
     }
 
     #[test]
-    fn run_until_converged_stops_early() {
+    fn confirm_window_stops_early() {
         use crate::metric::DiscreteMetric;
         let net = StaticGraph::new(generators::directed_ring(6));
         let inits: Vec<Vec<u32>> = (0..6).map(|v| vec![v]).collect();
@@ -825,7 +838,7 @@ mod tests {
             RunConfig::rounds(4).measure(&EuclideanMetric, &2.5, 0.0),
         );
         assert_eq!(report.converged_at, Some(1));
-        // run_until_converged stops right after the confirm window.
+        // A confirm window stops right after it closes.
         let mut exec = Execution::new(Broadcast(Keep), vec![5, 5, 5]);
         let report = exec.drive(
             &net,

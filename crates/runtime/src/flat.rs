@@ -46,9 +46,8 @@ use std::ops::Range;
 use std::time::Instant;
 
 use crate::config::FlatRunConfig;
-use crate::faults::FaultEvents;
 use crate::probe::{FlatProbe, NullProbe, PhaseTimes, ShardCounters};
-use crate::report::CellReport;
+use crate::report::{CellReport, Measure, Seal};
 use crate::shard::{run_shards, shard_ranges};
 
 /// Target number of strided samples per state lane handed to
@@ -442,42 +441,21 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
             bandwidth,
         } = cfg;
         let start = self.round;
-        let mut distances = Vec::new();
-        let mut entered: Option<u64> = None;
-        let mut executed: u64 = 0;
-        while executed < rounds {
+        let measure = Measure {
+            rounds,
+            dist,
+            eps,
+            confirm,
+        };
+        let step = |exec: &mut Self| {
             if let Some((cap, ledger)) = bandwidth {
                 // One delivery per edge: the same per-round charge as
                 // the boxed drive's `edge_count()`.
-                ledger.charge_round(self.plan.slots() as u64, cap.bits_per_edge());
+                ledger.charge_round(exec.plan.slots() as u64, cap.bits_per_edge());
             }
-            self.step_probed(threads, probe);
-            executed += 1;
-            if let Some(dist) = &dist {
-                let d = dist(&self.outputs());
-                distances.push(d);
-                if !d.is_finite() {
-                    break;
-                }
-                if let Some(confirm) = confirm {
-                    if d <= eps {
-                        let at = *entered.get_or_insert(self.round);
-                        if self.round - at >= confirm {
-                            break;
-                        }
-                    } else {
-                        entered = None;
-                    }
-                }
-            }
-        }
-        let measured = dist.is_some();
-        let mut report =
-            CellReport::from_trace(start, distances, eps, 0, FaultEvents::default(), None);
-        if !measured {
-            report.rounds_run = executed;
-        }
-        report
+            exec.step_probed(threads, probe);
+        };
+        measure.run(self, start, step, Self::outputs, |_| Seal::default())
     }
 }
 

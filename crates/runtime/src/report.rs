@@ -5,14 +5,16 @@
 //! measures the same thing: a per-round worst-case distance trace to a
 //! target, summarized as "when did the outputs enter (and stay in) the
 //! ε-ball, and what happened along the way". [`CellReport`] is that
-//! summary, produced by [`Execution::run_until`](crate::Execution::run_until)
-//! and [`FaultyExecution::run_with_recovery`](crate::faults::FaultyExecution::run_with_recovery)
-//! alike, and consumed verbatim by the `kya_harness` result sink.
+//! summary, sealed by the one measuring loop behind
+//! [`Execution::drive`](crate::Execution::drive) (faulted or not) and
+//! [`FlatExecution::drive`](crate::FlatExecution::drive), and consumed
+//! verbatim by the `kya_harness` result sink.
 //!
 //! For a fault-free run the fault-specific fields are simply zero /
 //! default: `last_fault_round == 0`, `events == FaultEvents::default()`,
 //! and `converged_at` measures from the start of the run.
 
+use crate::config::DistanceFn;
 use crate::faults::FaultEvents;
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -138,6 +140,87 @@ impl CellReport {
     /// Whether the outputs converged (entered the ε-ball and stayed).
     pub fn converged(&self) -> bool {
         self.converged_at.is_some()
+    }
+}
+
+/// The measuring half of a `drive` call: the round budget and the
+/// optional ε-judgement, as read from a [`RunConfig`](crate::RunConfig)
+/// or a [`FlatRunConfig`](crate::FlatRunConfig).
+pub(crate) struct Measure<'a, O> {
+    pub(crate) rounds: u64,
+    pub(crate) dist: Option<DistanceFn<'a, O>>,
+    pub(crate) eps: f64,
+    pub(crate) confirm: Option<u64>,
+}
+
+/// The fault-side fields a sealed report carries; all zero for a
+/// fault-free, churn-free run.
+#[derive(Default)]
+pub(crate) struct Seal {
+    pub(crate) last_fault_round: u64,
+    pub(crate) events: FaultEvents,
+    pub(crate) mass: Option<f64>,
+}
+
+impl<O> Measure<'_, O> {
+    /// The one measuring loop. Execute up to `rounds` rounds of `exec`
+    /// through `step` (one round per call), from round `start`. When
+    /// measuring, record the distance of `outputs(exec)` after every
+    /// round; end early once the distance has stayed within `eps` for
+    /// `confirm` rounds, or at once when it goes non-finite (no later
+    /// round can converge). Then seal the trace into a report with the
+    /// fault-side fields `seal(exec)` returns. Unmeasured runs report
+    /// only `rounds_run`.
+    pub(crate) fn run<E>(
+        self,
+        exec: &mut E,
+        start: u64,
+        mut step: impl FnMut(&mut E),
+        outputs: impl Fn(&E) -> Vec<O>,
+        seal: impl FnOnce(&E) -> Seal,
+    ) -> CellReport {
+        let Measure {
+            rounds,
+            dist,
+            eps,
+            confirm,
+        } = self;
+        let mut distances = Vec::new();
+        let mut entered: Option<u64> = None;
+        let mut executed: u64 = 0;
+        while executed < rounds {
+            step(exec);
+            executed += 1;
+            if let Some(dist) = &dist {
+                let d = dist(&outputs(exec));
+                distances.push(d);
+                if !d.is_finite() {
+                    break;
+                }
+                if let Some(confirm) = confirm {
+                    let round = start + executed;
+                    if d <= eps {
+                        let at = *entered.get_or_insert(round);
+                        if round - at >= confirm {
+                            break;
+                        }
+                    } else {
+                        entered = None;
+                    }
+                }
+            }
+        }
+        let Seal {
+            last_fault_round,
+            events,
+            mass,
+        } = seal(exec);
+        let mut report =
+            CellReport::from_trace(start, distances, eps, last_fault_round, events, mass);
+        if dist.is_none() {
+            report.rounds_run = executed;
+        }
+        report
     }
 }
 

@@ -27,11 +27,12 @@ pub(crate) fn shard_ranges(n: usize, threads: usize) -> Vec<Range<usize>> {
 /// Run `work` once per shard and return the outputs in range order;
 /// `shards[i]` is the input that owns `ranges[i]`.
 ///
-/// If any range is shorter than [`MIN_SPAWN_AGENTS`], every shard runs
-/// on the calling thread in range order. Otherwise the caller works
-/// shard 0 and one scoped worker per remaining shard works the rest. A
-/// worker's panic is re-raised on the caller with its own payload, so a
-/// contract violation reads the same either way.
+/// If there is only one shard, or any range is shorter than
+/// [`MIN_SPAWN_AGENTS`], every shard runs on the calling thread in range
+/// order. Otherwise the caller works shard 0 and one scoped worker per
+/// remaining shard works the rest. A worker's panic is re-raised on the
+/// caller with its own payload, so a contract violation reads the same
+/// either way.
 pub(crate) fn run_shards<S, T, F>(ranges: &[Range<usize>], shards: Vec<S>, work: F) -> Vec<T>
 where
     S: Send,
@@ -39,7 +40,7 @@ where
     F: Fn(S) -> T + Sync,
 {
     assert_eq!(ranges.len(), shards.len(), "one input per shard");
-    if ranges.iter().any(|r| r.len() < MIN_SPAWN_AGENTS) {
+    if ranges.len() < 2 || ranges.iter().any(|r| r.len() < MIN_SPAWN_AGENTS) {
         return shards.into_iter().map(work).collect();
     }
     let work = &work;
@@ -104,6 +105,9 @@ mod tests {
         // One short shard keeps every shard inline.
         let ranges = [0..MIN_SPAWN_AGENTS, MIN_SPAWN_AGENTS..MIN_SPAWN_AGENTS + 1];
         assert!(who_ran(&ranges).iter().all(|&(_, id)| id == caller));
+        // A lone shard never spawns, however long.
+        let lone = shard_ranges(2 * MIN_SPAWN_AGENTS, 1);
+        assert!(who_ran(&lone).iter().all(|&(_, id)| id == caller));
     }
 
     #[test]

@@ -55,8 +55,9 @@ pub trait Observer<A: Algorithm> {
     }
 
     /// A message was lost to fault injection (dropped in flight or
-    /// bounced off a crashed recipient) — fired by
-    /// [`FaultyExecution`](crate::faults::FaultyExecution) only.
+    /// bounced off a crashed recipient) — fired only by an
+    /// [`Execution`](crate::Execution) running under a fault plan
+    /// ([`Execution::faults`](crate::Execution::faults)).
     fn on_message_dropped(&mut self, round: u64, src: usize, dst: usize, msg: &A::Msg) {
         let _ = (round, src, dst, msg);
     }
@@ -67,9 +68,9 @@ pub trait Observer<A: Algorithm> {
         let _ = (round, algo, states);
     }
 
-    /// A measuring run (`run_until*`) determined that the outputs
-    /// converged at the end of `round` with final distance
-    /// `final_distance`.
+    /// A measuring run (a `drive` with a `measure*` knob) determined
+    /// that the outputs converged at the end of `round` with final
+    /// distance `final_distance`.
     fn on_converged(&mut self, round: u64, final_distance: f64) {
         let _ = (round, final_distance);
     }

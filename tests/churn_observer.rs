@@ -10,7 +10,7 @@
 use know_your_audience::algos::push_sum::{PushSum, PushSumState, SelfHealingPushSum};
 use know_your_audience::graph::{generators, StaticGraph};
 use know_your_audience::runtime::churn::{ChurnMasked, ChurnPlan};
-use know_your_audience::runtime::faults::{FaultPlan, FaultyExecution};
+use know_your_audience::runtime::faults::FaultPlan;
 use know_your_audience::runtime::{Algorithm, Execution, Isotropic, Observer, RunConfig};
 use proptest::prelude::*;
 
@@ -87,11 +87,8 @@ fn membership_transitions_never_fire_on_message_dropped() {
     let fresh = PushSumState::averaging(&values);
     let reinit = |v: usize, _parked: &PushSumState| fresh[v];
     let mut obs = Recorder::default();
-    let mut exec = FaultyExecution::new(
-        Isotropic(SelfHealingPushSum),
-        fresh.clone(),
-        FaultPlan::new(9),
-    );
+    let mut exec =
+        Execution::new(Isotropic(SelfHealingPushSum), fresh.clone()).faults(FaultPlan::new(9));
     exec.drive(
         &stack,
         RunConfig::rounds(20)
@@ -149,11 +146,8 @@ fn dropped_events_come_only_from_the_fault_plan() {
     let fresh = PushSumState::averaging(&values);
     let reinit = |v: usize, _parked: &PushSumState| fresh[v];
     let mut obs = Recorder::default();
-    let mut exec = FaultyExecution::new(
-        Isotropic(SelfHealingPushSum),
-        fresh.clone(),
-        FaultPlan::new(9).drop_links(0.4).until(horizon),
-    );
+    let mut exec = Execution::new(Isotropic(SelfHealingPushSum), fresh.clone())
+        .faults(FaultPlan::new(9).drop_links(0.4).until(horizon));
     let report = exec.drive(
         &stack,
         RunConfig::rounds(24)

@@ -229,3 +229,88 @@ fn spawned_shards_agree_with_the_sequential_step() {
         "Metropolis",
     );
 }
+
+/// One observer event of a Push-Sum run, bit for bit: kind, round,
+/// source, destination and the message's `(y, z)` bits.
+type PushSumEvent = (&'static str, u64, usize, usize, u64, u64);
+
+/// Records every delivered and every dropped Push-Sum message.
+#[derive(Default)]
+struct PushSumStream {
+    events: Vec<PushSumEvent>,
+}
+
+impl Observer<Isotropic<SelfHealingPushSum>> for PushSumStream {
+    fn on_message(&mut self, round: u64, src: usize, dst: usize, msg: &(f64, f64)) {
+        let (y, z) = (msg.0.to_bits(), msg.1.to_bits());
+        self.events.push(("msg", round, src, dst, y, z));
+    }
+
+    fn on_message_dropped(&mut self, round: u64, src: usize, dst: usize, msg: &(f64, f64)) {
+        let (y, z) = (msg.0.to_bits(), msg.1.to_bits());
+        self.events.push(("drop", round, src, dst, y, z));
+    }
+}
+
+/// A fault plan is the executor's delivery policy, so a faulted run may
+/// shard its sends and transitions like any other: on the same
+/// `3 · MIN_SPAWN_AGENTS`-agent digraph, self-healing Push-Sum under
+/// drops, duplicates and crashes must reach bitwise-equal states, equal
+/// fault counters and an equal observer stream (drops included) at 1, 2
+/// and 4 threads, observed or not.
+#[test]
+fn faulted_runs_agree_across_thread_counts() {
+    use kya_graph::StaticGraph;
+    use kya_runtime::faults::FaultPlan;
+    use kya_runtime::RunConfig;
+
+    let n = 3 * MIN_SPAWN_AGENTS;
+    let net = StaticGraph::new(generators::random_strongly_connected(n, 2 * n, 17));
+    let floats: Vec<f64> = (0..n)
+        .map(|i| (i as f64 * 0.618_033_988_749_895).fract() * 1e3)
+        .collect();
+    let plan = FaultPlan::new(23)
+        .drop_links(0.2)
+        .duplicate(0.1)
+        .crash(5, 2..4)
+        .crash_stop(n - 1, 3);
+    let make = || {
+        Execution::new(
+            Isotropic(SelfHealingPushSum),
+            PushSumState::averaging(&floats),
+        )
+        .faults(plan.clone())
+    };
+    let bits = |exec: &Execution<Isotropic<SelfHealingPushSum>>| -> Vec<u64> {
+        exec.states()
+            .iter()
+            .flat_map(|s| [s.y.to_bits(), s.z.to_bits()])
+            .collect()
+    };
+    let run = |threads: usize| {
+        let mut stream = PushSumStream::default();
+        let mut observed = make();
+        let report = observed.drive(
+            &net,
+            RunConfig::rounds(4).threads(threads).observer(&mut stream),
+        );
+        let mut unobserved = make();
+        unobserved.drive(&net, RunConfig::rounds(4).threads(threads));
+        assert!(
+            bits(&observed) == bits(&unobserved),
+            "{threads} threads: the observer changed the states"
+        );
+        assert_eq!(observed.events(), unobserved.events());
+        (bits(&observed), report.events, stream.events)
+    };
+    let (want_bits, want_events, want_stream) = run(1);
+    assert!(want_events.dropped > 0 && want_events.duplicated > 0);
+    assert!(want_events.bounced_to_crashed > 0 && want_events.crashed_rounds > 0);
+    assert!(want_stream.iter().any(|e| e.0 == "drop"));
+    for threads in [2, 4] {
+        let (bits, events, stream) = run(threads);
+        assert!(bits == want_bits, "{threads} threads: states");
+        assert_eq!(events, want_events, "{threads} threads: fault counters");
+        assert!(stream == want_stream, "{threads} threads: observer stream");
+    }
+}

@@ -3,7 +3,7 @@
 //! weak-connectivity regime — exercised through the public API.
 
 use know_your_audience::algos::gossip::SetGossip;
-use know_your_audience::algos::metropolis::FixedWeight;
+use know_your_audience::algos::metropolis::{FixedWeight, Metropolis};
 use know_your_audience::algos::min_base::{DepthCapped, MinBaseBroadcast, ViewState};
 use know_your_audience::algos::push_sum::{total_mass, PushSum, PushSumState, SelfHealingPushSum};
 use know_your_audience::algos::views::View;
@@ -12,7 +12,7 @@ use know_your_audience::graph::{
     RoundRobinCover, SparselyConnected, StaticGraph, UniformRandom,
 };
 use know_your_audience::runtime::churn::{ChurnMasked, ChurnPlan};
-use know_your_audience::runtime::faults::{FaultPlan, FaultyExecution, FaultyNetwork, Lossy};
+use know_your_audience::runtime::faults::{FaultPlan, FaultyNetwork};
 use know_your_audience::runtime::metric::EuclideanMetric;
 use know_your_audience::runtime::testing::{check_self_stabilization, SelfStabOutcome};
 use know_your_audience::runtime::{Broadcast, Execution, Isotropic, RunConfig};
@@ -159,11 +159,11 @@ fn self_healing_push_sum_recovers_from_crash_recover() {
     let target = values.iter().sum::<f64>() / n as f64;
     let net = StaticGraph::new(generators::complete(n));
     let plan = FaultPlan::new(6).drop_links(0.3).until(40).crash(2, 10..30);
-    let mut exec = FaultyExecution::new(
+    let mut exec = Execution::new(
         Isotropic(SelfHealingPushSum),
         PushSumState::averaging(&values),
-        plan,
-    );
+    )
+    .faults(plan);
     let z_deficit = move |states: &[PushSumState]| n as f64 - total_mass(states).1;
     let report = exec.drive(
         &net,
@@ -193,11 +193,8 @@ fn plain_push_sum_does_not_recover_from_message_loss() {
     let target = values.iter().sum::<f64>() / n as f64;
     let net = StaticGraph::new(generators::complete(n));
     let plan = FaultPlan::new(6).drop_links(0.3).until(40).crash(2, 10..30);
-    let mut exec = FaultyExecution::new(
-        Lossy(Isotropic(PushSum)),
-        PushSumState::averaging(&values),
-        plan,
-    );
+    let mut exec =
+        Execution::new(Isotropic(PushSum), PushSumState::averaging(&values)).faults(plan);
     let z_deficit = move |states: &[PushSumState]| n as f64 - total_mass(states).1;
     let report = exec.drive(
         &net,
@@ -233,7 +230,7 @@ fn self_healing_push_sum_recovers_under_pairing_churn_and_faults() {
     let plan = FaultPlan::new(6).drop_links(0.3).until(40);
     let fresh = PushSumState::averaging(&values);
     let reinit = |v: usize, _parked: &PushSumState| fresh[v];
-    let mut exec = FaultyExecution::new(Isotropic(SelfHealingPushSum), fresh.clone(), plan);
+    let mut exec = Execution::new(Isotropic(SelfHealingPushSum), fresh.clone()).faults(plan);
     let z_deficit = move |states: &[PushSumState]| n as f64 - total_mass(states).1;
     let report = exec.drive(
         &stack,
@@ -253,6 +250,41 @@ fn self_healing_push_sum_recovers_under_pairing_churn_and_faults() {
     let recovered = report.converged_at.expect("re-enters the eps-ball");
     assert!(recovered > report.last_fault_round);
     assert!(report.final_distance < 1e-9);
+}
+
+#[test]
+fn churned_reports_agree_with_and_without_a_quiescent_fault_plan() {
+    // Carry-policy Metropolis on a ring: the outputs sit in the eps-ball
+    // long before agent 2 departs at round 100. A membership transition
+    // counts as a fault for the recovery measurement whether or not a
+    // fault plan is attached, so both runs date convergence after it.
+    let values = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0];
+    let n = values.len();
+    let target = values.iter().sum::<f64>() / n as f64;
+    let membership = ChurnPlan::new(0).depart(2, 100).membership(n);
+    let keep = |_: usize, parked: &f64| *parked;
+    let run = |plan: Option<FaultPlan>| {
+        let net = StaticGraph::new(generators::bidirectional_ring(n));
+        let stack = ChurnMasked::new(net, membership.clone());
+        let mut exec = Execution::new(Isotropic(Metropolis), values.to_vec());
+        if let Some(plan) = plan {
+            exec = exec.faults(plan);
+        }
+        exec.drive(
+            &stack,
+            RunConfig::rounds(200)
+                .membership(&membership, &keep)
+                .measure(&EuclideanMetric, &target, 1e-9),
+        )
+    };
+    let plain = run(None);
+    assert!(
+        plain.distances[..99].iter().any(|&d| d <= 1e-9),
+        "consensus precedes the departure"
+    );
+    assert_eq!(plain, run(Some(FaultPlan::new(0))));
+    assert_eq!(plain.last_fault_round, membership.last_transition());
+    assert!(plain.converged_at > Some(plain.last_fault_round));
 }
 
 #[test]
