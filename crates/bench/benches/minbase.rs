@@ -2,12 +2,14 @@
 //! growth plus candidate extraction plus kernel solve — per network size
 //! (feeds Table 1's positive cells and F2), and the view machinery in
 //! isolation (ablation A2: hash-consing makes equal deep views O(1) to
-//! compare; without it the pipeline is exponential).
+//! compare; without it the pipeline is exponential), and the centralized
+//! `MinimumBase::compute` on the exact-census graph family.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kya_algos::frequency::CensusOutdegree;
 use kya_algos::min_base::ViewState;
 use kya_algos::views::{candidate_base, ClassMode, View};
+use kya_fibration::MinimumBase;
 use kya_graph::{generators, StaticGraph};
 use kya_runtime::{Execution, Isotropic, RunConfig};
 use std::time::Duration;
@@ -63,5 +65,27 @@ fn bench_candidate_extraction(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_census_pipeline, bench_candidate_extraction);
+fn bench_centralized_min_base(c: &mut Criterion) {
+    // The graph family of the exact census: a random strongly connected
+    // digraph with n extra edges, self-loops, and 3 input values.
+    let mut group = c.benchmark_group("centralized_min_base");
+    group
+        .measurement_time(Duration::from_secs(4))
+        .sample_size(10);
+    for n in [10_000usize, 100_000] {
+        let g = generators::random_strongly_connected(n, n, 1).with_self_loops();
+        let values: Vec<u64> = (0..n).map(|i| (i % 3) as u64).collect();
+        group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
+            b.iter(|| MinimumBase::compute(&g, &values).base().n())
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_census_pipeline,
+    bench_candidate_extraction,
+    bench_centralized_min_base
+);
 criterion_main!(benches);

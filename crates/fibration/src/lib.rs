@@ -41,6 +41,8 @@
 pub mod iso;
 mod min_base;
 mod morphism;
+#[cfg(test)]
+mod reference;
 mod refine;
 
 pub use min_base::MinimumBase;

@@ -9,9 +9,8 @@
 //! all start from it.
 
 use crate::morphism::GraphMorphism;
-use crate::refine::{coarsest_equitable_partition, Partition};
-use kya_graph::{Digraph, Vertex};
-use std::collections::HashMap;
+use crate::refine::{coarsest_equitable_partition, in_key, InKey, Partition};
+use kya_graph::{Digraph, EdgeId, Vertex};
 
 /// The minimum base of a graph: the quotient multigraph, the projection
 /// fibration, and the fibre data.
@@ -47,53 +46,69 @@ impl MinimumBase {
     pub fn compute(g: &Digraph, values: &[u64]) -> MinimumBase {
         assert!(g.n() > 0, "minimum base of the empty graph");
         let partition = coarsest_equitable_partition(g, values);
-        let m = partition.num_classes();
-        let members = partition.members();
+        let class_of = partition.classes();
+        // `v`'s in-edges as (key, position in `in_edges`, edge id), ordered
+        // by (source class, port), ties in in-edge order.
+        let sort_in_edges = |v: Vertex, scratch: &mut Vec<(InKey, usize, EdgeId)>| {
+            scratch.clear();
+            scratch.extend(g.in_edges(v).enumerate().map(|(k, e)| {
+                let edge = g.edges()[e];
+                (in_key(class_of[edge.src], edge.port), k, e)
+            }));
+            scratch.sort_unstable();
+        };
 
-        // Base vertices = classes. Base in-edges of class j = in-edges of
-        // a representative of j, with sources replaced by their classes.
-        let mut base = Digraph::new(m);
-        // For the projection's edge map we must associate every G-edge
-        // into any member of class j with a specific base edge. Because
-        // the partition is equitable, the in-profile (source class, port)
-        // of every member matches the representative's, so we can match
-        // greedily within each (source class, port) group.
-        let mut base_edges_by_group: HashMap<(usize, usize, Option<u32>), Vec<usize>> =
-            HashMap::new();
-        for (j, mem) in members.iter().enumerate() {
-            let rep: Vertex = mem[0];
+        // Class ids are canonical by first occurrence, so class `j`'s
+        // first member is the `j`-th vertex that opens a new class.
+        let mut reps: Vec<Vertex> = Vec::with_capacity(partition.num_classes());
+        for (v, &c) in class_of.iter().enumerate() {
+            if c == reps.len() {
+                reps.push(v);
+            }
+        }
+
+        // Base vertices = classes. Base in-edges of class `j` = in-edges
+        // of its representative, with sources replaced by their classes;
+        // they get the consecutive ids `base_start[j]..base_start[j + 1]`.
+        // `base_sorted` lists each class's base edges in key order.
+        let mut base = Digraph::new(reps.len());
+        let mut base_start = Vec::with_capacity(reps.len() + 1);
+        let mut base_sorted = Vec::with_capacity(g.edge_count());
+        let mut scratch = Vec::new();
+        base_start.push(0);
+        for (j, &rep) in reps.iter().enumerate() {
+            let first = base.edge_count();
             for e in g.in_edges(rep) {
                 let edge = g.edges()[e];
-                let src_class = partition.class_of(edge.src);
-                let id = base.add_edge_with_port(src_class, j, edge.port);
-                base_edges_by_group
-                    .entry((src_class, j, edge.port))
-                    .or_default()
-                    .push(id);
+                base.add_edge_with_port(class_of[edge.src], j, edge.port);
             }
+            sort_in_edges(rep, &mut scratch);
+            base_sorted.extend(scratch.iter().map(|&(_, k, _)| first + k));
+            base_start.push(base.edge_count());
         }
 
-        // Edge map: per target vertex, hand out base edges group by group.
+        // Edge map: the partition is equitable, so every member of class
+        // `j` has the representative's multiset of keys. Zipping the two
+        // key-ordered lists maps the k-th in-edge of each key group to the
+        // k-th base edge of that group.
         let mut edge_map = vec![usize::MAX; g.edge_count()];
-        for (j, mem) in members.iter().enumerate() {
-            for &v in mem {
-                let mut cursor: HashMap<(usize, usize, Option<u32>), usize> = HashMap::new();
-                for e in g.in_edges(v) {
-                    let edge = g.edges()[e];
-                    let key = (partition.class_of(edge.src), j, edge.port);
-                    let k = cursor.entry(key).or_insert(0);
-                    let pool = base_edges_by_group
-                        .get(&key)
-                        .expect("equitable partition guarantees matching groups");
-                    edge_map[e] = pool[*k];
-                    *k += 1;
-                }
+        for (v, &j) in class_of.iter().enumerate() {
+            sort_in_edges(v, &mut scratch);
+            let group = &base_sorted[base_start[j]..base_start[j + 1]];
+            assert_eq!(
+                scratch.len(),
+                group.len(),
+                "equitable partition guarantees matching groups"
+            );
+            for (&(key, _, e), &b) in scratch.iter().zip(group) {
+                debug_assert_eq!(key, in_key(base.edges()[b].src, base.edges()[b].port));
+                edge_map[e] = b;
             }
         }
 
-        let base_values: Vec<u64> = members.iter().map(|mem| values[mem[0]]).collect();
+        let base_values: Vec<u64> = reps.iter().map(|&rep| values[rep]).collect();
         let projection = GraphMorphism {
-            vertex_map: partition.classes().to_vec(),
+            vertex_map: class_of.to_vec(),
             edge_map,
         };
         MinimumBase {
@@ -146,7 +161,9 @@ impl MinimumBase {
 mod tests {
     use super::*;
     use crate::morphism::verify_fibration;
+    use crate::reference;
     use kya_graph::generators;
+    use proptest::prelude::*;
 
     fn check(g: &Digraph, values: &[u64]) -> MinimumBase {
         let mb = MinimumBase::compute(g, values);
@@ -300,6 +317,90 @@ mod tests {
                 assert_eq!(total_out, rhs, "seed {seed}, fibre {i}");
                 let _ = member;
             }
+        }
+    }
+
+    /// A random multigraph on `n` vertices from `(src, dst, port code)`
+    /// draws: indices are taken mod `n`, port code 0 is unlabelled and
+    /// code `c > 0` is port `c - 1`. Every third edge is doubled, so
+    /// parallel edges always occur.
+    fn random_multigraph(n: usize, draws: &[(usize, usize, u32)]) -> Digraph {
+        let mut g = Digraph::new(n);
+        for (i, &(s, d, code)) in draws.iter().enumerate() {
+            let port = code.checked_sub(1);
+            g.add_edge_with_port(s % n, d % n, port);
+            if i % 3 == 0 {
+                g.add_edge_with_port(s % n, d % n, port);
+            }
+        }
+        g
+    }
+
+    /// `g`'s edges re-added in the order of `shuffle` keys, so that
+    /// same-fibre vertices list their in-edges in different orders.
+    fn reorder(g: &Digraph, shuffle: &[u64]) -> Digraph {
+        let mut order: Vec<usize> = (0..g.edge_count()).collect();
+        order.sort_by_key(|&e| (shuffle[e % shuffle.len()].rotate_left(e as u32), e));
+        let mut h = Digraph::new(g.n());
+        for e in order {
+            let edge = g.edges()[e];
+            h.add_edge_with_port(edge.src, edge.dst, edge.port);
+        }
+        h
+    }
+
+    fn assert_matches_reference(g: &Digraph, values: &[u64]) {
+        let mb = check(g, values);
+        let (partition, base, base_values, projection) = reference::minimum_base(g, values);
+        assert_eq!(mb.partition(), &partition);
+        assert_eq!(mb.base(), &base);
+        assert_eq!(mb.base_values(), &base_values[..]);
+        assert_eq!(mb.projection(), &projection);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The flat refinement and cursor-free quotient agree exactly
+        /// with the reference construction on random multigraphs with
+        /// self-loops, parallel edges and mixed port labels.
+        #[test]
+        fn flat_minimum_base_matches_reference_on_random_multigraphs(
+            n in 1usize..=64,
+            draws in proptest::collection::vec(
+                (0usize..64, 0usize..64, 0u32..4),
+                0..160,
+            ),
+            colours in 1u64..=4,
+            value_seed in any::<u64>(),
+        ) {
+            let g = random_multigraph(n, &draws);
+            let values: Vec<u64> = (0..n as u64)
+                .map(|v| (value_seed.rotate_left(v as u32 * 7) ^ v) % colours)
+                .collect();
+            assert_matches_reference(&g, &values);
+            assert_matches_reference(&g.with_self_loops(), &values);
+        }
+
+        /// The same on shuffled lifts of random multigraphs, whose large
+        /// fibres exercise the in-group matching of the edge map.
+        #[test]
+        fn flat_minimum_base_matches_reference_on_lifts(
+            base_n in 1usize..=6,
+            draws in proptest::collection::vec(
+                (0usize..6, 0usize..6, 0u32..3),
+                1..14,
+            ),
+            fibre_sizes in proptest::collection::vec(1usize..=10, 6),
+            twist in 0usize..4,
+            colours in 1u64..=4,
+            shuffle in proptest::collection::vec(any::<u64>(), 1..8),
+        ) {
+            let base = random_multigraph(base_n, &draws).with_self_loops();
+            let (lifted, fibre_of) = generators::lift(&base, &fibre_sizes[..base_n], twist);
+            let g = reorder(&lifted, &shuffle);
+            let values: Vec<u64> = fibre_of.iter().map(|&b| b as u64 % colours).collect();
+            assert_matches_reference(&g, &values);
         }
     }
 }

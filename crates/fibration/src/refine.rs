@@ -8,7 +8,7 @@
 //! partition into fibres of the minimum base (§3.2).
 
 use kya_graph::{Digraph, Vertex};
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 /// A partition of the vertices `0..n` into numbered classes.
 ///
@@ -23,16 +23,29 @@ pub struct Partition {
 impl Partition {
     /// Build from an arbitrary class-id vector (ids are canonicalized).
     pub fn from_class_ids(ids: &[usize]) -> Partition {
-        let mut remap: BTreeMap<usize, usize> = BTreeMap::new();
-        let mut class_of = Vec::with_capacity(ids.len());
-        for &id in ids {
-            let next = remap.len();
-            let canon = *remap.entry(id).or_insert(next);
-            class_of.push(canon);
-        }
+        let ranked;
+        let ids = if ids.iter().all(|&id| id < ids.len()) {
+            ids
+        } else {
+            ranked = ranks(ids);
+            &ranked
+        };
+        // Dense remap: every id is now below the vertex count.
+        let mut remap = vec![usize::MAX; ids.len()];
+        let mut num_classes = 0;
+        let class_of = ids
+            .iter()
+            .map(|&id| {
+                if remap[id] == usize::MAX {
+                    remap[id] = num_classes;
+                    num_classes += 1;
+                }
+                remap[id]
+            })
+            .collect();
         Partition {
             class_of,
-            num_classes: remap.len(),
+            num_classes,
         }
     }
 
@@ -101,6 +114,28 @@ impl Partition {
     }
 }
 
+/// The rank of each element of `xs` in the sorted set of its values.
+fn ranks<T: Ord + Copy>(xs: &[T]) -> Vec<usize> {
+    let mut set = xs.to_vec();
+    set.sort_unstable();
+    set.dedup();
+    xs.iter()
+        .map(|x| set.binary_search(x).expect("value is in its own set"))
+        .collect()
+}
+
+/// What an in-edge shows its target: the class of its source and its
+/// port label, packed as `class << 64 | port code` with code 0 for an
+/// unlabelled edge and `p + 1` for port `p`. Keys order like
+/// `(class, port)` tuples, and a slice of them hashes as one contiguous
+/// byte string.
+pub(crate) type InKey = u128;
+
+/// The [`InKey`] of an in-edge from a source of class `class`.
+pub(crate) fn in_key(class: usize, port: Option<u32>) -> InKey {
+    (class as u128) << 64 | port.map_or(0, |p| u128::from(p) + 1)
+}
+
 /// Compute the coarsest partition of `g`'s vertices that refines the
 /// initial coloring `init` and is equitable with respect to in-edges
 /// (counting port labels).
@@ -110,9 +145,13 @@ impl Partition {
 /// indistinguishable to any deterministic anonymous algorithm started
 /// uniformly (Lifting Lemma, §3.1).
 ///
-/// The refinement stabilizes after at most `n` rounds; each round
-/// re-canonicalizes signatures through a `BTreeMap`, so the result is
-/// exact (no hashing collisions).
+/// Each round gives every vertex the signature (own class, sorted
+/// multiset of in-edge (source class, port) keys) and numbers the
+/// distinct signatures by first occurrence. The signatures live in one
+/// flat buffer over an in-edge CSR built once, and are interned by exact
+/// slice equality, so a round allocates only its intern table and the
+/// result is exact (no hashing collisions). Rounds stop when the class
+/// count stops growing, after at most `n` rounds.
 ///
 /// # Panics
 ///
@@ -130,46 +169,45 @@ impl Partition {
 /// ```
 pub fn coarsest_equitable_partition(g: &Digraph, init: &[u64]) -> Partition {
     assert_eq!(init.len(), g.n(), "one initial color per vertex");
-    // Canonicalize the initial coloring.
-    let mut class_of: Vec<usize> = {
-        let mut remap: BTreeMap<u64, usize> = BTreeMap::new();
-        // Two-pass so ids depend only on the color *set*, not order.
-        let mut sorted: Vec<u64> = init.to_vec();
-        sorted.sort_unstable();
-        sorted.dedup();
-        for (i, c) in sorted.into_iter().enumerate() {
-            remap.insert(c, i);
-        }
-        init.iter().map(|c| remap[c]).collect()
-    };
+    let n = g.n();
+    // Initial ids depend only on the color *set*, not on vertex order.
+    let mut class_of = ranks(init);
     let mut num_classes = class_of.iter().copied().max().map_or(0, |m| m + 1);
 
-    // Signature of v: (current class, sorted in-profile of
-    // (source class, port)).
-    type Signature = (usize, Vec<(usize, Option<u32>)>);
-    loop {
-        let mut signatures: Vec<Signature> = Vec::with_capacity(g.n());
-        for v in 0..g.n() {
-            let mut profile: Vec<(usize, Option<u32>)> = g
-                .in_edges(v)
-                .map(|e| {
-                    let edge = g.edges()[e];
-                    (class_of[edge.src], edge.port)
-                })
-                .collect();
-            profile.sort_unstable();
-            signatures.push((class_of[v], profile));
+    // In-edge CSR: `in_src_port[in_start[v]..in_start[v + 1]]` are the
+    // (source, port) pairs of `v`'s in-edges.
+    let mut in_start = Vec::with_capacity(n + 1);
+    let mut in_src_port = Vec::with_capacity(g.edge_count());
+    in_start.push(0);
+    for v in 0..n {
+        in_src_port.extend(g.in_edges(v).map(|e| {
+            let edge = g.edges()[e];
+            (edge.src, edge.port)
+        }));
+        in_start.push(in_src_port.len());
+    }
+
+    let mut keys: Vec<InKey> = vec![0; in_src_port.len()];
+    let mut next = vec![0usize; n];
+    // A partition into singletons cannot split further.
+    while num_classes < n {
+        for (key, &(src, port)) in keys.iter_mut().zip(&in_src_port) {
+            *key = in_key(class_of[src], port);
         }
-        let mut remap: BTreeMap<&Signature, usize> = BTreeMap::new();
-        for sig in &signatures {
-            let next = remap.len();
-            remap.entry(sig).or_insert(next);
+        for v in 0..n {
+            keys[in_start[v]..in_start[v + 1]].sort_unstable();
         }
-        if remap.len() == num_classes {
+        let mut ids: HashMap<(usize, &[InKey]), usize> = HashMap::with_capacity(num_classes);
+        for v in 0..n {
+            let signature = (class_of[v], &keys[in_start[v]..in_start[v + 1]]);
+            let fresh = ids.len();
+            next[v] = *ids.entry(signature).or_insert(fresh);
+        }
+        if ids.len() == num_classes {
             break;
         }
-        num_classes = remap.len();
-        class_of = signatures.iter().map(|sig| remap[sig]).collect();
+        num_classes = ids.len();
+        std::mem::swap(&mut class_of, &mut next);
     }
     Partition::from_class_ids(&class_of)
 }
@@ -281,5 +319,66 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn extreme_port_labels_stay_distinct() {
+        // Sources 0 and 1 have different colours. Source 0 feeds vertices
+        // 2..6 three edges each, and only the port multisets differ:
+        // {None, 0, MAX} twice (in different orders), then one swap of
+        // None for 0 and one of MAX for 0. Vertex 6 hears source 0 on
+        // port MAX, vertex 7 hears source 1 unlabelled. A packed
+        // (class, port) key that confused None, 0 and MAX, or let a port
+        // spill into the class bits, would merge some of them.
+        let max = Some(u32::MAX);
+        let mut g = Digraph::new(8);
+        g.add_edge(0, 0);
+        g.add_edge(1, 1);
+        let ports = [
+            [None, Some(0), max],
+            [max, None, Some(0)],
+            [Some(0), Some(0), max],
+            [None, Some(0), Some(0)],
+        ];
+        for (k, labels) in ports.iter().enumerate() {
+            for &port in labels {
+                g.add_edge_with_port(0, k + 2, port);
+            }
+        }
+        g.add_edge_with_port(0, 6, max);
+        g.add_edge_with_port(1, 7, None);
+        let init = [0, 1, 2, 2, 2, 2, 2, 2];
+        let p = coarsest_equitable_partition(&g, &init);
+        assert_eq!(p.classes(), &[0, 1, 2, 2, 3, 4, 5, 6]);
+        assert_eq!(p, crate::reference::partition(&g, &init));
+    }
+
+    #[test]
+    fn marked_ring_needs_about_n_rounds() {
+        // One marked agent on a directed ring of 64: the mark's distance
+        // spreads one hop per round, so refinement runs until every
+        // agent is alone in its class.
+        let n = 64;
+        let g = generators::directed_ring(n);
+        let mut init = vec![0u64; n];
+        init[5] = 1;
+        let p = coarsest_equitable_partition(&g, &init);
+        assert_eq!(p.num_classes(), n);
+        assert_eq!(p.classes(), &(0..n).collect::<Vec<_>>()[..]);
+        assert_eq!(p, crate::reference::partition(&g, &init));
+        // One mark every 8 agents: refinement stops when the count stops
+        // growing, at 8 classes.
+        let periodic: Vec<u64> = (0..n).map(|v| u64::from(v % 8 == 0)).collect();
+        let p = coarsest_equitable_partition(&g, &periodic);
+        assert_eq!(p.num_classes(), 8);
+        assert_eq!(p, crate::reference::partition(&g, &periodic));
+    }
+
+    #[test]
+    fn from_class_ids_handles_ids_beyond_the_length() {
+        let p = Partition::from_class_ids(&[usize::MAX, 3, usize::MAX, 1_000]);
+        assert_eq!(p.classes(), &[0, 1, 0, 2]);
+        assert_eq!(p.num_classes(), 3);
+        assert!(Partition::from_class_ids(&[]).is_empty());
     }
 }

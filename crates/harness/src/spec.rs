@@ -45,6 +45,11 @@ impl fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
+/// The most agents a graph or value spec may describe: 2^24, above every
+/// network size the experiments use (the largest flat runs have 10^6
+/// agents). Specs past it are rejected before anything is allocated.
+pub const MAX_AGENTS: usize = 1 << 24;
+
 fn err(msg: impl Into<String>) -> SpecError {
     SpecError(msg.into())
 }
@@ -100,7 +105,16 @@ pub fn parse_graph(spec: &str) -> Result<Digraph, SpecError> {
             };
             generators::directed_torus(r.max(1), c.max(1))
         }
-        "hypercube" => generators::hypercube(parse_num(arg(0)?, "dimension")? as u32),
+        "hypercube" => {
+            let dim = parse_num(arg(0)?, "dimension")?;
+            if dim > MAX_AGENTS.ilog2() as usize {
+                return Err(err(format!(
+                    "hypercube dimension {dim} is too large: 2^{dim} agents exceed \
+                     the limit of {MAX_AGENTS}"
+                )));
+            }
+            generators::hypercube(dim as u32)
+        }
         "debruijn" => {
             let (b, k) = parse_pair(arg(0)?, "de Bruijn parameters")?;
             generators::de_bruijn(b.max(1), (k.max(1)) as u32)
@@ -136,7 +150,7 @@ pub fn parse_graph(spec: &str) -> Result<Digraph, SpecError> {
 }
 
 /// Parse a comma-separated value list (`1,2,3`), optionally with `xK`
-/// repetition (`5x3,7` = `5,5,5,7`).
+/// repetition (`5x3,7` = `5,5,5,7`), of at most [`MAX_AGENTS`] values.
 ///
 /// # Errors
 ///
@@ -153,6 +167,12 @@ pub fn parse_values(spec: &str) -> Result<Vec<u64>, SpecError> {
                 let k: usize = k
                     .parse()
                     .map_err(|_| err(format!("invalid repeat count `{k}`")))?;
+                if k > MAX_AGENTS - out.len() {
+                    return Err(err(format!(
+                        "repeat count {k} makes the value list longer than the limit of \
+                         {MAX_AGENTS} agents"
+                    )));
+                }
                 out.extend(std::iter::repeat_n(v, k));
             }
             None => out.push(
@@ -838,6 +858,20 @@ mod tests {
         assert!(parse_graph("torus:axb").is_err());
         assert!(parse_graph("random:5:1").is_err());
         assert!(parse_graph("ring:xyz").is_err());
+    }
+
+    #[test]
+    fn oversized_specs_are_errors_not_aborts() {
+        // 2^64 overflows, 2^40 agents cannot be allocated, 2^25 passes
+        // the agent limit.
+        for label in ["hypercube:64", "hypercube:40", "hypercube:25"] {
+            let e = parse_graph(label).unwrap_err();
+            assert!(e.0.contains("too large"), "{label}: {e}");
+        }
+        assert!(parse_values("5x99999999999").is_err());
+        assert!(parse_values(&format!("5x{}", MAX_AGENTS + 1)).is_err());
+        assert!(parse_values(&format!("1,5x{MAX_AGENTS}")).is_err());
+        assert_eq!(parse_graph("hypercube:4").unwrap().n(), 16);
     }
 
     #[test]
