@@ -21,6 +21,7 @@
 //! the stabilization depth, and the cap bounds the state space.
 
 use crate::views::{candidate_base, CandidateBase, ClassMode, View};
+use kya_runtime::bits::StateBits;
 use kya_runtime::{Algorithm, BroadcastAlgorithm, IsotropicAlgorithm};
 
 /// Agent state for all distributed min-base algorithms: the input value
@@ -45,6 +46,20 @@ impl ViewState {
     /// Initial states from a slice of inputs.
     pub fn initial(values: &[u64]) -> Vec<ViewState> {
         values.iter().map(|&v| ViewState::new(v)).collect()
+    }
+}
+
+/// The value, then the view's depth, root value and content hash. The
+/// interning id is left out: it depends on allocation order, so it would
+/// make the words differ between otherwise identical runs.
+impl StateBits for ViewState {
+    fn feed(&self, out: &mut Vec<u64>) {
+        out.extend_from_slice(&[
+            self.value,
+            self.view.depth() as u64,
+            self.view.value(),
+            self.view.canon(),
+        ]);
     }
 }
 
@@ -492,5 +507,21 @@ mod tests {
         // The phantom value survives at the deepest levels and keeps the
         // candidate different from the clean one.
         assert_ne!(polluted, Some(truth));
+    }
+
+    #[test]
+    fn view_state_words_see_past_the_debug_text() {
+        // Same value, same depth, different children: `Debug` prints only
+        // value and depth, so it cannot tell these states apart.
+        use crate::views::View;
+        let state = |kids: [u64; 2]| ViewState {
+            value: 1,
+            view: View::node(1, kids.map(|k| (0, View::leaf(k))).to_vec()),
+        };
+        let (a, b) = (state([1, 2]), state([1, 3]));
+        assert_eq!(format!("{a:?}"), format!("{b:?}"));
+        assert_ne!(a.words(), b.words());
+        // Rebuilding `a` in another child order interns the same view.
+        assert_eq!(a.words(), state([2, 1]).words());
     }
 }

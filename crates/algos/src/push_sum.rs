@@ -21,6 +21,7 @@
 //! exploit).
 
 use kya_arith::{BigInt, BigRational};
+use kya_runtime::bits::StateBits;
 use kya_runtime::{FlatAlgorithm, Inbox, IsotropicAlgorithm};
 use std::collections::BTreeMap;
 
@@ -40,6 +41,13 @@ pub struct PushSumState {
     pub y: f64,
     /// Weight mass `z` (positive).
     pub z: f64,
+}
+
+impl StateBits for PushSumState {
+    fn feed(&self, out: &mut Vec<u64>) {
+        self.y.feed(out);
+        self.z.feed(out);
+    }
 }
 
 impl PushSumState {
@@ -231,6 +239,13 @@ pub struct PushSumExactState {
     pub z: BigRational,
 }
 
+impl StateBits for PushSumExactState {
+    fn feed(&self, out: &mut Vec<u64>) {
+        self.y.feed(out);
+        self.z.feed(out);
+    }
+}
+
 impl PushSumExactState {
     /// Initial state from value `v` and weight `w > 0`.
     ///
@@ -317,6 +332,13 @@ pub struct Mass {
     pub z: f64,
 }
 
+impl StateBits for Mass {
+    fn feed(&self, out: &mut Vec<u64>) {
+        self.y.feed(out);
+        self.z.feed(out);
+    }
+}
+
 /// State of [`PushSumFrequency`]: masses per known value.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FrequencyState {
@@ -324,6 +346,13 @@ pub struct FrequencyState {
     pub is_leader: bool,
     /// Per-value masses; keys are the values heard of so far.
     pub masses: BTreeMap<u64, Mass>,
+}
+
+impl StateBits for FrequencyState {
+    fn feed(&self, out: &mut Vec<u64>) {
+        self.is_leader.feed(out);
+        self.masses.feed(out);
+    }
 }
 
 impl FrequencyState {
@@ -667,7 +696,7 @@ mod tests {
     #[test]
     fn exact_pushsum_fingerprint() {
         const EXPECTED: u64 = 0xe012_7846_20ab_2795;
-        let mut hash = 0xcbf2_9ce4_8422_2325_u64;
+        let mut hash = kya_runtime::bits::Fnv1a::new();
         for g in [generators::star(64), generators::directed_ring(128)] {
             let values: Vec<i64> = (0..g.n() as i64).map(|i| i * 7919 % 1001 - 500).collect();
             let mut exec = Execution::new(
@@ -676,11 +705,10 @@ mod tests {
             );
             exec.drive(&StaticGraph::new(g), RunConfig::rounds(200));
             for st in exec.states() {
-                for byte in format!("{} {}\n", st.y, st.z).bytes() {
-                    hash = (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
-                }
+                hash.write(format!("{} {}\n", st.y, st.z).as_bytes());
             }
         }
+        let hash = hash.digest();
         assert_eq!(hash, EXPECTED, "exact Push-Sum fingerprint {hash:#018x}");
     }
 

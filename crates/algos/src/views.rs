@@ -154,6 +154,13 @@ impl View {
         self.0.depth
     }
 
+    /// Content-derived canonical hash of the whole tree: stable across
+    /// runs, processes and worker threads (unlike the interning identity,
+    /// which depends on allocation order).
+    pub(crate) fn canon(&self) -> u64 {
+        self.0.canon
+    }
+
     /// Annotated children.
     pub fn children(&self) -> &[(u64, View)] {
         &self.0.children

@@ -558,6 +558,12 @@ impl BigInt {
         self.sign
     }
 
+    /// The little-endian limbs of the magnitude, without trailing zeros
+    /// (empty for zero).
+    pub fn limbs(&self) -> &[u64] {
+        &self.mag
+    }
+
     /// Absolute value.
     pub fn abs(&self) -> BigInt {
         match self.sign {

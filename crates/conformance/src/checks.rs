@@ -25,6 +25,7 @@ use kya_algos::quantized::{QuantizedMetropolis, QuantizedPushSum};
 use kya_arith::{BigInt, BigRational};
 use kya_graph::{Digraph, DynamicGraph, StaticGraph};
 use kya_harness::{parse_graph, CellCtx, CellOutcome, ChurnSpec};
+use kya_runtime::bits::StateBits;
 use kya_runtime::churn::ChurnMasked;
 use kya_runtime::faults::{FaultPlan, FaultyNetwork};
 use kya_runtime::metric::EuclideanMetric;
@@ -175,8 +176,11 @@ fn fail(msg: impl Into<String>) -> CellOutcome {
 /// global states after every round: `step` (the reference), the
 /// destination-sharded `step_parallel`, `step_observed`, the sequential-
 /// routing `step_parallel_observed`, and `step` on an execution under a
-/// quiescent fault plan (`faulty_quiescent`). f64 `Debug` is
-/// shortest-roundtrip, so equal renderings mean equal bit patterns.
+/// quiescent fault plan (`faulty_quiescent`). Each round the reference
+/// states are written once as [`StateBits`] words and every other path
+/// is compared against them word for word (two reused buffers, no
+/// per-round rendering), then the reference words are folded into the
+/// fingerprint.
 fn paths_agree<A>(
     algo: A,
     inits: Vec<A::State>,
@@ -185,7 +189,7 @@ fn paths_agree<A>(
 ) -> Result<u64, String>
 where
     A: Algorithm + Clone + Sync,
-    A::State: Send + Sync,
+    A::State: Send + Sync + StateBits,
     A::Msg: Send + Sync,
 {
     let mut seq = Execution::new(algo.clone(), inits.clone());
@@ -195,6 +199,7 @@ where
     let mut faulty = Execution::new(algo, inits).faults(FaultPlan::new(0));
     let mut counter = CountingObserver::new();
     let mut fp = Fingerprint::new();
+    let (mut canon, mut other) = (Vec::new(), Vec::new());
     for t in 1..=rounds {
         let g = net.graph_ref(t);
         seq.step(&g);
@@ -202,21 +207,24 @@ where
         obs.step_observed(&g, &mut counter);
         par_obs.step_parallel_observed(&g, 2, &mut NullObserver);
         faulty.step(&g);
-        let canon = format!("{:?}", seq.states());
+        canon.clear();
+        seq.states().feed(&mut canon);
         let others = [
-            ("step_parallel", format!("{:?}", par.states())),
-            ("step_observed", format!("{:?}", obs.states())),
-            ("step_parallel_observed", format!("{:?}", par_obs.states())),
-            ("faulty_quiescent", format!("{:?}", faulty.states())),
+            ("step_parallel", par.states()),
+            ("step_observed", obs.states()),
+            ("step_parallel_observed", par_obs.states()),
+            ("faulty_quiescent", faulty.states()),
         ];
-        for (name, rendered) in others {
-            if rendered != canon {
+        for (name, states) in others {
+            other.clear();
+            states.feed(&mut other);
+            if other != canon {
                 return Err(format!(
                     "round {t}: `{name}` diverged bitwise from sequential `step`"
                 ));
             }
         }
-        fp.absorb(seq.states());
+        fp.absorb_words(&canon);
     }
     Ok(fp.digest())
 }
@@ -301,6 +309,7 @@ fn flat_agree<A, F, L>(
 ) -> Result<u64, String>
 where
     A: Algorithm,
+    A::State: StateBits,
     F: FlatAlgorithm + Clone,
     L: Fn(&A::State) -> Vec<f64>,
 {
@@ -438,7 +447,7 @@ fn probe_streams_agree<F: FlatAlgorithm + Clone>(
         }
     }
     let mut fp = Fingerprint::new();
-    fp.absorb(baseline.unwrap_or_default().as_bytes());
+    fp.absorb_bytes(baseline.unwrap_or_default().as_bytes());
     Ok(fp.digest())
 }
 
@@ -515,9 +524,9 @@ impl<A: Algorithm<Msg = (f64, f64)>> Observer<A> for CapAudit {
 }
 
 /// The `b = ∞` arm: the `bandwidth` rung with [`BandwidthCap::Unlimited`]
-/// must be a pure observer — the metered run is bitwise identical to the
-/// plain run (f64 `Debug` is shortest-roundtrip) and the ledger charges
-/// the full 64 bits per edge per round.
+/// must be a pure observer — the metered run's [`StateBits`] words equal
+/// the plain run's — and the ledger charges the full 64 bits per edge
+/// per round.
 fn unlimited_rung_is_pure<A>(
     algo: A,
     inits: Vec<A::State>,
@@ -526,7 +535,7 @@ fn unlimited_rung_is_pure<A>(
 ) -> Result<u64, String>
 where
     A: Algorithm + Clone + Sync,
-    A::State: Send + Sync,
+    A::State: Send + Sync + StateBits,
     A::Msg: Send + Sync,
 {
     let net = StaticGraph::new(g.clone());
@@ -538,7 +547,8 @@ where
         &net,
         RunConfig::rounds(rounds).bandwidth(BandwidthCap::Unlimited, &ledger),
     );
-    if format!("{:?}", plain.states()) != format!("{:?}", metered.states()) {
+    let plain_words = plain.states().words();
+    if metered.states().words() != plain_words {
         return Err("b = inf rung changed the trajectory (must be a pure observer)".into());
     }
     let expected = rounds * g.edge_count() as u64 * 64;
@@ -549,7 +559,7 @@ where
         ));
     }
     let mut fp = Fingerprint::new();
-    fp.absorb(plain.states());
+    fp.absorb_words(&plain_words);
     Ok(fp.digest())
 }
 
@@ -1219,8 +1229,8 @@ fn check_lift(ctx: &CellCtx) -> CellOutcome {
 ///   quiescence/stabilization detection (convergence only counts
 ///   strictly after the last fault *or churn* transition).
 /// - `frozen-absence` — an absent agent (self-loop only) is bit-frozen:
-///   its f64 state is byte-identical, round over round, for the whole
-///   absence window, even under graph-level faults.
+///   its state words ([`StateBits`]) are identical, round over round, for
+///   the whole absence window, even under graph-level faults.
 ///
 /// Every arm's details (fingerprint digests, deficits, counts) land in
 /// the NDJSON record, so the CI byte-diff across `--workers` values
@@ -1320,9 +1330,10 @@ fn check_churn(ctx: &CellCtx) -> CellOutcome {
             let stack = FaultyNetwork::new(ChurnMasked::new(net, membership.clone()), plan);
             let reinit = |v: usize, _parked: &PushSumState| fresh[v];
             let mut exec = Execution::new(Isotropic(PushSum), fresh.clone());
-            // `Debug` for f64 is shortest-roundtrip, so equal renderings
-            // mean bit-identical parked states.
-            let mut parked: Vec<Option<String>> = vec![None; n];
+            // Each absent agent's state words are parked when its absence
+            // starts; every round of the window must reproduce them bit
+            // for bit.
+            let mut parked: Vec<Option<Vec<u64>>> = vec![None; n];
             let mut frozen_agent_rounds = 0u64;
             for t in 1..=rounds {
                 for v in exec.apply_rejoins(&membership, &reinit) {
@@ -1330,19 +1341,18 @@ fn check_churn(ctx: &CellCtx) -> CellOutcome {
                 }
                 for (v, slot) in parked.iter_mut().enumerate() {
                     if !membership.is_member(v, t) && slot.is_none() {
-                        *slot = Some(format!("{:?}", exec.states()[v]));
+                        *slot = Some(exec.states()[v].words());
                     }
                 }
                 let g = stack.graph_ref(t);
                 exec.step(&g);
                 for (v, slot) in parked.iter().enumerate() {
                     if !membership.is_member(v, t) {
-                        let now = format!("{:?}", exec.states()[v]);
-                        if slot.as_deref() != Some(now.as_str()) {
+                        if slot.as_ref() != Some(&exec.states()[v].words()) {
                             return fail(format!(
                                 "round {t}: absent agent {v} drifted from its parked state \
-                                 ({} -> {now})",
-                                slot.clone().unwrap_or_default()
+                                 (now {:?})",
+                                exec.states()[v]
                             ));
                         }
                         frozen_agent_rounds += 1;

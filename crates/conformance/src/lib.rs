@@ -300,6 +300,7 @@ pub fn failure_count(results: &[(CheckKind, ResultSink)]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use kya_harness::CellOutcome;
 
     #[test]
     fn matrix_parses() {
@@ -330,5 +331,43 @@ mod tests {
             assert!(spec.name().starts_with("conformance-"), "{}", spec.name());
             assert!(!spec.cells().is_empty(), "{}", spec.name());
         }
+    }
+
+    /// Pins the `paths` digests of the full matrix's `ring:4`, seed-1
+    /// cells, one per algorithm. A digest hashes every round's state
+    /// words, so a change to an algorithm's trajectory, to a `StateBits`
+    /// impl or to the fingerprint itself fails here instead of silently
+    /// changing the NDJSON.
+    #[test]
+    fn conformance_digest_pin() {
+        const EXPECTED: [(&str, &str); 6] = [
+            ("pushsum", "aa3804e557e5ed7d"),
+            ("metropolis", "af7f1b1f89681922"),
+            ("gossip", "96da521a1666e8f6"),
+            ("pushsum-freq", "df740a04601202e7"),
+            ("pushsum-leader", "94c8d553f21ffdcf"),
+            ("minbase", "f03b0a2b853b1d01"),
+        ];
+        let (kind, spec) = specs(Matrix::Full).swap_remove(0);
+        assert_eq!(kind, CheckKind::Paths);
+        let pinned = |topology: &str, seed: u64| topology == "ring:4" && seed == 1;
+        let sink = Runner::new(&spec).run(|ctx| {
+            if pinned(&ctx.cell.topology, ctx.cell.seed) {
+                kind.run(ctx)
+            } else {
+                CellOutcome::new()
+            }
+        });
+        let got: Vec<(&str, &str)> = sink
+            .records()
+            .iter()
+            .filter(|r| pinned(&r.topology, r.seed))
+            .map(|r| {
+                assert_eq!(r.ok, Some(true), "{}: {:?}", r.algorithm, r.details);
+                let digest = r.detail("digest").and_then(|d| d.as_str());
+                (r.algorithm.as_str(), digest.unwrap_or_default())
+            })
+            .collect();
+        assert_eq!(got, EXPECTED);
     }
 }

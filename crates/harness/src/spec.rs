@@ -18,6 +18,9 @@
 //! | `random:N:EXTRA:SEED` | random strongly connected digraph |
 //! | `randbi:N:EXTRA:SEED` | random connected bidirectional graph |
 //!
+//! Every family is capped at [`MAX_AGENTS`] agents and [`MAX_EDGES`]
+//! edges: a larger spec is a [`SpecError`], never an allocation abort.
+//!
 //! In an [`ExperimentSpec`] topology axis, specs are *patterns*: the
 //! placeholders `{n}` and `{seed}` are substituted from the size and
 //! seed axes, so `ring:{n}` crossed with sizes `[4, 8]` enumerates
@@ -49,6 +52,12 @@ impl std::error::Error for SpecError {}
 /// network size the experiments use (the largest flat runs have 10^6
 /// agents). Specs past it are rejected before anything is allocated.
 pub const MAX_AGENTS: usize = 1 << 24;
+
+/// The most edges a graph spec may describe: 2^29, room for the densest
+/// family at [`MAX_AGENTS`] (`hypercube:24`, 24 · 2^24 edges). Dense
+/// families (`complete`, `layered`, `debruijn:Bx1`) and the random
+/// families' extra-edge counts hit it long before the agent limit.
+pub const MAX_EDGES: usize = 1 << 29;
 
 fn err(msg: impl Into<String>) -> SpecError {
     SpecError(msg.into())
@@ -91,52 +100,123 @@ pub fn parse_graph(spec: &str) -> Result<Digraph, SpecError> {
             .copied()
             .ok_or_else(|| err(format!("`{family}` needs more parameters (got `{spec}`)")))
     };
+    // Word graphs (`debruijn`, `kautz`) over `b >= 2` letters pass the
+    // agent limit beyond this length; over one letter longer words only
+    // repeat the same graph at a larger generation cost.
+    let word_length = |k: usize| -> Result<u32, SpecError> {
+        match u32::try_from(k) {
+            Ok(k) if k <= MAX_AGENTS.ilog2() => Ok(k),
+            _ => Err(err(format!(
+                "`{spec}` is too large: word length {k} exceeds {}",
+                MAX_AGENTS.ilog2()
+            ))),
+        }
+    };
+    let size = |what| -> Result<usize, SpecError> { parse_num(arg(0)?, what) };
+    let pair = |what| -> Result<(usize, usize), SpecError> { parse_pair(arg(0)?, what) };
+    // Each arm checks its agent and edge counts (`None`: past `usize`)
+    // against the limits before the generator allocates anything.
+    let fits = |n: Option<usize>, m: Option<usize>| -> Result<(), SpecError> {
+        match (n, m) {
+            (Some(n), Some(m)) if n <= MAX_AGENTS && m <= MAX_EDGES => Ok(()),
+            (Some(n), _) if n <= MAX_AGENTS => Err(err(format!(
+                "`{spec}` is too large: it has more than {MAX_EDGES} edges"
+            ))),
+            _ => Err(err(format!(
+                "`{spec}` is too large: it has more than {MAX_AGENTS} agents"
+            ))),
+        }
+    };
     let graph = match family {
-        "ring" => generators::directed_ring(parse_num(arg(0)?, "size")?.max(1)),
-        "biring" => generators::bidirectional_ring(parse_num(arg(0)?, "size")?.max(1)),
-        "star" => generators::star(parse_num(arg(0)?, "size")?.max(1)),
-        "path" => generators::bidirectional_path(parse_num(arg(0)?, "size")?.max(1)),
-        "complete" => generators::complete(parse_num(arg(0)?, "size")?),
+        "ring" => {
+            let n = size("size")?.max(1);
+            fits(Some(n), Some(n))?;
+            generators::directed_ring(n)
+        }
+        "biring" => {
+            let n = size("size")?.max(1);
+            fits(Some(n), n.checked_mul(2))?;
+            generators::bidirectional_ring(n)
+        }
+        "star" => {
+            let n = size("size")?.max(1);
+            fits(Some(n), (n - 1).checked_mul(2))?;
+            generators::star(n)
+        }
+        "path" => {
+            let n = size("size")?.max(1);
+            fits(Some(n), (n - 1).checked_mul(2))?;
+            generators::bidirectional_path(n)
+        }
+        "complete" => {
+            let n = size("size")?;
+            fits(Some(n), n.checked_mul(n.saturating_sub(1)))?;
+            generators::complete(n)
+        }
         "torus" => {
             let (r, c) = if arg(0)?.contains('x') {
-                parse_pair(arg(0)?, "torus dimensions")?
+                let (r, c) = pair("torus dimensions")?;
+                (r.max(1), c.max(1))
             } else {
-                near_square(parse_num(arg(0)?, "torus size")?)
+                let n = size("torus size")?;
+                fits(Some(n), n.checked_mul(2))?;
+                near_square(n)
             };
-            generators::directed_torus(r.max(1), c.max(1))
+            let n = r.checked_mul(c);
+            fits(n, n.and_then(|n| n.checked_mul(2)))?;
+            generators::directed_torus(r, c)
         }
         "hypercube" => {
-            let dim = parse_num(arg(0)?, "dimension")?;
-            if dim > MAX_AGENTS.ilog2() as usize {
-                return Err(err(format!(
-                    "hypercube dimension {dim} is too large: 2^{dim} agents exceed \
-                     the limit of {MAX_AGENTS}"
-                )));
-            }
+            let dim = size("dimension")?;
+            let n = u32::try_from(dim).ok().and_then(|d| 1usize.checked_shl(d));
+            fits(n, n.and_then(|n| n.checked_mul(dim)))?;
             generators::hypercube(dim as u32)
         }
         "debruijn" => {
-            let (b, k) = parse_pair(arg(0)?, "de Bruijn parameters")?;
-            generators::de_bruijn(b.max(1), (k.max(1)) as u32)
+            let (b, k) = pair("de Bruijn parameters")?;
+            let (b, k) = (b.max(1), word_length(k.max(1))?);
+            let n = b.checked_pow(k);
+            fits(n, n.and_then(|n| n.checked_mul(b)))?;
+            generators::de_bruijn(b, k)
         }
         "kautz" => {
-            let (b, k) = parse_pair(arg(0)?, "Kautz parameters")?;
-            generators::kautz(b.max(1), k as u32)
+            let (b, k) = pair("Kautz parameters")?;
+            let (b, k) = (b.max(1), word_length(k)?);
+            let n = b.checked_pow(k).and_then(|p| p.checked_mul(b + 1));
+            fits(n, n.and_then(|n| n.checked_mul(b)))?;
+            generators::kautz(b, k)
         }
         "layered" => {
-            let (g, s) = parse_pair(arg(0)?, "layered-cycle parameters")?;
-            generators::layered_cycle(g.max(1), s.max(1))
+            let (g, s) = pair("layered-cycle parameters")?;
+            let (g, s) = (g.max(1), s.max(1));
+            let n = g.checked_mul(s);
+            fits(n, n.and_then(|n| n.checked_mul(s)))?;
+            generators::layered_cycle(g, s)
         }
         "random" => {
-            let n = parse_num(arg(0)?, "size")?.max(1);
+            let n = size("size")?.max(1);
             let extra = parse_num(arg(1)?, "extra edge count")?;
             let seed = parse_num(arg(2)?, "seed")? as u64;
+            fits(Some(n), n.checked_add(extra))?;
             generators::random_strongly_connected(n, extra, seed)
         }
         "randbi" => {
-            let n = parse_num(arg(0)?, "size")?.max(1);
+            let n = size("size")?.max(1);
             let extra = parse_num(arg(1)?, "extra pair count")?;
             let seed = parse_num(arg(2)?, "seed")? as u64;
+            fits(
+                Some(n),
+                extra.checked_add(n - 1).and_then(|p| p.checked_mul(2)),
+            )?;
+            // The spanning tree takes n - 1 of the n(n-1)/2 vertex pairs;
+            // asking for more extra pairs than remain would never finish.
+            let free = n * (n - 1) / 2 - (n - 1);
+            if n > 1 && extra > free {
+                return Err(err(format!(
+                    "`{spec}` asks for {extra} extra pairs, but only {free} vertex pairs \
+                     are left after the spanning tree"
+                )));
+            }
             generators::random_bidirectional_connected(n, extra, seed)
         }
         other => {
@@ -872,6 +952,56 @@ mod tests {
         assert!(parse_values(&format!("5x{}", MAX_AGENTS + 1)).is_err());
         assert!(parse_values(&format!("1,5x{MAX_AGENTS}")).is_err());
         assert_eq!(parse_graph("hypercube:4").unwrap().n(), 16);
+    }
+
+    #[test]
+    fn every_graph_family_is_capped() {
+        // Past the agent limit (or past `usize`): each used to abort on
+        // its allocation or panic on overflow.
+        for label in [
+            "ring:99999999999",
+            "biring:99999999999",
+            "star:99999999999",
+            "path:99999999999",
+            "complete:99999999999",
+            "torus:99999x99999",
+            "torus:99999999999",
+            "torus:18446744073709551615x2",
+            "debruijn:2x64",
+            "debruijn:2x25",
+            "debruijn:1x4294967296",
+            "kautz:3x40",
+            "kautz:1x4294967295",
+            "layered:99999x99999",
+            "random:99999999999:1:1",
+            "randbi:99999999999:1:1",
+        ] {
+            let e = parse_graph(label).unwrap_err();
+            assert!(e.0.contains("too large"), "{label}: {e}");
+        }
+        // Under the agent limit but past the edge limit.
+        for label in [
+            "complete:100000",
+            "layered:2x100000",
+            "debruijn:100000x1",
+            "random:4:99999999999:1",
+            "randbi:4:99999999999:1",
+        ] {
+            let e = parse_graph(label).unwrap_err();
+            assert!(e.0.contains("edges"), "{label}: {e}");
+        }
+        // More extra pairs than a 4-vertex graph has room for used to
+        // spin forever.
+        assert!(parse_graph("randbi:4:4:1").is_err());
+        assert_eq!(parse_graph("randbi:4:3:1").unwrap().edge_count(), 12);
+        // At the limits, and `:0` sizes, parse as before.
+        assert_eq!(parse_graph("debruijn:2x10").unwrap().n(), 1024);
+        assert_eq!(parse_graph("kautz:1x24").unwrap().n(), 2);
+        assert_eq!(parse_graph("ring:0").unwrap().n(), 1);
+        assert_eq!(parse_graph("complete:0").unwrap().n(), 0);
+        assert_eq!(parse_graph("torus:0").unwrap().n(), 1);
+        assert_eq!(parse_graph("randbi:0:2:1").unwrap().n(), 1);
+        assert_eq!(parse_graph("kautz:2x0").unwrap().n(), 3);
     }
 
     #[test]

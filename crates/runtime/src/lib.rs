@@ -59,6 +59,7 @@
 pub mod adversary;
 mod algorithm;
 pub mod bandwidth;
+pub mod bits;
 pub mod churn;
 mod config;
 mod execution;

@@ -31,6 +31,7 @@
 //! `step_probed::<NullProbe>`, and the `flat_engine` bench guard pins
 //! the zero cost.
 
+use crate::bits::Fnv1a;
 use crate::telemetry::Log2Histogram;
 use serde::{Deserialize, Serialize};
 
@@ -208,16 +209,6 @@ pub struct FlatProbeSummary {
     pub lane_samples: u64,
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a_u64(mut hash: u64, word: u64) -> u64 {
-    for byte in word.to_le_bytes() {
-        hash = (hash ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
-
 /// The workhorse probe: merged per-round counters, a bit-exact sample
 /// digest per round, a per-round message-volume [`Log2Histogram`], and
 /// the (separate, nondeterministic) accumulated [`PhaseTimes`].
@@ -229,16 +220,13 @@ pub struct CountingProbe {
     timing: PhaseTimes,
     shard_merges: u64,
     cur: ShardCounters,
-    cur_digest: u64,
+    cur_digest: Fnv1a,
 }
 
 impl CountingProbe {
     /// A fresh probe.
     pub fn new() -> CountingProbe {
-        CountingProbe {
-            cur_digest: FNV_OFFSET,
-            ..CountingProbe::default()
-        }
+        CountingProbe::default()
     }
 
     /// Run totals so far.
@@ -286,7 +274,7 @@ impl CountingProbe {
 impl FlatProbe for CountingProbe {
     fn on_round_start(&mut self, _round: u64, _n: usize) {
         self.cur = ShardCounters::default();
-        self.cur_digest = FNV_OFFSET;
+        self.cur_digest = Fnv1a::new();
     }
 
     fn on_shard(&mut self, _shard: usize, counters: &ShardCounters) {
@@ -295,9 +283,9 @@ impl FlatProbe for CountingProbe {
     }
 
     fn on_lane_sample(&mut self, _round: u64, lane: usize, samples: &[f64]) {
-        self.cur_digest = fnv1a_u64(self.cur_digest, lane as u64);
+        self.cur_digest.write_word(lane as u64);
         for &x in samples {
-            self.cur_digest = fnv1a_u64(self.cur_digest, x.to_bits());
+            self.cur_digest.write_word(x.to_bits());
         }
         self.summary.lane_samples += samples.len() as u64;
     }
@@ -313,7 +301,7 @@ impl FlatProbe for CountingProbe {
             messages_routed: total.messages_routed,
             lane_writes: total.lane_writes,
             inbox_bytes: total.inbox_bytes,
-            sample_digest: self.cur_digest,
+            sample_digest: self.cur_digest.digest(),
         });
     }
 
