@@ -10,7 +10,7 @@
 
 use crate::morphism::GraphMorphism;
 use crate::refine::{coarsest_equitable_partition, in_key, InKey, Partition};
-use kya_graph::{Digraph, EdgeId, Vertex};
+use kya_graph::{Digraph, Edge, EdgeId, Vertex};
 
 /// The minimum base of a graph: the quotient multigraph, the projection
 /// fibration, and the fibre data.
@@ -71,21 +71,26 @@ impl MinimumBase {
         // of its representative, with sources replaced by their classes;
         // they get the consecutive ids `base_start[j]..base_start[j + 1]`.
         // `base_sorted` lists each class's base edges in key order.
-        let mut base = Digraph::new(reps.len());
+        let mut base_edges = Vec::new();
         let mut base_start = Vec::with_capacity(reps.len() + 1);
         let mut base_sorted = Vec::with_capacity(g.edge_count());
         let mut scratch = Vec::new();
         base_start.push(0);
         for (j, &rep) in reps.iter().enumerate() {
-            let first = base.edge_count();
-            for e in g.in_edges(rep) {
+            let first = base_edges.len();
+            base_edges.extend(g.in_edges(rep).map(|e| {
                 let edge = g.edges()[e];
-                base.add_edge_with_port(class_of[edge.src], j, edge.port);
-            }
+                Edge {
+                    src: class_of[edge.src],
+                    dst: j,
+                    port: edge.port,
+                }
+            }));
             sort_in_edges(rep, &mut scratch);
             base_sorted.extend(scratch.iter().map(|&(_, k, _)| first + k));
-            base_start.push(base.edge_count());
+            base_start.push(base_edges.len());
         }
+        let base = Digraph::from_edge_vec(reps.len(), base_edges);
 
         // Edge map: the partition is equitable, so every member of class
         // `j` has the representative's multiset of keys. Zipping the two

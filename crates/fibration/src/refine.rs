@@ -148,7 +148,7 @@ pub(crate) fn in_key(class: usize, port: Option<u32>) -> InKey {
 /// Each round gives every vertex the signature (own class, sorted
 /// multiset of in-edge (source class, port) keys) and numbers the
 /// distinct signatures by first occurrence. The signatures live in one
-/// flat buffer over an in-edge CSR built once, and are interned by exact
+/// flat buffer over the graph's in-edge CSR, and are interned by exact
 /// slice equality, so a round allocates only its intern table and the
 /// result is exact (no hashing collisions). Rounds stop when the class
 /// count stops growing, after at most `n` rounds.
@@ -174,18 +174,12 @@ pub fn coarsest_equitable_partition(g: &Digraph, init: &[u64]) -> Partition {
     let mut class_of = ranks(init);
     let mut num_classes = class_of.iter().copied().max().map_or(0, |m| m + 1);
 
-    // In-edge CSR: `in_src_port[in_start[v]..in_start[v + 1]]` are the
-    // (source, port) pairs of `v`'s in-edges.
-    let mut in_start = Vec::with_capacity(n + 1);
-    let mut in_src_port = Vec::with_capacity(g.edge_count());
-    in_start.push(0);
-    for v in 0..n {
-        in_src_port.extend(g.in_edges(v).map(|e| {
-            let edge = g.edges()[e];
-            (edge.src, edge.port)
-        }));
-        in_start.push(in_src_port.len());
-    }
+    // `in_src_port[g.in_range(v)]` are the (source, port) pairs of `v`'s
+    // in-edges, laid out along the graph's own in-edge CSR.
+    let in_src_port: Vec<(Vertex, Option<u32>)> = (0..n)
+        .flat_map(|v| g.in_edges(v))
+        .map(|e| (g.edges()[e].src, g.edges()[e].port))
+        .collect();
 
     let mut keys: Vec<InKey> = vec![0; in_src_port.len()];
     let mut next = vec![0usize; n];
@@ -195,11 +189,11 @@ pub fn coarsest_equitable_partition(g: &Digraph, init: &[u64]) -> Partition {
             *key = in_key(class_of[src], port);
         }
         for v in 0..n {
-            keys[in_start[v]..in_start[v + 1]].sort_unstable();
+            keys[g.in_range(v)].sort_unstable();
         }
         let mut ids: HashMap<(usize, &[InKey]), usize> = HashMap::with_capacity(num_classes);
         for v in 0..n {
-            let signature = (class_of[v], &keys[in_start[v]..in_start[v + 1]]);
+            let signature = (class_of[v], &keys[g.in_range(v)]);
             let fresh = ids.len();
             next[v] = *ids.entry(signature).or_insert(fresh);
         }

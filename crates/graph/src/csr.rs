@@ -4,7 +4,7 @@
 //! Every executor in this workspace delivers each inbox in ascending
 //! `(source id, port rank)` order. The boxed executors re-derive that
 //! order every round by sorting per-destination message lists; a
-//! [`RoutingPlan`] instead sorts **once** at construction and records,
+//! [`RoutingPlan`] instead fixes it **once** at construction and records,
 //! for every inbox slot, the source vertex that feeds it. Isotropic
 //! algorithms send one message per source per round, so a round of
 //! routing degenerates to an indexed read of a per-vertex message
@@ -36,10 +36,15 @@ pub struct RoutingPlan {
 impl RoutingPlan {
     /// Freeze the canonical routing of `g` into a plan.
     ///
+    /// The inbox offsets are the graph's in-list offsets. The sources are
+    /// gathered without sorting: scattering every vertex's out-edges in
+    /// ascending (source id, port rank) order into their targets' inboxes
+    /// fills each inbox in exactly the executors' delivery order.
+    ///
     /// # Panics
     ///
-    /// Panics if a vertex id or a degree does not fit in a `u32` (the
-    /// plan's index width, chosen to halve the bytes a round reads).
+    /// Panics if a vertex id does not fit in a `u32` (the plan's index
+    /// width, chosen to halve the bytes a round reads).
     pub fn new(g: &Digraph) -> RoutingPlan {
         let n = g.n();
         assert!(
@@ -48,25 +53,22 @@ impl RoutingPlan {
         );
         let order = g.port_ranks();
         let edges = g.edges();
-        let mut inbox_start = Vec::with_capacity(n + 1);
-        inbox_start.push(0usize);
-        let mut sources = Vec::with_capacity(g.edge_count());
+        let in_offsets = g.in_offsets();
+        let mut fill = in_offsets[..n].to_vec();
+        let mut sources = vec![0u32; g.edge_count()];
         let mut outdegree = Vec::with_capacity(n);
-        let mut incoming: Vec<(u32, u32)> = Vec::new();
-        for v in 0..n {
-            let out = g.outdegree(v);
-            assert!(out <= u32::MAX as usize, "vertex {v}: outdegree {out}");
-            outdegree.push(out as u32);
-            incoming.clear();
-            incoming.extend(g.in_edges(v).map(|e| (edges[e].src as u32, order.rank(e))));
-            // (src, rank) is unique per in-edge, so the sort is total and
-            // the slot order is exactly the executors' delivery order.
-            incoming.sort_unstable();
-            sources.extend(incoming.iter().map(|&(src, _)| src));
-            inbox_start.push(sources.len());
+        for src in 0..n {
+            let out = order.out_edges_ranked(src);
+            // The frozen adjacency holds at most u32::MAX edges.
+            outdegree.push(out.len() as u32);
+            for &e in out {
+                let slot = &mut fill[edges[e].dst];
+                sources[*slot as usize] = src as u32;
+                *slot += 1;
+            }
         }
         RoutingPlan {
-            inbox_start,
+            inbox_start: in_offsets.iter().map(|&k| k as usize).collect(),
             sources,
             outdegree,
         }

@@ -7,10 +7,11 @@
 //! whose minimum base (and hence fibre-cardinality vector) is known by
 //! construction.
 
-use crate::{Digraph, Vertex};
+use crate::{Digraph, Edge, Vertex};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 
 /// The directed ring `R_n`: edges `i -> (i+1) mod n`.
 ///
@@ -133,20 +134,25 @@ pub fn random_strongly_connected(n: usize, extra_edges: usize, seed: u64) -> Dig
     let mut rng = StdRng::seed_from_u64(seed);
     let mut order: Vec<Vertex> = (0..n).collect();
     order.shuffle(&mut rng);
-    let mut g = Digraph::new(n);
-    for i in 0..n {
-        g.add_edge(order[i], order[(i + 1) % n]);
-    }
-    let mut added = 0;
-    while added < extra_edges && n > 1 {
+    let extra_edges = if n > 1 { extra_edges } else { 0 };
+    let mut edges = Vec::with_capacity(n + extra_edges);
+    edges.extend((0..n).map(|i| Edge {
+        src: order[i],
+        dst: order[(i + 1) % n],
+        port: None,
+    }));
+    while edges.len() < n + extra_edges {
         let src = rng.gen_range(0..n);
         let dst = rng.gen_range(0..n);
         if src != dst {
-            g.add_edge(src, dst);
-            added += 1;
+            edges.push(Edge {
+                src,
+                dst,
+                port: None,
+            });
         }
     }
-    g
+    Digraph::from_edge_vec(n, edges)
 }
 
 /// A random connected *bidirectional* graph: a random spanning tree plus
@@ -161,17 +167,22 @@ pub fn random_bidirectional_connected(n: usize, extra_pairs: usize, seed: u64) -
     assert!(n > 0, "graph needs at least one vertex");
     let mut rng = StdRng::seed_from_u64(seed);
     let mut g = Digraph::new(n);
+    // The ordered pairs joined so far. Checking them, not the graph,
+    // keeps its adjacency from being rebuilt after every accepted pair.
+    let mut joined = HashSet::new();
     // Random attachment spanning tree.
     for v in 1..n {
         let parent = rng.gen_range(0..v);
         g.add_edge(v, parent);
         g.add_edge(parent, v);
+        joined.extend([(v, parent), (parent, v)]);
     }
     let mut added = 0;
     while added < extra_pairs && n > 1 {
         let a = rng.gen_range(0..n);
         let b = rng.gen_range(0..n);
-        if a != b && g.multiplicity(a, b) == 0 {
+        if a != b && joined.insert((a, b)) {
+            joined.insert((b, a));
             g.add_edge(a, b);
             g.add_edge(b, a);
             added += 1;

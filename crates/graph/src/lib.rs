@@ -38,6 +38,8 @@ mod digraph;
 pub mod dynamic;
 pub mod generators;
 pub mod product;
+#[cfg(test)]
+mod reference;
 
 pub use csr::RoutingPlan;
 pub use digraph::{Digraph, Edge, EdgeId, PortOrder, Vertex};

@@ -226,8 +226,10 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
         for col in &columns {
             assert_eq!(col.len(), n, "column length != agent count");
         }
-        for v in 0..n {
-            assert!(graph.has_self_loop(v), "vertex {v} lacks a self-loop");
+        if !graph.is_self_loop_closed() {
+            for v in 0..n {
+                assert!(graph.has_self_loop(v), "vertex {v} lacks a self-loop");
+            }
         }
         let plan = RoutingPlan::new(graph);
         for v in 0..n {
