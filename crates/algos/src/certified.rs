@@ -12,16 +12,14 @@
 //!    (see [`kya_arith::interval`] for the lemma), so the enclosure both
 //!    certifies the f64 run and bounds its error, at a small constant
 //!    factor over plain f64;
-//! 3. **exact ℚ** ([`PushSumExact`](crate::push_sum::PushSumExact)) —
-//!    escalated to only when an enclosure cannot decide a pending
+//! 3. **exact ℚ** ([`PushSumExact`](crate::push_sum::PushSumExact),
+//!    [`PushSumFrequencyExact`](crate::push_sum::PushSumFrequencyExact))
+//!    — escalated to only when an enclosure cannot decide a pending
 //!    comparison (a convergence threshold, an α-safety sign, a
-//!    frequency-table tie). The escalated twins here
-//!    ([`LazyPushSumExact`], [`LazyPushSumFrequencyExact`]) run on
-//!    [`LazyRational`] — denominator-gcd-only additions, full gcd
-//!    normalization deferred to the certification point — and reduce to
-//!    outputs *bit-identical* to the eager exact algorithms.
+//!    frequency-table tie): the run is replayed on the exact algorithm
+//!    itself, whose inbox sums normalize once per inbox.
 
-use kya_arith::{BigRational, Certainty, Enclosure, LazyRational};
+use kya_arith::{Certainty, Enclosure};
 use kya_runtime::IsotropicAlgorithm;
 use std::collections::BTreeMap;
 
@@ -80,71 +78,6 @@ impl IsotropicAlgorithm for CertifiedPushSum {
 
     fn output(&self, state: &CertifiedPushSumState) -> Enclosure {
         state.y / state.z
-    }
-}
-
-// ---------------------------------------------------------------------
-// Escalated scalar Push-Sum (lazy ℚ)
-// ---------------------------------------------------------------------
-
-/// The escalated twin of [`PushSumExact`](crate::push_sum::PushSumExact):
-/// identical dynamics over [`LazyRational`], so a whole run costs one
-/// denominator gcd per addition (keeping denominators at the lcm of the
-/// degree products) and the full normalization is paid once per output
-/// at the certification point. Outputs reduce to values bit-identical
-/// to the eager exact algorithm.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LazyPushSumExact;
-
-/// State of [`LazyPushSumExact`].
-#[derive(Clone, Debug)]
-pub struct LazyPushSumState {
-    /// Value mass.
-    pub y: LazyRational,
-    /// Weight mass.
-    pub z: LazyRational,
-}
-
-impl LazyPushSumState {
-    /// Unit-weight initial states from f64 values (exact dyadic lift),
-    /// aligned with [`CertifiedPushSumState::averaging`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if a value is not finite.
-    pub fn averaging(values: &[f64]) -> Vec<LazyPushSumState> {
-        values
-            .iter()
-            .map(|&v| {
-                let q = BigRational::from_f64(v).expect("finite initial value");
-                LazyPushSumState {
-                    y: LazyRational::from_rational(&q),
-                    z: LazyRational::one(),
-                }
-            })
-            .collect()
-    }
-}
-
-impl IsotropicAlgorithm for LazyPushSumExact {
-    type State = LazyPushSumState;
-    type Msg = (LazyRational, LazyRational);
-    type Output = BigRational;
-
-    fn message(&self, state: &LazyPushSumState, outdegree: usize) -> Self::Msg {
-        let d = outdegree as u64;
-        (state.y.div_integer(d), state.z.div_integer(d))
-    }
-
-    fn transition(&self, _state: &LazyPushSumState, inbox: &[Self::Msg]) -> LazyPushSumState {
-        let y = inbox.iter().map(|(ys, _)| ys.clone()).sum();
-        let z = inbox.iter().map(|(_, zs)| zs.clone()).sum();
-        LazyPushSumState { y, z }
-    }
-
-    fn output(&self, state: &LazyPushSumState) -> BigRational {
-        // The certification point: one full normalization each.
-        &state.y.reduce() / &state.z.reduce()
     }
 }
 
@@ -287,87 +220,6 @@ impl IsotropicAlgorithm for CertifiedPushSumFrequency {
 }
 
 // ---------------------------------------------------------------------
-// Escalated frequency Push-Sum (lazy ℚ)
-// ---------------------------------------------------------------------
-
-/// The escalated twin of
-/// [`PushSumFrequencyExact`](crate::push_sum::PushSumFrequencyExact):
-/// per-value masses in [`LazyRational`], outputs reduced (and therefore
-/// bit-identical to the eager exact algorithm) only at the
-/// certification point.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LazyPushSumFrequencyExact;
-
-/// Per-value lazy mass pair.
-pub type LazyMass = (LazyRational, LazyRational);
-
-/// State of [`LazyPushSumFrequencyExact`].
-#[derive(Clone, Debug)]
-pub struct LazyFrequencyState {
-    /// Per-value `(y, z)` masses.
-    pub masses: BTreeMap<u64, LazyMass>,
-}
-
-impl LazyFrequencyState {
-    /// Initial states, aligned with
-    /// [`ExactFrequencyState::initial`](crate::push_sum::ExactFrequencyState::initial).
-    pub fn initial(values: &[u64]) -> Vec<LazyFrequencyState> {
-        values
-            .iter()
-            .map(|&v| {
-                let mut masses = BTreeMap::new();
-                masses.insert(v, (LazyRational::one(), LazyRational::one()));
-                LazyFrequencyState { masses }
-            })
-            .collect()
-    }
-}
-
-impl IsotropicAlgorithm for LazyPushSumFrequencyExact {
-    type State = LazyFrequencyState;
-    type Msg = BTreeMap<u64, LazyMass>;
-    type Output = BTreeMap<u64, BigRational>;
-
-    fn message(&self, state: &LazyFrequencyState, outdegree: usize) -> Self::Msg {
-        let d = outdegree as u64;
-        state
-            .masses
-            .iter()
-            .map(|(&v, (y, z))| (v, (y.div_integer(d), z.div_integer(d))))
-            .collect()
-    }
-
-    fn transition(&self, state: &LazyFrequencyState, inbox: &[Self::Msg]) -> LazyFrequencyState {
-        let mut next: BTreeMap<u64, LazyMass> = BTreeMap::new();
-        for msg in inbox {
-            for (&v, (ys, zs)) in msg {
-                let e = next
-                    .entry(v)
-                    .or_insert((LazyRational::zero(), LazyRational::zero()));
-                e.0 = e.0.add(ys);
-                e.1 = e.1.add(zs);
-            }
-        }
-        for (v, mass) in next.iter_mut() {
-            if !state.masses.contains_key(v) {
-                mass.1 = mass.1.add(&LazyRational::one());
-            }
-        }
-        LazyFrequencyState { masses: next }
-    }
-
-    fn output(&self, state: &LazyFrequencyState) -> Self::Output {
-        state
-            .masses
-            .iter()
-            .map(|(&v, (y, z))| (v, (y, z.reduce())))
-            .filter(|(_, (_, z))| z.is_positive())
-            .map(|(v, (y, z))| (v, &y.reduce() / &z))
-            .collect()
-    }
-}
-
-// ---------------------------------------------------------------------
 // Certification points
 // ---------------------------------------------------------------------
 
@@ -440,6 +292,7 @@ mod tests {
         ExactFrequencyState, FrequencyState, PushSum, PushSumExact, PushSumExactState,
         PushSumFrequency, PushSumFrequencyExact, PushSumState,
     };
+    use kya_arith::BigRational;
     use kya_graph::{generators, DynamicGraph, StaticGraph};
     use kya_runtime::{Execution, Isotropic, RunConfig};
 
@@ -496,28 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn lazy_push_sum_is_bit_identical_to_eager_exact() {
-        for net in nets() {
-            let n = net.n();
-            let vals: Vec<f64> = (0..n).map(|i| i as f64 + 0.625).collect();
-            let exact_init: Vec<PushSumExactState> = vals
-                .iter()
-                .map(|&v| {
-                    PushSumExactState::new(BigRational::from_f64(v).unwrap(), BigRational::one())
-                })
-                .collect();
-            let mut eager = Execution::new(Isotropic(PushSumExact), exact_init);
-            let mut lazy = Execution::new(
-                Isotropic(LazyPushSumExact),
-                LazyPushSumState::averaging(&vals),
-            );
-            eager.drive(&net, RunConfig::rounds(12));
-            lazy.drive(&net, RunConfig::rounds(12));
-            assert_eq!(eager.outputs(), lazy.outputs());
-        }
-    }
-
-    #[test]
     fn certified_metropolis_encloses_f64_run() {
         for net in nets() {
             let n = net.n();
@@ -543,7 +374,7 @@ mod tests {
     }
 
     #[test]
-    fn certified_frequency_encloses_both_runs_and_lazy_matches_exact() {
+    fn certified_frequency_encloses_both_runs() {
         let values = [2u64, 7, 2, 9, 7, 2, 4];
         for net in nets() {
             let n = net.n();
@@ -556,20 +387,14 @@ mod tests {
                 Isotropic(CertifiedPushSumFrequency),
                 CertifiedFrequencyState::initial(vals),
             );
-            let mut eager = Execution::new(
+            let mut exact = Execution::new(
                 Isotropic(PushSumFrequencyExact),
                 ExactFrequencyState::initial(vals),
             );
-            let mut lazy = Execution::new(
-                Isotropic(LazyPushSumFrequencyExact),
-                LazyFrequencyState::initial(vals),
-            );
-            eager.drive(&net, RunConfig::rounds(10));
-            lazy.drive(&net, RunConfig::rounds(10));
-            assert_eq!(eager.outputs(), lazy.outputs());
+            exact.drive(&net, RunConfig::rounds(10));
             f64_exec.drive(&net, RunConfig::rounds(10));
             cert_exec.drive(&net, RunConfig::rounds(10));
-            let exact_out = eager.outputs();
+            let exact_out = exact.outputs();
             for (agent, (enc_map, f_map)) in cert_exec
                 .outputs()
                 .iter()

@@ -33,8 +33,7 @@
 //! - [`certified`]: the certified middle rung between the `f64` and exact
 //!   variants — Push-Sum and Metropolis over directed-rounding
 //!   [`Enclosure`](kya_arith::Enclosure)s whose intervals certify the
-//!   `f64` run, plus lazily-normalized ℚ twins
-//!   ([`certified::LazyPushSumExact`]) for the escalated path;
+//!   `f64` run; the escalated path replays on the exact variants;
 //! - [`lifting`]: the Lifting Lemma (Lemma 3.1) as an executable check —
 //!   run an algorithm on a base, lift fibrewise, and verify the lift is a
 //!   legal execution upstairs. This is the engine of every impossibility

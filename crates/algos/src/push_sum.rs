@@ -24,6 +24,7 @@ use kya_arith::{BigInt, BigRational};
 use kya_runtime::bits::StateBits;
 use kya_runtime::{FlatAlgorithm, Inbox, IsotropicAlgorithm};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------
 // Scalar Push-Sum, f64 backend
@@ -266,19 +267,21 @@ impl PushSumExactState {
     }
 }
 
+/// The message is shared: every out-edge of a sender carries the same
+/// `Arc`, so sending copies a pointer per edge, not two big rationals.
 impl IsotropicAlgorithm for PushSumExact {
     type State = PushSumExactState;
-    type Msg = (BigRational, BigRational);
+    type Msg = Arc<(BigRational, BigRational)>;
     type Output = BigRational;
 
     fn message(&self, state: &PushSumExactState, outdegree: usize) -> Self::Msg {
         let d = outdegree as u64;
-        (state.y.div_integer(d), state.z.div_integer(d))
+        Arc::new((state.y.div_integer(d), state.z.div_integer(d)))
     }
 
     fn transition(&self, _state: &PushSumExactState, inbox: &[Self::Msg]) -> PushSumExactState {
-        let y = inbox.iter().map(|(ys, _)| ys).sum();
-        let z = inbox.iter().map(|(_, zs)| zs).sum();
+        let y = inbox.iter().map(|m| &m.0).sum();
+        let z = inbox.iter().map(|m| &m.1).sum();
         PushSumExactState { y, z }
     }
 
@@ -507,37 +510,43 @@ impl ExactFrequencyState {
     }
 }
 
+/// Shares one `Arc`'d map per sender, like [`PushSumExact`]; each
+/// value's shares, plus the unit weight of a newly joined instance, are
+/// summed with one normalisation.
 impl IsotropicAlgorithm for PushSumFrequencyExact {
     type State = ExactFrequencyState;
-    type Msg = BTreeMap<u64, ExactMass>;
+    type Msg = Arc<BTreeMap<u64, ExactMass>>;
     type Output = BTreeMap<u64, BigRational>;
 
     fn message(&self, state: &ExactFrequencyState, outdegree: usize) -> Self::Msg {
         let d = outdegree as u64;
-        state
-            .masses
-            .iter()
-            .map(|(&v, (y, z))| (v, (y.div_integer(d), z.div_integer(d))))
-            .collect()
+        Arc::new(
+            state
+                .masses
+                .iter()
+                .map(|(&v, (y, z))| (v, (y.div_integer(d), z.div_integer(d))))
+                .collect(),
+        )
     }
 
     fn transition(&self, state: &ExactFrequencyState, inbox: &[Self::Msg]) -> ExactFrequencyState {
-        let mut next: BTreeMap<u64, ExactMass> = BTreeMap::new();
+        let mut shares: BTreeMap<u64, Vec<&ExactMass>> = BTreeMap::new();
         for msg in inbox {
-            for (&v, (ys, zs)) in msg {
-                let e = next
-                    .entry(v)
-                    .or_insert_with(|| (BigRational::zero(), BigRational::zero()));
-                e.0 = &e.0 + ys;
-                e.1 = &e.1 + zs;
+            for (&v, mass) in msg.iter() {
+                shares.entry(v).or_default().push(mass);
             }
         }
-        for (v, mass) in next.iter_mut() {
-            if !state.masses.contains_key(v) {
-                mass.1 = &mass.1 + &BigRational::one();
-            }
-        }
-        ExactFrequencyState { masses: next }
+        let one = BigRational::one();
+        let masses = shares
+            .into_iter()
+            .map(|(v, ms)| {
+                let join = (!state.masses.contains_key(&v)).then_some(&one);
+                let y = ms.iter().map(|m| &m.0).sum();
+                let z = ms.iter().map(|m| &m.1).chain(join).sum();
+                (v, (y, z))
+            })
+            .collect();
+        ExactFrequencyState { masses }
     }
 
     fn output(&self, state: &ExactFrequencyState) -> Self::Output {
@@ -710,6 +719,50 @@ mod tests {
         }
         let hash = hash.digest();
         assert_eq!(hash, EXPECTED, "exact Push-Sum fingerprint {hash:#018x}");
+    }
+
+    /// The non-dyadic sibling of [`exact_pushsum_fingerprint`]: on
+    /// `star:6`, `complete:5` and `random:9:12:3` some out-degree is not
+    /// a power of two, so shares carry odd denominator factors and every
+    /// inbox sum has to normalise. Pins exact Push-Sum on all three and
+    /// exact frequency Push-Sum on `random:9:12:3`, hashed as in the
+    /// dyadic pin; the constant predates the one-normalisation inbox sum.
+    #[test]
+    fn exact_pushsum_fingerprint_non_dyadic() {
+        const EXPECTED: u64 = 0x8ae1_2390_9b01_f511;
+        let mut hash = kya_runtime::bits::Fnv1a::new();
+        let graphs = [
+            generators::star(6),
+            generators::complete(5),
+            generators::random_strongly_connected(9, 12, 3),
+        ];
+        for g in &graphs {
+            let values: Vec<i64> = (0..g.n() as i64).map(|i| i * 7919 % 1001 - 500).collect();
+            let mut exec = Execution::new(
+                Isotropic(PushSumExact),
+                PushSumExactState::averaging(&values),
+            );
+            exec.drive(&StaticGraph::new(g.clone()), RunConfig::rounds(60));
+            for st in exec.states() {
+                hash.write(format!("{} {}\n", st.y, st.z).as_bytes());
+            }
+        }
+        let values = [3u64, 1, 4, 1, 5, 9, 2, 6, 5];
+        let mut exec = Execution::new(
+            Isotropic(PushSumFrequencyExact),
+            ExactFrequencyState::initial(&values),
+        );
+        exec.drive(&StaticGraph::new(graphs[2].clone()), RunConfig::rounds(30));
+        for st in exec.states() {
+            for (v, (y, z)) in &st.masses {
+                hash.write(format!("{v}: {y} {z}\n").as_bytes());
+            }
+        }
+        let hash = hash.digest();
+        assert_eq!(
+            hash, EXPECTED,
+            "non-dyadic exact Push-Sum fingerprint {hash:#018x}"
+        );
     }
 
     #[test]

@@ -13,6 +13,7 @@ use kya_graph::{generators, DynamicGraph, RandomDynamicGraph, StaticGraph};
 use kya_runtime::testing::check_multiset_invariance;
 use kya_runtime::{Broadcast, Execution, Isotropic, RunConfig};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -148,13 +149,13 @@ proptest! {
             seed
         ));
         // Exact Push-Sum (exact arithmetic is genuinely order-invariant).
-        let ps_inbox: Vec<(BigRational, BigRational)> = vals
+        let ps_inbox: Vec<Arc<(BigRational, BigRational)>> = vals
             .iter()
             .map(|&v| {
-                (
+                Arc::new((
                     BigRational::from_i64(v as i64, 3),
                     BigRational::from_i64(1, 3),
-                )
+                ))
             })
             .collect();
         prop_assert!(check_multiset_invariance(

@@ -685,6 +685,16 @@ impl BigInt {
         BigInt::from_mag(self.sign, mag_mul_limb(&self.mag, m))
     }
 
+    /// `k` when the magnitude is exactly `2^k`.
+    pub(crate) fn pow2_exponent(&self) -> Option<usize> {
+        mag_pow2_exponent(&self.mag)
+    }
+
+    /// Number of trailing zero bits of a non-zero integer.
+    pub(crate) fn trailing_zeros(&self) -> usize {
+        mag_trailing_zeros(&self.mag)
+    }
+
     /// Correctly rounded conversion to `f64` (round-to-nearest-even;
     /// overflows to infinity for huge magnitudes).
     ///
@@ -1003,10 +1013,15 @@ impl Shl<usize> for BigInt {
     }
 }
 
+/// Shifts in the integer's own buffer.
 impl Shr<usize> for BigInt {
     type Output = BigInt;
-    fn shr(self, bits: usize) -> BigInt {
-        &self >> bits
+    fn shr(mut self, bits: usize) -> BigInt {
+        mag_shr_assign(&mut self.mag, bits);
+        if self.mag.is_empty() {
+            self.sign = Sign::Zero;
+        }
+        self
     }
 }
 
@@ -1319,6 +1334,10 @@ mod tests {
         assert_eq!(&big(1) << 200 >> 200, big(1));
         assert_eq!(&big(0) << 5, BigInt::zero());
         assert_eq!(&big(255) >> 4, big(15));
+        // The owned shift works in place and agrees with the borrowed one.
+        assert_eq!(big(-255) >> 4, &big(-255) >> 4);
+        assert_eq!(big(-3) >> 2, BigInt::zero());
+        assert_eq!((&big(-1) << 130) >> 129, big(-2));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Machine-checked f64 enclosures and the lazy-ℚ escalation ladder.
+//! Machine-checked f64 enclosures: certify in f64, escalate to ℚ.
 //!
 //! The conformance backend oracle used to compare f64 runs against the
 //! exact backend with a heuristic linear tolerance. This module replaces
@@ -30,14 +30,11 @@
 //!
 //! When an enclosure cannot certify a pending comparison — a convergence
 //! threshold, the sign of an α-safety entry, a frequency-table tie — the
-//! caller escalates to exact arithmetic. [`LazyRational`] is the
-//! escalated representation: an unnormalized `num/den` pair whose `add`
-//! cancels only the denominator gcd (keeping Push-Sum denominators at
-//! the lcm of degree products instead of their product) and whose full
-//! gcd normalization is deferred to [`LazyRational::reduce`], so ℚ work
-//! is paid per-certification, not per-op.
+//! caller escalates to exact arithmetic: it replays the run on the
+//! canonical [`BigRational`] backend and audits the exact outputs with
+//! [`Enclosure::contains_rational`].
 
-use crate::{BigInt, BigRational};
+use crate::BigRational;
 
 /// Whether an enclosure can decide a comparison.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -438,130 +435,10 @@ impl std::iter::Sum for Enclosure {
     }
 }
 
-/// An unnormalized rational `num/den` (`den > 0`, not necessarily
-/// coprime) — the escalated exact representation.
-///
-/// [`BigRational`] pays a full gcd on every operation to keep the
-/// canonical form its `Ord`/`Eq` need. During an escalated replay no
-/// comparison happens until the certification point, so this type defers
-/// normalization: `add`/`sub` cancel only the *denominator* gcd (which
-/// keeps a Push-Sum round's denominator at the lcm of the incoming
-/// message denominators instead of their product — linear instead of
-/// exponential bit growth), `mul` and `div_integer` cancel nothing, and
-/// one full gcd is paid in [`LazyRational::reduce`] at the end.
-#[derive(Clone, Debug)]
-pub struct LazyRational {
-    num: BigInt,
-    den: BigInt,
-}
-
-impl LazyRational {
-    /// The zero value.
-    pub fn zero() -> LazyRational {
-        LazyRational {
-            num: BigInt::zero(),
-            den: BigInt::one(),
-        }
-    }
-
-    /// The unit value.
-    pub fn one() -> LazyRational {
-        LazyRational {
-            num: BigInt::one(),
-            den: BigInt::one(),
-        }
-    }
-
-    /// An exact integer.
-    pub fn from_integer(v: impl Into<BigInt>) -> LazyRational {
-        LazyRational {
-            num: v.into(),
-            den: BigInt::one(),
-        }
-    }
-
-    /// Adopt a canonical rational (already reduced; no gcd paid).
-    pub fn from_rational(q: &BigRational) -> LazyRational {
-        LazyRational {
-            num: q.numer().clone(),
-            den: q.denom().clone(),
-        }
-    }
-
-    /// Whether the value is zero.
-    pub fn is_zero(&self) -> bool {
-        self.num.is_zero()
-    }
-
-    /// Lazy sum: cancels the denominator gcd only, skipping the second
-    /// numerator-side gcd a canonical add would pay.
-    pub fn add(&self, other: &LazyRational) -> LazyRational {
-        let g = self.den.gcd(&other.den);
-        if g.is_one() {
-            LazyRational {
-                num: &(&self.num * &other.den) + &(&other.num * &self.den),
-                den: &self.den * &other.den,
-            }
-        } else {
-            let ld = &self.den / &g;
-            let rd = &other.den / &g;
-            LazyRational {
-                num: &(&self.num * &rd) + &(&other.num * &ld),
-                den: &ld * &other.den,
-            }
-        }
-    }
-
-    /// Lazy difference.
-    pub fn sub(&self, other: &LazyRational) -> LazyRational {
-        self.add(&other.neg())
-    }
-
-    /// Lazy product: no cancellation at all.
-    pub fn mul(&self, other: &LazyRational) -> LazyRational {
-        LazyRational {
-            num: &self.num * &other.num,
-            den: &self.den * &other.den,
-        }
-    }
-
-    /// Lazy division by a positive integer: one limb multiply, no gcd.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `k == 0`.
-    pub fn div_integer(&self, k: u64) -> LazyRational {
-        assert!(k != 0, "division by zero");
-        LazyRational {
-            num: self.num.clone(),
-            den: &self.den * &BigInt::from(k),
-        }
-    }
-
-    /// Negation.
-    pub fn neg(&self) -> LazyRational {
-        LazyRational {
-            num: -&self.num,
-            den: self.den.clone(),
-        }
-    }
-
-    /// Pay the deferred normalization: one full gcd, returning the
-    /// canonical [`BigRational`] certifications compare with.
-    pub fn reduce(&self) -> BigRational {
-        BigRational::new(self.num.clone(), self.den.clone())
-    }
-}
-
-impl std::iter::Sum for LazyRational {
-    fn sum<I: Iterator<Item = LazyRational>>(iter: I) -> LazyRational {
-        iter.fold(LazyRational::zero(), |acc, x| acc.add(&x))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::BigInt;
     use proptest::prelude::*;
 
     fn rat(n: i64, d: i64) -> BigRational {
@@ -659,31 +536,7 @@ mod tests {
         assert_eq!(Enclosure::from_i64(-7).lo(), -7.0);
     }
 
-    #[test]
-    fn lazy_rational_add_keeps_lcm_denominator() {
-        // 1/6 + 1/10 = (5 + 3)/30: the den-gcd add lands on lcm = 30,
-        // not the 60 a gcd-free cross-multiply would produce.
-        let a = LazyRational::from_rational(&rat(1, 6));
-        let b = LazyRational::from_rational(&rat(1, 10));
-        let s = a.add(&b);
-        assert_eq!(s.den, BigInt::from(30));
-        assert_eq!(s.reduce(), rat(4, 15));
-    }
-
-    #[test]
-    fn lazy_rational_matches_reference() {
-        let a = LazyRational::from_rational(&rat(3, 7));
-        let b = LazyRational::from_rational(&rat(-5, 21));
-        assert_eq!(a.add(&b).reduce(), &rat(3, 7) + &rat(-5, 21));
-        assert_eq!(a.sub(&b).reduce(), &rat(3, 7) - &rat(-5, 21));
-        assert_eq!(a.mul(&b).reduce(), &rat(3, 7) * &rat(-5, 21));
-        assert_eq!(a.div_integer(4).reduce(), rat(3, 7).div_integer(4));
-        assert_eq!(a.neg().reduce(), -&rat(3, 7));
-        assert!(LazyRational::zero().is_zero());
-        assert_eq!(LazyRational::one().reduce(), BigRational::one());
-    }
-
-    /// One random op applied to all three trajectories at once.
+    /// One random op applied to both trajectories at once.
     #[derive(Debug, Clone)]
     enum Op {
         Add(i8),
@@ -709,38 +562,32 @@ mod tests {
 
         /// The tentpole differential: for a random op sequence, the
         /// enclosure contains the BigRational ground truth AND the
-        /// round-to-nearest f64 trajectory, and the lazy-ℚ replay
-        /// reduces to the canonical ground truth exactly.
+        /// round-to-nearest f64 trajectory.
         #[test]
         fn enclosure_contains_ground_truth(start in -1000i64..1000, ops in arb_ops()) {
             let mut enc = Enclosure::from_i64(start);
             let mut exact = BigRational::from_integer(BigInt::from(start));
-            let mut lazy = LazyRational::from_integer(start);
             let mut f = start as f64;
             for op in &ops {
                 match *op {
                     Op::Add(k) => {
                         enc = enc + Enclosure::from_i64(k as i64);
                         exact = &exact + &BigRational::from(k as i64);
-                        lazy = lazy.add(&LazyRational::from_integer(k as i64));
                         f += k as f64;
                     }
                     Op::Sub(k) => {
                         enc = enc - Enclosure::from_i64(k as i64);
                         exact = &exact - &BigRational::from(k as i64);
-                        lazy = lazy.sub(&LazyRational::from_integer(k as i64));
                         f -= k as f64;
                     }
                     Op::Mul(k) => {
                         enc = enc * Enclosure::from_i64(k as i64);
                         exact = &exact * &BigRational::from(k as i64);
-                        lazy = lazy.mul(&LazyRational::from_integer(k as i64));
                         f *= k as f64;
                     }
                     Op::DivInt(k) => {
                         enc = enc.div_u64(k as u64);
                         exact = exact.div_integer(k as u64);
-                        lazy = lazy.div_integer(k as u64);
                         f /= k as f64;
                     }
                 }
@@ -748,7 +595,6 @@ mod tests {
                     "exact {exact:?} escaped {enc:?}");
                 prop_assert!(enc.contains(f), "f64 {f} escaped {enc:?}");
             }
-            prop_assert_eq!(lazy.reduce(), exact);
         }
 
         /// Widths shrink under normalization: re-deriving the enclosure
@@ -757,28 +603,27 @@ mod tests {
         #[test]
         fn width_shrinks_under_normalization(start in -1000i64..1000, ops in arb_ops()) {
             let mut enc = Enclosure::from_i64(start);
-            let mut lazy = LazyRational::from_integer(start);
+            let mut exact = BigRational::from(start);
             for op in &ops {
                 match *op {
                     Op::Add(k) => {
                         enc = enc + Enclosure::from_i64(k as i64);
-                        lazy = lazy.add(&LazyRational::from_integer(k as i64));
+                        exact = &exact + &BigRational::from(k as i64);
                     }
                     Op::Sub(k) => {
                         enc = enc - Enclosure::from_i64(k as i64);
-                        lazy = lazy.sub(&LazyRational::from_integer(k as i64));
+                        exact = &exact - &BigRational::from(k as i64);
                     }
                     Op::Mul(k) => {
                         enc = enc * Enclosure::from_i64(k as i64);
-                        lazy = lazy.mul(&LazyRational::from_integer(k as i64));
+                        exact = &exact * &BigRational::from(k as i64);
                     }
                     Op::DivInt(k) => {
                         enc = enc.div_u64(k as u64);
-                        lazy = lazy.div_integer(k as u64);
+                        exact = exact.div_integer(k as u64);
                     }
                 }
             }
-            let exact = lazy.reduce();
             let tightened = Enclosure::from_rational(&exact);
             prop_assert!(tightened.width() <= enc.width());
             prop_assert!(tightened.contains_rational(&exact));

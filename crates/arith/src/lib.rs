@@ -13,9 +13,8 @@
 //!   (needed to round Push-Sum outputs to the grid ℚ_N of §5.4),
 //! - [`QMatrix`]: dense rational matrices with reduced row echelon form,
 //!   rank, and kernel bases scaled to coprime integers,
-//! - [`interval`]: directed-rounding f64 enclosures ([`Enclosure`]) and
-//!   the lazily-normalized [`LazyRational`] — the certified backend's
-//!   "certify in f64, escalate to ℚ" ladder,
+//! - [`interval`]: directed-rounding f64 enclosures ([`Enclosure`]) —
+//!   the certified backend's "certify in f64, escalate to ℚ" ladder,
 //! - [`spectral`]: a Perron–Frobenius-style toolkit for non-negative
 //!   matrices (spectral radius, irreducibility) mirroring the paper's
 //!   rank-one argument,
@@ -53,7 +52,7 @@ pub mod stochastic;
 
 pub use bigint::{BigInt, ParseBigIntError, Sign};
 pub use int_linalg::IMatrix;
-pub use interval::{Certainty, Enclosure, LazyRational};
+pub use interval::{Certainty, Enclosure};
 pub use linalg::{KernelError, QMatrix};
 pub use rational::{BigRational, ParseRationalError};
 

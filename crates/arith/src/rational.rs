@@ -704,23 +704,104 @@ impl Neg for BigRational {
     }
 }
 
-impl Sum for BigRational {
-    fn sum<I: Iterator<Item = BigRational>>(iter: I) -> BigRational {
-        iter.reduce(|a, b| a + b).unwrap_or_default()
+/// A sum in progress: one numerator over a running common denominator,
+/// normalized once in [`SumAcc::finish`], so a k-term Push-Sum inbox
+/// pays one normalization instead of k − 1.
+///
+/// `den` stays the lcm of the denominators seen. A term with the same
+/// denominator is one numerator add. When both denominators are powers
+/// of two (every Push-Sum share whose out-degrees are powers of two),
+/// alignment is a shift and no gcd runs at all, not even at the end.
+/// Otherwise each new denominator costs one gcd of denominators, and the
+/// result one gcd of numerator and denominator.
+struct SumAcc {
+    num: BigInt,
+    den: BigInt,
+    /// Whether `num / den` is still a single term, hence already reduced.
+    reduced: bool,
+}
+
+impl SumAcc {
+    fn new() -> SumAcc {
+        SumAcc {
+            num: BigInt::zero(),
+            den: BigInt::one(),
+            reduced: true,
+        }
+    }
+
+    fn add(&mut self, x: &BigRational) {
+        if x.is_zero() {
+            return;
+        }
+        if self.num.is_zero() {
+            self.num.clone_from(&x.num);
+            self.den.clone_from(&x.den);
+            return;
+        }
+        self.reduced = false;
+        if self.den == x.den {
+            self.num += &x.num;
+            return;
+        }
+        match (self.den.pow2_exponent(), x.den.pow2_exponent()) {
+            (Some(p), Some(q)) if q < p => self.num += &(&x.num << (p - q)),
+            (Some(p), Some(q)) => {
+                self.num = &(&self.num << (q - p)) + &x.num;
+                self.den.clone_from(&x.den);
+            }
+            _ => {
+                let g = self.den.gcd(&x.den);
+                let da = &self.den / &g;
+                let db = &x.den / &g;
+                self.num = &(&self.num * &db) + &(&x.num * &da);
+                self.den = &self.den * &db;
+            }
+        }
+    }
+
+    fn finish(self) -> BigRational {
+        let SumAcc { num, den, reduced } = self;
+        if num.is_zero() {
+            return BigRational::zero();
+        }
+        if reduced {
+            return BigRational { num, den };
+        }
+        if let Some(p) = den.pow2_exponent() {
+            let t = p.min(num.trailing_zeros());
+            if t == 0 {
+                return BigRational { num, den };
+            }
+            return BigRational {
+                num: num >> t,
+                den: den >> t,
+            };
+        }
+        let g = num.gcd(&den);
+        if g.is_one() {
+            return BigRational { num, den };
+        }
+        BigRational {
+            num: &num / &g,
+            den: &den / &g,
+        }
     }
 }
 
-/// Starts from the first two terms, so a sum of two or more borrowed
-/// terms clones none of them (no `0 + a` start).
+impl Sum for BigRational {
+    fn sum<I: Iterator<Item = BigRational>>(iter: I) -> BigRational {
+        let mut acc = SumAcc::new();
+        iter.for_each(|x| acc.add(&x));
+        acc.finish()
+    }
+}
+
 impl<'a> Sum<&'a BigRational> for BigRational {
-    fn sum<I: Iterator<Item = &'a BigRational>>(mut iter: I) -> BigRational {
-        let Some(first) = iter.next() else {
-            return BigRational::zero();
-        };
-        let Some(second) = iter.next() else {
-            return first.clone();
-        };
-        iter.fold(first + second, |a, b| &a + b)
+    fn sum<I: Iterator<Item = &'a BigRational>>(iter: I) -> BigRational {
+        let mut acc = SumAcc::new();
+        iter.for_each(|x| acc.add(x));
+        acc.finish()
     }
 }
 
@@ -850,6 +931,23 @@ mod tests {
                 0 => BigRational::zero(),
                 1 => rat(n, d),
                 _ => big,
+            }
+        })
+    }
+
+    /// A sum term: any [`arb_rat_shape`], zero, or a multi-limb
+    /// numerator over a power-of-two (up to 2^600), odd, or `2^k · odd`
+    /// denominator.
+    fn arb_sum_term() -> impl Strategy<Value = BigRational> {
+        (0u8..5, arb_rat_shape(), arb_big_rat(), 0usize..600).prop_map(|(shape, x, big, k)| {
+            let odd = big.denom() >> big.denom().trailing_zeros();
+            let num = big.numer().clone();
+            match shape {
+                0 => x,
+                1 => BigRational::zero(),
+                2 => BigRational::new(num, BigInt::one() << k),
+                3 => BigRational::new(num, odd),
+                _ => BigRational::new(num, odd << k),
             }
         })
     }
@@ -1391,21 +1489,37 @@ mod tests {
             assert_normalized(&cancel);
         }
 
-        /// Borrowed and owned sums over 0, 1 and many terms agree with a
-        /// pairwise reference fold from zero.
+        /// Borrowed and owned sums of every prefix — so 0, 1, 2 and many
+        /// terms — agree with a pairwise reference fold from zero. Terms
+        /// mix zero, power-of-two, odd and `2^k · odd` denominators; a
+        /// tail of negated terms cancels either the first term or the
+        /// whole sum to exactly 0.
         #[test]
         fn sum_matches_pairwise_fold(
-            xs in proptest::collection::vec(arb_rat_shape(), 0usize..7),
-            len in 0usize..7,
+            xs in proptest::collection::vec(arb_sum_term(), 0usize..7),
+            cancel in 0u8..3,
         ) {
-            let xs = &xs[..len.min(xs.len())];
-            let want = xs.iter().fold(BigRational::zero(), |a, b| add_reference(&a, b));
-            let borrowed: BigRational = xs.iter().sum();
-            prop_assert_eq!(&borrowed, &want);
-            assert_normalized(&borrowed);
-            let owned: BigRational = xs.iter().cloned().sum();
-            prop_assert_eq!(&owned, &want);
-            assert_normalized(&owned);
+            let mut xs = xs;
+            match cancel {
+                0 => {}
+                1 => xs.extend(xs.iter().rev().map(|x| -x).collect::<Vec<_>>()),
+                _ => xs.extend(xs.first().map(|x| -x)),
+            }
+            let mut want = BigRational::zero();
+            for k in 0..=xs.len() {
+                if k > 0 {
+                    want = add_reference(&want, &xs[k - 1]);
+                }
+                let borrowed: BigRational = xs[..k].iter().sum();
+                prop_assert_eq!(&borrowed, &want);
+                assert_normalized(&borrowed);
+                let owned: BigRational = xs[..k].iter().cloned().sum();
+                prop_assert_eq!(&owned, &want);
+                assert_normalized(&owned);
+            }
+            if cancel == 1 {
+                prop_assert!(want.is_zero());
+            }
         }
 
         /// to_f64 stays within 1 ulp of the cross-checked quotient for

@@ -9,11 +9,9 @@
 //! Push-Sum) — the speedup figures quoted in EXPERIMENTS.md:
 //!
 //! - `certified_pushsum_*` / `exact_pushsum_*`: the certified enclosure
-//!   run vs the eager exact run of the scalar backend cell;
-//! - `lazy_exact_pushsum_*`: the lazily-normalized escalation path (what
-//!   a cell pays *when* it escalates — denominator-gcd adds during the
-//!   run, one full normalization per output at the end);
-//! - `*_frequency_*`: the same three backends on Algorithm 1's
+//!   run vs the exact run of the scalar backend cell (the exact run is
+//!   also what a cell pays *when* it escalates);
+//! - `*_frequency_*`: the same two backends on Algorithm 1's
 //!   frequency-vector instances.
 //!
 //! `cargo bench -p kya-bench --bench certified -- --test` is the CI
@@ -22,7 +20,6 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kya_algos::certified::{
     CertifiedFrequencyState, CertifiedPushSum, CertifiedPushSumFrequency, CertifiedPushSumState,
-    LazyFrequencyState, LazyPushSumExact, LazyPushSumFrequencyExact, LazyPushSumState,
 };
 use kya_algos::push_sum::{
     ExactFrequencyState, PushSumExact, PushSumExactState, PushSumFrequencyExact,
@@ -65,16 +62,6 @@ fn bench_scalar(c: &mut Criterion) {
                     exec.outputs()
                 })
             });
-            group.bench_with_input(BenchmarkId::new("lazy_exact", n), &n, |b, _| {
-                b.iter(|| {
-                    let mut exec = Execution::new(
-                        Isotropic(LazyPushSumExact),
-                        LazyPushSumState::averaging(&floats),
-                    );
-                    exec.drive(&net, RunConfig::rounds(ROUNDS));
-                    exec.outputs()
-                })
-            });
             group.bench_with_input(BenchmarkId::new("exact", n), &n, |b, _| {
                 b.iter(|| {
                     let mut exec = Execution::new(
@@ -103,16 +90,6 @@ fn bench_frequency(c: &mut Criterion) {
                 let mut exec = Execution::new(
                     Isotropic(CertifiedPushSumFrequency),
                     CertifiedFrequencyState::initial(&values),
-                );
-                exec.drive(&net, RunConfig::rounds(ROUNDS));
-                exec.outputs()
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("lazy_exact", n), &n, |b, _| {
-            b.iter(|| {
-                let mut exec = Execution::new(
-                    Isotropic(LazyPushSumFrequencyExact),
-                    LazyFrequencyState::initial(&values),
                 );
                 exec.drive(&net, RunConfig::rounds(ROUNDS));
                 exec.outputs()

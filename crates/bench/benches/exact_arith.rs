@@ -13,7 +13,11 @@
 //!   and the two rational hot-path calls of exact Push-Sum on
 //!   numerators of the same size over a power-of-two denominator:
 //!   `div_integer` (the share split) and `rat_add_equal_den` (summing
-//!   two shares with the same denominator).
+//!   two shares with the same denominator);
+//! - `rational_sum`: one inbox sum of k ∈ {2, 16, 256} shares with
+//!   512-bit parts, over power-of-two denominators (`dyadic`: shift
+//!   alignment, no gcd) or over odd ones (`odd`: one denominator gcd per
+//!   new denominator and one normalising gcd).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kya_algos::push_sum::{PushSumExact, PushSumExactState};
@@ -116,5 +120,46 @@ fn bench_bigint_kernels(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_exact_pushsum, bench_bigint_kernels);
+/// Inbox-shaped sums: `dyadic` shares over `2^(512 + i mod 8)` (senders
+/// whose denominators are a few rounds apart), `odd` shares over
+/// `D · (2i + 1)` for one odd 512-bit `D` (out-degrees that are not
+/// powers of two).
+fn bench_rational_sum(c: &mut Criterion) {
+    let mut group = c.benchmark_group("rational_sum");
+    group
+        .measurement_time(Duration::from_secs(3))
+        .sample_size(10);
+    let odd_den = pseudo_big(8, 0x0DD5_EED5);
+    for k in [2usize, 16, 256] {
+        let dyadic: Vec<BigRational> = (0..k)
+            .map(|i| {
+                BigRational::new(
+                    pseudo_big(8, 0x5EED_0000 + i as u64),
+                    &BigInt::one() << (512 + i % 8),
+                )
+            })
+            .collect();
+        let odd: Vec<BigRational> = (0..k)
+            .map(|i| {
+                BigRational::new(
+                    pseudo_big(8, 0x0DD0_0000 + i as u64),
+                    &odd_den * &BigInt::from(2 * i as u64 + 1),
+                )
+            })
+            .collect();
+        for (shape, terms) in [("dyadic", &dyadic), ("odd", &odd)] {
+            group.bench_with_input(BenchmarkId::new(shape, k), &k, |b, _| {
+                b.iter(|| terms.iter().sum::<BigRational>())
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_exact_pushsum,
+    bench_bigint_kernels,
+    bench_rational_sum
+);
 criterion_main!(benches);

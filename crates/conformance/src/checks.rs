@@ -10,16 +10,15 @@ use crate::fingerprint::Fingerprint;
 use crate::nets::{build_net, lift_ring};
 use kya_algos::certified::{
     CertifiedFrequencyState, CertifiedPushSum, CertifiedPushSumFrequency, CertifiedPushSumState,
-    EscalationStats, LazyFrequencyState, LazyPushSumExact, LazyPushSumFrequencyExact,
-    LazyPushSumState,
+    EscalationStats,
 };
 use kya_algos::gossip::SetGossip;
 use kya_algos::lifting::check_lifting;
 use kya_algos::metropolis::Metropolis;
 use kya_algos::min_base::{DepthCapped, MinBaseBroadcast, ViewState};
 use kya_algos::push_sum::{
-    total_mass, FrequencyState, PushSum, PushSumExact, PushSumExactState, PushSumFrequency,
-    PushSumFrequencyExact, PushSumState, SelfHealingPushSum,
+    total_mass, ExactFrequencyState, FrequencyState, PushSum, PushSumExact, PushSumExactState,
+    PushSumFrequency, PushSumFrequencyExact, PushSumState, SelfHealingPushSum,
 };
 use kya_algos::quantized::{QuantizedMetropolis, QuantizedPushSum};
 use kya_arith::{BigInt, BigRational};
@@ -42,7 +41,7 @@ pub enum CheckKind {
     /// (b) Byte-identical state streams across all execution paths.
     Paths,
     /// (a) Every f64 output lies in a machine-checked interval enclosure
-    /// of the algorithm (directed rounding), escalating to lazy exact ℚ
+    /// of the algorithm (directed rounding), escalating to an exact ℚ
     /// replay when an enclosure cannot certify — no heuristic tolerance.
     Backend,
     /// (c) Vertex-relabeling equivariance.
@@ -821,13 +820,12 @@ fn check_bandwidth(ctx: &CellCtx) -> CellOutcome {
 ///
 /// When an enclosure cannot certify its comparison (unbounded interval:
 /// a weight that could not be proven positive), the cell *escalates*: it
-/// replays on the lazily-normalized exact twin ([`LazyPushSumExact`] /
-/// [`LazyPushSumFrequencyExact`]), audits that the exact ground truth
-/// also lies in the enclosure, and fails the uncertifiable f64 output —
+/// replays on the exact backend ([`PushSumExact`] /
+/// [`PushSumFrequencyExact`]), audits that the exact ground truth also
+/// lies in the enclosure, and fails the uncertifiable f64 output —
 /// exactly the case the retired `f64_tolerance` comparison used to mask.
 /// The `exact` variant forces the escalated path on every cell (the cost
-/// baseline) and additionally pins the lazy replay bit-identical to the
-/// eager exact backend.
+/// baseline).
 ///
 /// Certification and escalation counts land in the NDJSON details, so
 /// CI can watch the escalation rate (see `tests/escalation_guard.rs`).
@@ -879,19 +877,11 @@ fn check_backend(ctx: &CellCtx) -> CellOutcome {
                 }
             }
             if backend == Backend::Exact || stats.escalations > 0 {
-                let mut lazy = Execution::new(
-                    Isotropic(LazyPushSumExact),
-                    LazyPushSumState::averaging(&floats),
-                );
-                lazy.drive(net.as_ref(), RunConfig::rounds(rounds));
-                let ground = lazy.outputs();
                 let ints: Vec<i64> = vals.iter().map(|&v| v as i64).collect();
-                let mut eager =
+                let mut exact =
                     Execution::new(Isotropic(PushSumExact), PushSumExactState::averaging(&ints));
-                eager.drive(net.as_ref(), RunConfig::rounds(rounds));
-                if ground != eager.outputs() {
-                    return fail("lazy exact replay diverged from the eager exact backend");
-                }
+                exact.drive(net.as_ref(), RunConfig::rounds(rounds));
+                let ground = exact.outputs();
                 for (v, (q, e)) in ground.iter().zip(&enc).enumerate() {
                     if !e.contains_rational(q) {
                         return fail(format!(
@@ -955,22 +945,12 @@ fn check_backend(ctx: &CellCtx) -> CellOutcome {
                 }
             }
             if backend == Backend::Exact || stats.escalations > 0 {
-                let mut lazy = Execution::new(
-                    Isotropic(LazyPushSumFrequencyExact),
-                    LazyFrequencyState::initial(&vals),
-                );
-                lazy.drive(net.as_ref(), RunConfig::rounds(rounds));
-                let ground = lazy.outputs();
-                let mut eager = Execution::new(
+                let mut exact = Execution::new(
                     Isotropic(PushSumFrequencyExact),
-                    kya_algos::push_sum::ExactFrequencyState::initial(&vals),
+                    ExactFrequencyState::initial(&vals),
                 );
-                eager.drive(net.as_ref(), RunConfig::rounds(rounds));
-                if ground != eager.outputs() {
-                    return fail(
-                        "lazy exact frequency replay diverged from the eager exact backend",
-                    );
-                }
+                exact.drive(net.as_ref(), RunConfig::rounds(rounds));
+                let ground = exact.outputs();
                 for (v, (qm, em)) in ground.iter().zip(&enc).enumerate() {
                     for (val, q) in qm {
                         let Some(e) = em.get(val) else {

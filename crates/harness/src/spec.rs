@@ -75,15 +75,14 @@ fn parse_pair(s: &str, what: &str) -> Result<(usize, usize), SpecError> {
     Ok((parse_num(a, what)?, parse_num(b, what)?))
 }
 
-/// The near-square factorization `r x c = n` with `r <= c` and `r`
-/// maximal — what `torus:N` means.
+/// The near-square factorization `r x c = n` (`n >= 1`) with `r <= c`
+/// and `r` maximal — what `torus:N` means.
 fn near_square(n: usize) -> (usize, usize) {
-    let n = n.max(1);
-    let mut r = (n as f64).sqrt() as usize;
+    let mut r = ((n as f64).sqrt() as usize).max(1);
     while r > 1 && !n.is_multiple_of(r) {
         r -= 1;
     }
-    (r.max(1), n / r.max(1))
+    (r, n / r)
 }
 
 /// Parse a graph spec (see module docs for the grammar).
@@ -112,8 +111,21 @@ pub fn parse_graph(spec: &str) -> Result<Digraph, SpecError> {
             ))),
         }
     };
-    let size = |what| -> Result<usize, SpecError> { parse_num(arg(0)?, what) };
-    let pair = |what| -> Result<(usize, usize), SpecError> { parse_pair(arg(0)?, what) };
+    // Every size below must be at least 1: a network has an agent, and
+    // clamping a 0 up to 1 would run a graph the user did not ask for.
+    let positive = |n: usize, what: &str| -> Result<usize, SpecError> {
+        match n {
+            0 => Err(err(format!(
+                "`{spec}` is empty: its {what} must be at least 1"
+            ))),
+            n => Ok(n),
+        }
+    };
+    let size = |what| -> Result<usize, SpecError> { positive(parse_num(arg(0)?, what)?, what) };
+    let pair = |what| -> Result<(usize, usize), SpecError> {
+        let (a, b) = parse_pair(arg(0)?, what)?;
+        Ok((positive(a, what)?, positive(b, what)?))
+    };
     // Each arm checks its agent and edge counts (`None`: past `usize`)
     // against the limits before the generator allocates anything.
     let fits = |n: Option<usize>, m: Option<usize>| -> Result<(), SpecError> {
@@ -129,22 +141,22 @@ pub fn parse_graph(spec: &str) -> Result<Digraph, SpecError> {
     };
     let graph = match family {
         "ring" => {
-            let n = size("size")?.max(1);
+            let n = size("size")?;
             fits(Some(n), Some(n))?;
             generators::directed_ring(n)
         }
         "biring" => {
-            let n = size("size")?.max(1);
+            let n = size("size")?;
             fits(Some(n), n.checked_mul(2))?;
             generators::bidirectional_ring(n)
         }
         "star" => {
-            let n = size("size")?.max(1);
+            let n = size("size")?;
             fits(Some(n), (n - 1).checked_mul(2))?;
             generators::star(n)
         }
         "path" => {
-            let n = size("size")?.max(1);
+            let n = size("size")?;
             fits(Some(n), (n - 1).checked_mul(2))?;
             generators::bidirectional_path(n)
         }
@@ -155,8 +167,7 @@ pub fn parse_graph(spec: &str) -> Result<Digraph, SpecError> {
         }
         "torus" => {
             let (r, c) = if arg(0)?.contains('x') {
-                let (r, c) = pair("torus dimensions")?;
-                (r.max(1), c.max(1))
+                pair("torus dimensions")?
             } else {
                 let n = size("torus size")?;
                 fits(Some(n), n.checked_mul(2))?;
@@ -167,41 +178,42 @@ pub fn parse_graph(spec: &str) -> Result<Digraph, SpecError> {
             generators::directed_torus(r, c)
         }
         "hypercube" => {
-            let dim = size("dimension")?;
+            // Dimension 0 is the 1-vertex hypercube, not an empty graph.
+            let dim = parse_num(arg(0)?, "dimension")?;
             let n = u32::try_from(dim).ok().and_then(|d| 1usize.checked_shl(d));
             fits(n, n.and_then(|n| n.checked_mul(dim)))?;
             generators::hypercube(dim as u32)
         }
         "debruijn" => {
             let (b, k) = pair("de Bruijn parameters")?;
-            let (b, k) = (b.max(1), word_length(k.max(1))?);
+            let k = word_length(k)?;
             let n = b.checked_pow(k);
             fits(n, n.and_then(|n| n.checked_mul(b)))?;
             generators::de_bruijn(b, k)
         }
         "kautz" => {
-            let (b, k) = pair("Kautz parameters")?;
-            let (b, k) = (b.max(1), word_length(k)?);
+            // Word length 0 is the complete graph on `b + 1` letters.
+            let (b, k) = parse_pair(arg(0)?, "Kautz parameters")?;
+            let (b, k) = (positive(b, "Kautz parameters")?, word_length(k)?);
             let n = b.checked_pow(k).and_then(|p| p.checked_mul(b + 1));
             fits(n, n.and_then(|n| n.checked_mul(b)))?;
             generators::kautz(b, k)
         }
         "layered" => {
             let (g, s) = pair("layered-cycle parameters")?;
-            let (g, s) = (g.max(1), s.max(1));
             let n = g.checked_mul(s);
             fits(n, n.and_then(|n| n.checked_mul(s)))?;
             generators::layered_cycle(g, s)
         }
         "random" => {
-            let n = size("size")?.max(1);
+            let n = size("size")?;
             let extra = parse_num(arg(1)?, "extra edge count")?;
             let seed = parse_num(arg(2)?, "seed")? as u64;
             fits(Some(n), n.checked_add(extra))?;
             generators::random_strongly_connected(n, extra, seed)
         }
         "randbi" => {
-            let n = size("size")?.max(1);
+            let n = size("size")?;
             let extra = parse_num(arg(1)?, "extra pair count")?;
             let seed = parse_num(arg(2)?, "seed")? as u64;
             fits(
@@ -994,14 +1006,43 @@ mod tests {
         // spin forever.
         assert!(parse_graph("randbi:4:4:1").is_err());
         assert_eq!(parse_graph("randbi:4:3:1").unwrap().edge_count(), 12);
-        // At the limits, and `:0` sizes, parse as before.
+        // At the limits, and the zero parameters that are not sizes,
+        // parse as before.
         assert_eq!(parse_graph("debruijn:2x10").unwrap().n(), 1024);
         assert_eq!(parse_graph("kautz:1x24").unwrap().n(), 2);
-        assert_eq!(parse_graph("ring:0").unwrap().n(), 1);
-        assert_eq!(parse_graph("complete:0").unwrap().n(), 0);
-        assert_eq!(parse_graph("torus:0").unwrap().n(), 1);
-        assert_eq!(parse_graph("randbi:0:2:1").unwrap().n(), 1);
         assert_eq!(parse_graph("kautz:2x0").unwrap().n(), 3);
+        assert_eq!(parse_graph("hypercube:0").unwrap().n(), 1);
+        assert_eq!(parse_graph("random:3:0:0").unwrap().n(), 3);
+    }
+
+    #[test]
+    fn zero_sizes_are_errors() {
+        // No zero is clamped to a 1-agent graph or builds 0 agents.
+        for label in [
+            "ring:0",
+            "biring:0",
+            "star:0",
+            "path:0",
+            "complete:0",
+            "torus:0",
+            "torus:0x0",
+            "torus:0x4",
+            "torus:4x0",
+            "debruijn:0x3",
+            "debruijn:2x0",
+            "kautz:0x2",
+            "layered:0x0",
+            "layered:0x3",
+            "layered:3x0",
+            "random:0:5:1",
+            "randbi:0:2:1",
+        ] {
+            let e = parse_graph(label).unwrap_err();
+            assert!(e.0.contains("is empty"), "{label}: {e}");
+        }
+        for label in ["ring:1", "star:1", "complete:1", "torus:1x1", "layered:1x1"] {
+            assert_eq!(parse_graph(label).unwrap().n(), 1, "{label}");
+        }
     }
 
     #[test]

@@ -46,7 +46,8 @@ pub enum Backend {
     F64,
     /// Eager exact rationals on every operation.
     Exact,
-    /// Machine-checked enclosures with lazy ℚ escalation.
+    /// Machine-checked enclosures; a comparison they cannot decide
+    /// escalates to a replay on the [`Backend::Exact`] algorithms.
     Certified,
 }
 

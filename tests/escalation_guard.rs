@@ -1,7 +1,8 @@
 //! Escalation-rate guard for the certified backend (the CI bench-smoke
 //! companion): on the small matrix, the backend oracle's enclosures must
-//! decide essentially every certification themselves — escalating to
-//! exact ℚ replay is the *rare* path, and a regression that balloons
+//! decide essentially every certification themselves — escalating to a
+//! replay on the exact Push-Sum algorithms (`PushSumExact`,
+//! `PushSumFrequencyExact`) is the *rare* path, and a regression that balloons
 //! interval widths (losing the error-free fast paths, say) would show up
 //! here as a rate above the pinned threshold long before it shows up as
 //! a wall-clock regression.
