@@ -1,10 +1,11 @@
-//! Certified variants of Push-Sum and Metropolis: run on machine-checked
-//! [`Enclosure`]s, escalate to ℚ only at certification points.
+//! Certified variants of Push-Sum and Push-Sum frequency: run on
+//! machine-checked [`Enclosure`]s, escalate to ℚ only at certification
+//! points.
 //!
 //! The certified backend is the middle rung of a three-rung ladder:
 //!
 //! 1. **f64** ([`PushSum`](crate::push_sum::PushSum),
-//!    [`Metropolis`](crate::metropolis::Metropolis)) — fast, no
+//!    [`PushSumFrequency`](crate::push_sum::PushSumFrequency)) — fast, no
 //!    guarantees;
 //! 2. **certified** (this module) — the same dynamics on directed-rounding
 //!    intervals. Every real value *and* every round-to-nearest f64
@@ -78,53 +79,6 @@ impl IsotropicAlgorithm for CertifiedPushSum {
 
     fn output(&self, state: &CertifiedPushSumState) -> Enclosure {
         state.y / state.z
-    }
-}
-
-// ---------------------------------------------------------------------
-// Certified Metropolis
-// ---------------------------------------------------------------------
-
-/// Metropolis averaging over [`Enclosure`]s: weights `1/(1 + max(d_i,
-/// d_j))` with degrees carried exactly as `usize` (degrees are
-/// structural, not data — only the value `x` needs an interval).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CertifiedMetropolis;
-
-/// Message of certified Metropolis: value enclosure plus exact degree.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CertifiedDegreeTagged {
-    /// Sender's current value enclosure.
-    pub x: Enclosure,
-    /// Sender's neighbor count this round (exact).
-    pub degree: usize,
-}
-
-impl IsotropicAlgorithm for CertifiedMetropolis {
-    type State = Enclosure;
-    type Msg = CertifiedDegreeTagged;
-    type Output = Enclosure;
-
-    fn message(&self, state: &Enclosure, outdegree: usize) -> CertifiedDegreeTagged {
-        CertifiedDegreeTagged {
-            x: *state,
-            degree: outdegree.saturating_sub(1),
-        }
-    }
-
-    fn transition(&self, state: &Enclosure, inbox: &[CertifiedDegreeTagged]) -> Enclosure {
-        let own = inbox.len().saturating_sub(1);
-        let mut acc = *state;
-        for m in inbox {
-            let dmax = m.degree.max(own) as u64;
-            let w = Enclosure::one().div_u64(1 + dmax);
-            acc = acc + w * (m.x - *state);
-        }
-        acc
-    }
-
-    fn output(&self, state: &Enclosure) -> Enclosure {
-        *state
     }
 }
 
@@ -254,40 +208,9 @@ impl EscalationStats {
     }
 }
 
-/// Certified convergence test: is the spread `max − min` of the outputs
-/// provably at most `eps` (`Certain(true)`), provably above
-/// (`Certain(false)`), or undecidable at this enclosure width
-/// (`Unknown` — the convergence-test escalation point)?
-pub fn certify_spread_below(outputs: &[Enclosure], eps: f64) -> Certainty {
-    if outputs.is_empty() {
-        return Certainty::Certain(true);
-    }
-    let mut lo_min = f64::INFINITY;
-    let mut lo_max = f64::NEG_INFINITY;
-    let mut hi_min = f64::INFINITY;
-    let mut hi_max = f64::NEG_INFINITY;
-    for e in outputs {
-        lo_min = lo_min.min(e.lo());
-        lo_max = lo_max.max(e.lo());
-        hi_min = hi_min.min(e.hi());
-        hi_max = hi_max.max(e.hi());
-    }
-    // The spread of any point selection lies in [spread_lo, spread_hi].
-    let spread_hi = hi_max - lo_min; // outward by construction
-    let spread_lo = (lo_max - hi_min).max(0.0);
-    if spread_hi <= eps {
-        Certainty::Certain(true)
-    } else if spread_lo > eps {
-        Certainty::Certain(false)
-    } else {
-        Certainty::Unknown
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metropolis::Metropolis;
     use crate::push_sum::{
         ExactFrequencyState, FrequencyState, PushSum, PushSumExact, PushSumExactState,
         PushSumFrequency, PushSumFrequencyExact, PushSumState,
@@ -349,31 +272,6 @@ mod tests {
     }
 
     #[test]
-    fn certified_metropolis_encloses_f64_run() {
-        for net in nets() {
-            let n = net.n();
-            let vals: Vec<f64> = (0..n).map(|i| (i * i) as f64 / 3.0).collect();
-            let mut f64_exec = Execution::new(Isotropic(Metropolis), vals.clone());
-            let enc_init: Vec<Enclosure> = vals.iter().map(|&v| Enclosure::point(v)).collect();
-            let mut cert_exec = Execution::new(Isotropic(CertifiedMetropolis), enc_init);
-            for _ in 0..20 {
-                f64_exec.drive(&net, RunConfig::rounds(1));
-                cert_exec.drive(&net, RunConfig::rounds(1));
-                let enc = cert_exec.outputs();
-                let f = f64_exec.outputs();
-                for v in 0..n {
-                    assert!(
-                        enc[v].contains(f[v]),
-                        "Metropolis f64 {} escaped {:?}",
-                        f[v],
-                        enc[v]
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn certified_frequency_encloses_both_runs() {
         let values = [2u64, 7, 2, 9, 7, 2, 4];
         for net in nets() {
@@ -417,19 +315,8 @@ mod tests {
     }
 
     #[test]
-    fn spread_certification() {
-        let tight = vec![Enclosure::point(1.0), Enclosure::point(1.0 + 1e-12)];
-        assert_eq!(certify_spread_below(&tight, 1e-9), Certainty::Certain(true));
-        assert_eq!(
-            certify_spread_below(&tight, 1e-15),
-            Certainty::Certain(false)
-        );
-        // Points exactly eps apart with the threshold in between the
-        // bounds: decidable (points have zero width).
-        assert_eq!(certify_spread_below(&[], 0.0), Certainty::Certain(true));
-        // An ENTIRE member makes the spread undecidable.
-        let wide = vec![Enclosure::point(1.0), Enclosure::ENTIRE];
-        assert_eq!(certify_spread_below(&wide, 1e-9), Certainty::Unknown);
+    fn escalation_stats_count_and_rate() {
+        assert_eq!(EscalationStats::default().rate(), 0.0);
         let mut stats = EscalationStats::default();
         stats.record(true);
         stats.record(false);

@@ -31,7 +31,7 @@
 //!   structurally and whose token mass is conserved exactly in ℚ
 //!   (ROADMAP's bandwidth pillar);
 //! - [`certified`]: the certified middle rung between the `f64` and exact
-//!   variants — Push-Sum and Metropolis over directed-rounding
+//!   variants — Push-Sum and Push-Sum frequency over directed-rounding
 //!   [`Enclosure`](kya_arith::Enclosure)s whose intervals certify the
 //!   `f64` run; the escalated path replays on the exact variants;
 //! - [`lifting`]: the Lifting Lemma (Lemma 3.1) as an executable check —

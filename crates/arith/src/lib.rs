@@ -17,10 +17,7 @@
 //!   the certified backend's "certify in f64, escalate to ℚ" ladder,
 //! - [`spectral`]: a Perron–Frobenius-style toolkit for non-negative
 //!   matrices (spectral radius, irreducibility) mirroring the paper's
-//!   rank-one argument,
-//! - [`stochastic`]: column/row-stochastic matrix utilities, Dobrushin's
-//!   ergodic coefficient, and backward products, used by the Push-Sum and
-//!   Metropolis convergence analyses of §5.
+//!   rank-one argument.
 //!
 //! # Example
 //!
@@ -43,15 +40,12 @@
 #![warn(missing_docs)]
 
 mod bigint;
-mod int_linalg;
 pub mod interval;
 mod linalg;
 mod rational;
 pub mod spectral;
-pub mod stochastic;
 
 pub use bigint::{BigInt, ParseBigIntError, Sign};
-pub use int_linalg::IMatrix;
 pub use interval::{Certainty, Enclosure};
 pub use linalg::{KernelError, QMatrix};
 pub use rational::{BigRational, ParseRationalError};

@@ -34,15 +34,6 @@ impl FMatrix {
         }
     }
 
-    /// The `n x n` identity.
-    pub fn identity(n: usize) -> FMatrix {
-        let mut m = FMatrix::zeros(n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Build from rows.
     ///
     /// # Panics
@@ -58,43 +49,16 @@ impl FMatrix {
         m
     }
 
-    /// Dimension.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
     /// Matrix-vector product `self * v`.
     ///
     /// # Panics
     ///
-    /// Panics if `v.len() != self.dim()`.
+    /// Panics if `v.len()` is not the matrix dimension.
     pub fn mul_vec(&self, v: &[f64]) -> Vec<f64> {
         assert_eq!(v.len(), self.n, "dimension mismatch");
         (0..self.n)
             .map(|i| (0..self.n).map(|j| self[(i, j)] * v[j]).sum())
             .collect()
-    }
-
-    /// Matrix product `self * rhs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if dimensions differ.
-    pub fn mul(&self, rhs: &FMatrix) -> FMatrix {
-        assert_eq!(self.n, rhs.n, "dimension mismatch");
-        let mut out = FMatrix::zeros(self.n);
-        for i in 0..self.n {
-            for k in 0..self.n {
-                let a = self[(i, k)];
-                if a == 0.0 {
-                    continue;
-                }
-                for j in 0..self.n {
-                    out[(i, j)] += a * rhs[(k, j)];
-                }
-            }
-        }
-        out
     }
 
     /// Whether all entries are non-negative.
@@ -200,7 +164,12 @@ mod tests {
 
     #[test]
     fn identity_perron() {
-        let id = FMatrix::identity(4);
+        let id = FMatrix::from_rows(&[
+            &[1.0, 0.0, 0.0, 0.0],
+            &[0.0, 1.0, 0.0, 0.0],
+            &[0.0, 0.0, 1.0, 0.0],
+            &[0.0, 0.0, 0.0, 1.0],
+        ]);
         let (r, v) = id.perron(1e-12, 1000).unwrap();
         assert!((r - 1.0).abs() < 1e-9);
         assert_eq!(v.len(), 4);
@@ -254,13 +223,5 @@ mod tests {
     fn perron_rejects_negative() {
         let m = FMatrix::from_rows(&[&[-1.0]]);
         let _ = m.perron(1e-9, 10);
-    }
-
-    #[test]
-    fn matrix_product() {
-        let a = FMatrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = FMatrix::from_rows(&[&[0.0, 1.0], &[1.0, 0.0]]);
-        let ab = a.mul(&b);
-        assert_eq!(ab, FMatrix::from_rows(&[&[2.0, 1.0], &[4.0, 3.0]]));
     }
 }

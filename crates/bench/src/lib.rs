@@ -161,15 +161,6 @@ where
     Some(stab as u64)
 }
 
-/// Pretty one-line f64 formatting for report tables.
-pub fn fmt_round(x: f64) -> String {
-    if x.abs() >= 100.0 {
-        format!("{x:.0}")
-    } else {
-        format!("{x:.2}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -53,8 +53,6 @@
 //! `randbi:N:EXTRA:SEED`.
 //! Value lists: `1,2,3` or `5x3,7` (repeat shorthand).
 
-mod spec;
-
 use kya_algos::frequency::{CensusOutdegree, CensusPorts, CensusSymmetric, FibreCensus};
 use kya_algos::gossip::SetGossip;
 use kya_algos::metropolis::Metropolis;
@@ -68,11 +66,13 @@ use kya_arith::{BigInt, BigRational};
 use kya_core::table::{render_table, NetworkKind};
 use kya_fibration::MinimumBase;
 use kya_graph::{connectivity, Digraph, RandomDynamicGraph, StaticGraph};
-use kya_harness::{Args, CellOutcome, ChurnSpec, ExperimentSpec, PlanSpec, Runner, TelemetryMode};
+use kya_harness::{
+    parse_graph, parse_values, Args, CellOutcome, ChurnSpec, ExperimentSpec, PlanSpec, Runner,
+    SpecError, TelemetryMode,
+};
 use kya_runtime::churn::ChurnMasked;
 use kya_runtime::metric::EuclideanMetric;
 use kya_runtime::{BandwidthCap, Broadcast, ByteLedger, Execution, Isotropic, RunConfig};
-use spec::{parse_graph, parse_values, SpecError};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage:

@@ -172,10 +172,9 @@ fn fail(msg: impl Into<String>) -> CellOutcome {
 // ---------------------------------------------------------------------
 
 /// Run the five entry points side by side and demand bit-identical
-/// global states after every round: `step` (the reference), the
-/// destination-sharded `step_parallel`, `step_observed`, the sequential-
-/// routing `step_parallel_observed`, and `step` on an execution under a
-/// quiescent fault plan (`faulty_quiescent`). Each round the reference
+/// global states after every round: `step` (the reference), the sharded
+/// `step_parallel`, `step_observed`, `step_parallel_observed`, and `step`
+/// on an execution under a quiescent fault plan (`faulty_quiescent`). Each round the reference
 /// states are written once as [`StateBits`] words and every other path
 /// is compared against them word for word (two reused buffers, no
 /// per-round rendering), then the reference words are folded into the

@@ -90,60 +90,6 @@ pub fn radius(g: &Digraph) -> Option<usize> {
     eccentricities(g).into_iter().flatten().min()
 }
 
-/// Strongly connected components in reverse topological order
-/// (Kosaraju's algorithm). Each component is a sorted vertex list.
-pub fn strongly_connected_components(g: &Digraph) -> Vec<Vec<Vertex>> {
-    let n = g.n();
-    // First pass: finish order on the transpose.
-    let gt = g.transpose();
-    let mut visited = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-    for start in 0..n {
-        if visited[start] {
-            continue;
-        }
-        // Iterative DFS with explicit post-order.
-        let mut stack = vec![(start, gt.out_neighbors(start).collect::<Vec<_>>(), 0usize)];
-        visited[start] = true;
-        while let Some((u, neigh, idx)) = stack.last_mut() {
-            if let Some(&v) = neigh.get(*idx) {
-                *idx += 1;
-                if !visited[v] {
-                    visited[v] = true;
-                    stack.push((v, gt.out_neighbors(v).collect(), 0));
-                }
-            } else {
-                order.push(*u);
-                stack.pop();
-            }
-        }
-    }
-    // Second pass: BFS on g in reverse finish order.
-    let mut comp = vec![usize::MAX; n];
-    let mut comps: Vec<Vec<Vertex>> = Vec::new();
-    for &start in order.iter().rev() {
-        if comp[start] != usize::MAX {
-            continue;
-        }
-        let id = comps.len();
-        let mut members = vec![start];
-        comp[start] = id;
-        let mut queue = VecDeque::from([start]);
-        while let Some(u) = queue.pop_front() {
-            for v in g.out_neighbors(u) {
-                if comp[v] == usize::MAX {
-                    comp[v] = id;
-                    members.push(v);
-                    queue.push_back(v);
-                }
-            }
-        }
-        members.sort_unstable();
-        comps.push(members);
-    }
-    comps
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -192,20 +138,5 @@ mod tests {
         assert_eq!(eccentricities(&path), vec![Some(2), None, None]);
         assert_eq!(radius(&path), Some(2));
         assert_eq!(radius(&Digraph::new(0)), None);
-    }
-
-    #[test]
-    fn sccs() {
-        // Two 2-cycles joined by a one-way edge.
-        let g = Digraph::from_edges(4, [(0, 1), (1, 0), (2, 3), (3, 2), (1, 2)]);
-        let comps = strongly_connected_components(&g);
-        assert_eq!(comps.len(), 2);
-        assert!(comps.contains(&vec![0, 1]));
-        assert!(comps.contains(&vec![2, 3]));
-        // Strongly connected graph: one component.
-        assert_eq!(
-            strongly_connected_components(&generators::directed_ring(5)).len(),
-            1
-        );
     }
 }

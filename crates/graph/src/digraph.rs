@@ -177,11 +177,6 @@ impl Adjacency {
 }
 
 impl PortOrder {
-    /// The port rank of edge `e` among its source's out-edges.
-    pub fn rank(&self, e: EdgeId) -> u32 {
-        self.rank[e]
-    }
-
     /// Port ranks indexed by edge id.
     pub fn ranks(&self) -> &[u32] {
         &self.rank

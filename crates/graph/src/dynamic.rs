@@ -169,7 +169,7 @@ impl DynamicGraph for PeriodicGraph {
 
     /// # Panics
     ///
-    /// Panics if `t == 0`; see [`PeriodicGraph::phase_index`].
+    /// Panics if `t == 0`: rounds are numbered from 1 (§2.1).
     fn graph(&self, t: u64) -> Digraph {
         self.phases[self.phase_index(t)].clone()
     }

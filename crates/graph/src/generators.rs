@@ -263,24 +263,6 @@ pub fn kautz(b: usize, k: u32) -> Digraph {
     g
 }
 
-/// The complete bipartite digraph `K_{a,b}` with edges both ways between
-/// the parts (vertices `0..a` and `a..a+b`).
-///
-/// # Panics
-///
-/// Panics if either part is empty.
-pub fn complete_bipartite(a: usize, b: usize) -> Digraph {
-    assert!(a > 0 && b > 0, "both parts must be non-empty");
-    let mut g = Digraph::new(a + b);
-    for i in 0..a {
-        for j in a..(a + b) {
-            g.add_edge(i, j);
-            g.add_edge(j, i);
-        }
-    }
-    g
-}
-
 /// A layered cycle with controllable diameter: `groups` groups of
 /// `group_size` vertices arranged in a directed cycle, with complete
 /// bipartite edges between consecutive groups. The diameter is exactly
@@ -500,16 +482,6 @@ mod tests {
         }
         // Kautz graphs are loop-free by construction.
         assert!((0..6).all(|v| !g.has_self_loop(v)));
-        assert_eq!(crate::connectivity::diameter(&g), Some(2));
-    }
-
-    #[test]
-    fn complete_bipartite_shapes() {
-        let g = complete_bipartite(2, 3);
-        assert_eq!(g.n(), 5);
-        assert!(g.is_bidirectional());
-        assert_eq!(g.outdegree(0), 3);
-        assert_eq!(g.outdegree(4), 2);
         assert_eq!(crate::connectivity::diameter(&g), Some(2));
     }
 

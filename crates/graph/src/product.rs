@@ -40,21 +40,6 @@ pub fn compose(g1: &Digraph, g2: &Digraph) -> Digraph {
     out
 }
 
-/// The composition of a non-empty sequence of graphs, left to right:
-/// `gs[0] ∘ gs[1] ∘ ... ∘ gs[last]`.
-///
-/// # Panics
-///
-/// Panics if `gs` is empty or vertex counts differ.
-pub fn compose_all(gs: &[Digraph]) -> Digraph {
-    assert!(!gs.is_empty(), "empty graph sequence");
-    let mut acc = gs[0].clone();
-    for g in &gs[1..] {
-        acc = compose(&acc, g);
-    }
-    acc
-}
-
 /// Whether `g` is the complete graph *with self-loops*: every ordered
 /// pair (including `i = i`) is an edge.
 pub fn is_complete_reflexive(g: &Digraph) -> bool {
@@ -88,15 +73,6 @@ mod tests {
             rounds += 1;
         }
         assert_eq!(rounds, n - 1);
-    }
-
-    #[test]
-    fn compose_all_matches_iterated() {
-        let a = generators::directed_ring(4).with_self_loops();
-        let b = generators::complete(4).with_self_loops();
-        let left = compose_all(&[a.clone(), b.clone(), a.clone()]);
-        let right = compose(&compose(&a, &b), &a);
-        assert_eq!(left.multiplicity_matrix(), right.multiplicity_matrix());
     }
 
     #[test]

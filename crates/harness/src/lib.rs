@@ -6,19 +6,18 @@
 //! independent runs. This crate is the one engine that executes such
 //! products:
 //!
-//! - [`ExperimentSpec`](spec::ExperimentSpec) declares the axes with a
+//! - [`ExperimentSpec`] declares the axes with a
 //!   builder API and enumerates the cells in a fixed order, each with a
 //!   deterministic per-cell seed derived from the spec alone;
-//! - [`Runner`](runner::Runner) executes the cells on a fixed worker
+//! - [`Runner`] executes the cells on a fixed worker
 //!   pool (work-stealing over an atomic queue) and reassembles results
 //!   in cell order — so the output is **byte-identical for any worker
 //!   count**, including 1;
-//! - [`TopologyCache`](topo::TopologyCache) memoizes per-topology
-//!   artifacts (graphs, diameters, minimum bases, Metropolis weights,
-//!   spectral gaps) so they are computed once and shared read-only
-//!   across workers;
-//! - [`ResultSink`](sink::ResultSink) collects stable-schema
-//!   [`CellRecord`](sink::CellRecord)s and renders them as NDJSON or a
+//! - [`TopologyCache`] memoizes per-topology
+//!   artifacts (graphs, diameters, minimum bases) so they are computed
+//!   once and shared read-only across workers;
+//! - [`ResultSink`] collects stable-schema
+//!   [`CellRecord`]s and renders them as NDJSON or a
 //!   single JSON document.
 //!
 //! The per-cell measurement type is

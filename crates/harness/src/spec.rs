@@ -195,7 +195,9 @@ pub fn parse_graph(spec: &str) -> Result<Digraph, SpecError> {
             // Word length 0 is the complete graph on `b + 1` letters.
             let (b, k) = parse_pair(arg(0)?, "Kautz parameters")?;
             let (b, k) = (positive(b, "Kautz parameters")?, word_length(k)?);
-            let n = b.checked_pow(k).and_then(|p| p.checked_mul(b + 1));
+            let n = b
+                .checked_add(1)
+                .and_then(|letters| b.checked_pow(k)?.checked_mul(letters));
             fits(n, n.and_then(|n| n.checked_mul(b)))?;
             generators::kautz(b, k)
         }
@@ -984,6 +986,8 @@ mod tests {
             "debruijn:1x4294967296",
             "kautz:3x40",
             "kautz:1x4294967295",
+            "kautz:18446744073709551615x0",
+            "kautz:18446744073709551615x1",
             "layered:99999x99999",
             "random:99999999999:1:1",
             "randbi:99999999999:1:1",

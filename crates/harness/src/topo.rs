@@ -3,13 +3,12 @@
 //! A sweep crossing one topology with dozens of seeds and fault plans
 //! re-derives the same graph-level facts in every cell: the parsed
 //! graph, the diameter of its self-loop closure (round budgets are
-//! `n + D + c`), the centralized minimum base (the reference object of
-//! every F2/F3-style certification), Metropolis weight matrices, and
-//! spectral gaps. [`TopologyCache`] computes each exactly once per key
-//! and hands out shared `Arc`s; hit/miss counters make the memoization
-//! observable (and testable: cached answers must equal cold ones).
+//! `n + D + c`), and the centralized minimum base (the reference object
+//! of every F2/F3-style certification). [`TopologyCache`] computes each
+//! exactly once per key and hands out shared `Arc`s; hit/miss counters
+//! make the memoization observable (and testable: cached answers must
+//! equal cold ones).
 
-use kya_arith::spectral::FMatrix;
 use kya_fibration::MinimumBase;
 use kya_graph::{connectivity, Digraph};
 use kya_runtime::faults::FaultPlan;
@@ -52,8 +51,6 @@ pub struct TopologyCache {
     graphs: Mutex<BTreeMap<String, Arc<Digraph>>>,
     diameters: Mutex<BTreeMap<String, Option<usize>>>,
     bases: Mutex<BaseMemo>,
-    weights: Mutex<BTreeMap<String, Arc<FMatrix>>>,
-    gaps: Mutex<BTreeMap<String, f64>>,
     hits: AtomicU64,
     misses: AtomicU64,
     per_worker: Mutex<BTreeMap<Option<usize>, (u64, u64)>>,
@@ -172,32 +169,6 @@ impl TopologyCache {
         }))
     }
 
-    /// The Metropolis weight matrix of `label`'s (bidirectional) graph:
-    /// `w_ij = 1 / (1 + max(d_i, d_j))` on edges, diagonal filling each
-    /// row to 1, where `d_v` counts neighbors (self-loops excluded).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] if the label does not parse.
-    pub fn metropolis_weights(&self, label: &str) -> Result<Arc<FMatrix>, SpecError> {
-        let g = self.graph(label)?;
-        Ok(self.memo(&self.weights, &label.to_string(), || {
-            Arc::new(metropolis_matrix(&g))
-        }))
-    }
-
-    /// The spectral gap `1 - |λ₂|` of `label`'s Metropolis matrix,
-    /// estimated by power iteration deflating the uniform (Perron)
-    /// direction. Returns 0 when the iteration does not converge.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SpecError`] if the label does not parse.
-    pub fn spectral_gap(&self, label: &str) -> Result<f64, SpecError> {
-        let w = self.metropolis_weights(label)?;
-        Ok(self.memo(&self.gaps, &label.to_string(), || second_eigen_gap(&w)))
-    }
-
     /// Instantiate the cell's fault plan against the cached graph —
     /// pure convenience mirroring [`FaultPlan::new`] usage.
     pub fn fault_plan(&self, template: &crate::spec::PlanSpec, cell_seed: u64) -> FaultPlan {
@@ -226,72 +197,6 @@ impl TopologyCache {
         let map = self.per_worker.lock().expect("stats lock");
         map.get(&Some(worker)).copied().unwrap_or((0, 0))
     }
-}
-
-/// The Metropolis weight matrix of a bidirectional graph (degrees count
-/// neighbors, i.e. self-loops are excluded on both sides).
-fn metropolis_matrix(g: &Digraph) -> FMatrix {
-    let n = g.n();
-    let closed = g.with_self_loops();
-    let degree = |v: usize| -> usize { closed.outdegree(v).saturating_sub(1) };
-    let mut w = FMatrix::zeros(n);
-    for i in 0..n {
-        let mut row = 0.0;
-        for j in closed.out_neighbors(i) {
-            if j == i {
-                continue;
-            }
-            let wij = 1.0 / (1.0 + degree(i).max(degree(j)) as f64);
-            // Multi-edges contribute once: Metropolis weights are a
-            // function of the simple neighbor relation.
-            if w[(i, j)] == 0.0 {
-                w[(i, j)] = wij;
-                row += wij;
-            }
-        }
-        w[(i, i)] = 1.0 - row;
-    }
-    w
-}
-
-/// `1 - |λ₂|` by power iteration on the component orthogonal to the
-/// uniform vector (the Perron direction of a doubly stochastic
-/// Metropolis matrix).
-fn second_eigen_gap(w: &FMatrix) -> f64 {
-    let n = w.dim();
-    if n <= 1 {
-        return 1.0;
-    }
-    // Deterministic, non-uniform start vector.
-    let mut v: Vec<f64> = (0..n).map(|i| ((i * 2654435761) % 1000) as f64).collect();
-    let deflate = |v: &mut Vec<f64>| {
-        let mean = v.iter().sum::<f64>() / n as f64;
-        for x in v.iter_mut() {
-            *x -= mean;
-        }
-    };
-    deflate(&mut v);
-    let mut lambda = 0.0;
-    for _ in 0..10_000 {
-        let mut next = w.mul_vec(&v);
-        deflate(&mut next);
-        let norm = next.iter().map(|x| x * x).sum::<f64>().sqrt();
-        if norm < 1e-300 {
-            return 1.0; // second eigenvalue is (numerically) zero
-        }
-        for x in next.iter_mut() {
-            *x /= norm;
-        }
-        let prev = lambda;
-        // Rayleigh quotient with the normalized iterate.
-        let wv = w.mul_vec(&next);
-        lambda = next.iter().zip(&wv).map(|(a, b)| a * b).sum::<f64>();
-        v = next;
-        if (lambda - prev).abs() < 1e-12 {
-            break;
-        }
-    }
-    (1.0 - lambda.abs()).max(0.0)
 }
 
 #[cfg(test)]
@@ -338,20 +243,6 @@ mod tests {
     }
 
     #[test]
-    fn metropolis_weights_are_doubly_stochastic() {
-        let cache = TopologyCache::new();
-        let w = cache.metropolis_weights("biring:5").unwrap();
-        for i in 0..5 {
-            let row: f64 = (0..5).map(|j| w[(i, j)]).sum();
-            let col: f64 = (0..5).map(|j| w[(j, i)]).sum();
-            assert!((row - 1.0).abs() < 1e-12, "row {i} sums to {row}");
-            assert!((col - 1.0).abs() < 1e-12, "col {i} sums to {col}");
-        }
-        // Degree-2 ring: off-diagonal weight 1/3.
-        assert!((w[(0, 1)] - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn worker_scopes_partition_the_counters() {
         let cache = TopologyCache::new();
         let _ = cache.graph("ring:4"); // unattributed miss
@@ -379,14 +270,5 @@ mod tests {
             .iter()
             .fold((0, 0), |(h, m), &(_, wh, wm)| (h + wh, m + wm));
         assert_eq!((hits, misses), (h_sum, m_sum));
-    }
-
-    #[test]
-    fn spectral_gap_of_complete_graph_is_large() {
-        let cache = TopologyCache::new();
-        let complete = cache.spectral_gap("complete:6").unwrap();
-        let ring = cache.spectral_gap("biring:24").unwrap();
-        assert!(complete > ring, "complete {complete} vs long ring {ring}");
-        assert!(ring > 0.0 && ring < 0.1, "long rings mix slowly: {ring}");
     }
 }

@@ -266,23 +266,19 @@ impl<A: Algorithm> Execution<A> {
         rejoining
     }
 
-    /// Like [`Execution::step`], but computes sends, routing, and
-    /// transitions sharded over `threads` contiguous agent ranges.
+    /// Like [`Execution::step`], but computes sends and transitions
+    /// sharded over `threads` contiguous agent ranges.
     ///
     /// Bit-identical to `step` — the round is communication closed, so
-    /// per-agent work is embarrassingly parallel. Without a fault plan,
-    /// routing is sharded by *destination*: each worker assembles its
-    /// agents' inboxes from the in-edge lists and then restores the
-    /// canonical ascending `(source id, port rank)` delivery order (see
-    /// [`Execution::step`]). In-edge lists are in insertion order, not
-    /// source order, so the sort is load-bearing: without it f64 runs
-    /// diverge bitwise from the sequential path (`tests/conformance.rs`
-    /// pins this). Under a fault plan the coins are tossed in the
-    /// sequential routing order instead, as in
-    /// [`Execution::step_parallel_observed`]. Each phase spawns threads
-    /// only if every shard holds at least [`crate::MIN_SPAWN_AGENTS`]
-    /// agents, and then the calling thread works the first shard;
-    /// otherwise the phase's shards run in order on the calling thread.
+    /// per-agent work is embarrassingly parallel. Routing is the same
+    /// sequential pass as in [`Execution::step`]: it delivers in the
+    /// canonical ascending `(source id, port rank)` order and tosses a
+    /// fault plan's coins in that order, so f64 runs and fault events
+    /// match the sequential path bitwise. Each sharded phase spawns
+    /// threads only if every shard holds at least
+    /// [`crate::MIN_SPAWN_AGENTS`] agents, and then the calling thread
+    /// works the first shard; otherwise the phase's shards run in order
+    /// on the calling thread.
     ///
     /// # Panics
     ///
@@ -294,42 +290,7 @@ impl<A: Algorithm> Execution<A> {
         A::State: Send + Sync,
         A::Msg: Send + Sync,
     {
-        if self.plan.is_some() {
-            return self.route_round(graph, &Sharded(threads), &mut NullObserver);
-        }
-        let ranges = Sharded(threads).ranges(self.n());
-        assert_eq!(graph.n(), self.states.len(), "graph size != agent count");
-        self.round += 1;
-        let cx = RoundCtx::new(&self.algo, graph, self.round, Vec::new());
-        let states = &self.states;
-        let order = graph.port_ranks();
-
-        // Phase 1: sends, sharded over contiguous agent ranges; shards
-        // concatenate in range order, so no re-sort is needed.
-        let sends: Vec<Vec<A::Msg>> = map_agents(&ranges, |v| cx.send(v, &states[v]));
-
-        // Phase 2: routing, sharded by contiguous destination ranges.
-        // Workers read in-edges (insertion order) and sort each inbox
-        // back into the canonical ascending (src, port rank) delivery
-        // order; sends[v][r] is the message the algorithm addressed to
-        // port rank r of agent v.
-        let sends_ref = &sends;
-        let inboxes: Vec<Vec<A::Msg>> = map_agents(&ranges, |dst| {
-            let mut keyed: Vec<(u64, A::Msg)> = graph
-                .in_edges(dst)
-                .map(|e| {
-                    let src = graph.edges()[e].src;
-                    let rank = order.rank(e);
-                    let key = ((src as u64) << 32) | rank as u64;
-                    (key, sends_ref[src][rank as usize].clone())
-                })
-                .collect();
-            keyed.sort_unstable_by_key(|&(k, _)| k);
-            keyed.into_iter().map(|(_, m)| m).collect()
-        });
-
-        // Phase 3: transitions, sharded over contiguous agent ranges.
-        Sharded(threads).transitions(&cx, &mut self.states, inboxes, &[]);
+        self.route_round(graph, &Sharded(threads), &mut NullObserver);
     }
 
     /// Like [`Execution::step_parallel`], with an [`Observer`].
@@ -357,7 +318,7 @@ impl<A: Algorithm> Execution<A> {
         self.route_round(graph, &Sharded(threads), obs);
     }
 
-    /// The one sequential-routing round body. Sends run under
+    /// The one round body of every step. Sends run under
     /// `schedule`; then one routing pass in the canonical `(source id,
     /// port rank)` order tosses the fault plan's coins, feeds the
     /// observer and fills the inboxes; then transitions (with
@@ -963,8 +924,8 @@ mod tests {
         // In-star built with sources in *descending* order, so the
         // center's in-edge list is the reverse of the canonical
         // ascending-source delivery order; the self-loops come last.
-        // step_parallel routes by in-edge list and must sort back to
-        // canonical order, or the f64 fold below rounds differently.
+        // step_parallel must deliver in canonical order, or the
+        // f64 fold below rounds differently.
         let n = 6;
         let mut g = Digraph::new(n);
         for src in (1..n).rev() {

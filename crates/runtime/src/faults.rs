@@ -217,16 +217,6 @@ impl FaultPlan {
         self.drop_p
     }
 
-    /// The per-round duplication probability.
-    pub fn duplicate_rate(&self) -> f64 {
-        self.dup_p
-    }
-
-    /// The graph-level retry bound, if any.
-    pub fn retry_bound(&self) -> Option<u64> {
-        self.retry_within
-    }
-
     /// The round after which probabilistic link faults cease, if any.
     pub fn horizon(&self) -> Option<u64> {
         self.horizon
@@ -246,20 +236,6 @@ impl FaultPlan {
     /// Whether `agent` is crashed at round `t`.
     pub fn is_crashed(&self, agent: usize, t: u64) -> bool {
         self.crashes.iter().any(|w| w.agent == agent && w.covers(t))
-    }
-
-    /// The last round at which a *scripted* crash state changes (an
-    /// agent goes down or comes back). Crash-stops change state once,
-    /// when they begin. Returns 0 for a crash-free plan. Note this is
-    /// about the script; probabilistic link faults never cease, so
-    /// recovery experiments measure from the last *observed* fault
-    /// instead (see [`FaultEvents::last_fault_round`]).
-    pub fn last_crash_transition(&self) -> u64 {
-        self.crashes
-            .iter()
-            .map(|w| w.until.unwrap_or(w.from))
-            .max()
-            .unwrap_or(0)
     }
 
     /// The raw per-round drop coin for the link `src -> dst` at round

@@ -15,11 +15,10 @@
 //!   column. An isotropic agent sends the *same* message on every port,
 //!   so the column holds each message exactly once; nothing is copied
 //!   per edge.
-//! - **Routing** is frozen at construction into a
-//!   [`RoutingPlan`](kya_graph::RoutingPlan): per destination, the list
-//!   of in-sources sorted once into the canonical ascending
-//!   `(source id, port rank)` order. An agent's [`Inbox`] is a view of
-//!   the message column through that list.
+//! - **Routing** is frozen at construction into a [`RoutingPlan`]: per
+//!   destination, the list of in-sources sorted once into the canonical
+//!   ascending `(source id, port rank)` order. An agent's [`Inbox`] is a
+//!   view of the message column through that list.
 //! - **A round is one pass**: per agent, fold the inbox into the new
 //!   state and emit the next round's message from it into the other
 //!   message buffer. After construction the executor allocates nothing
@@ -279,11 +278,6 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
     /// State lane `lane`, indexed by agent.
     pub fn lane(&self, lane: usize) -> &[f64] {
         &self.cols[lane]
-    }
-
-    /// Agent `v`'s state lanes, gathered into a small buffer.
-    pub fn state_of(&self, v: usize) -> Vec<f64> {
-        self.cols.iter().map(|col| col[v]).collect()
     }
 
     /// Current outputs, indexed by agent.

@@ -8,8 +8,8 @@
 //!
 //! The workspace layers, bottom-up:
 //!
-//! - [`arith`]: exact big-integer/rational arithmetic, exact kernels,
-//!   Perron–Frobenius and stochastic-matrix toolkits,
+//! - [`arith`]: exact big-integer/rational arithmetic, exact kernels, a
+//!   Perron–Frobenius toolkit,
 //! - [`graph`]: directed multigraphs, valuations, port colorings, dynamic
 //!   graphs and their diameters,
 //! - [`fibration`]: graph fibrations, the lifting lemma, minimum bases,
