@@ -77,7 +77,7 @@ impl IsotropicAlgorithm for Metropolis {
     }
 }
 
-/// The flat (struct-of-arrays) twin of the boxed [`IsotropicAlgorithm`]
+/// The flat (fixed-width f64 lanes) twin of the boxed [`IsotropicAlgorithm`]
 /// impl: one state lane `[x]`, message lanes `[x, degree]` with the
 /// degree carried as an exactly-representable f64 (degrees < 2^53, so
 /// the f64 `max` agrees bitwise with the boxed usize `max`-then-cast).
@@ -85,11 +85,13 @@ impl FlatAlgorithm for Metropolis {
     const STATE_LANES: usize = 1;
     const MSG_LANES: usize = 2;
 
+    #[inline]
     fn message(&self, state: &[f64], outdegree: usize, msg: &mut [f64]) {
         msg[0] = state[0];
         msg[1] = outdegree.saturating_sub(1) as f64;
     }
 
+    #[inline]
     fn transition(&self, state: &[f64], inbox: Inbox<'_>, next: &mut [f64]) {
         let x = state[0];
         let own = inbox.len().saturating_sub(1) as f64;
@@ -102,6 +104,7 @@ impl FlatAlgorithm for Metropolis {
         next[0] = acc;
     }
 
+    #[inline]
     fn output(&self, state: &[f64]) -> f64 {
         state[0]
     }

@@ -110,7 +110,7 @@ impl IsotropicAlgorithm for PushSum {
     }
 }
 
-/// The flat (struct-of-arrays) twin of the boxed [`IsotropicAlgorithm`]
+/// The flat (fixed-width f64 lanes) twin of the boxed [`IsotropicAlgorithm`]
 /// impl: lanes `[y, z]` for both state and message, with every
 /// floating-point operation performed in the same order — the `flat`
 /// conformance oracle and `tests/flat_equivalence.rs` hold the two
@@ -119,12 +119,14 @@ impl FlatAlgorithm for PushSum {
     const STATE_LANES: usize = 2;
     const MSG_LANES: usize = 2;
 
+    #[inline]
     fn message(&self, state: &[f64], outdegree: usize, msg: &mut [f64]) {
         let d = outdegree as f64;
         msg[0] = state[0] / d;
         msg[1] = state[1] / d;
     }
 
+    #[inline]
     fn transition(&self, _state: &[f64], inbox: Inbox<'_>, next: &mut [f64]) {
         let mut y = 0.0;
         let mut z = 0.0;
@@ -136,6 +138,7 @@ impl FlatAlgorithm for PushSum {
         next[1] = z;
     }
 
+    #[inline]
     fn output(&self, state: &[f64]) -> f64 {
         state[0] / state[1]
     }

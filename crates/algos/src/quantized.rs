@@ -202,6 +202,7 @@ impl FlatAlgorithm for QuantizedPushSum {
     const STATE_LANES: usize = 2;
     const MSG_LANES: usize = 2;
 
+    #[inline]
     fn message(&self, state: &[f64], outdegree: usize, msg: &mut [f64]) {
         let s = PushSumState {
             y: state[0],
@@ -219,6 +220,7 @@ impl FlatAlgorithm for QuantizedPushSum {
         )
     }
 
+    #[inline]
     fn transition_with_outdegree(
         &self,
         state: &[f64],
@@ -242,6 +244,7 @@ impl FlatAlgorithm for QuantizedPushSum {
         next[1] = z as f64;
     }
 
+    #[inline]
     fn output(&self, state: &[f64]) -> f64 {
         state[0] / state[1]
     }
@@ -398,11 +401,13 @@ impl FlatAlgorithm for QuantizedMetropolis {
     const STATE_LANES: usize = 1;
     const MSG_LANES: usize = 2;
 
+    #[inline]
     fn message(&self, state: &[f64], outdegree: usize, msg: &mut [f64]) {
         msg[0] = self.codec.encode_shifted(tokens(state[0]), self.shift) as f64;
         msg[1] = outdegree.saturating_sub(1) as f64;
     }
 
+    #[inline]
     fn transition(&self, state: &[f64], inbox: Inbox<'_>, next: &mut [f64]) {
         let own = inbox.len().saturating_sub(1) as u64;
         next[0] = self.fold(
@@ -412,6 +417,7 @@ impl FlatAlgorithm for QuantizedMetropolis {
         );
     }
 
+    #[inline]
     fn output(&self, state: &[f64]) -> f64 {
         state[0] / self.scale()
     }

@@ -1,4 +1,4 @@
-//! Criterion bench: the flat SoA/CSR engine against the boxed executor
+//! Criterion bench: the flat CSR engine against the boxed executor
 //! on the same graphs and rounds. Both paths compute bit-identical
 //! Push-Sum states (the conformance flat oracle pins that), so the gap
 //! is pure engine overhead: per-round message boxing and inbox

@@ -70,29 +70,30 @@ pub fn find(name: &str) -> Option<&'static Experiment> {
     EXPERIMENTS.iter().copied().find(|e| e.name == name)
 }
 
-/// Run an experiment end to end; returns whether every verdict-bearing
+/// Run an experiment end to end and render its sinks as the flags ask
+/// (`--ndjson`, `--json`, or the experiment's own table); returns the
+/// text, which the caller prints, and whether every verdict-bearing
 /// cell passed.
 ///
 /// # Errors
 ///
 /// Returns a [`SpecError`] for unknown experiments or malformed flags.
-pub fn run(name: &str, argv: &[String]) -> Result<bool, SpecError> {
+pub fn run(name: &str, argv: &[String]) -> Result<(String, bool), SpecError> {
     let (exp, sinks) = run_collect(name, argv, TelemetryMode::off(), &[])?;
     let args = Args::parse(argv);
-    if args.is_set("ndjson") {
-        for sink in &sinks {
-            print!("{}", sink.to_ndjson());
-        }
-    } else if args.is_set("json") {
-        for sink in &sinks {
-            println!("{}", sink.to_json());
-        }
-    } else {
-        for sink in &sinks {
-            println!("{}", (exp.render)(sink));
+    let mut text = String::new();
+    for sink in &sinks {
+        if args.is_set("ndjson") {
+            text.push_str(&sink.to_ndjson());
+        } else if args.is_set("json") {
+            text.push_str(&sink.to_json());
+            text.push('\n');
+        } else {
+            text.push_str(&(exp.render)(sink));
+            text.push('\n');
         }
     }
-    Ok(sinks.iter().all(ResultSink::all_ok))
+    Ok((text, sinks.iter().all(ResultSink::all_ok)))
 }
 
 /// Parse flags, build the specs, and sweep them — the shared engine of
@@ -207,10 +208,14 @@ where
 pub fn run_main(name: &str) -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     match run(name, &argv) {
-        Ok(true) => ExitCode::SUCCESS,
-        Ok(false) => {
-            eprintln!("{name}: some cells FAILED — see [XX] lines above");
-            ExitCode::FAILURE
+        Ok((text, ok)) => {
+            print!("{text}");
+            if ok {
+                ExitCode::SUCCESS
+            } else {
+                eprintln!("{name}: some cells FAILED — see [XX] lines above");
+                ExitCode::FAILURE
+            }
         }
         Err(e) => {
             eprintln!("{name}: {e}");

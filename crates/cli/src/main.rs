@@ -73,6 +73,7 @@ use kya_harness::{
 use kya_runtime::churn::ChurnMasked;
 use kya_runtime::metric::EuclideanMetric;
 use kya_runtime::{BandwidthCap, Broadcast, ByteLedger, Execution, Isotropic, RunConfig};
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage:
@@ -104,6 +105,47 @@ churn specs: stable, or cAGENT:LEAVE:REJOIN[,...][+reset] (- = never rejoin),
              e.g. c1:10:30 or c1:10:30,2:20:45+reset
 sweeps:      table1 table2 f1 f2 f4 f5 f6 f7 f8 flat (run `kya sweep` to list)";
 
+/// Why a command stopped: a bad request, or a failed write to standard
+/// output.
+#[derive(Debug)]
+enum CliError {
+    Spec(SpecError),
+    Io(io::Error),
+}
+
+impl std::fmt::Display for CliError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CliError::Spec(e) => e.fmt(f),
+            CliError::Io(e) => write!(f, "cannot write to standard output: {e}"),
+        }
+    }
+}
+
+impl From<SpecError> for CliError {
+    fn from(e: SpecError) -> CliError {
+        CliError::Spec(e)
+    }
+}
+
+impl From<io::Error> for CliError {
+    fn from(e: io::Error) -> CliError {
+        CliError::Io(e)
+    }
+}
+
+/// The message `kya` exits with, or `None` for success. A reader that
+/// closes the pipe early (`kya check --ndjson | head`) has taken all the
+/// output it wants, so a broken pipe ends the command quietly and
+/// successfully; any other failed write is an error.
+fn exit_message(result: Result<(), CliError>) -> Option<String> {
+    match result {
+        Ok(()) => None,
+        Err(CliError::Io(e)) if e.kind() == io::ErrorKind::BrokenPipe => None,
+        Err(e) => Some(e.to_string()),
+    }
+}
+
 fn graph_and_values(args: &Args) -> Result<(Digraph, Vec<u64>), SpecError> {
     let g = parse_graph(args.required("graph")?)?;
     let values = parse_values(args.required("values")?)?;
@@ -117,74 +159,87 @@ fn graph_and_values(args: &Args) -> Result<(Digraph, Vec<u64>), SpecError> {
     Ok((g, values))
 }
 
-fn print_census(census: &FibreCensus, n: usize, args: &Args) {
-    println!("fibre census (ray {:?}):", census.ray());
+fn print_census(
+    out: &mut dyn Write,
+    census: &FibreCensus,
+    n: usize,
+    args: &Args,
+) -> io::Result<()> {
+    writeln!(out, "fibre census (ray {:?}):", census.ray())?;
     for (v, f) in census.frequencies() {
-        println!("  value {v}: frequency {f}");
+        writeln!(out, "  value {v}: frequency {f}")?;
     }
     if args.is_set("n") {
         match census.multiplicities_known_n(n) {
             Ok(mults) => {
-                println!("with n = {n} known:");
+                writeln!(out, "with n = {n} known:")?;
                 for (v, m) in mults {
-                    println!("  value {v}: multiplicity {m}");
+                    writeln!(out, "  value {v}: multiplicity {m}")?;
                 }
             }
-            Err(e) => println!("with n known: {e}"),
+            Err(e) => writeln!(out, "with n known: {e}")?,
         }
     }
     if let Some(k) = args.optional("leader") {
         let ell: usize = k.parse().unwrap_or(1);
         match census.multiplicities_with_leaders(ell, kya_core::value::is_leader) {
             Ok(mults) => {
-                println!("with {ell} leader(s):");
+                writeln!(out, "with {ell} leader(s):")?;
                 for (v, m) in mults {
                     let (payload, lead) = kya_core::value::decode(v);
-                    println!(
+                    writeln!(
+                        out,
                         "  value {payload}{}: multiplicity {m}",
                         if lead { " (leader)" } else { "" }
-                    );
+                    )?;
                 }
             }
-            Err(e) => println!("with leader(s): {e}"),
+            Err(e) => writeln!(out, "with leader(s): {e}")?,
         }
     }
-}
-
-fn cmd_tables() -> Result<(), SpecError> {
-    println!("{}", render_table(NetworkKind::Static));
-    println!("{}", render_table(NetworkKind::Dynamic));
     Ok(())
 }
 
-fn cmd_minbase(args: &Args) -> Result<(), SpecError> {
+fn cmd_tables(out: &mut dyn Write) -> Result<(), CliError> {
+    writeln!(out, "{}", render_table(NetworkKind::Static))?;
+    writeln!(out, "{}", render_table(NetworkKind::Dynamic))?;
+    Ok(())
+}
+
+fn cmd_minbase(out: &mut dyn Write, args: &Args) -> Result<(), CliError> {
     let (g, values) = graph_and_values(args)?;
     if !connectivity::is_strongly_connected(&g) {
-        return Err(SpecError("graph is not strongly connected".into()));
+        return Err(SpecError("graph is not strongly connected".into()).into());
     }
     let closed = g.with_self_loops();
     let mb = MinimumBase::compute(&closed, &values);
-    println!(
+    writeln!(
+        out,
         "minimum base: {} fibres (graph is {}fibration prime)",
         mb.base().n(),
         if mb.is_prime() { "" } else { "not " }
-    );
+    )?;
     for (i, members) in mb.partition().members().iter().enumerate() {
-        println!(
+        writeln!(
+            out,
             "  fibre {i}: value {}, size {}, members {:?}",
             mb.base_values()[i],
             members.len(),
             members
-        );
+        )?;
     }
-    println!("base multiplicities {:?}", mb.base().multiplicity_matrix());
+    writeln!(
+        out,
+        "base multiplicities {:?}",
+        mb.base().multiplicity_matrix()
+    )?;
     Ok(())
 }
 
-fn cmd_census(args: &Args) -> Result<(), SpecError> {
+fn cmd_census(out: &mut dyn Write, args: &Args) -> Result<(), CliError> {
     let (g, mut values) = graph_and_values(args)?;
     if !connectivity::is_strongly_connected(&g) {
-        return Err(SpecError("graph is not strongly connected".into()));
+        return Err(SpecError("graph is not strongly connected".into()).into());
     }
     if args.optional("leader").is_some() {
         // Flag agent 0 as (the first) leader through its value.
@@ -202,9 +257,9 @@ fn cmd_census(args: &Args) -> Result<(), SpecError> {
         }
         "symmetric" => {
             if !g.is_bidirectional() {
-                return Err(SpecError(
-                    "the symmetric model needs a bidirectional graph".into(),
-                ));
+                return Err(
+                    SpecError("the symmetric model needs a bidirectional graph".into()).into(),
+                );
             }
             let mut exec = Execution::new(Broadcast(CensusSymmetric), ViewState::initial(&values));
             exec.drive(&net, RunConfig::rounds(rounds));
@@ -218,32 +273,33 @@ fn cmd_census(args: &Args) -> Result<(), SpecError> {
         other => {
             return Err(SpecError(format!(
                 "unknown model `{other}` (outdegree, symmetric, ports)"
-            )))
+            ))
+            .into())
         }
     };
     match census {
         Some(census) => {
-            println!("stabilized after at most {rounds} rounds (n + D + slack)");
-            print_census(&census, g.n(), args);
+            writeln!(
+                out,
+                "stabilized after at most {rounds} rounds (n + D + slack)"
+            )?;
+            print_census(out, &census, g.n(), args)?;
             Ok(())
         }
-        None => Err(SpecError(
-            "census did not stabilize within n + D + slack rounds".into(),
-        )),
+        None => {
+            Err(SpecError("census did not stabilize within n + D + slack rounds".into()).into())
+        }
     }
 }
 
-fn cmd_pushsum(args: &Args) -> Result<(), SpecError> {
+fn cmd_pushsum(out: &mut dyn Write, args: &Args) -> Result<(), CliError> {
     let n: usize = args
         .required("n")?
         .parse()
         .map_err(|_| SpecError("--n must be a number".into()))?;
     let values = parse_values(args.required("values")?)?;
     if values.len() != n {
-        return Err(SpecError(format!(
-            "--n {n} but {} values were given",
-            values.len()
-        )));
+        return Err(SpecError(format!("--n {n} but {} values were given", values.len())).into());
     }
     let rounds = args.u64_flag("rounds", 600)?;
     let seed = args.u64_flag("seed", 42)?;
@@ -254,37 +310,41 @@ fn cmd_pushsum(args: &Args) -> Result<(), SpecError> {
     );
     exec.drive(&net, RunConfig::rounds(rounds));
     let est = exec.outputs()[0].clone();
-    println!("push-sum frequency estimates after {rounds} rounds (agent 0):");
+    writeln!(
+        out,
+        "push-sum frequency estimates after {rounds} rounds (agent 0):"
+    )?;
     for (v, x) in &est {
-        println!("  value {v}: {x:.9}");
+        writeln!(out, "  value {v}: {x:.9}")?;
     }
     if let Some(b) = args.optional("bound") {
         let bound: usize = b
             .parse()
             .map_err(|_| SpecError("--bound must be a number".into()))?;
-        println!("rounded to the grid Q_{bound}:");
+        writeln!(out, "rounded to the grid Q_{bound}:")?;
         // round_to_grid clamps to [0, 1] and sends non-finite estimates
         // (leader mode before any weight arrives) to 0, so every printed
         // frequency is a genuine grid point.
         for (v, f) in round_to_grid(&est, bound) {
-            println!("  value {v}: {f}");
+            writeln!(out, "  value {v}: {f}")?;
         }
     }
     Ok(())
 }
 
-fn cmd_gossip(args: &Args) -> Result<(), SpecError> {
+fn cmd_gossip(out: &mut dyn Write, args: &Args) -> Result<(), CliError> {
     let (g, values) = graph_and_values(args)?;
     let d = connectivity::diameter(&g.with_self_loops())
         .ok_or_else(|| SpecError("graph is not strongly connected".into()))?;
     let net = StaticGraph::new(g);
     let mut exec = Execution::new(Broadcast(SetGossip), SetGossip::initial(&values));
     exec.drive(&net, RunConfig::rounds(d as u64 + 1));
-    println!(
+    writeln!(
+        out,
         "value set after D + 1 = {} rounds: {:?}",
         d + 1,
         exec.outputs()[0]
-    );
+    )?;
     Ok(())
 }
 
@@ -331,16 +391,16 @@ fn parse_crashes(spec: &str, n: usize, mut plan: PlanSpec) -> Result<PlanSpec, S
 
 /// The F6 one-off: a single-cell harness sweep over the scripted fault
 /// plan, reported as a [`kya_runtime::CellReport`].
-fn cmd_faults(args: &Args) -> Result<(), SpecError> {
+fn cmd_faults(out: &mut dyn Write, args: &Args) -> Result<(), CliError> {
     let (g, values) = graph_and_values(args)?;
     if !connectivity::is_strongly_connected(&g) {
-        return Err(SpecError("graph is not strongly connected".into()));
+        return Err(SpecError("graph is not strongly connected".into()).into());
     }
     let n = g.n();
     let drop_p = args.f64_flag("drop", 0.0)?;
     let dup_p = args.f64_flag("dup", 0.0)?;
     if !(0.0..1.0).contains(&drop_p) || !(0.0..=1.0).contains(&dup_p) {
-        return Err(SpecError("--drop needs [0,1), --dup needs [0,1]".into()));
+        return Err(SpecError("--drop needs [0,1), --dup needs [0,1]".into()).into());
     }
     let rounds = args.u64_flag("rounds", 300)?.max(1);
     let seed = args.u64_flag("seed", 42)?;
@@ -401,23 +461,25 @@ fn cmd_faults(args: &Args) -> Result<(), SpecError> {
     let record = sink.records().first().expect("one cell");
     let report = record.report.as_ref().expect("report recorded");
     if args.is_set("json") {
-        println!("{}", serde::to_json_string(record));
+        writeln!(out, "{}", serde::to_json_string(record))?;
         return Ok(());
     }
-    println!(
+    writeln!(
+        out,
         "push-sum ({}) averaging to {target} under fault plan:",
         if plain {
             "plain, lossy — negative control"
         } else {
             "self-healing"
         }
-    );
-    println!("  {}", serde::to_json_string(&shown_plan));
-    println!(
+    )?;
+    writeln!(out, "  {}", serde::to_json_string(&shown_plan))?;
+    writeln!(
+        out,
         "injected: {} drops, {} duplications, {} bounces to crashed agents",
         report.events.dropped, report.events.duplicated, report.events.bounced_to_crashed
-    );
-    println!("{report}");
+    )?;
+    writeln!(out, "{report}")?;
     Ok(())
 }
 
@@ -444,10 +506,10 @@ struct BandwidthRecord {
 /// The F7 one-off: quantized Push-Sum or Metropolis on a static graph
 /// under a b-bit bandwidth cap, with the per-round byte ledger, exact-ℚ
 /// token accounting, and the convergence residual the cap costs.
-fn cmd_bandwidth(args: &Args) -> Result<(), SpecError> {
+fn cmd_bandwidth(out: &mut dyn Write, args: &Args) -> Result<(), CliError> {
     let (g, values) = graph_and_values(args)?;
     if !connectivity::is_strongly_connected(&g) {
-        return Err(SpecError("graph is not strongly connected".into()));
+        return Err(SpecError("graph is not strongly connected".into()).into());
     }
     let cap_s = args.optional("bits").unwrap_or("8");
     let cap = BandwidthCap::parse(cap_s)
@@ -511,9 +573,9 @@ fn cmd_bandwidth(args: &Args) -> Result<(), SpecError> {
             (exec.outputs(), Vec::new(), true)
         }
         (other, _) => {
-            return Err(SpecError(format!(
-                "unknown --algo `{other}` (qpushsum|qmetropolis)"
-            )));
+            return Err(
+                SpecError(format!("unknown --algo `{other}` (qpushsum|qmetropolis)")).into(),
+            );
         }
     };
     let residual = outputs
@@ -535,28 +597,31 @@ fn cmd_bandwidth(args: &Args) -> Result<(), SpecError> {
         total_bytes: ledger.total_bytes(),
     };
     if args.is_set("json") {
-        println!("{}", serde::to_json_string(&record));
+        writeln!(out, "{}", serde::to_json_string(&record))?;
         return Ok(());
     }
-    println!(
+    writeln!(
+        out,
         "{} averaging to {target} under cap {} ({} bits/edge/round), {rounds} rounds:",
         record.algorithm, record.cap, record.bits_per_edge
-    );
+    )?;
     for (v, x) in record.outputs.iter().enumerate() {
         match record.exact.get(v) {
-            Some(r) => println!("  agent {v}: {x:.9}  (exact {r})"),
-            None => println!("  agent {v}: {x:.9}"),
+            Some(r) => writeln!(out, "  agent {v}: {x:.9}  (exact {r})")?,
+            None => writeln!(out, "  agent {v}: {x:.9}")?,
         }
     }
-    println!(
+    writeln!(
+        out,
         "token mass conserved exactly: {}",
         if record.mass_conserved { "yes" } else { "NO" }
-    );
-    println!("max |x_i - target|: {residual:.3e}");
-    println!(
+    )?;
+    writeln!(out, "max |x_i - target|: {residual:.3e}")?;
+    writeln!(
+        out,
         "ledger: {edges} edges x {rounds} rounds x {} bits = {} bits ({} bytes)",
         record.bits_per_edge, record.total_bits, record.total_bytes
-    );
+    )?;
     Ok(())
 }
 
@@ -565,32 +630,25 @@ fn cmd_bandwidth(args: &Args) -> Result<(), SpecError> {
 /// self-healing Push-Sum or Metropolis averaging with the churn-aware
 /// recovery report (convergence counts only strictly after the last
 /// fault *or churn transition*).
-fn cmd_churn(args: &Args) -> Result<(), SpecError> {
+fn cmd_churn(out: &mut dyn Write, args: &Args) -> Result<(), CliError> {
     let n: usize = args
         .required("n")?
         .parse()
         .map_err(|_| SpecError("--n must be a number".into()))?;
     if n < 2 {
-        return Err(SpecError("--n must be at least 2".into()));
+        return Err(SpecError("--n must be at least 2".into()).into());
     }
     let values = parse_values(args.required("values")?)?;
     if values.len() != n {
-        return Err(SpecError(format!(
-            "--n {n} but {} values were given",
-            values.len()
-        )));
+        return Err(SpecError(format!("--n {n} but {} values were given", values.len())).into());
     }
     let fairness = args.optional("fairness").unwrap_or("uniform");
     if !matches!(fairness, "uniform" | "cover") {
-        return Err(SpecError(format!(
-            "unknown fairness `{fairness}` (uniform, cover)"
-        )));
+        return Err(SpecError(format!("unknown fairness `{fairness}` (uniform, cover)")).into());
     }
     let algo = args.optional("algo").unwrap_or("healing");
     if !matches!(algo, "healing" | "metropolis") {
-        return Err(SpecError(format!(
-            "unknown algorithm `{algo}` (healing, metropolis)"
-        )));
+        return Err(SpecError(format!("unknown algorithm `{algo}` (healing, metropolis)")).into());
     }
     let churn = ChurnSpec::parse(args.optional("churn").unwrap_or("stable"))?;
     for w in churn.windows() {
@@ -598,23 +656,25 @@ fn cmd_churn(args: &Args) -> Result<(), SpecError> {
             return Err(SpecError(format!(
                 "churn agent {} out of range (the population has {n} agents)",
                 w.agent
-            )));
+            ))
+            .into());
         }
         if w.leave == 0 {
-            return Err(SpecError("churn rounds are numbered from 1".into()));
+            return Err(SpecError("churn rounds are numbered from 1".into()).into());
         }
         if let Some(rejoin) = w.rejoin {
             if rejoin <= w.leave {
                 return Err(SpecError(format!(
                     "churn window `{}:{}:{rejoin}` is empty (REJOIN must exceed LEAVE)",
                     w.agent, w.leave
-                )));
+                ))
+                .into());
             }
         }
     }
     let drop_p = args.f64_flag("drop", 0.0)?;
     if !(0.0..1.0).contains(&drop_p) {
-        return Err(SpecError("--drop needs [0,1)".into()));
+        return Err(SpecError("--drop needs [0,1)".into()).into());
     }
     let rounds = args.u64_flag("rounds", 300)?.max(1);
     let seed = args.u64_flag("seed", 42)?;
@@ -680,11 +740,12 @@ fn cmd_churn(args: &Args) -> Result<(), SpecError> {
     let record = sink.records().first().expect("one cell");
     let report = record.report.as_ref().expect("report recorded");
     if args.is_set("json") {
-        println!("{}", serde::to_json_string(record));
+        writeln!(out, "{}", serde::to_json_string(record))?;
         return Ok(());
     }
     let membership = churn.build(seed).membership(n);
-    println!(
+    writeln!(
+        out,
         "{} averaging to {target} on pair:{fairness}:{n} under churn `{}`:",
         if algo == "healing" {
             "self-healing push-sum"
@@ -692,35 +753,40 @@ fn cmd_churn(args: &Args) -> Result<(), SpecError> {
             "metropolis"
         },
         churn.label()
-    );
-    println!("  fault plan: {}", serde::to_json_string(&shown_plan));
-    println!(
+    )?;
+    writeln!(out, "  fault plan: {}", serde::to_json_string(&shown_plan))?;
+    writeln!(
+        out,
         "  membership: {} windows, live count at horizon {}, last transition round {}",
         churn.windows().len(),
         membership.live_count(rounds),
         membership.last_transition()
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "injected: {} drops, {} duplications, {} bounces to crashed agents",
         report.events.dropped, report.events.duplicated, report.events.bounced_to_crashed
-    );
-    println!("{report}");
+    )?;
+    writeln!(out, "{report}")?;
     Ok(())
 }
 
-fn cmd_sweep(argv: &[String]) -> Result<(), SpecError> {
+fn cmd_sweep(out: &mut dyn Write, argv: &[String]) -> Result<(), CliError> {
     let Some(name) = argv.first() else {
-        println!("available experiment sweeps:");
+        writeln!(out, "available experiment sweeps:")?;
         for e in kya_bench::experiments::EXPERIMENTS {
-            println!("  {:<8} {}", e.name, e.about);
+            writeln!(out, "  {:<8} {}", e.name, e.about)?;
         }
         return Ok(());
     };
-    match kya_bench::experiments::run(name, &argv[1..])? {
+    let (text, ok) = kya_bench::experiments::run(name, &argv[1..])?;
+    write!(out, "{text}")?;
+    match ok {
         true => Ok(()),
         false => Err(SpecError(format!(
             "sweep `{name}`: some cells FAILED — see [XX] lines above"
-        ))),
+        ))
+        .into()),
     }
 }
 
@@ -730,11 +796,11 @@ fn cmd_sweep(argv: &[String]) -> Result<(), SpecError> {
 /// goes to `--trace-out` (default `EXPERIMENT.trace.ndjson`). The trace
 /// file carries only deterministic fields, so it is byte-identical
 /// across runs and worker counts.
-fn cmd_trace(argv: &[String]) -> Result<(), SpecError> {
+fn cmd_trace(out: &mut dyn Write, argv: &[String]) -> Result<(), CliError> {
     let Some(name) = argv.first() else {
-        println!("experiments traceable with `kya trace NAME`:");
+        writeln!(out, "experiments traceable with `kya trace NAME`:")?;
         for e in kya_bench::experiments::EXPERIMENTS {
-            println!("  {:<8} {}", e.name, e.about);
+            writeln!(out, "  {:<8} {}", e.name, e.about)?;
         }
         return Ok(());
     };
@@ -751,7 +817,7 @@ fn cmd_trace(argv: &[String]) -> Result<(), SpecError> {
         kya_bench::experiments::run_collect(name, rest, mode, kya_bench::experiments::TRACE_FLAGS)?;
     let mut trace = String::new();
     for sink in &sinks {
-        print!("{}", sink.to_ndjson());
+        write!(out, "{}", sink.to_ndjson())?;
         trace.push_str(&sink.to_trace_ndjson());
     }
     std::fs::write(&out_path, &trace)
@@ -764,14 +830,15 @@ fn cmd_trace(argv: &[String]) -> Result<(), SpecError> {
         true => Ok(()),
         false => Err(SpecError(format!(
             "trace `{name}`: some cells FAILED — see records above"
-        ))),
+        ))
+        .into()),
     }
 }
 
 /// The conformance matrix: run every differential oracle and report
 /// per-check pass/fail counts (or the raw NDJSON stream with
 /// `--ndjson`, which is byte-identical at any `--workers N`).
-fn cmd_check(args: &Args) -> Result<(), SpecError> {
+fn cmd_check(out: &mut dyn Write, args: &Args) -> Result<(), CliError> {
     let matrix = kya_conformance::Matrix::parse(args.optional("matrix").unwrap_or("small"))?;
     let workers = match args.optional("workers") {
         Some(w) => w
@@ -789,13 +856,18 @@ fn cmd_check(args: &Args) -> Result<(), SpecError> {
     };
     let results = kya_conformance::run_only(matrix, workers, only);
     if args.is_set("ndjson") {
-        print!("{}", kya_conformance::to_ndjson(&results));
+        write!(out, "{}", kya_conformance::to_ndjson(&results))?;
     } else {
         for (kind, sink) in &results {
             let failures = sink.failures();
-            println!("{kind:?}: {} cells, {} failed", sink.len(), failures.len());
+            writeln!(
+                out,
+                "{kind:?}: {} cells, {} failed",
+                sink.len(),
+                failures.len()
+            )?;
             for r in failures {
-                println!("  FAIL {}", serde::to_json_string(r));
+                writeln!(out, "  FAIL {}", serde::to_json_string(r))?;
             }
         }
     }
@@ -805,7 +877,8 @@ fn cmd_check(args: &Args) -> Result<(), SpecError> {
         Err(SpecError(format!(
             "conformance: {} cell(s) FAILED",
             kya_conformance::failure_count(&results)
-        )))
+        ))
+        .into())
     }
 }
 
@@ -815,7 +888,7 @@ fn cmd_check(args: &Args) -> Result<(), SpecError> {
 /// `metrics` job byte-diffs across `--threads`); or, with `--validate`,
 /// check an existing snapshot against the schema without running
 /// anything.
-fn cmd_profile(args: &Args) -> Result<(), SpecError> {
+fn cmd_profile(out: &mut dyn Write, args: &Args) -> Result<(), CliError> {
     use kya_bench::profile::{self, ProfileConfig};
     if let Some(path) = args.optional("validate") {
         let text = std::fs::read_to_string(path)
@@ -823,10 +896,11 @@ fn cmd_profile(args: &Args) -> Result<(), SpecError> {
         let doc = serde::Value::from_json(&text)
             .map_err(|e| SpecError(format!("`{path}` is not JSON: {e}")))?;
         profile::validate(&doc).map_err(SpecError)?;
-        println!(
+        writeln!(
+            out,
             "kya profile: `{path}` is a valid schema-v{} snapshot",
             profile::SCHEMA_VERSION
-        );
+        )?;
         return Ok(());
     }
     let mut cfg = if args.is_set("smoke") {
@@ -837,7 +911,7 @@ fn cmd_profile(args: &Args) -> Result<(), SpecError> {
     let default_threads = cfg.threads.clone();
     cfg.threads = args.usize_list_flag("threads", &default_threads)?;
     if cfg.threads.contains(&0) {
-        return Err(SpecError("--threads entries must be positive".into()));
+        return Err(SpecError("--threads entries must be positive".into()).into());
     }
     if let Some(path) = args.optional("probe-out") {
         // Probe-stream mode runs at ONE thread count (the first of
@@ -856,61 +930,59 @@ fn cmd_profile(args: &Args) -> Result<(), SpecError> {
     }
     let doc = profile::run(&cfg);
     profile::validate(&doc).map_err(SpecError)?;
-    let out = args.optional("out").unwrap_or("BENCH_flat.json");
-    std::fs::write(out, format!("{}\n", doc.to_json()))
-        .map_err(|e| SpecError(format!("cannot write snapshot to `{out}`: {e}")))?;
+    let path = args.optional("out").unwrap_or("BENCH_flat.json");
+    std::fs::write(path, format!("{}\n", doc.to_json()))
+        .map_err(|e| SpecError(format!("cannot write snapshot to `{path}`: {e}")))?;
     let cells = doc
         .get("cells")
         .and_then(serde::Value::as_seq)
         .map_or(0, <[serde::Value]>::len);
-    println!(
-        "kya profile: wrote {out} ({cells} cells, schema v{})",
+    writeln!(
+        out,
+        "kya profile: wrote {path} ({cells} cells, schema v{})",
         profile::SCHEMA_VERSION
-    );
+    )?;
     Ok(())
 }
 
-fn run() -> Result<(), SpecError> {
+fn run(out: &mut dyn Write) -> Result<(), CliError> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = argv.first() else {
-        return Err(SpecError(USAGE.into()));
+        return Err(SpecError(USAGE.into()).into());
     };
     if cmd == "sweep" {
         // The experiment owns its flag set (including extras like F6's
         // `--drops`), so delegate before generic flag validation.
-        return cmd_sweep(&argv[1..]);
+        return cmd_sweep(out, &argv[1..]);
     }
     if cmd == "trace" {
-        return cmd_trace(&argv[1..]);
+        return cmd_trace(out, &argv[1..]);
     }
     let args = Args::parse(&argv[1..]);
     if !args.bare().is_empty() {
-        return Err(SpecError(format!(
-            "unexpected arguments {:?}\n\n{USAGE}",
-            args.bare()
-        )));
+        return Err(SpecError(format!("unexpected arguments {:?}\n\n{USAGE}", args.bare())).into());
     }
     let kya_cmd = format!("kya {cmd}");
     match cmd.as_str() {
         "tables" => {
             args.reject_unknown(&kya_cmd, &[])?;
-            cmd_tables()
+            cmd_tables(out)
         }
         "minbase" => {
             args.reject_unknown(&kya_cmd, &["graph", "values"])?;
-            cmd_minbase(&args)
+            cmd_minbase(out, &args)
         }
         "census" => {
             args.reject_unknown(&kya_cmd, &["graph", "values", "model", "n", "leader"])?;
-            cmd_census(&args)
+            cmd_census(out, &args)
         }
         "pushsum" => {
             args.reject_unknown(&kya_cmd, &["n", "values", "rounds", "bound", "seed"])?;
-            cmd_pushsum(&args)
+            cmd_pushsum(out, &args)
         }
         "gossip" => {
             args.reject_unknown(&kya_cmd, &["graph", "values"])?;
-            cmd_gossip(&args)
+            cmd_gossip(out, &args)
         }
         "faults" => {
             args.reject_unknown(
@@ -920,7 +992,7 @@ fn run() -> Result<(), SpecError> {
                     "plain", "json",
                 ],
             )?;
-            cmd_faults(&args)
+            cmd_faults(out, &args)
         }
         "churn" => {
             args.reject_unknown(
@@ -930,39 +1002,41 @@ fn run() -> Result<(), SpecError> {
                     "eps", "json",
                 ],
             )?;
-            cmd_churn(&args)
+            cmd_churn(out, &args)
         }
         "bandwidth" => {
             args.reject_unknown(
                 &kya_cmd,
                 &["graph", "values", "bits", "algo", "rounds", "json"],
             )?;
-            cmd_bandwidth(&args)
+            cmd_bandwidth(out, &args)
         }
         "check" => {
             args.reject_unknown(&kya_cmd, &["matrix", "workers", "ndjson", "only"])?;
-            cmd_check(&args)
+            cmd_check(out, &args)
         }
         "profile" => {
             args.reject_unknown(
                 &kya_cmd,
                 &["out", "smoke", "threads", "probe-out", "validate"],
             )?;
-            cmd_profile(&args)
+            cmd_profile(out, &args)
         }
         "help" | "--help" | "-h" => {
-            println!("{USAGE}");
+            writeln!(out, "{USAGE}")?;
             Ok(())
         }
-        other => Err(SpecError(format!("unknown command `{other}`\n\n{USAGE}"))),
+        other => Err(SpecError(format!("unknown command `{other}`\n\n{USAGE}")).into()),
     }
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("kya: {e}");
+    let mut out = io::stdout().lock();
+    let result = run(&mut out).and_then(|()| Ok(out.flush()?));
+    match exit_message(result) {
+        None => ExitCode::SUCCESS,
+        Some(msg) => {
+            eprintln!("kya: {msg}");
             ExitCode::FAILURE
         }
     }
@@ -1004,10 +1078,10 @@ mod tests {
 
     #[test]
     fn subcommands_run() {
-        assert!(cmd_tables().is_ok());
+        assert!(cmd_tables(&mut io::sink()).is_ok());
         let a = args(&["--graph", "star:4", "--values", "7,1,1,1"]);
-        assert!(cmd_minbase(&a).is_ok());
-        assert!(cmd_gossip(&a).is_ok());
+        assert!(cmd_minbase(&mut io::sink(), &a).is_ok());
+        assert!(cmd_gossip(&mut io::sink(), &a).is_ok());
         let a = args(&[
             "--graph",
             "star:4",
@@ -1016,7 +1090,7 @@ mod tests {
             "--model",
             "symmetric",
         ]);
-        assert!(cmd_census(&a).is_ok());
+        assert!(cmd_census(&mut io::sink(), &a).is_ok());
         let a = args(&[
             "--graph",
             "ring:4",
@@ -1025,11 +1099,14 @@ mod tests {
             "--model",
             "symmetric",
         ]);
-        assert!(cmd_census(&a).is_err(), "directed ring is not symmetric");
+        assert!(
+            cmd_census(&mut io::sink(), &a).is_err(),
+            "directed ring is not symmetric"
+        );
         let a = args(&[
             "--n", "4", "--values", "1x2,9x2", "--rounds", "200", "--bound", "4",
         ]);
-        assert!(cmd_pushsum(&a).is_ok());
+        assert!(cmd_pushsum(&mut io::sink(), &a).is_ok());
     }
 
     #[test]
@@ -1066,7 +1143,7 @@ mod tests {
             "--seed",
             "7",
         ]);
-        assert!(cmd_faults(&a).is_ok());
+        assert!(cmd_faults(&mut io::sink(), &a).is_ok());
         // Negative control and JSON output paths.
         let a = args(&[
             "--graph",
@@ -1080,7 +1157,7 @@ mod tests {
             "--plain",
             "--json",
         ]);
-        assert!(cmd_faults(&a).is_ok());
+        assert!(cmd_faults(&mut io::sink(), &a).is_ok());
         // Crash specs: recover and stop, validated against n.
         let a = args(&[
             "--graph",
@@ -1090,17 +1167,23 @@ mod tests {
             "--crash",
             "1:5:15,2:30:-",
         ]);
-        assert!(cmd_faults(&a).is_ok());
+        assert!(cmd_faults(&mut io::sink(), &a).is_ok());
         let a = args(&[
             "--graph", "ring:3", "--values", "1,2,3", "--crash", "9:5:15",
         ]);
-        assert!(cmd_faults(&a).unwrap_err().0.contains("out of range"));
+        assert!(cmd_faults(&mut io::sink(), &a)
+            .unwrap_err()
+            .to_string()
+            .contains("out of range"));
         let a = args(&[
             "--graph", "ring:3", "--values", "1,2,3", "--crash", "1:15:5",
         ]);
-        assert!(cmd_faults(&a).unwrap_err().0.contains("empty"));
+        assert!(cmd_faults(&mut io::sink(), &a)
+            .unwrap_err()
+            .to_string()
+            .contains("empty"));
         let a = args(&["--graph", "ring:3", "--values", "1,2,3", "--drop", "1.5"]);
-        assert!(cmd_faults(&a).is_err());
+        assert!(cmd_faults(&mut io::sink(), &a).is_err());
     }
 
     #[test]
@@ -1118,7 +1201,7 @@ mod tests {
             "--rounds",
             "200",
         ]);
-        assert!(cmd_churn(&a).is_ok());
+        assert!(cmd_churn(&mut io::sink(), &a).is_ok());
         // Reset rejoin + message drops + metropolis, JSON output path.
         let a = args(&[
             "--n",
@@ -1137,20 +1220,35 @@ mod tests {
             "7",
             "--json",
         ]);
-        assert!(cmd_churn(&a).is_ok());
+        assert!(cmd_churn(&mut io::sink(), &a).is_ok());
         // Validation: fairness, algo, churn label, and window sanity.
         let a = args(&["--n", "4", "--values", "1,2,3,4", "--fairness", "lottery"]);
-        assert!(cmd_churn(&a).unwrap_err().0.contains("unknown fairness"));
+        assert!(cmd_churn(&mut io::sink(), &a)
+            .unwrap_err()
+            .to_string()
+            .contains("unknown fairness"));
         let a = args(&["--n", "4", "--values", "1,2,3,4", "--algo", "gossip"]);
-        assert!(cmd_churn(&a).unwrap_err().0.contains("unknown algorithm"));
+        assert!(cmd_churn(&mut io::sink(), &a)
+            .unwrap_err()
+            .to_string()
+            .contains("unknown algorithm"));
         let a = args(&["--n", "4", "--values", "1,2,3,4", "--churn", "c9:5:15"]);
-        assert!(cmd_churn(&a).unwrap_err().0.contains("out of range"));
+        assert!(cmd_churn(&mut io::sink(), &a)
+            .unwrap_err()
+            .to_string()
+            .contains("out of range"));
         let a = args(&["--n", "4", "--values", "1,2,3,4", "--churn", "c1:15:5"]);
-        assert!(cmd_churn(&a).unwrap_err().0.contains("empty"));
+        assert!(cmd_churn(&mut io::sink(), &a)
+            .unwrap_err()
+            .to_string()
+            .contains("empty"));
         let a = args(&["--n", "4", "--values", "1,2,3,4", "--churn", "bogus"]);
-        assert!(cmd_churn(&a).is_err());
+        assert!(cmd_churn(&mut io::sink(), &a).is_err());
         let a = args(&["--n", "4", "--values", "1,2"]);
-        assert!(cmd_churn(&a).unwrap_err().0.contains("values were given"));
+        assert!(cmd_churn(&mut io::sink(), &a)
+            .unwrap_err()
+            .to_string()
+            .contains("values were given"));
     }
 
     #[test]
@@ -1164,15 +1262,15 @@ mod tests {
             "--out",
             &out.display().to_string(),
         ]);
-        assert!(cmd_profile(&a).is_ok());
+        assert!(cmd_profile(&mut io::sink(), &a).is_ok());
         // The written snapshot passes its own validator...
         let a = args(&["--validate", &out.display().to_string()]);
-        assert!(cmd_profile(&a).is_ok());
+        assert!(cmd_profile(&mut io::sink(), &a).is_ok());
         // ...and a corrupted one is rejected with the offending key.
         let text = std::fs::read_to_string(&out).unwrap();
         std::fs::write(&out, text.replace("\"kind\":", "\"kin\":")).unwrap();
-        let err = cmd_profile(&a).unwrap_err();
-        assert!(err.0.contains("kind"), "{err}");
+        let err = cmd_profile(&mut io::sink(), &a).unwrap_err();
+        assert!(err.to_string().contains("kind"), "{err}");
         let _ = std::fs::remove_file(&out);
         // Probe streams are byte-identical across thread counts.
         let p1 = dir.join("kya-cli-test-probe1.ndjson");
@@ -1185,7 +1283,7 @@ mod tests {
                 "--probe-out",
                 &path.display().to_string(),
             ]);
-            assert!(cmd_profile(&a).is_ok());
+            assert!(cmd_profile(&mut io::sink(), &a).is_ok());
         }
         let s1 = std::fs::read(&p1).unwrap();
         let s4 = std::fs::read(&p4).unwrap();
@@ -1195,23 +1293,69 @@ mod tests {
         assert_eq!(s1, s4, "probe stream depends on --threads");
         // Zero threads and missing validate targets are rejected.
         let a = args(&["--smoke", "--threads", "0"]);
-        assert!(cmd_profile(&a).is_err());
+        assert!(cmd_profile(&mut io::sink(), &a).is_err());
         let a = args(&["--validate", "/nonexistent/kya-profile.json"]);
-        assert!(cmd_profile(&a).unwrap_err().0.contains("cannot read"));
+        assert!(cmd_profile(&mut io::sink(), &a)
+            .unwrap_err()
+            .to_string()
+            .contains("cannot read"));
+    }
+
+    /// Standard output after its reader has gone: every write fails.
+    struct ClosedPipe;
+
+    impl Write for ClosedPipe {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(io::ErrorKind::BrokenPipe.into())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_closed_pipe_ends_the_command_quietly() {
+        let err = cmd_tables(&mut ClosedPipe).unwrap_err();
+        assert!(
+            matches!(&err, CliError::Io(e) if e.kind() == io::ErrorKind::BrokenPipe),
+            "{err:?}"
+        );
+        assert_eq!(exit_message(Err(err)), None);
+        let argv: Vec<String> = vec!["flat".into(), "--sizes".into(), "16".into()];
+        assert_eq!(exit_message(cmd_sweep(&mut ClosedPipe, &argv)), None);
+        assert_eq!(exit_message(Ok(())), None);
+        // Any other failed write, and any bad request, is an error.
+        let full = CliError::Io(io::ErrorKind::WriteZero.into());
+        let msg = exit_message(Err(full)).expect("a failed write is an error");
+        assert!(msg.starts_with("cannot write to standard output"), "{msg}");
+        let bad = CliError::Spec(SpecError("bad request".into()));
+        assert_eq!(exit_message(Err(bad)).as_deref(), Some("bad request"));
     }
 
     #[test]
     fn sweep_delegates_to_the_registry() {
-        assert!(cmd_sweep(&[]).is_ok(), "bare `kya sweep` lists experiments");
+        assert!(
+            cmd_sweep(&mut io::sink(), &[]).is_ok(),
+            "bare `kya sweep` lists experiments"
+        );
         let argv: Vec<String> = vec!["nope".into()];
-        assert!(cmd_sweep(&argv).is_err(), "unknown experiment rejected");
+        assert!(
+            cmd_sweep(&mut io::sink(), &argv).is_err(),
+            "unknown experiment rejected"
+        );
         let argv: Vec<String> = vec!["f6".into(), "--bogus".into()];
-        assert!(cmd_sweep(&argv).is_err(), "unknown sweep flag rejected");
+        assert!(
+            cmd_sweep(&mut io::sink(), &argv).is_err(),
+            "unknown sweep flag rejected"
+        );
     }
 
     #[test]
     fn trace_writes_round_events() {
-        assert!(cmd_trace(&[]).is_ok(), "bare `kya trace` lists experiments");
+        assert!(
+            cmd_trace(&mut io::sink(), &[]).is_ok(),
+            "bare `kya trace` lists experiments"
+        );
         let out = std::env::temp_dir().join("kya-cli-test-trace.ndjson");
         let argv: Vec<String> = vec![
             "f1".into(),
@@ -1222,7 +1366,7 @@ mod tests {
             "--trace-out".into(),
             out.display().to_string(),
         ];
-        assert!(cmd_trace(&argv).is_ok());
+        assert!(cmd_trace(&mut io::sink(), &argv).is_ok());
         let trace = std::fs::read_to_string(&out).expect("trace file written");
         let _ = std::fs::remove_file(&out);
         assert!(!trace.is_empty(), "f1 cells emit round events");
@@ -1231,6 +1375,9 @@ mod tests {
             .all(|l| l.starts_with('{') && l.ends_with('}')));
         assert!(trace.contains("\"residual\":"), "residual column present");
         let argv: Vec<String> = vec!["f1".into(), "--bogus".into()];
-        assert!(cmd_trace(&argv).is_err(), "unknown trace flag rejected");
+        assert!(
+            cmd_trace(&mut io::sink(), &argv).is_err(),
+            "unknown trace flag rejected"
+        );
     }
 }

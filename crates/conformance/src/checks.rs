@@ -53,7 +53,7 @@ pub enum CheckKind {
     /// (c) Mass conservation, frozen absence, and stabilization under
     /// the combined pairing + churn + faults stack.
     Churn,
-    /// (b) Flat (SoA/CSR) executor bitwise identical to the boxed
+    /// (b) Flat CSR executor bitwise identical to the boxed
     /// executor at 1, 2 and 4 threads.
     Flat,
     /// (b) Probed flat runs: the deterministic probe stream (merged
@@ -292,7 +292,7 @@ fn check_paths(ctx: &CellCtx) -> CellOutcome {
 // ---------------------------------------------------------------------
 
 /// Run the boxed sequential executor (the canon) against the flat
-/// SoA/CSR executor at 1, 2 and 4 threads and demand bit-identical
+/// CSR executor at 1, 2 and 4 threads and demand bit-identical
 /// states after every round. `lanes` projects a boxed state onto its
 /// flat state lanes; f64 `to_bits` equality is the comparison, so this
 /// is exactly the "flat-vs-boxed" differential oracle of the flat
@@ -327,7 +327,7 @@ where
             for (v, state) in boxed.states().iter().enumerate() {
                 let canon = lanes(state);
                 for (l, c) in canon.iter().enumerate().take(F::STATE_LANES) {
-                    if c.to_bits() != exec.lane(l)[v].to_bits() {
+                    if c.to_bits() != exec.state(v)[l].to_bits() {
                         return Err(format!(
                             "round {t}: flat engine at {threads} thread(s) diverged \
                              bitwise from boxed `step` at agent {v} lane {l}"

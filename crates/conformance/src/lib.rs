@@ -29,7 +29,7 @@
 //!   ledger, frozen parked states, and quiescence/stabilization
 //!   detection under the combined pairing + churn + faults stack
 //!   ([`checks::CheckKind::Churn`]);
-//! - **flat** — the flat SoA/CSR executor
+//! - **flat** — the flat CSR executor
 //!   ([`kya_runtime::FlatExecution`]) bitwise identical to the boxed
 //!   sequential executor at 1, 2 and 4 threads
 //!   ([`checks::CheckKind::Flat`]);
@@ -333,24 +333,15 @@ mod tests {
         }
     }
 
-    /// Pins the `paths` digests of the full matrix's `ring:4`, seed-1
-    /// cells, one per algorithm. A digest hashes every round's state
-    /// words, so a change to an algorithm's trajectory, to a `StateBits`
-    /// impl or to the fingerprint itself fails here instead of silently
-    /// changing the NDJSON.
-    #[test]
-    fn conformance_digest_pin() {
-        const EXPECTED: [(&str, &str); 6] = [
-            ("pushsum", "aa3804e557e5ed7d"),
-            ("metropolis", "af7f1b1f89681922"),
-            ("gossip", "96da521a1666e8f6"),
-            ("pushsum-freq", "df740a04601202e7"),
-            ("pushsum-leader", "94c8d553f21ffdcf"),
-            ("minbase", "f03b0a2b853b1d01"),
-        ];
-        let (kind, spec) = specs(Matrix::Full).swap_remove(0);
-        assert_eq!(kind, CheckKind::Paths);
-        let pinned = |topology: &str, seed: u64| topology == "ring:4" && seed == 1;
+    /// Run the full matrix's `kind` oracle on its `topology`, seed-1
+    /// cells alone (every other cell is skipped) and assert that their
+    /// `(algorithm, digest)` pairs, in matrix order, are `expected`.
+    fn assert_digests(kind: CheckKind, topology: &str, expected: &[(&str, &str)]) {
+        let pinned = |t: &str, seed: u64| t == topology && seed == 1;
+        let (_, spec) = specs(Matrix::Full)
+            .into_iter()
+            .find(|(k, _)| *k == kind)
+            .expect("every check kind has a spec");
         let sink = Runner::new(&spec).run(|ctx| {
             if pinned(&ctx.cell.topology, ctx.cell.seed) {
                 kind.run(ctx)
@@ -368,6 +359,38 @@ mod tests {
                 (r.algorithm.as_str(), digest.unwrap_or_default())
             })
             .collect();
-        assert_eq!(got, EXPECTED);
+        assert_eq!(got, expected);
+    }
+
+    /// Pins the `paths` digests of the full matrix's `ring:4`, seed-1
+    /// cells, one per algorithm. A digest hashes every round's state
+    /// words, so a change to an algorithm's trajectory, to a `StateBits`
+    /// impl or to the fingerprint itself fails here instead of silently
+    /// changing the NDJSON.
+    #[test]
+    fn conformance_digest_pin() {
+        const EXPECTED: [(&str, &str); 6] = [
+            ("pushsum", "aa3804e557e5ed7d"),
+            ("metropolis", "af7f1b1f89681922"),
+            ("gossip", "96da521a1666e8f6"),
+            ("pushsum-freq", "df740a04601202e7"),
+            ("pushsum-leader", "94c8d553f21ffdcf"),
+            ("minbase", "f03b0a2b853b1d01"),
+        ];
+        assert_digests(CheckKind::Paths, "ring:4", &EXPECTED);
+    }
+
+    /// Pins the `probe` digests of the full matrix's `random:12:12:1`
+    /// cells, one per algorithm. The `probe` oracle only compares a
+    /// stream across thread counts, so a sampling or counting defect
+    /// shared by every count would pass it; this pin fixes the stream
+    /// itself (counters, lane order and sampled bits).
+    #[test]
+    fn probe_digest_pin() {
+        const EXPECTED: [(&str, &str); 2] = [
+            ("pushsum", "a8c31b9bd59ed4b8"),
+            ("metropolis", "54cda8ff804d8d09"),
+        ];
+        assert_digests(CheckKind::Probe, "random:12:12:1", &EXPECTED);
     }
 }

@@ -75,6 +75,7 @@ impl RoutingPlan {
     }
 
     /// Number of vertices the plan was built for.
+    #[inline]
     pub fn n(&self) -> usize {
         self.outdegree.len()
     }
@@ -85,28 +86,33 @@ impl RoutingPlan {
     }
 
     /// The inbox slots of vertex `v`, in canonical order.
+    #[inline]
     pub fn inbox_range(&self, v: Vertex) -> Range<usize> {
         self.inbox_start[v]..self.inbox_start[v + 1]
     }
 
     /// The source vertex of every inbox slot of `v`, in canonical
     /// delivery order.
+    #[inline]
     pub fn sources_of(&self, v: Vertex) -> &[u32] {
         &self.sources[self.inbox_range(v)]
     }
 
     /// Out-degree of vertex `v`.
+    #[inline]
     pub fn outdegree(&self, v: Vertex) -> usize {
         self.outdegree[v] as usize
     }
 
     /// In-degree of vertex `v` (= its inbox-slot count).
+    #[inline]
     pub fn indegree(&self, v: Vertex) -> usize {
         self.inbox_start[v + 1] - self.inbox_start[v]
     }
 
     /// Inbox slots owned by the contiguous vertex range — the number of
     /// messages a flat-executor shard over that range folds per round.
+    #[inline]
     pub fn inbox_slots_in(&self, range: Range<Vertex>) -> usize {
         self.inbox_start[range.end] - self.inbox_start[range.start]
     }

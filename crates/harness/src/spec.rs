@@ -750,7 +750,7 @@ impl ExperimentSpec {
     }
 
     /// Select the execution engine: `boxed` (the generic executor),
-    /// `flat` (the SoA/CSR executor for f64 algorithms on static
+    /// `flat` (the flat CSR executor for f64 algorithms on static
     /// graphs), or `both` (experiments that compare them side by side).
     /// Experiments that never consult the engine ignore it.
     ///

@@ -1,5 +1,5 @@
-//! The flat executor: struct-of-arrays state, CSR routing, one message
-//! per agent, one pass per round — the million-agent hot path.
+//! The flat executor: agent-major state, CSR routing, one message per
+//! agent, one pass per round — the million-agent hot path.
 //!
 //! The boxed [`Execution`](crate::Execution) allocates a
 //! `Vec<Vec<A::Msg>>` of inboxes every round and re-derives the
@@ -7,10 +7,12 @@
 //! agents. [`FlatExecution`] rebuilds the round loop from the ground up
 //! for isotropic f64 algorithms on **static** graphs:
 //!
-//! - **State** lives in `STATE_LANES` `Vec<f64>` columns (one entry per
-//!   agent), updated in place — no boxed automata, no per-agent
-//!   allocation, no state double-buffer (an agent's transition reads
-//!   only its own state and its inbox).
+//! - **State** lives in one agent-major `n × STATE_LANES` buffer (agent
+//!   `v` owns one fixed-width chunk), updated in place — no boxed
+//!   automata, no per-agent allocation, no state double-buffer: the pass
+//!   copies an agent's chunk to the stack, and the transition writes the
+//!   new state straight back into it (an agent's transition reads only
+//!   its own state and its inbox).
 //! - **Messages** live in a double-buffered `n × MSG_LANES` message
 //!   column. An isotropic agent sends the *same* message on every port,
 //!   so the column holds each message exactly once; nothing is copied
@@ -19,12 +21,15 @@
 //!   destination, the list of in-sources sorted once into the canonical
 //!   ascending `(source id, port rank)` order. An agent's [`Inbox`] is a
 //!   view of the message column through that list.
-//! - **A round is one pass**: per agent, fold the inbox into the new
-//!   state and emit the next round's message from it into the other
-//!   message buffer. After construction the executor allocates nothing
-//!   but the per-round shard bookkeeping.
-//! - **Parallelism** shards that pass over contiguous agent ranges
-//!   (split mutable slices — no unsafe), under the spawn rule the boxed
+//! - **A round is one pass**: walk the state and next-message buffers
+//!   in lockstep, one fixed-width chunk per agent: fold the inbox into
+//!   the new state and emit the next round's message from it into the
+//!   other message buffer. After construction the executor allocates
+//!   nothing but the per-round shard bookkeeping.
+//! - **Parallelism** shards that pass over contiguous agent ranges (each
+//!   shard owns one span of the state buffer and one of the
+//!   next-message buffer — split mutable slices, no unsafe), under the
+//!   spawn rule the boxed
 //!   executor uses too: the calling thread works the first shard and
 //!   one scoped worker each of the others, unless a shard is under
 //!   [`MIN_SPAWN_AGENTS`](crate::MIN_SPAWN_AGENTS) agents — then all of
@@ -111,6 +116,7 @@ pub struct Inbox<'a> {
 impl<'a> Inbox<'a> {
     /// The inbox that delivers, in order, message `sources[k]` of
     /// `column` (a column of `lanes`-lane messages, one per agent).
+    #[inline]
     pub(crate) fn new(column: &'a [f64], sources: &'a [u32], lanes: usize) -> Inbox<'a> {
         Inbox {
             column,
@@ -120,16 +126,19 @@ impl<'a> Inbox<'a> {
     }
 
     /// Number of messages delivered (the agent's in-degree).
+    #[inline]
     pub fn len(&self) -> usize {
         self.sources.len()
     }
 
     /// Whether no message is delivered.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.sources.is_empty()
     }
 
     /// The messages, each `lanes` lanes wide, in delivery order.
+    #[inline]
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &'a [f64]> + 'a {
         let (column, lanes) = (self.column, self.lanes);
         self.sources.iter().map(move |&src| {
@@ -139,7 +148,7 @@ impl<'a> Inbox<'a> {
     }
 }
 
-/// An isotropic f64 algorithm in struct-of-arrays form, runnable by
+/// An isotropic f64 algorithm over fixed-width f64 lanes, runnable by
 /// [`FlatExecution`].
 ///
 /// Semantics mirror [`IsotropicAlgorithm`](crate::IsotropicAlgorithm):
@@ -185,14 +194,15 @@ pub trait FlatAlgorithm: Sync {
     fn output(&self, state: &[f64]) -> f64;
 }
 
-/// A flat execution: SoA state columns plus a double-buffered message
-/// column, stepped in one pass per round. See the module docs for the
-/// layout and determinism contract.
+/// A flat execution: an agent-major state buffer plus a double-buffered
+/// message column, stepped in one pass per round. See the module docs
+/// for the layout and determinism contract.
 pub struct FlatExecution<A: FlatAlgorithm> {
     algo: A,
     round: u64,
     plan: RoutingPlan,
-    cols: Vec<Vec<f64>>,
+    /// Agent `v` owns lanes `v * STATE_LANES..(v + 1) * STATE_LANES`.
+    state: Vec<f64>,
     /// This round's messages: agent `v` owns lanes
     /// `v * MSG_LANES..(v + 1) * MSG_LANES`.
     msgs: Vec<f64>,
@@ -203,7 +213,8 @@ pub struct FlatExecution<A: FlatAlgorithm> {
 impl<A: FlatAlgorithm> FlatExecution<A> {
     /// Build a flat execution of `algo` on the **static** graph `graph`
     /// from the given state columns (`STATE_LANES` columns of one entry
-    /// per agent), and emit the first round's messages.
+    /// per agent), interleave them once into the agent-major state
+    /// buffer, and emit the first round's messages.
     ///
     /// # Panics
     ///
@@ -236,20 +247,27 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
                 panic!("vertex {v}: {e}");
             }
         }
-        let ml = A::MSG_LANES;
+        let (sl, ml) = (A::STATE_LANES, A::MSG_LANES);
+        let mut state = Vec::with_capacity(n * sl);
+        for v in 0..n {
+            state.extend(columns.iter().map(|col| col[v]));
+        }
+        // Free the columns before the message buffers exist, so set-up
+        // holds no more than the running engine does.
+        drop(columns);
         let mut msgs = vec![0.0; n * ml];
-        let mut state = [0.0f64; MAX_LANES];
-        for (v, msg) in msgs.chunks_exact_mut(ml).enumerate() {
-            for (l, col) in columns.iter().enumerate() {
-                state[l] = col[v];
-            }
-            algo.message(&state[..A::STATE_LANES], plan.outdegree(v), msg);
+        for (v, (st, msg)) in state
+            .chunks_exact(sl)
+            .zip(msgs.chunks_exact_mut(ml))
+            .enumerate()
+        {
+            algo.message(st, plan.outdegree(v), msg);
         }
         FlatExecution {
             algo,
             round: 0,
             plan,
-            cols: columns,
+            state,
             next_msgs: vec![0.0; n * ml],
             msgs,
         }
@@ -275,34 +293,28 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
         &self.plan
     }
 
-    /// State lane `lane`, indexed by agent.
-    pub fn lane(&self, lane: usize) -> &[f64] {
-        &self.cols[lane]
+    /// Agent `v`'s state: its `STATE_LANES` lanes.
+    pub fn state(&self, v: usize) -> &[f64] {
+        let sl = A::STATE_LANES;
+        &self.state[v * sl..(v + 1) * sl]
     }
 
     /// Current outputs, indexed by agent.
     pub fn outputs(&self) -> Vec<f64> {
-        let mut state = [0.0f64; MAX_LANES];
-        (0..self.n())
-            .map(|v| {
-                for (l, col) in self.cols.iter().enumerate() {
-                    state[l] = col[v];
-                }
-                self.algo.output(&state[..A::STATE_LANES])
-            })
+        self.state
+            .chunks_exact(A::STATE_LANES)
+            .map(|st| self.algo.output(st))
             .collect()
     }
 
     /// Resident buffer bytes — the flat engine's whole per-run
-    /// footprint: the state columns, both message buffers, and the
+    /// footprint: the state buffer, both message buffers, and the
     /// routing plan's arrays. Measured over *capacities*, so it is what
     /// the allocator actually holds. `tests/flat_probe.rs` pins this
     /// against the B/agent figures in EXPERIMENTS.md.
     pub fn resident_bytes(&self) -> usize {
         std::mem::size_of::<f64>()
-            * (self.msgs.capacity()
-                + self.next_msgs.capacity()
-                + self.cols.iter().map(Vec::capacity).sum::<usize>())
+            * (self.msgs.capacity() + self.next_msgs.capacity() + self.state.capacity())
             + self.plan.resident_bytes()
     }
 
@@ -347,25 +359,21 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
             None
         };
 
-        // Each shard owns its contiguous agent range's spans of every
-        // state column and of the next message buffer; all shards read
-        // the whole current message column.
+        // Each shard owns its contiguous agent range's span of the state
+        // buffer and of the next message buffer; all shards read the
+        // whole current message column.
         let ranges = shard_ranges(n, threads);
-        let ml = A::MSG_LANES;
-        let mut shards: Vec<Shard<'_>> = split_spans(&mut self.next_msgs, &ranges, ml)
-            .into_iter()
-            .zip(&ranges)
-            .map(|(msgs, range)| Shard {
+        let states = split_spans(&mut self.state, &ranges, A::STATE_LANES);
+        let outs = split_spans(&mut self.next_msgs, &ranges, A::MSG_LANES);
+        let shards: Vec<Shard<'_>> = ranges
+            .iter()
+            .zip(states.into_iter().zip(outs))
+            .map(|(range, (state, msgs))| Shard {
                 range: range.clone(),
-                state: Vec::with_capacity(A::STATE_LANES),
+                state,
                 msgs,
             })
             .collect();
-        for col in self.cols.iter_mut() {
-            for (span, shard) in split_spans(col, &ranges, 1).into_iter().zip(&mut shards) {
-                shard.state.push(span);
-            }
-        }
         let (algo, plan, msgs) = (&self.algo, &self.plan, &self.msgs[..]);
         lap(&mut mark, &mut times.route_us);
 
@@ -386,9 +394,10 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
             // stride depends on n only, never on the thread count.
             let stride = (n / LANE_SAMPLE_TARGET).max(1);
             let mut samples = Vec::with_capacity(n.div_ceil(stride));
-            for (lane, col) in self.cols.iter().enumerate() {
+            for lane in 0..A::STATE_LANES {
                 samples.clear();
-                samples.extend(col.iter().step_by(stride).copied());
+                let agents = self.state.chunks_exact(A::STATE_LANES).step_by(stride);
+                samples.extend(agents.map(|st| st[lane]));
                 probe.on_lane_sample(round, lane, &samples);
             }
             probe.on_round_end(round, &total);
@@ -483,18 +492,18 @@ fn split_spans<'b>(
 }
 
 /// One shard of a round's pass: a contiguous agent range with its spans
-/// of every state column and of the next message buffer.
+/// of the state buffer and of the next message buffer.
 struct Shard<'b> {
     range: Range<usize>,
-    state: Vec<&'b mut [f64]>,
+    state: &'b mut [f64],
     msgs: &'b mut [f64],
 }
 
-/// The round's pass over one shard: per agent, fold the inbox (a view of
-/// the current message column) into the new state, store it in place,
-/// and emit the next round's message from it. Returns the shard's
-/// counters — all accumulation is gated on `P::ENABLED`, so the
-/// [`NullProbe`] instantiation pays nothing.
+/// The round's pass over one shard: per agent, copy its state chunk to
+/// the stack, fold the inbox (a view of the current message column) into
+/// the chunk in place, and emit the next round's message from it.
+/// Returns the shard's counters — all accumulation is gated on
+/// `P::ENABLED`, so the [`NullProbe`] instantiation pays nothing.
 fn pass_range<A: FlatAlgorithm, P: FlatProbe>(
     algo: &A,
     plan: &RoutingPlan,
@@ -503,7 +512,7 @@ fn pass_range<A: FlatAlgorithm, P: FlatProbe>(
 ) -> ShardCounters {
     let Shard {
         range,
-        mut state,
+        state,
         msgs: out,
     } = shard;
     let (sl, ml) = (A::STATE_LANES, A::MSG_LANES);
@@ -517,18 +526,13 @@ fn pass_range<A: FlatAlgorithm, P: FlatProbe>(
         counters.inbox_bytes = slots * (ml * std::mem::size_of::<f64>()) as u64;
     }
     let mut cur = [0.0f64; MAX_LANES];
-    let mut next = [0.0f64; MAX_LANES];
-    for (i, (v, msg)) in range.zip(out.chunks_exact_mut(ml)).enumerate() {
-        for (l, col) in state.iter().enumerate() {
-            cur[l] = col[i];
-        }
+    let chunks = state.chunks_exact_mut(sl).zip(out.chunks_exact_mut(ml));
+    for (v, (st, msg)) in range.zip(chunks) {
+        cur[..sl].copy_from_slice(st);
         let outdegree = plan.outdegree(v);
         let inbox = Inbox::new(msgs, plan.sources_of(v), ml);
-        algo.transition_with_outdegree(&cur[..sl], outdegree, inbox, &mut next[..sl]);
-        for (l, col) in state.iter_mut().enumerate() {
-            col[i] = next[l];
-        }
-        algo.message(&next[..sl], outdegree, msg);
+        algo.transition_with_outdegree(&cur[..sl], outdegree, inbox, st);
+        algo.message(st, outdegree, msg);
     }
     counters
 }
@@ -578,8 +582,8 @@ mod tests {
             two.step_threads(2);
             four.step_threads(4);
             for v in 0..6 {
-                assert_eq!(seq.lane(0)[v].to_bits(), two.lane(0)[v].to_bits());
-                assert_eq!(seq.lane(0)[v].to_bits(), four.lane(0)[v].to_bits());
+                assert_eq!(seq.state(v)[0].to_bits(), two.state(v)[0].to_bits());
+                assert_eq!(seq.state(v)[0].to_bits(), four.state(v)[0].to_bits());
             }
         }
         assert_eq!(seq.round(), 4);
@@ -601,10 +605,106 @@ mod tests {
             three.step_threads(3);
         }
         let bits = |e: &FlatExecution<OrderSum>| -> Vec<u64> {
-            e.lane(0).iter().map(|x| x.to_bits()).collect()
+            (0..n).map(|v| e.state(v)[0].to_bits()).collect()
         };
         assert_eq!(bits(&seq), bits(&two));
         assert_eq!(bits(&seq), bits(&three));
+    }
+
+    /// Order-sensitive fold at lane widths no shipped algorithm uses:
+    /// three state lanes, `MAX_LANES` message lanes. Every lane feeds a
+    /// different one, so a wrong stride in the state or message buffer
+    /// mixes agents or lanes and changes the bits.
+    struct WideMix;
+    impl FlatAlgorithm for WideMix {
+        const STATE_LANES: usize = 3;
+        const MSG_LANES: usize = MAX_LANES;
+        fn message(&self, state: &[f64], outdegree: usize, msg: &mut [f64]) {
+            let d = outdegree as f64;
+            msg[0] = state[0] / d;
+            msg[1] = state[1] / d;
+            msg[2] = state[2];
+            msg[3] = state[0] - state[2];
+        }
+        fn transition(&self, state: &[f64], inbox: Inbox<'_>, next: &mut [f64]) {
+            let (mut a, mut b, mut c) = (0.0, 0.0, state[2]);
+            for m in inbox.iter() {
+                a += m[0];
+                b += m[1] + 1e-3 * m[3];
+                c = 0.5 * c + m[2];
+            }
+            next[0] = a;
+            next[1] = b;
+            next[2] = c;
+        }
+        fn output(&self, state: &[f64]) -> f64 {
+            state[0] / state[1]
+        }
+    }
+
+    /// [`WideMix`] for the boxed executor: the same operations in the
+    /// same order on arrays.
+    #[derive(Clone)]
+    struct BoxedWideMix;
+    impl crate::IsotropicAlgorithm for BoxedWideMix {
+        type State = [f64; 3];
+        type Msg = [f64; 4];
+        type Output = f64;
+        fn message(&self, s: &[f64; 3], outdegree: usize) -> [f64; 4] {
+            let mut msg = [0.0; 4];
+            WideMix.message(s, outdegree, &mut msg);
+            msg
+        }
+        fn transition(&self, s: &[f64; 3], inbox: &[[f64; 4]]) -> [f64; 3] {
+            let (mut a, mut b, mut c) = (0.0, 0.0, s[2]);
+            for m in inbox {
+                a += m[0];
+                b += m[1] + 1e-3 * m[3];
+                c = 0.5 * c + m[2];
+            }
+            [a, b, c]
+        }
+        fn output(&self, s: &[f64; 3]) -> f64 {
+            s[0] / s[1]
+        }
+    }
+
+    #[test]
+    fn wide_lanes_match_the_boxed_executor_at_every_thread_count() {
+        use crate::{Execution, Isotropic};
+
+        let n = 3 * MIN_SPAWN_AGENTS;
+        let g = generators::random_strongly_connected(n, 2 * n, 5).with_self_loops();
+        let inits: Vec<[f64; 3]> = (0..n)
+            .map(|i| {
+                let x = ((i * 7919) % 1013) as f64;
+                [x * 1e-3, 1.0 + (i % 7) as f64, x * 1e5]
+            })
+            .collect();
+        let columns: Vec<Vec<f64>> = (0..3)
+            .map(|l| inits.iter().map(|s| s[l]).collect())
+            .collect();
+        let mut boxed = Execution::new(Isotropic(BoxedWideMix), inits);
+        let mut flats: Vec<(usize, FlatExecution<WideMix>)> = [1, 2, 3]
+            .into_iter()
+            .map(|t| (t, FlatExecution::new(WideMix, &g, columns.clone())))
+            .collect();
+        for round in 1..=3 {
+            boxed.step(&g);
+            for (threads, flat) in &mut flats {
+                flat.step_threads(*threads);
+                for (v, want) in boxed.states().iter().enumerate() {
+                    let got = flat.state(v);
+                    for l in 0..3 {
+                        assert_eq!(
+                            got[l].to_bits(),
+                            want[l].to_bits(),
+                            "round {round}, {threads} thread(s): agent {v} lane {l}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -636,7 +736,8 @@ mod tests {
         for _ in 0..4 {
             boxed.step(&g);
             flat.step_threads(3);
-            for (a, b) in boxed.states().iter().zip(flat.lane(0)) {
+            for (v, a) in boxed.states().iter().enumerate() {
+                let b = flat.state(v)[0];
                 assert_eq!(a.to_bits(), b.to_bits(), "flat diverged from boxed");
             }
         }

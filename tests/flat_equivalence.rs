@@ -38,11 +38,11 @@ proptest! {
             prop_assert_eq!(flat.round(), boxed.round());
             for (v, s) in boxed.states().iter().enumerate() {
                 prop_assert_eq!(
-                    flat.lane(0)[v].to_bits(), s.y.to_bits(),
+                    flat.state(v)[0].to_bits(), s.y.to_bits(),
                     "y lane, agent {} at {} threads", v, threads
                 );
                 prop_assert_eq!(
-                    flat.lane(1)[v].to_bits(), s.z.to_bits(),
+                    flat.state(v)[1].to_bits(), s.z.to_bits(),
                     "z lane, agent {} at {} threads", v, threads
                 );
             }
@@ -70,7 +70,7 @@ proptest! {
             flat.run(rounds, threads);
             for (v, s) in boxed.states().iter().enumerate() {
                 prop_assert_eq!(
-                    flat.lane(0)[v].to_bits(), s.to_bits(),
+                    flat.state(v)[0].to_bits(), s.to_bits(),
                     "agent {} at {} threads", v, threads
                 );
             }
@@ -104,11 +104,11 @@ proptest! {
             flat.run(rounds, threads);
             for (v, s) in boxed.states().iter().enumerate() {
                 prop_assert_eq!(
-                    flat.lane(0)[v].to_bits(), s.y.to_bits(),
+                    flat.state(v)[0].to_bits(), s.y.to_bits(),
                     "y lane, agent {} at {} threads, b={}", v, threads, bits
                 );
                 prop_assert_eq!(
-                    flat.lane(1)[v].to_bits(), s.z.to_bits(),
+                    flat.state(v)[1].to_bits(), s.z.to_bits(),
                     "z lane, agent {} at {} threads, b={}", v, threads, bits
                 );
             }
@@ -139,7 +139,7 @@ proptest! {
             flat.run(rounds, threads);
             for (v, s) in boxed.states().iter().enumerate() {
                 prop_assert_eq!(
-                    flat.lane(0)[v].to_bits(), s.to_bits(),
+                    flat.state(v)[0].to_bits(), s.to_bits(),
                     "agent {} at {} threads, b={}", v, threads, bits
                 );
             }
@@ -169,12 +169,12 @@ fn flat_pushsum_is_bitwise_boxed_on_worker_threads() {
         flat.run(rounds, threads);
         for (v, s) in boxed.states().iter().enumerate() {
             assert_eq!(
-                flat.lane(0)[v].to_bits(),
+                flat.state(v)[0].to_bits(),
                 s.y.to_bits(),
                 "y, agent {v}, {threads} threads"
             );
             assert_eq!(
-                flat.lane(1)[v].to_bits(),
+                flat.state(v)[1].to_bits(),
                 s.z.to_bits(),
                 "z, agent {v}, {threads} threads"
             );

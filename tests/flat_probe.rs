@@ -176,10 +176,10 @@ fn probed_runs_compute_the_same_bits_as_unprobed_runs() {
 
     for lane in 0..2 {
         for v in 0..n {
-            let want = bare.lane(lane)[v].to_bits();
-            assert_eq!(null.lane(lane)[v].to_bits(), want, "NullProbe perturbed");
+            let want = bare.state(v)[lane].to_bits();
+            assert_eq!(null.state(v)[lane].to_bits(), want, "NullProbe perturbed");
             assert_eq!(
-                counted.lane(lane)[v].to_bits(),
+                counted.state(v)[lane].to_bits(),
                 want,
                 "CountingProbe perturbed"
             );
