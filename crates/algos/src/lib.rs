@@ -24,7 +24,7 @@
 //!   Metropolis and Lazy Metropolis weights under outdegree awareness,
 //!   and the fixed-weight `1/N` variant that needs only a bound on the
 //!   network size (§5);
-//! - [`quantized`]: the bounded-bandwidth twins — Push-Sum with b-bit
+//! - [`quantized`]: bounded-bandwidth averaging — Push-Sum with b-bit
 //!   token shares and residual carry, Metropolis with antisymmetric
 //!   integer transfers — whose messages fit a
 //!   [`MessageCodec`](kya_runtime::MessageCodec) cap

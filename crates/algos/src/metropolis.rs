@@ -20,7 +20,7 @@
 //! with finite dynamic diameter follows from Moreau's theorem, quadratic
 //! rates from \[10\].
 
-use kya_runtime::{BroadcastAlgorithm, FlatAlgorithm, Inbox, IsotropicAlgorithm};
+use kya_runtime::{BroadcastAlgorithm, FlatAlgorithm, Inbox, Lanes};
 
 /// Metropolis averaging: `x_i += Σ_j (x_j - x_i) / (1 + max(d_i, d_j))`
 /// over distinct neighbors `j` (the self term vanishes, so the inbox can
@@ -40,50 +40,46 @@ pub struct DegreeTagged {
     pub degree: usize,
 }
 
-fn metropolis_step(x: f64, inbox: &[DegreeTagged], own_degree: usize, lazy: bool) -> f64 {
+/// Lanes `[x, degree]`: every degree is below 2^53 (the flat executor
+/// checks this at construction), so the f64 lane holds it exactly.
+impl Lanes for DegreeTagged {
+    const LANES: usize = 2;
+
+    #[inline]
+    fn load(lanes: &[f64]) -> DegreeTagged {
+        let (x, degree) = <(f64, f64)>::load(lanes);
+        DegreeTagged {
+            x,
+            degree: degree as usize,
+        }
+    }
+
+    #[inline]
+    fn store(&self, lanes: &mut [f64]) {
+        (self.x, self.degree as f64).store(lanes);
+    }
+}
+
+/// `x + Σ_j w(max(d_i, d_j)) · (x_j - x)` over the inbox's
+/// `[x_j, d_j]` lanes. Own degree `d_i` = inbox size minus the
+/// self-loop message; the own message contributes `(x - x) = 0`, so it
+/// needs no special-casing. Degrees are exact small integers, so the
+/// f64 `max` is the integer `max`.
+#[inline]
+fn metropolis_step(x: f64, inbox: impl Inbox, weight: impl Fn(f64) -> f64) -> f64 {
+    let own = inbox.len().saturating_sub(1) as f64;
     let mut acc = x;
     for m in inbox {
-        let dmax = m.degree.max(own_degree) as f64;
-        let w = if lazy {
-            1.0 / (2.0 * dmax.max(0.5))
-        } else {
-            1.0 / (1.0 + dmax)
-        };
-        acc += w * (m.x - x);
+        acc += weight(m[1].max(own)) * (m[0] - x);
     }
     acc
 }
 
-impl IsotropicAlgorithm for Metropolis {
+/// One state lane `[x]`, message lanes `[x, degree]` ([`DegreeTagged`]
+/// on the boxed executor).
+impl FlatAlgorithm for Metropolis {
     type State = f64;
     type Msg = DegreeTagged;
-    type Output = f64;
-
-    fn message(&self, state: &f64, outdegree: usize) -> DegreeTagged {
-        DegreeTagged {
-            x: *state,
-            degree: outdegree.saturating_sub(1),
-        }
-    }
-
-    fn transition(&self, state: &f64, inbox: &[DegreeTagged]) -> f64 {
-        // Own degree = inbox size minus the self-loop message. The own
-        // message contributes (x - x) = 0, so it needs no special-casing.
-        metropolis_step(*state, inbox, inbox.len().saturating_sub(1), false)
-    }
-
-    fn output(&self, state: &f64) -> f64 {
-        *state
-    }
-}
-
-/// The flat (fixed-width f64 lanes) twin of the boxed [`IsotropicAlgorithm`]
-/// impl: one state lane `[x]`, message lanes `[x, degree]` with the
-/// degree carried as an exactly-representable f64 (degrees < 2^53, so
-/// the f64 `max` agrees bitwise with the boxed usize `max`-then-cast).
-impl FlatAlgorithm for Metropolis {
-    const STATE_LANES: usize = 1;
-    const MSG_LANES: usize = 2;
 
     #[inline]
     fn message(&self, state: &[f64], outdegree: usize, msg: &mut [f64]) {
@@ -92,16 +88,8 @@ impl FlatAlgorithm for Metropolis {
     }
 
     #[inline]
-    fn transition(&self, state: &[f64], inbox: Inbox<'_>, next: &mut [f64]) {
-        let x = state[0];
-        let own = inbox.len().saturating_sub(1) as f64;
-        let mut acc = x;
-        for m in inbox.iter() {
-            let dmax = m[1].max(own);
-            let w = 1.0 / (1.0 + dmax);
-            acc += w * (m[0] - x);
-        }
-        next[0] = acc;
+    fn transition(&self, state: &[f64], inbox: impl Inbox, next: &mut [f64]) {
+        next[0] = metropolis_step(state[0], inbox, |dmax| 1.0 / (1.0 + dmax));
     }
 
     #[inline]
@@ -114,24 +102,24 @@ impl FlatAlgorithm for Metropolis {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct LazyMetropolis;
 
-impl IsotropicAlgorithm for LazyMetropolis {
+/// The lanes and message of [`Metropolis`], with the lazy weights.
+impl FlatAlgorithm for LazyMetropolis {
     type State = f64;
     type Msg = DegreeTagged;
-    type Output = f64;
 
-    fn message(&self, state: &f64, outdegree: usize) -> DegreeTagged {
-        DegreeTagged {
-            x: *state,
-            degree: outdegree.saturating_sub(1),
-        }
+    #[inline]
+    fn message(&self, state: &[f64], outdegree: usize, msg: &mut [f64]) {
+        FlatAlgorithm::message(&Metropolis, state, outdegree, msg);
     }
 
-    fn transition(&self, state: &f64, inbox: &[DegreeTagged]) -> f64 {
-        metropolis_step(*state, inbox, inbox.len().saturating_sub(1), true)
+    #[inline]
+    fn transition(&self, state: &[f64], inbox: impl Inbox, next: &mut [f64]) {
+        next[0] = metropolis_step(state[0], inbox, |dmax| 1.0 / (2.0 * dmax.max(0.5)));
     }
 
-    fn output(&self, state: &f64) -> f64 {
-        *state
+    #[inline]
+    fn output(&self, state: &[f64]) -> f64 {
+        state[0]
     }
 }
 

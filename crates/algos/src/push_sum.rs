@@ -22,7 +22,7 @@
 
 use kya_arith::{BigInt, BigRational};
 use kya_runtime::bits::StateBits;
-use kya_runtime::{FlatAlgorithm, Inbox, IsotropicAlgorithm};
+use kya_runtime::{lane_columns, FlatAlgorithm, Inbox, IsotropicAlgorithm, Lanes};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -70,31 +70,50 @@ impl PushSumState {
     /// Struct-of-arrays columns (`[y-lane, z-lane]`) for the flat
     /// executor ([`kya_runtime::FlatExecution`]) from boxed states.
     pub fn columns(states: &[PushSumState]) -> Vec<Vec<f64>> {
-        vec![
-            states.iter().map(|s| s.y).collect(),
-            states.iter().map(|s| s.z).collect(),
-        ]
+        lane_columns(states)
     }
 }
 
-impl IsotropicAlgorithm for PushSum {
-    type State = PushSumState;
-    type Msg = (f64, f64);
-    type Output = f64;
+/// Lanes `[y, z]`.
+impl Lanes for PushSumState {
+    const LANES: usize = 2;
 
-    fn message(&self, state: &PushSumState, outdegree: usize) -> (f64, f64) {
-        let d = outdegree as f64;
-        (state.y / d, state.z / d)
+    #[inline]
+    fn load(lanes: &[f64]) -> PushSumState {
+        let (y, z) = <(f64, f64)>::load(lanes);
+        PushSumState { y, z }
     }
 
-    fn transition(&self, _state: &PushSumState, inbox: &[(f64, f64)]) -> PushSumState {
+    #[inline]
+    fn store(&self, lanes: &mut [f64]) {
+        (self.y, self.z).store(lanes);
+    }
+}
+
+/// State lanes `[y, z]`, message lanes `[y/d, z/d]`. The boxed executor
+/// runs this code too (`Isotropic(PushSum)`, with [`PushSumState`]
+/// states and `(f64, f64)` messages).
+impl FlatAlgorithm for PushSum {
+    type State = PushSumState;
+    type Msg = (f64, f64);
+
+    #[inline]
+    fn message(&self, state: &[f64], outdegree: usize, msg: &mut [f64]) {
+        let d = outdegree as f64;
+        msg[0] = state[0] / d;
+        msg[1] = state[1] / d;
+    }
+
+    #[inline]
+    fn transition(&self, _state: &[f64], inbox: impl Inbox, next: &mut [f64]) {
         let mut y = 0.0;
         let mut z = 0.0;
-        for &(ys, zs) in inbox {
-            y += ys;
-            z += zs;
+        for m in inbox {
+            y += m[0];
+            z += m[1];
         }
-        PushSumState { y, z }
+        next[0] = y;
+        next[1] = z;
     }
 
     /// The mass quotient `y / z`, deliberately unguarded: on lopsided
@@ -105,39 +124,6 @@ impl IsotropicAlgorithm for PushSum {
     /// the algorithm masking it — a non-finite output *is* the signal
     /// that f64 left the regime where Theorem 5.2's analysis applies
     /// (the exact backend [`PushSumExact`] has no such failure mode).
-    fn output(&self, state: &PushSumState) -> f64 {
-        state.y / state.z
-    }
-}
-
-/// The flat (fixed-width f64 lanes) twin of the boxed [`IsotropicAlgorithm`]
-/// impl: lanes `[y, z]` for both state and message, with every
-/// floating-point operation performed in the same order — the `flat`
-/// conformance oracle and `tests/flat_equivalence.rs` hold the two
-/// bitwise identical.
-impl FlatAlgorithm for PushSum {
-    const STATE_LANES: usize = 2;
-    const MSG_LANES: usize = 2;
-
-    #[inline]
-    fn message(&self, state: &[f64], outdegree: usize, msg: &mut [f64]) {
-        let d = outdegree as f64;
-        msg[0] = state[0] / d;
-        msg[1] = state[1] / d;
-    }
-
-    #[inline]
-    fn transition(&self, _state: &[f64], inbox: Inbox<'_>, next: &mut [f64]) {
-        let mut y = 0.0;
-        let mut z = 0.0;
-        for m in inbox.iter() {
-            y += m[0];
-            z += m[1];
-        }
-        next[0] = y;
-        next[1] = z;
-    }
-
     #[inline]
     fn output(&self, state: &[f64]) -> f64 {
         state[0] / state[1]

@@ -9,9 +9,10 @@
 //! - mass is held as whole tokens on the grid `ℚ_{2^b}` — an initial
 //!   value `v` becomes `round(v · 2^b)` tokens;
 //! - every token count stays a nonnegative integer far below `2^53`,
-//!   so its f64 lane representation is *exact*, the flat and boxed
-//!   twins agree bitwise, and token sums are order-independent — no
-//!   floating-point rounding anywhere in the dynamics;
+//!   so its f64 lane representation is *exact* and token sums are
+//!   order-independent — no floating-point rounding anywhere in the
+//!   dynamics (both engines run the one [`FlatAlgorithm`] impl, so
+//!   they agree bitwise in any case);
 //! - every payload a [`QuantizedPushSum`] agent emits is a codeword of
 //!   the [`MessageCodec`], i.e. fits `b` bits *structurally* — the
 //!   executor meters the cap ([`RunConfig::bandwidth`]) but never
@@ -25,7 +26,7 @@
 //!   `Σ_i y_i` is invariant round by round. Recomputing `q` requires
 //!   the round's outdegree at transition time, which is why it
 //!   overrides
-//!   [`transition_with_outdegree`](IsotropicAlgorithm::transition_with_outdegree)
+//!   [`transition_with_outdegree`](FlatAlgorithm::transition_with_outdegree)
 //!   (and why that hook exists).
 //! - [`QuantizedMetropolis`] uses **antisymmetric integer transfers**:
 //!   both endpoints of a bidirectional link compute the transfer
@@ -38,7 +39,7 @@
 //! [`RunConfig::bandwidth`]: kya_runtime::RunConfig::bandwidth
 
 use crate::push_sum::PushSumState;
-use kya_runtime::{FlatAlgorithm, Inbox, IsotropicAlgorithm, MessageCodec};
+use kya_runtime::{FlatAlgorithm, Inbox, MessageCodec};
 
 /// Reinterpret a token lane as a count: the dynamics keep every lane a
 /// nonnegative integer below 2^53, so the cast is exact.
@@ -67,8 +68,8 @@ fn tokens(lane: f64) -> u64 {
 /// by zero.
 ///
 /// Under message faults it is self-healing (it overrides
-/// [`IsotropicAlgorithm::reabsorb`]): bounced shares are integer token parcels and reabsorbing them
-/// restores the sum exactly.
+/// [`FlatAlgorithm::reabsorb`]): bounced shares are integer token
+/// parcels and reabsorbing them restores the sum exactly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct QuantizedPushSum {
     codec: MessageCodec,
@@ -119,14 +120,14 @@ impl QuantizedPushSum {
             .collect()
     }
 
-    /// The per-port token shares of a state at outdegree `d` — the
-    /// single deterministic function both `message` and the residual
-    /// recomputation in `transition_with_outdegree` use.
-    fn shares(&self, state: &PushSumState, d: usize) -> (u64, u64) {
+    /// The per-port token shares of state lanes `[y, z]` at outdegree
+    /// `d` — the single deterministic function both `message` and the
+    /// residual recomputation in `transition_with_outdegree` use.
+    fn shares(&self, state: &[f64], d: usize) -> (u64, u64) {
         let d = d.max(1) as u64;
         (
-            self.codec.encode(tokens(state.y) / d),
-            self.codec.encode(tokens(state.z) / d),
+            self.codec.encode(tokens(state[0]) / d),
+            self.codec.encode(tokens(state[1]) / d),
         )
     }
 
@@ -139,81 +140,20 @@ impl QuantizedPushSum {
     }
 }
 
-impl IsotropicAlgorithm for QuantizedPushSum {
+/// State lanes `[y, z]` ([`PushSumState`] on the boxed executor),
+/// message lanes `[qy, qz]`; integer token arithmetic throughout.
+impl FlatAlgorithm for QuantizedPushSum {
     type State = PushSumState;
     type Msg = (f64, f64);
-    type Output = f64;
-
-    fn message(&self, state: &PushSumState, outdegree: usize) -> (f64, f64) {
-        let (qy, qz) = self.shares(state, outdegree);
-        (qy as f64, qz as f64)
-    }
-
-    fn transition(&self, _state: &PushSumState, _inbox: &[(f64, f64)]) -> PushSumState {
-        unreachable!(
-            "QuantizedPushSum's residual carry needs the round's outdegree; \
-             executors must call transition_with_outdegree"
-        )
-    }
-
-    fn transition_with_outdegree(
-        &self,
-        state: &PushSumState,
-        outdegree: usize,
-        inbox: &[(f64, f64)],
-    ) -> PushSumState {
-        let (qy, qz) = self.shares(state, outdegree);
-        let d = outdegree.max(1) as u64;
-        // Residual carry: what the d port shares did not take stays home.
-        let mut y = tokens(state.y) - d * qy;
-        let mut z = tokens(state.z) - d * qz;
-        for m in inbox {
-            y += tokens(m.0);
-            z += tokens(m.1);
-        }
-        PushSumState {
-            y: y as f64,
-            z: z as f64,
-        }
-    }
-
-    fn output(&self, state: &PushSumState) -> f64 {
-        state.y / state.z
-    }
-
-    fn reabsorb(&self, state: &PushSumState, lost: &[(f64, f64)]) -> PushSumState {
-        let mut y = tokens(state.y);
-        let mut z = tokens(state.z);
-        for m in lost {
-            y += tokens(m.0);
-            z += tokens(m.1);
-        }
-        PushSumState {
-            y: y as f64,
-            z: z as f64,
-        }
-    }
-}
-
-/// The flat twin of the boxed impl: state lanes `[y, z]`, message lanes
-/// `[qy, qz]`, identical integer arithmetic — bitwise equal at any
-/// thread count.
-impl FlatAlgorithm for QuantizedPushSum {
-    const STATE_LANES: usize = 2;
-    const MSG_LANES: usize = 2;
 
     #[inline]
     fn message(&self, state: &[f64], outdegree: usize, msg: &mut [f64]) {
-        let s = PushSumState {
-            y: state[0],
-            z: state[1],
-        };
-        let (qy, qz) = self.shares(&s, outdegree);
+        let (qy, qz) = self.shares(state, outdegree);
         msg[0] = qy as f64;
         msg[1] = qz as f64;
     }
 
-    fn transition(&self, _state: &[f64], _inbox: Inbox<'_>, _next: &mut [f64]) {
+    fn transition(&self, _state: &[f64], _inbox: impl Inbox, _next: &mut [f64]) {
         unreachable!(
             "QuantizedPushSum's residual carry needs the round's outdegree; \
              executors must call transition_with_outdegree"
@@ -225,23 +165,31 @@ impl FlatAlgorithm for QuantizedPushSum {
         &self,
         state: &[f64],
         outdegree: usize,
-        inbox: Inbox<'_>,
+        inbox: impl Inbox,
         next: &mut [f64],
     ) {
-        let s = PushSumState {
-            y: state[0],
-            z: state[1],
-        };
-        let (qy, qz) = self.shares(&s, outdegree);
+        let (qy, qz) = self.shares(state, outdegree);
         let d = outdegree.max(1) as u64;
+        // Residual carry: what the d port shares did not take stays home.
         let mut y = tokens(state[0]) - d * qy;
         let mut z = tokens(state[1]) - d * qz;
-        for m in inbox.iter() {
+        for m in inbox {
             y += tokens(m[0]);
             z += tokens(m[1]);
         }
         next[0] = y as f64;
         next[1] = z as f64;
+    }
+
+    fn reabsorb(&self, state: &mut [f64], lost: impl Inbox) {
+        let mut y = tokens(state[0]);
+        let mut z = tokens(state[1]);
+        for m in lost {
+            y += tokens(m[0]);
+            z += tokens(m[1]);
+        }
+        state[0] = y as f64;
+        state[1] = z as f64;
     }
 
     #[inline]
@@ -333,13 +281,6 @@ impl QuantizedMetropolis {
             .collect()
     }
 
-    /// The single flat state column for [`FlatExecution`].
-    ///
-    /// [`FlatExecution`]: kya_runtime::FlatExecution
-    pub fn columns(states: &[f64]) -> Vec<Vec<f64>> {
-        vec![states.to_vec()]
-    }
-
     /// Total token count over all agents — the exactly conserved
     /// quantity on symmetric graphs.
     pub fn total_tokens(states: &[f64]) -> u64 {
@@ -368,38 +309,11 @@ impl QuantizedMetropolis {
     }
 }
 
-impl IsotropicAlgorithm for QuantizedMetropolis {
+/// One state lane `[x]`, message lanes `[w, degree]`; integer token
+/// arithmetic throughout.
+impl FlatAlgorithm for QuantizedMetropolis {
     type State = f64;
     type Msg = (f64, f64);
-    type Output = f64;
-
-    fn message(&self, state: &f64, outdegree: usize) -> (f64, f64) {
-        (
-            self.codec.encode_shifted(tokens(*state), self.shift) as f64,
-            outdegree.saturating_sub(1) as f64,
-        )
-    }
-
-    fn transition(&self, state: &f64, inbox: &[(f64, f64)]) -> f64 {
-        // Own degree = inbox size minus the self-loop, as in Metropolis.
-        let own = inbox.len().saturating_sub(1) as u64;
-        self.fold(
-            tokens(*state),
-            own,
-            inbox.iter().map(|m| (tokens(m.0), tokens(m.1))),
-        )
-    }
-
-    fn output(&self, state: &f64) -> f64 {
-        *state / self.scale()
-    }
-}
-
-/// The flat twin: one state lane `[x]`, message lanes `[w, degree]`,
-/// identical integer arithmetic — bitwise equal at any thread count.
-impl FlatAlgorithm for QuantizedMetropolis {
-    const STATE_LANES: usize = 1;
-    const MSG_LANES: usize = 2;
 
     #[inline]
     fn message(&self, state: &[f64], outdegree: usize, msg: &mut [f64]) {
@@ -408,12 +322,13 @@ impl FlatAlgorithm for QuantizedMetropolis {
     }
 
     #[inline]
-    fn transition(&self, state: &[f64], inbox: Inbox<'_>, next: &mut [f64]) {
+    fn transition(&self, state: &[f64], inbox: impl Inbox, next: &mut [f64]) {
+        // Own degree = inbox size minus the self-loop, as in Metropolis.
         let own = inbox.len().saturating_sub(1) as u64;
         next[0] = self.fold(
             tokens(state[0]),
             own,
-            inbox.iter().map(|m| (tokens(m[0]), tokens(m[1]))),
+            inbox.map(|m| (tokens(m[0]), tokens(m[1]))),
         );
     }
 
@@ -428,7 +343,9 @@ mod tests {
     use super::*;
     use kya_graph::{generators, Digraph, StaticGraph};
     use kya_runtime::faults::FaultPlan;
-    use kya_runtime::{BandwidthCap, ByteLedger, Execution, Isotropic, RunConfig};
+    use kya_runtime::{
+        BandwidthCap, ByteLedger, Execution, Isotropic, IsotropicAlgorithm, RunConfig,
+    };
 
     fn biring(n: usize) -> Digraph {
         let mut g = Digraph::new(n);

@@ -10,7 +10,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kya_algos::push_sum::{PushSum, PushSumState};
 use kya_algos::quantized::{QuantizedMetropolis, QuantizedPushSum};
 use kya_graph::generators;
-use kya_runtime::{Execution, FlatExecution, Isotropic, RunConfig};
+use kya_runtime::{lane_columns, Execution, FlatExecution, Isotropic, RunConfig};
 use std::time::Duration;
 
 const ROUNDS: u64 = 20;
@@ -93,8 +93,7 @@ fn bench_quantized_metropolis(c: &mut Criterion) {
                 &n,
                 |b, _| {
                     b.iter(|| {
-                        let mut exec =
-                            FlatExecution::new(algo, &g, QuantizedMetropolis::columns(&states));
+                        let mut exec = FlatExecution::new(algo, &g, lane_columns(&states));
                         exec.run(ROUNDS, 4);
                         exec.outputs()[0]
                     })

@@ -29,6 +29,7 @@ use kya_runtime::adversary::AsyncStarts;
 use kya_runtime::metric::EuclideanMetric;
 use kya_runtime::telemetry::TraceSink;
 use kya_runtime::{Algorithm, Execution, RunConfig};
+use std::io::{self, Write};
 use std::process::ExitCode;
 
 /// Flags `kya trace` accepts on top of the sweep and experiment flags.
@@ -207,18 +208,30 @@ where
 /// run, exit non-zero on errors or failed certifications.
 pub fn run_main(name: &str) -> ExitCode {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    match run(name, &argv) {
-        Ok((text, ok)) => {
-            print!("{text}");
-            if ok {
-                ExitCode::SUCCESS
-            } else {
-                eprintln!("{name}: some cells FAILED — see [XX] lines above");
-                ExitCode::FAILURE
-            }
-        }
+    main_with(name, &argv, &mut io::stdout().lock())
+}
+
+/// [`run_main`] writing to `out`. A reader that closes the pipe early
+/// (`f1_pushsum_rate --ndjson | head`) has taken all the output it
+/// wants, so a broken pipe ends the binary quietly and successfully;
+/// any other failed write is an error.
+fn main_with(name: &str, argv: &[String], out: &mut dyn Write) -> ExitCode {
+    let (text, ok) = match run(name, argv) {
+        Ok(done) => done,
         Err(e) => {
             eprintln!("{name}: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+    match out.write_all(text.as_bytes()).and_then(|()| out.flush()) {
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{name}: cannot write to standard output: {e}");
+            ExitCode::FAILURE
+        }
+        Ok(()) if ok => ExitCode::SUCCESS,
+        Ok(()) => {
+            eprintln!("{name}: some cells FAILED — see [XX] lines above");
             ExitCode::FAILURE
         }
     }
@@ -315,6 +328,31 @@ pub(crate) fn f64_list_flag(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Standard output after its reader has gone: every write fails.
+    struct ClosedPipe(io::ErrorKind);
+
+    impl Write for ClosedPipe {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(self.0.into())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_closed_pipe_ends_the_binary_quietly() {
+        let argv = ["--sizes".to_string(), "16".to_string()];
+        let code = main_with("flat", &argv, &mut ClosedPipe(io::ErrorKind::BrokenPipe));
+        assert_eq!(code, ExitCode::SUCCESS);
+        // Any other failed write, and any bad request, is an error.
+        let code = main_with("flat", &argv, &mut ClosedPipe(io::ErrorKind::WriteZero));
+        assert_eq!(code, ExitCode::FAILURE);
+        let bad = ["--vaules".to_string()];
+        let code = main_with("flat", &bad, &mut ClosedPipe(io::ErrorKind::BrokenPipe));
+        assert_eq!(code, ExitCode::FAILURE);
+    }
 
     #[test]
     fn registry_finds_all_experiments() {

@@ -27,11 +27,13 @@ use kya_harness::{parse_graph, CellCtx, CellOutcome, ChurnSpec};
 use kya_runtime::bits::StateBits;
 use kya_runtime::churn::ChurnMasked;
 use kya_runtime::faults::{FaultPlan, FaultyNetwork};
+use kya_runtime::flat::MAX_LANES;
 use kya_runtime::metric::EuclideanMetric;
 use kya_runtime::telemetry::{CountingObserver, NullObserver, Observer};
 use kya_runtime::{
-    Algorithm, Backend, BandwidthCap, Broadcast, ByteLedger, CountingProbe, Execution,
-    FlatAlgorithm, FlatExecution, FlatRunConfig, Isotropic, MessageCodec, RunConfig,
+    lane_columns, Algorithm, Backend, BandwidthCap, Broadcast, ByteLedger, CountingProbe,
+    Execution, FlatAlgorithm, FlatExecution, FlatRunConfig, Isotropic, Lanes, MessageCodec,
+    RunConfig,
 };
 use std::cell::{Cell, RefCell};
 
@@ -291,43 +293,33 @@ fn check_paths(ctx: &CellCtx) -> CellOutcome {
 // (b') Flat engine vs boxed executor
 // ---------------------------------------------------------------------
 
-/// Run the boxed sequential executor (the canon) against the flat
-/// CSR executor at 1, 2 and 4 threads and demand bit-identical
-/// states after every round. `lanes` projects a boxed state onto its
-/// flat state lanes; f64 `to_bits` equality is the comparison, so this
-/// is exactly the "flat-vs-boxed" differential oracle of the flat
-/// engine's determinism contract.
-fn flat_agree<A, F, L>(
-    algo: A,
-    flat: F,
-    inits: Vec<A::State>,
-    lanes: L,
-    g: &Digraph,
-    rounds: u64,
-) -> Result<u64, String>
+/// Run `algo` on the boxed sequential executor (the canon) and on the
+/// flat CSR executor at 1, 2 and 4 threads, and demand bit-identical
+/// states after every round: a boxed state's [`Lanes`] against the flat
+/// agent's lanes, compared by f64 `to_bits`. Both engines run the one
+/// [`FlatAlgorithm`] impl, so this is the differential oracle of the
+/// engines themselves: delivery order, sharding and lane layout.
+fn flat_agree<F>(algo: F, inits: Vec<F::State>, g: &Digraph, rounds: u64) -> Result<u64, String>
 where
-    A: Algorithm,
-    A::State: StateBits,
     F: FlatAlgorithm + Clone,
-    L: Fn(&A::State) -> Vec<f64>,
+    F::State: StateBits,
 {
-    let columns: Vec<Vec<f64>> = (0..F::STATE_LANES)
-        .map(|l| inits.iter().map(|s| lanes(s)[l]).collect())
-        .collect();
-    let mut boxed = Execution::new(algo, inits);
+    let columns = lane_columns(&inits);
+    let mut boxed = Execution::new(Isotropic(algo.clone()), inits);
     let mut flats: Vec<(usize, FlatExecution<F>)> = [1usize, 2, 4]
         .iter()
-        .map(|&t| (t, FlatExecution::new(flat.clone(), g, columns.clone())))
+        .map(|&t| (t, FlatExecution::new(algo.clone(), g, columns.clone())))
         .collect();
     let mut fp = Fingerprint::new();
+    let mut canon = [0.0; MAX_LANES];
     for t in 1..=rounds {
         boxed.step(g);
         for (threads, exec) in &mut flats {
             exec.step_threads(*threads);
             for (v, state) in boxed.states().iter().enumerate() {
-                let canon = lanes(state);
-                for (l, c) in canon.iter().enumerate().take(F::STATE_LANES) {
-                    if c.to_bits() != exec.state(v)[l].to_bits() {
+                state.store(&mut canon[..F::STATE_LANES]);
+                for (l, (c, x)) in canon.iter().zip(exec.state(v)).enumerate() {
+                    if c.to_bits() != x.to_bits() {
                         return Err(format!(
                             "round {t}: flat engine at {threads} thread(s) diverged \
                              bitwise from boxed `step` at agent {v} lane {l}"
@@ -361,21 +353,12 @@ fn check_flat(ctx: &CellCtx) -> CellOutcome {
     let seed = cell.cell_seed;
     let res = match cell.algorithm.as_str() {
         "pushsum" => flat_agree(
-            Isotropic(PushSum),
             PushSum,
             PushSumState::averaging(&vals_f64(seed, n)),
-            |s: &PushSumState| vec![s.y, s.z],
             &g,
             rounds,
         ),
-        "metropolis" => flat_agree(
-            Isotropic(Metropolis),
-            Metropolis,
-            vals_f64(seed, n),
-            |s: &f64| vec![*s],
-            &g,
-            rounds,
-        ),
+        "metropolis" => flat_agree(Metropolis, vals_f64(seed, n), &g, rounds),
         other => return fail(format!("unknown flat algorithm `{other}`")),
     };
     match res {
@@ -699,14 +682,7 @@ fn check_bandwidth(ctx: &CellCtx) -> CellOutcome {
             if let Some(v) = audit.violation {
                 return fail(v);
             }
-            let digest = match flat_agree(
-                Isotropic(algo),
-                algo,
-                inits.clone(),
-                |s: &PushSumState| vec![s.y, s.z],
-                &g,
-                rounds,
-            ) {
+            let digest = match flat_agree(algo, inits.clone(), &g, rounds) {
                 Ok(d) => d,
                 Err(e) => return fail(e),
             };
@@ -762,19 +738,12 @@ fn check_bandwidth(ctx: &CellCtx) -> CellOutcome {
             if let Some(v) = audit.violation {
                 return fail(v);
             }
-            let digest = match flat_agree(
-                Isotropic(algo),
-                algo,
-                inits.clone(),
-                |s: &f64| vec![*s],
-                &g,
-                rounds,
-            ) {
+            let digest = match flat_agree(algo, inits.clone(), &g, rounds) {
                 Ok(d) => d,
                 Err(e) => return fail(e),
             };
             let flat_ledger = ByteLedger::new();
-            let mut flat = FlatExecution::new(algo, &g, QuantizedMetropolis::columns(&inits));
+            let mut flat = FlatExecution::new(algo, &g, lane_columns(&inits));
             flat.drive(FlatRunConfig::rounds(rounds).bandwidth(cap, &flat_ledger));
             let t1 = QuantizedMetropolis::total_tokens(boxed.states());
             let scale = BigInt::from(codec.levels());

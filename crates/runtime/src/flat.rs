@@ -19,8 +19,8 @@
 //!   per edge.
 //! - **Routing** is frozen at construction into a [`RoutingPlan`]: per
 //!   destination, the list of in-sources sorted once into the canonical
-//!   ascending `(source id, port rank)` order. An agent's [`Inbox`] is a
-//!   view of the message column through that list.
+//!   ascending `(source id, port rank)` order. An agent's [`Inbox`]
+//!   yields the message column's rows through that list.
 //! - **A round is one pass**: walk the state and next-message buffers
 //!   in lockstep, one fixed-width chunk per agent: fold the inbox into
 //!   the new state and emit the next round's message from it into the
@@ -43,12 +43,17 @@
 //! The price is genericity: a [`FlatAlgorithm`] is isotropic (one
 //! message per round, replicated to every port) with fixed-width f64
 //! state and message vectors. Push-Sum and Metropolis — the paper's
-//! quantitative workhorses — fit exactly; `kya-algos` implements both.
+//! quantitative workhorses — fit exactly; `kya-algos` implements both,
+//! and their quantized variants. Each is written once: the blanket
+//! [`IsotropicAlgorithm`] impl runs the same lane code on the boxed
+//! executor, moving states and messages through [`Lanes`].
 
 use kya_graph::{Digraph, RoutingPlan};
-use std::ops::Range;
+use std::fmt;
+use std::ops::{Index, Range};
 use std::time::Instant;
 
+use crate::algorithm::IsotropicAlgorithm;
 use crate::config::FlatRunConfig;
 use crate::probe::{FlatProbe, NullProbe, PhaseTimes, ShardCounters};
 use crate::report::{CellReport, Measure, Seal};
@@ -101,69 +106,93 @@ pub fn exact_degree(d: usize) -> Result<f64, DegreeOverflow> {
     }
 }
 
-/// One agent's inbox for one round: a read-only view of the round's
-/// message column through the agent's in-source list, yielding one
-/// `MSG_LANES`-lane message per in-edge in the canonical
-/// `(source id, port rank)` delivery order. Nothing is copied until a
-/// transition reads it.
-#[derive(Clone, Copy, Debug)]
-pub struct Inbox<'a> {
-    column: &'a [f64],
-    sources: &'a [u32],
-    lanes: usize,
+/// One agent's inbox for one round: one message per in-edge, in the
+/// canonical `(source id, port rank)` delivery order, each message
+/// indexable by lane (`m[0]`, `m[1]`, …, `MSG_LANES` lanes). The flat
+/// pass yields views of its message column; the boxed executor yields
+/// each delivered message's lanes from a stack array. Nothing is
+/// allocated per inbox, and `len()` is the agent's in-degree before a
+/// single message is read.
+pub trait Inbox: ExactSizeIterator<Item: Index<usize, Output = f64>> {}
+
+impl<I: ExactSizeIterator<Item: Index<usize, Output = f64>>> Inbox for I {}
+
+/// A value that occupies a fixed number of f64 lanes: the state and
+/// message types a [`FlatAlgorithm`] shares with the boxed executor.
+pub trait Lanes: Copy + fmt::Debug + Send + Sync {
+    /// Number of f64 lanes (1..=[`MAX_LANES`]).
+    const LANES: usize;
+
+    /// The value whose lanes are `lanes` (exactly `LANES` of them).
+    fn load(lanes: &[f64]) -> Self;
+
+    /// Write the value's lanes into `lanes` (exactly `LANES` of them).
+    fn store(&self, lanes: &mut [f64]);
 }
 
-impl<'a> Inbox<'a> {
-    /// The inbox that delivers, in order, message `sources[k]` of
-    /// `column` (a column of `lanes`-lane messages, one per agent).
+impl Lanes for f64 {
+    const LANES: usize = 1;
+
     #[inline]
-    pub(crate) fn new(column: &'a [f64], sources: &'a [u32], lanes: usize) -> Inbox<'a> {
-        Inbox {
-            column,
-            sources,
-            lanes,
+    fn load(lanes: &[f64]) -> f64 {
+        lanes[0]
+    }
+
+    #[inline]
+    fn store(&self, lanes: &mut [f64]) {
+        lanes[0] = *self;
+    }
+}
+
+impl Lanes for (f64, f64) {
+    const LANES: usize = 2;
+
+    #[inline]
+    fn load(lanes: &[f64]) -> (f64, f64) {
+        (lanes[0], lanes[1])
+    }
+
+    #[inline]
+    fn store(&self, lanes: &mut [f64]) {
+        lanes[..2].copy_from_slice(&[self.0, self.1]);
+    }
+}
+
+/// The state columns (one per lane, one entry per agent) that
+/// [`FlatExecution::new`] takes, from per-agent states.
+pub fn lane_columns<L: Lanes>(states: &[L]) -> Vec<Vec<f64>> {
+    let mut columns = vec![Vec::with_capacity(states.len()); L::LANES];
+    let mut lanes = [0.0; MAX_LANES];
+    for s in states {
+        s.store(&mut lanes[..L::LANES]);
+        for (col, &x) in columns.iter_mut().zip(&lanes) {
+            col.push(x);
         }
     }
-
-    /// Number of messages delivered (the agent's in-degree).
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.sources.len()
-    }
-
-    /// Whether no message is delivered.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.sources.is_empty()
-    }
-
-    /// The messages, each `lanes` lanes wide, in delivery order.
-    #[inline]
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = &'a [f64]> + 'a {
-        let (column, lanes) = (self.column, self.lanes);
-        self.sources.iter().map(move |&src| {
-            let at = src as usize * lanes;
-            &column[at..at + lanes]
-        })
-    }
+    columns
 }
 
 /// An isotropic f64 algorithm over fixed-width f64 lanes, runnable by
-/// [`FlatExecution`].
+/// [`FlatExecution`] and — through the blanket [`IsotropicAlgorithm`]
+/// impl below — by the boxed [`Execution`](crate::Execution) as
+/// `Isotropic(algo)`.
 ///
-/// Semantics mirror [`IsotropicAlgorithm`](crate::IsotropicAlgorithm):
-/// one message per round computed from the state and the outdegree,
-/// replicated to every output port; the transition folds the inbox —
-/// delivered in the canonical `(source id, port rank)` order — into the
-/// next state. To stay bitwise identical to a boxed twin, perform the
-/// same floating-point operations in the same order (the [`Inbox`]
-/// yields `MSG_LANES`-sized messages in exactly the boxed delivery
-/// order).
+/// Semantics mirror [`IsotropicAlgorithm`]: one message per round
+/// computed from the state and the outdegree, replicated to every
+/// output port; the transition folds the inbox — delivered in the
+/// canonical `(source id, port rank)` order — into the next state.
+/// Both engines run this one implementation, so they agree bitwise.
 pub trait FlatAlgorithm: Sync {
+    /// Per-agent state of the boxed executor, stored in `STATE_LANES`
+    /// lanes.
+    type State: Lanes;
+    /// Message of the boxed executor, stored in `MSG_LANES` lanes.
+    type Msg: Lanes;
+
     /// Number of f64 lanes per agent state (1..=[`MAX_LANES`]).
-    const STATE_LANES: usize;
+    const STATE_LANES: usize = <Self::State as Lanes>::LANES;
     /// Number of f64 lanes per message (1..=[`MAX_LANES`]).
-    const MSG_LANES: usize;
+    const MSG_LANES: usize = <Self::Msg as Lanes>::LANES;
 
     /// Compute the round's message from `state` (`STATE_LANES` lanes)
     /// into `msg` (`MSG_LANES` lanes), given the sender's outdegree.
@@ -171,27 +200,111 @@ pub trait FlatAlgorithm: Sync {
 
     /// Fold `inbox` (one message per in-edge, canonical delivery order)
     /// into `next` (`STATE_LANES` lanes).
-    fn transition(&self, state: &[f64], inbox: Inbox<'_>, next: &mut [f64]);
+    fn transition(&self, state: &[f64], inbox: impl Inbox, next: &mut [f64]);
 
     /// [`FlatAlgorithm::transition`], additionally told the agent's own
     /// outdegree — the flat spelling of
     /// [`Algorithm::transition_with_outdegree`](crate::Algorithm::transition_with_outdegree).
-    /// The executor always calls this variant with the routing plan's
+    /// Both engines always call this variant with the round's
     /// outdegree; the default ignores it, so plain flat algorithms are
     /// unaffected while quantized residual-carry algorithms override.
     fn transition_with_outdegree(
         &self,
         state: &[f64],
         outdegree: usize,
-        inbox: Inbox<'_>,
+        inbox: impl Inbox,
         next: &mut [f64],
     ) {
         let _ = outdegree;
         self.transition(state, inbox, next);
     }
 
+    /// Fold `lost` — this agent's messages that a fault plan kept from
+    /// their recipients — back into `state`, in place; see
+    /// [`Algorithm::reabsorb`](crate::Algorithm::reabsorb). Only the
+    /// boxed executor runs fault plans. The default discards them.
+    fn reabsorb(&self, state: &mut [f64], lost: impl Inbox) {
+        let _ = (state, lost);
+    }
+
     /// Project an agent's output from its state lanes.
     fn output(&self, state: &[f64]) -> f64;
+}
+
+/// Every flat algorithm is an [`IsotropicAlgorithm`]: the boxed
+/// executor runs the same lane code on stack arrays. States and
+/// messages go in and out through [`Lanes`], and an inbox is read in
+/// place one message at a time, so no call allocates.
+impl<A: FlatAlgorithm> IsotropicAlgorithm for A {
+    type State = A::State;
+    type Msg = A::Msg;
+    type Output = f64;
+
+    fn message(&self, state: &A::State, outdegree: usize) -> A::Msg {
+        let (cur, mut msg) = (lanes_of(state), [0.0; MAX_LANES]);
+        let (sl, ml) = (A::STATE_LANES, A::MSG_LANES);
+        FlatAlgorithm::message(self, &cur[..sl], outdegree, &mut msg[..ml]);
+        A::Msg::load(&msg[..ml])
+    }
+
+    fn transition(&self, state: &A::State, inbox: &[A::Msg]) -> A::State {
+        let (cur, mut next, sl) = (lanes_of(state), [0.0; MAX_LANES], A::STATE_LANES);
+        let inbox = inbox.iter().map(lanes_of);
+        FlatAlgorithm::transition(self, &cur[..sl], inbox, &mut next[..sl]);
+        A::State::load(&next[..sl])
+    }
+
+    fn transition_with_outdegree(&self, state: &A::State, d: usize, inbox: &[A::Msg]) -> A::State {
+        let (cur, mut next, sl) = (lanes_of(state), [0.0; MAX_LANES], A::STATE_LANES);
+        let inbox = inbox.iter().map(lanes_of);
+        FlatAlgorithm::transition_with_outdegree(self, &cur[..sl], d, inbox, &mut next[..sl]);
+        A::State::load(&next[..sl])
+    }
+
+    fn reabsorb(&self, state: &A::State, lost: &[A::Msg]) -> A::State {
+        let (mut cur, sl) = (lanes_of(state), A::STATE_LANES);
+        FlatAlgorithm::reabsorb(self, &mut cur[..sl], lost.iter().map(lanes_of));
+        A::State::load(&cur[..sl])
+    }
+
+    fn output(&self, state: &A::State) -> f64 {
+        FlatAlgorithm::output(self, &lanes_of(state)[..A::STATE_LANES])
+    }
+}
+
+/// `value`'s lanes at the front of a stack array.
+#[inline]
+fn lanes_of<L: Lanes>(value: &L) -> [f64; MAX_LANES] {
+    let mut lanes = [0.0; MAX_LANES];
+    value.store(&mut lanes[..L::LANES]);
+    lanes
+}
+
+/// The flat pass's inbox: row `sources[k]` of `column`, a column of
+/// `lanes`-lane messages (one per agent), for each `k` in order.
+#[inline]
+fn column_rows<'a>(
+    column: &'a [f64],
+    sources: &'a [u32],
+    lanes: usize,
+) -> impl ExactSizeIterator<Item = Row<'a>> + 'a {
+    sources.iter().map(move |&src| {
+        let at = src as usize * lanes;
+        Row(&column[at..at + lanes])
+    })
+}
+
+/// One message of the flat pass's inbox: a row of the message column.
+#[derive(Debug, PartialEq)]
+struct Row<'a>(&'a [f64]);
+
+impl Index<usize> for Row<'_> {
+    type Output = f64;
+
+    #[inline]
+    fn index(&self, lane: usize) -> &f64 {
+        &self.0[lane]
+    }
 }
 
 /// A flat execution: an agent-major state buffer plus a double-buffered
@@ -261,7 +374,7 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
             .zip(msgs.chunks_exact_mut(ml))
             .enumerate()
         {
-            algo.message(st, plan.outdegree(v), msg);
+            FlatAlgorithm::message(&algo, st, plan.outdegree(v), msg);
         }
         FlatExecution {
             algo,
@@ -303,7 +416,7 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
     pub fn outputs(&self) -> Vec<f64> {
         self.state
             .chunks_exact(A::STATE_LANES)
-            .map(|st| self.algo.output(st))
+            .map(|st| FlatAlgorithm::output(&self.algo, st))
             .collect()
     }
 
@@ -530,9 +643,9 @@ fn pass_range<A: FlatAlgorithm, P: FlatProbe>(
     for (v, (st, msg)) in range.zip(chunks) {
         cur[..sl].copy_from_slice(st);
         let outdegree = plan.outdegree(v);
-        let inbox = Inbox::new(msgs, plan.sources_of(v), ml);
-        algo.transition_with_outdegree(&cur[..sl], outdegree, inbox, st);
-        algo.message(st, outdegree, msg);
+        let inbox = column_rows(msgs, plan.sources_of(v), ml);
+        FlatAlgorithm::transition_with_outdegree(algo, &cur[..sl], outdegree, inbox, st);
+        FlatAlgorithm::message(algo, st, outdegree, msg);
     }
     counters
 }
@@ -547,13 +660,13 @@ mod tests {
     /// delivery order — any inbox reordering changes the rounding.
     struct OrderSum;
     impl FlatAlgorithm for OrderSum {
-        const STATE_LANES: usize = 1;
-        const MSG_LANES: usize = 1;
+        type State = f64;
+        type Msg = f64;
         fn message(&self, state: &[f64], _outdegree: usize, msg: &mut [f64]) {
             msg[0] = state[0];
         }
-        fn transition(&self, _state: &[f64], inbox: Inbox<'_>, next: &mut [f64]) {
-            next[0] = inbox.iter().fold(0.0, |acc, m| acc + m[0]);
+        fn transition(&self, _state: &[f64], inbox: impl Inbox, next: &mut [f64]) {
+            next[0] = inbox.fold(0.0, |acc, m| acc + m[0]);
         }
         fn output(&self, state: &[f64]) -> f64 {
             state[0]
@@ -611,24 +724,39 @@ mod tests {
         assert_eq!(bits(&seq), bits(&three));
     }
 
+    /// Fixed-width test states and messages; a wrong lane count panics.
+    impl<const N: usize> Lanes for [f64; N] {
+        const LANES: usize = N;
+        fn load(lanes: &[f64]) -> [f64; N] {
+            lanes.try_into().expect("lane count")
+        }
+        fn store(&self, lanes: &mut [f64]) {
+            lanes.copy_from_slice(self);
+        }
+    }
+
     /// Order-sensitive fold at lane widths no shipped algorithm uses:
     /// three state lanes, `MAX_LANES` message lanes. Every lane feeds a
     /// different one, so a wrong stride in the state or message buffer
-    /// mixes agents or lanes and changes the bits.
+    /// mixes agents or lanes and changes the bits; and every callback
+    /// checks that it is handed exactly its lane counts.
+    #[derive(Clone, Copy)]
     struct WideMix;
     impl FlatAlgorithm for WideMix {
-        const STATE_LANES: usize = 3;
-        const MSG_LANES: usize = MAX_LANES;
+        type State = [f64; 3];
+        type Msg = [f64; MAX_LANES];
         fn message(&self, state: &[f64], outdegree: usize, msg: &mut [f64]) {
+            assert_eq!((state.len(), msg.len()), (3, MAX_LANES), "lane counts");
             let d = outdegree as f64;
             msg[0] = state[0] / d;
             msg[1] = state[1] / d;
             msg[2] = state[2];
             msg[3] = state[0] - state[2];
         }
-        fn transition(&self, state: &[f64], inbox: Inbox<'_>, next: &mut [f64]) {
+        fn transition(&self, state: &[f64], inbox: impl Inbox, next: &mut [f64]) {
+            assert_eq!((state.len(), next.len()), (3, 3), "lane counts");
             let (mut a, mut b, mut c) = (0.0, 0.0, state[2]);
-            for m in inbox.iter() {
+            for m in inbox {
                 a += m[0];
                 b += m[1] + 1e-3 * m[3];
                 c = 0.5 * c + m[2];
@@ -638,12 +766,14 @@ mod tests {
             next[2] = c;
         }
         fn output(&self, state: &[f64]) -> f64 {
+            assert_eq!(state.len(), 3, "lane count");
             state[0] / state[1]
         }
     }
 
-    /// [`WideMix`] for the boxed executor: the same operations in the
-    /// same order on arrays.
+    /// [`WideMix`] written for the boxed executor alone: the same
+    /// operations in the same order on arrays, independent of the
+    /// blanket adapter that runs `Isotropic(WideMix)`.
     #[derive(Clone)]
     struct BoxedWideMix;
     impl crate::IsotropicAlgorithm for BoxedWideMix {
@@ -651,9 +781,8 @@ mod tests {
         type Msg = [f64; 4];
         type Output = f64;
         fn message(&self, s: &[f64; 3], outdegree: usize) -> [f64; 4] {
-            let mut msg = [0.0; 4];
-            WideMix.message(s, outdegree, &mut msg);
-            msg
+            let d = outdegree as f64;
+            [s[0] / d, s[1] / d, s[2], s[0] - s[2]]
         }
         fn transition(&self, s: &[f64; 3], inbox: &[[f64; 4]]) -> [f64; 3] {
             let (mut a, mut b, mut c) = (0.0, 0.0, s[2]);
@@ -681,16 +810,29 @@ mod tests {
                 [x * 1e-3, 1.0 + (i % 7) as f64, x * 1e5]
             })
             .collect();
-        let columns: Vec<Vec<f64>> = (0..3)
-            .map(|l| inits.iter().map(|s| s[l]).collect())
-            .collect();
-        let mut boxed = Execution::new(Isotropic(BoxedWideMix), inits);
+        let columns = lane_columns(&inits);
+        let mut boxed = Execution::new(Isotropic(BoxedWideMix), inits.clone());
+        // The same lane code on the boxed executor, through the blanket
+        // `IsotropicAlgorithm` impl.
+        let mut adapted = Execution::new(Isotropic(WideMix), inits);
         let mut flats: Vec<(usize, FlatExecution<WideMix>)> = [1, 2, 3]
             .into_iter()
             .map(|t| (t, FlatExecution::new(WideMix, &g, columns.clone())))
             .collect();
         for round in 1..=3 {
             boxed.step(&g);
+            adapted.step(&g);
+            for (v, (want, got)) in boxed.states().iter().zip(adapted.states()).enumerate() {
+                for l in 0..3 {
+                    assert_eq!(
+                        got[l].to_bits(),
+                        want[l].to_bits(),
+                        "round {round}, adapter: agent {v} lane {l}"
+                    );
+                }
+            }
+            let bits = |xs: Vec<f64>| xs.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            assert_eq!(bits(adapted.outputs()), bits(boxed.outputs()), "outputs");
             for (threads, flat) in &mut flats {
                 flat.step_threads(*threads);
                 for (v, want) in boxed.states().iter().enumerate() {
@@ -746,12 +888,26 @@ mod tests {
     #[test]
     fn inbox_views_the_column_in_source_order() {
         let column = [10.0, 11.0, 20.0, 21.0, 30.0, 31.0];
-        let inbox = Inbox::new(&column, &[2, 0, 2], 2);
+        let inbox = column_rows(&column, &[2, 0, 2], 2);
         assert_eq!(inbox.len(), 3);
-        assert!(!inbox.is_empty());
-        let msgs: Vec<&[f64]> = inbox.iter().collect();
-        assert_eq!(msgs, vec![&[30.0, 31.0][..], &[10.0, 11.0], &[30.0, 31.0]]);
-        assert!(Inbox::new(&column, &[], 2).is_empty());
+        let msgs: Vec<Row<'_>> = inbox.collect();
+        assert_eq!(
+            msgs,
+            [Row(&[30.0, 31.0]), Row(&[10.0, 11.0]), Row(&[30.0, 31.0])]
+        );
+        assert_eq!((msgs[0][0], msgs[1][1]), (30.0, 11.0));
+        assert_eq!(column_rows(&column, &[], 2).len(), 0);
+    }
+
+    #[test]
+    fn lanes_round_trip_and_columns_interleave() {
+        let pairs = [(1.0, 2.0), (3.0, 4.0)];
+        assert_eq!(lane_columns(&pairs), vec![vec![1.0, 3.0], vec![2.0, 4.0]]);
+        assert_eq!(lane_columns(&[5.0, 6.0]), vec![vec![5.0, 6.0]]);
+        let mut lanes = [0.0; 3];
+        [7.0, 8.0, 9.0].store(&mut lanes);
+        assert_eq!(<[f64; 3]>::load(&lanes), [7.0, 8.0, 9.0]);
+        assert_eq!(<(f64, f64)>::load(&lanes[1..]), (8.0, 9.0));
     }
 
     #[test]

@@ -79,7 +79,8 @@ pub use bandwidth::{BandwidthCap, ByteLedger, MessageCodec};
 pub use config::{Backend, FlatRunConfig, RunConfig};
 pub use execution::Execution;
 pub use flat::{
-    exact_degree, DegreeOverflow, FlatAlgorithm, FlatExecution, Inbox, MAX_EXACT_DEGREE,
+    exact_degree, lane_columns, DegreeOverflow, FlatAlgorithm, FlatExecution, Inbox, Lanes,
+    MAX_EXACT_DEGREE,
 };
 pub use probe::{
     CountingProbe, FlatProbe, FlatProbeSummary, FlatRoundEvent, NullProbe, PhaseTimes,
@@ -88,6 +89,5 @@ pub use probe::{
 pub use report::CellReport;
 pub use shard::MIN_SPAWN_AGENTS;
 pub use telemetry::{
-    CountSummary, CountingObserver, Log2Histogram, NullObserver, Observer, ResidualObserver,
-    RoundEvent, TraceSink,
+    CountSummary, CountingObserver, Log2Histogram, NullObserver, Observer, RoundEvent, TraceSink,
 };

@@ -91,11 +91,6 @@ impl PhaseTimes {
         self.pass_us += other.pass_us;
         self.merge_us += other.merge_us;
     }
-
-    /// Total microseconds across all three phases.
-    pub fn total_us(&self) -> u64 {
-        self.route_us + self.pass_us + self.merge_us
-    }
 }
 
 /// Phase-level hooks driven by
@@ -218,7 +213,6 @@ pub struct CountingProbe {
     events: Vec<FlatRoundEvent>,
     volume: Log2Histogram,
     timing: PhaseTimes,
-    shard_merges: u64,
     cur: ShardCounters,
     cur_digest: Fnv1a,
 }
@@ -250,14 +244,6 @@ impl CountingProbe {
         self.timing
     }
 
-    /// Shard counter blocks merged (one per shard per round). Like
-    /// [`timing`](CountingProbe::timing), this depends on the shard
-    /// layout — and therefore the thread count — so it is a diagnostic,
-    /// deliberately **not** part of [`FlatProbeSummary`] or the stream.
-    pub fn shard_merges(&self) -> u64 {
-        self.shard_merges
-    }
-
     /// The deterministic probe stream: one JSON object per round.
     /// Byte-identical at any thread count (CI diffs `--threads 1` vs
     /// `4`); contains no timing.
@@ -279,7 +265,6 @@ impl FlatProbe for CountingProbe {
 
     fn on_shard(&mut self, _shard: usize, counters: &ShardCounters) {
         self.cur.merge(counters);
-        self.shard_merges += 1;
     }
 
     fn on_lane_sample(&mut self, _round: u64, lane: usize, samples: &[f64]) {
@@ -353,7 +338,6 @@ mod tests {
         assert_eq!(s.messages_routed, 16);
         assert_eq!(s.lane_writes, 32);
         assert_eq!(s.inbox_bytes, 256);
-        assert_eq!(p.shard_merges(), 2);
         assert_eq!(s.lane_samples, 2);
         assert_eq!(p.events().len(), 1);
         assert_eq!(p.volume_histogram().count(4), 1, "16 messages → bucket 4");
@@ -397,7 +381,6 @@ mod tests {
                 merge_us: 40,
             },
         );
-        assert_eq!(p.timing().total_us(), 110);
         assert!(p.to_ndjson().is_empty(), "timing alone emits no stream");
     }
 

@@ -8,16 +8,14 @@
 //! the executor's round structure and sees every round boundary and
 //! every delivered message, turning an execution into a measured one:
 //!
-//! - [`NullObserver`] — the zero-cost default. The plain `step`/`run*`
-//!   methods delegate to their `*_observed` twins with a `NullObserver`;
-//!   monomorphization erases the empty hooks entirely (a benchmark guard
-//!   in `tests/telemetry.rs` pins this).
+//! - [`NullObserver`] — the zero-cost default. `step` and
+//!   `step_parallel` run the same round body as `step_observed` and
+//!   `step_parallel_observed`, with a `NullObserver`; monomorphization
+//!   erases the empty hooks entirely (a benchmark guard in
+//!   `tests/telemetry.rs` pins this).
 //! - [`CountingObserver`] — messages delivered (split into self-loop and
 //!   real-link traffic), payload bytes, fault-dropped messages, and peak
 //!   state size, summarized as a [`CountSummary`].
-//! - [`ResidualObserver`] — the per-round worst-case distance of the
-//!   outputs from a target under a chosen [`Metric`]: the measured
-//!   decay-rate series behind the F1/F4 tables.
 //! - [`TraceSink`] — one [`RoundEvent`] per round (counters plus an
 //!   optional residual), buffered with a stable serde schema and
 //!   rendered as NDJSON.
@@ -175,53 +173,6 @@ impl<A: Algorithm> Observer<A> for CountingObserver {
             let bytes = debug_len(&mut self.buf, s);
             self.summary.peak_state_bytes = self.summary.peak_state_bytes.max(bytes);
         }
-    }
-}
-
-/// Records the per-round worst-case distance of the outputs from a
-/// target — the measured decay-rate series of Theorem 5.2.
-#[derive(Clone, Debug)]
-pub struct ResidualObserver<M, T> {
-    metric: M,
-    target: T,
-    residuals: Vec<f64>,
-}
-
-impl<M, T> ResidualObserver<M, T> {
-    /// Measure distances to `target` under `metric`.
-    pub fn new(metric: M, target: T) -> ResidualObserver<M, T> {
-        ResidualObserver {
-            metric,
-            target,
-            residuals: Vec::new(),
-        }
-    }
-
-    /// The residual at the end of each observed round, in order.
-    pub fn residuals(&self) -> &[f64] {
-        &self.residuals
-    }
-
-    /// Per-round decay rates `r_{t+1} / r_t` (empty with fewer than two
-    /// rounds; a ratio is skipped when its denominator is zero).
-    pub fn decay_rates(&self) -> Vec<f64> {
-        self.residuals
-            .windows(2)
-            .filter(|w| w[0] != 0.0)
-            .map(|w| w[1] / w[0])
-            .collect()
-    }
-}
-
-impl<A, M> Observer<A> for ResidualObserver<M, A::Output>
-where
-    A: Algorithm,
-    M: Metric<A::Output>,
-{
-    fn on_round_end(&mut self, _round: u64, algo: &A, states: &[A::State]) {
-        let outputs: Vec<A::Output> = states.iter().map(|s| algo.output(s)).collect();
-        self.residuals
-            .push(max_distance(&self.metric, &outputs, &self.target));
     }
 }
 
@@ -467,11 +418,6 @@ impl Log2Histogram {
     pub fn count(&self, exp: i32) -> u64 {
         self.buckets.get(&exp).copied().unwrap_or(0)
     }
-
-    /// Largest occupied exponent, if any sample had a magnitude.
-    pub fn max_exponent(&self) -> Option<i32> {
-        self.buckets.keys().next_back().copied()
-    }
 }
 
 impl Serialize for Log2Histogram {
@@ -514,7 +460,7 @@ impl Deserialize for Log2Histogram {
 mod tests {
     use super::*;
     use crate::algorithm::{Broadcast, BroadcastAlgorithm};
-    use crate::metric::{DiscreteMetric, EuclideanMetric};
+    use crate::metric::DiscreteMetric;
     use crate::{Execution, RunConfig};
     use kya_graph::{generators, StaticGraph};
 
@@ -554,33 +500,6 @@ mod tests {
         // Every u32 here renders as one digit: 2 × 5 msgs × 1 byte/round.
         assert_eq!(s.payload_bytes, 4 * 10);
         assert_eq!(s.peak_state_bytes, 1);
-    }
-
-    #[test]
-    fn residual_observer_tracks_flood_distance() {
-        let net = StaticGraph::new(generators::directed_ring(4));
-        let mut exec = Execution::new(Broadcast(MaxFlood), vec![9, 0, 0, 0]);
-        let mut obs = ResidualObserver::new(DiscreteMetric, 9u32);
-        let report = exec.drive(
-            &net,
-            RunConfig::rounds(6)
-                .measure(&DiscreteMetric, &9, 0.0)
-                .observer(&mut obs),
-        );
-        assert_eq!(obs.residuals().len(), 6);
-        // The flood covers the ring in diameter = 3 rounds.
-        assert_eq!(obs.residuals()[..4], [1.0, 1.0, 0.0, 0.0]);
-        assert_eq!(report.converged_at, Some(3));
-        // Residuals are exactly the report's distance trace.
-        assert_eq!(obs.residuals(), report.distances.as_slice());
-    }
-
-    #[test]
-    fn decay_rates_skip_zero_denominators() {
-        let mut obs: ResidualObserver<EuclideanMetric, f64> =
-            ResidualObserver::new(EuclideanMetric, 0.0);
-        obs.residuals = vec![4.0, 2.0, 0.0, 0.0];
-        assert_eq!(obs.decay_rates(), vec![0.5, 0.0]);
     }
 
     #[test]
@@ -661,7 +580,6 @@ mod tests {
         assert_eq!(h.zeros(), 1);
         assert_eq!(h.non_finite(), 1);
         assert_eq!(h.total(), 9);
-        assert_eq!(h.max_exponent(), Some(2));
         // Subnormals collapse into the minimum exponent bucket.
         h.record(f64::MIN_POSITIVE / 4.0);
         assert_eq!(h.count(-1023), 1);
