@@ -1,55 +1,49 @@
-//! Certified variants of Push-Sum and Push-Sum frequency: run on
-//! machine-checked [`Enclosure`]s, escalate to ℚ only at certification
-//! points.
+//! The certified rung: Push-Sum and Push-Sum frequency over
+//! machine-checked [`Enclosure`]s, escalating to ℚ only at
+//! certification points.
 //!
-//! The certified backend is the middle rung of a three-rung ladder:
+//! The certified backend is the middle rung of a three-rung ladder. All
+//! three rungs run the same two dynamics, [`PushSum<M>`](struct@PushSum) and
+//! [`PushSumFrequency<M>`], written once over the
+//! [`Mass`](crate::push_sum::Mass) numbers:
 //!
-//! 1. **f64** ([`PushSum`](crate::push_sum::PushSum),
-//!    [`PushSumFrequency`](crate::push_sum::PushSumFrequency)) — fast, no
+//! 1. **f64** ([`PushSum`](struct@PushSum), [`PushSumFrequency`]) — fast, no
 //!    guarantees;
-//! 2. **certified** (this module) — the same dynamics on directed-rounding
-//!    intervals. Every real value *and* every round-to-nearest f64
-//!    trajectory of the algorithm lies inside the per-agent enclosure
-//!    (see [`kya_arith::interval`] for the lemma), so the enclosure both
-//!    certifies the f64 run and bounds its error, at a small constant
-//!    factor over plain f64;
-//! 3. **exact ℚ** ([`PushSumExact`](crate::push_sum::PushSumExact),
-//!    [`PushSumFrequencyExact`](crate::push_sum::PushSumFrequencyExact))
+//! 2. **certified** (`M = Enclosure`, named here) — the same dynamics on
+//!    directed-rounding intervals. Every real value *and* every
+//!    round-to-nearest f64 trajectory of the algorithm lies inside the
+//!    per-agent enclosure (see [`kya_arith::interval`] for the lemma), so
+//!    the enclosure both certifies the f64 run and bounds its error, at a
+//!    small constant factor over plain f64;
+//! 3. **exact ℚ** ([`PushSumExact`](type@crate::push_sum::PushSumExact),
+//!    [`PushSumFrequencyExact`](type@crate::push_sum::PushSumFrequencyExact))
 //!    — escalated to only when an enclosure cannot decide a pending
 //!    comparison (a convergence threshold, an α-safety sign, a
-//!    frequency-table tie): the run is replayed on the exact algorithm
-//!    itself, whose inbox sums normalize once per inbox.
+//!    frequency-table tie): the run is replayed on the exact rung,
+//!    whose inbox sums normalize once per inbox.
 
-use kya_arith::{Certainty, Enclosure};
-use kya_runtime::IsotropicAlgorithm;
-use std::collections::BTreeMap;
+use crate::push_sum::{FrequencyState, MassPair, PushSum, PushSumFrequency};
+use kya_arith::Enclosure;
+use std::marker::PhantomData;
 
-// ---------------------------------------------------------------------
-// Certified scalar Push-Sum
-// ---------------------------------------------------------------------
+/// Scalar Push-Sum over [`Enclosure`]s: interval state `(y, z)` and
+/// output `y / z` (the whole line when `z` cannot be certified positive).
+pub type CertifiedPushSum = PushSum<Enclosure>;
 
-/// Scalar Push-Sum over [`Enclosure`]s: identical dynamics to the f64
-/// and exact variants, with interval state `(y, z)` and output `y / z`
-/// (the whole line when `z` cannot be certified away from zero).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CertifiedPushSum;
+/// Scalar Push-Sum over [`Enclosure`]s.
+#[allow(non_upper_case_globals)]
+pub const CertifiedPushSum: CertifiedPushSum = PushSum { rung: PhantomData };
 
 /// State of certified Push-Sum.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CertifiedPushSumState {
-    /// Value mass enclosure.
-    pub y: Enclosure,
-    /// Weight mass enclosure (positive at initialization).
-    pub z: Enclosure,
-}
+pub type CertifiedPushSumState = MassPair<Enclosure>;
 
-impl CertifiedPushSumState {
+impl MassPair<Enclosure> {
     /// Unit-weight initial states from the same f64 values the f64
     /// variant starts from (exact point enclosures).
     pub fn averaging(values: &[f64]) -> Vec<CertifiedPushSumState> {
         values
             .iter()
-            .map(|&v| CertifiedPushSumState {
+            .map(|&v| MassPair {
                 y: Enclosure::point(v),
                 z: Enclosure::one(),
             })
@@ -57,121 +51,21 @@ impl CertifiedPushSumState {
     }
 }
 
-impl IsotropicAlgorithm for CertifiedPushSum {
-    type State = CertifiedPushSumState;
-    type Msg = (Enclosure, Enclosure);
-    type Output = Enclosure;
+/// Algorithm 1 over [`Enclosure`] masses: one enclosure per value heard
+/// of. A weight enclosure that cannot be certified positive — the
+/// frequency-table tie — yields [`Enclosure::ENTIRE`], which no finite
+/// f64 escapes but which certifies nothing, forcing escalation.
+pub type CertifiedPushSumFrequency = PushSumFrequency<Enclosure>;
 
-    fn message(&self, state: &CertifiedPushSumState, outdegree: usize) -> Self::Msg {
-        let d = outdegree as u64;
-        (state.y.div_u64(d), state.z.div_u64(d))
-    }
-
-    fn transition(
-        &self,
-        _state: &CertifiedPushSumState,
-        inbox: &[Self::Msg],
-    ) -> CertifiedPushSumState {
-        let y = inbox.iter().map(|&(ys, _)| ys).sum();
-        let z = inbox.iter().map(|&(_, zs)| zs).sum();
-        CertifiedPushSumState { y, z }
-    }
-
-    fn output(&self, state: &CertifiedPushSumState) -> Enclosure {
-        state.y / state.z
-    }
-}
-
-// ---------------------------------------------------------------------
-// Certified frequency Push-Sum (Algorithm 1)
-// ---------------------------------------------------------------------
-
-/// Algorithm 1 over [`Enclosure`] masses (frequency mode): per-value
-/// interval Push-Sum instances. The output carries one enclosure per
-/// value heard of; a weight enclosure that cannot be certified positive
-/// — the frequency-table tie — yields [`Enclosure::ENTIRE`], which no
-/// finite f64 escapes but which certifies nothing, forcing escalation.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CertifiedPushSumFrequency;
+/// Algorithm 1 over [`Enclosure`] masses, frequency mode.
+#[allow(non_upper_case_globals)]
+pub const CertifiedPushSumFrequency: CertifiedPushSumFrequency = PushSumFrequency::new(None);
 
 /// Per-value enclosure mass pair.
-pub type CertifiedMass = (Enclosure, Enclosure);
+pub type CertifiedMass = MassPair<Enclosure>;
 
-/// State of [`CertifiedPushSumFrequency`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct CertifiedFrequencyState {
-    /// Per-value `(y, z)` mass enclosures.
-    pub masses: BTreeMap<u64, CertifiedMass>,
-}
-
-impl CertifiedFrequencyState {
-    /// Initial states: each agent starts its own value's instance at
-    /// the exact point `(1, 1)`.
-    pub fn initial(values: &[u64]) -> Vec<CertifiedFrequencyState> {
-        values
-            .iter()
-            .map(|&v| {
-                let mut masses = BTreeMap::new();
-                masses.insert(v, (Enclosure::one(), Enclosure::one()));
-                CertifiedFrequencyState { masses }
-            })
-            .collect()
-    }
-}
-
-impl IsotropicAlgorithm for CertifiedPushSumFrequency {
-    type State = CertifiedFrequencyState;
-    type Msg = BTreeMap<u64, CertifiedMass>;
-    type Output = BTreeMap<u64, Enclosure>;
-
-    fn message(&self, state: &CertifiedFrequencyState, outdegree: usize) -> Self::Msg {
-        let d = outdegree as u64;
-        state
-            .masses
-            .iter()
-            .map(|(&v, &(y, z))| (v, (y.div_u64(d), z.div_u64(d))))
-            .collect()
-    }
-
-    fn transition(
-        &self,
-        state: &CertifiedFrequencyState,
-        inbox: &[Self::Msg],
-    ) -> CertifiedFrequencyState {
-        let mut next: BTreeMap<u64, CertifiedMass> = BTreeMap::new();
-        for msg in inbox {
-            for (&v, &(ys, zs)) in msg {
-                let e = next
-                    .entry(v)
-                    .or_insert((Enclosure::zero(), Enclosure::zero()));
-                e.0 = e.0 + ys;
-                e.1 = e.1 + zs;
-            }
-        }
-        for (v, mass) in next.iter_mut() {
-            if !state.masses.contains_key(v) {
-                mass.1 = mass.1 + Enclosure::one();
-            }
-        }
-        CertifiedFrequencyState { masses: next }
-    }
-
-    fn output(&self, state: &CertifiedFrequencyState) -> Self::Output {
-        state
-            .masses
-            .iter()
-            .map(|(&v, &(y, z))| {
-                let x = match z.sign_positive() {
-                    Certainty::Certain(true) => y / z,
-                    // The tie: z straddles zero (or is certainly
-                    // non-positive, which exact replay will refute).
-                    _ => Enclosure::ENTIRE,
-                };
-                (v, x)
-            })
-            .collect()
-    }
-}
+/// State of [`CertifiedPushSumFrequency`](type@CertifiedPushSumFrequency).
+pub type CertifiedFrequencyState = FrequencyState<Enclosure>;
 
 // ---------------------------------------------------------------------
 // Certification points
@@ -212,8 +106,7 @@ impl EscalationStats {
 mod tests {
     use super::*;
     use crate::push_sum::{
-        ExactFrequencyState, FrequencyState, PushSum, PushSumExact, PushSumExactState,
-        PushSumFrequency, PushSumFrequencyExact, PushSumState,
+        Mass, PushSumExact, PushSumExactState, PushSumFrequencyExact, PushSumState,
     };
     use kya_arith::BigRational;
     use kya_graph::{generators, DynamicGraph, StaticGraph};
@@ -271,27 +164,39 @@ mod tests {
         }
     }
 
+    /// Frequency mode and leader mode (agent 0 leads): the generic
+    /// dynamics gives every rung both.
     #[test]
     fn certified_frequency_encloses_both_runs() {
+        fn inits<M: Mass>(vals: &[u64], leaders: Option<usize>) -> Vec<FrequencyState<M>> {
+            match leaders {
+                None => FrequencyState::initial(vals),
+                Some(_) => {
+                    let flags: Vec<bool> = (0..vals.len()).map(|i| i == 0).collect();
+                    FrequencyState::initial_with_leaders(vals, &flags)
+                }
+            }
+        }
         let values = [2u64, 7, 2, 9, 7, 2, 4];
-        for net in nets() {
+        for (net, leaders) in nets().iter().flat_map(|g| [(g, None), (g, Some(1))]) {
             let n = net.n();
             let vals = &values[..n];
-            let mut f64_exec = Execution::new(
-                Isotropic(PushSumFrequency::frequency()),
-                FrequencyState::initial(vals),
-            );
+            let f64_algo = match leaders {
+                None => PushSumFrequency::frequency(),
+                Some(ell) => PushSumFrequency::with_leaders(ell),
+            };
+            let mut f64_exec = Execution::new(Isotropic(f64_algo), inits(vals, leaders));
             let mut cert_exec = Execution::new(
-                Isotropic(CertifiedPushSumFrequency),
-                CertifiedFrequencyState::initial(vals),
+                Isotropic(CertifiedPushSumFrequency::new(leaders)),
+                inits(vals, leaders),
             );
             let mut exact = Execution::new(
-                Isotropic(PushSumFrequencyExact),
-                ExactFrequencyState::initial(vals),
+                Isotropic(PushSumFrequencyExact::new(leaders)),
+                inits(vals, leaders),
             );
-            exact.drive(&net, RunConfig::rounds(10));
-            f64_exec.drive(&net, RunConfig::rounds(10));
-            cert_exec.drive(&net, RunConfig::rounds(10));
+            exact.drive(net, RunConfig::rounds(10));
+            f64_exec.drive(net, RunConfig::rounds(10));
+            cert_exec.drive(net, RunConfig::rounds(10));
             let exact_out = exact.outputs();
             for (agent, (enc_map, f_map)) in cert_exec
                 .outputs()

@@ -18,8 +18,9 @@
 //!   are evaluated (§4.2–4.5);
 //! - [`push_sum`]: the Push-Sum family for dynamic networks — quot-sum
 //!   (Theorem 5.2), the frequency vector of Algorithm 1, ℚ_N rounding
-//!   (Corollary 5.3), and the leader variant (§5.5) — in both `f64` and
-//!   exact-rational arithmetic;
+//!   (Corollary 5.3), and the leader variant (§5.5) — each written once
+//!   over the [`Mass`](push_sum::Mass) numbers `f64`, `Enclosure` and
+//!   exact rationals;
 //! - [`metropolis`]: average consensus on symmetric dynamic networks —
 //!   Metropolis and Lazy Metropolis weights under outdegree awareness,
 //!   and the fixed-weight `1/N` variant that needs only a bound on the
@@ -31,9 +32,9 @@
 //!   structurally and whose token mass is conserved exactly in ℚ
 //!   (ROADMAP's bandwidth pillar);
 //! - [`certified`]: the certified middle rung between the `f64` and exact
-//!   variants — Push-Sum and Push-Sum frequency over directed-rounding
-//!   [`Enclosure`](kya_arith::Enclosure)s whose intervals certify the
-//!   `f64` run; the escalated path replays on the exact variants;
+//!   rungs — the names of Push-Sum and Push-Sum frequency over
+//!   directed-rounding [`Enclosure`](kya_arith::Enclosure)s, whose
+//!   intervals certify the `f64` run, and the escalation counts;
 //! - [`lifting`]: the Lifting Lemma (Lemma 3.1) as an executable check —
 //!   run an algorithm on a base, lift fibrewise, and verify the lift is a
 //!   legal execution upstairs. This is the engine of every impossibility

@@ -21,7 +21,7 @@ use kya_algos::push_sum::{
     PushSumFrequency, PushSumFrequencyExact, PushSumState, SelfHealingPushSum,
 };
 use kya_algos::quantized::{QuantizedMetropolis, QuantizedPushSum};
-use kya_arith::{BigInt, BigRational};
+use kya_arith::{BigInt, BigRational, Enclosure};
 use kya_graph::{Digraph, DynamicGraph, StaticGraph};
 use kya_harness::{parse_graph, CellCtx, CellOutcome, ChurnSpec};
 use kya_runtime::bits::StateBits;
@@ -32,10 +32,11 @@ use kya_runtime::metric::EuclideanMetric;
 use kya_runtime::telemetry::{CountingObserver, NullObserver, Observer};
 use kya_runtime::{
     lane_columns, Algorithm, Backend, BandwidthCap, Broadcast, ByteLedger, CountingProbe,
-    Execution, FlatAlgorithm, FlatExecution, FlatRunConfig, Isotropic, Lanes, MessageCodec,
-    RunConfig,
+    Execution, FlatAlgorithm, FlatExecution, FlatRunConfig, Isotropic, IsotropicAlgorithm, Lanes,
+    MessageCodec, RunConfig,
 };
 use std::cell::{Cell, RefCell};
+use std::collections::BTreeMap;
 
 /// The oracle kinds, in the fixed order `kya check` runs them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -816,142 +817,152 @@ fn check_backend(ctx: &CellCtx) -> CellOutcome {
             Some(b) => b,
         },
     };
+    let ints: Vec<i64> = vals.iter().map(|&v| v as i64).collect();
+    let floats: Vec<f64> = vals.iter().map(|&v| v as f64).collect();
+    let on: (&dyn DynamicGraph, u64) = (net.as_ref(), rounds);
     match cell.algorithm.as_str() {
-        "pushsum" => {
-            let floats: Vec<f64> = vals.iter().map(|&v| v as f64).collect();
-            let mut approx = Execution::new(Isotropic(PushSum), PushSumState::averaging(&floats));
-            let mut cert = Execution::new(
-                Isotropic(CertifiedPushSum),
+        "pushsum" => audit_backend(
+            backend,
+            None,
+            scalar(outputs(PushSum, PushSumState::averaging(&floats), on)),
+            scalar(outputs(
+                CertifiedPushSum,
                 CertifiedPushSumState::averaging(&floats),
-            );
-            approx.drive(net.as_ref(), RunConfig::rounds(rounds));
-            cert.drive(net.as_ref(), RunConfig::rounds(rounds));
-            let enc = cert.outputs();
-            let approx_out = approx.outputs();
-            let mut stats = EscalationStats::default();
-            let mut max_width = 0.0f64;
-            for (v, (&f, e)) in approx_out.iter().zip(&enc).enumerate() {
-                stats.record(e.is_bounded());
-                if !e.contains(f) {
-                    return fail(format!(
-                        "agent {v}: f64 output {f:e} escapes its certified enclosure \
-                         [{:e}, {:e}]",
-                        e.lo(),
-                        e.hi()
-                    ));
-                }
-                if e.is_bounded() {
-                    max_width = max_width.max(e.width());
-                }
-            }
-            if backend == Backend::Exact || stats.escalations > 0 {
-                let ints: Vec<i64> = vals.iter().map(|&v| v as i64).collect();
-                let mut exact =
-                    Execution::new(Isotropic(PushSumExact), PushSumExactState::averaging(&ints));
-                exact.drive(net.as_ref(), RunConfig::rounds(rounds));
-                let ground = exact.outputs();
-                for (v, (q, e)) in ground.iter().zip(&enc).enumerate() {
-                    if !e.contains_rational(q) {
-                        return fail(format!(
-                            "agent {v}: exact output escapes its enclosure — unsound interval"
-                        ));
-                    }
-                    if !e.is_bounded() {
-                        return fail(format!(
-                            "agent {v}: f64 output {:e} is uncertifiable (unbounded \
-                             enclosure; exact ground truth {:e})",
-                            approx_out[v],
-                            q.to_f64()
-                        ));
-                    }
-                }
-            }
-            CellOutcome::new()
-                .ok(true)
-                .detail("backend", backend.as_str().to_string())
-                .detail("certifications", stats.certifications)
-                .detail("escalations", stats.escalations)
-                .detail("max_width", format!("{max_width:e}"))
-        }
-        "frequency" => {
-            let mut approx = Execution::new(
-                Isotropic(PushSumFrequency::frequency()),
+                on,
+            )),
+            || {
+                scalar(outputs(
+                    PushSumExact,
+                    PushSumExactState::averaging(&ints),
+                    on,
+                ))
+            },
+        ),
+        "frequency" => audit_backend(
+            backend,
+            Some("value"),
+            outputs(
+                PushSumFrequency::frequency(),
                 FrequencyState::initial(&vals),
-            );
-            let mut cert = Execution::new(
-                Isotropic(CertifiedPushSumFrequency),
+                on,
+            ),
+            outputs(
+                CertifiedPushSumFrequency,
                 CertifiedFrequencyState::initial(&vals),
-            );
-            approx.drive(net.as_ref(), RunConfig::rounds(rounds));
-            cert.drive(net.as_ref(), RunConfig::rounds(rounds));
-            let enc = cert.outputs();
-            let approx_out = approx.outputs();
-            let mut stats = EscalationStats::default();
-            let mut max_width = 0.0f64;
-            for (v, (a, em)) in approx_out.iter().zip(&enc).enumerate() {
-                if a.keys().ne(em.keys()) {
-                    return fail(format!(
-                        "agent {v}: key sets differ: f64 {:?} vs certified {:?}",
-                        a.keys().collect::<Vec<_>>(),
-                        em.keys().collect::<Vec<_>>()
-                    ));
-                }
-                for (val, e) in em {
-                    stats.record(e.is_bounded());
-                    let f = a[val];
-                    if !e.contains(f) {
-                        return fail(format!(
-                            "agent {v} value {val}: f64 frequency {f:e} escapes its \
-                             enclosure [{:e}, {:e}]",
-                            e.lo(),
-                            e.hi()
-                        ));
-                    }
-                    if e.is_bounded() {
-                        max_width = max_width.max(e.width());
-                    }
-                }
-            }
-            if backend == Backend::Exact || stats.escalations > 0 {
-                let mut exact = Execution::new(
-                    Isotropic(PushSumFrequencyExact),
+                on,
+            ),
+            || {
+                outputs(
+                    PushSumFrequencyExact,
                     ExactFrequencyState::initial(&vals),
-                );
-                exact.drive(net.as_ref(), RunConfig::rounds(rounds));
-                let ground = exact.outputs();
-                for (v, (qm, em)) in ground.iter().zip(&enc).enumerate() {
-                    for (val, q) in qm {
-                        let Some(e) = em.get(val) else {
-                            return fail(format!(
-                                "agent {v}: exact value {val} missing from the certified run"
-                            ));
-                        };
-                        if !e.contains_rational(q) {
-                            return fail(format!(
-                                "agent {v} value {val}: exact frequency escapes its \
-                                 enclosure — unsound interval"
-                            ));
-                        }
-                    }
-                    for (val, e) in em {
-                        if !e.is_bounded() {
-                            return fail(format!(
-                                "agent {v} value {val}: f64 frequency is uncertifiable \
-                                 (weight sign unresolved by the enclosure)"
-                            ));
-                        }
-                    }
-                }
-            }
-            CellOutcome::new()
-                .ok(true)
-                .detail("backend", backend.as_str().to_string())
-                .detail("certifications", stats.certifications)
-                .detail("escalations", stats.escalations)
-                .detail("max_width", format!("{max_width:e}"))
-        }
+                    on,
+                )
+            },
+        ),
         other => fail(format!("unknown backend algorithm `{other}`")),
     }
+}
+
+/// The outputs of `algo` from `inits` after `rounds` rounds on `net`.
+fn outputs<A>(
+    algo: A,
+    inits: Vec<A::State>,
+    (net, rounds): (&dyn DynamicGraph, u64),
+) -> Vec<A::Output>
+where
+    A: IsotropicAlgorithm + Sync,
+    A::State: Send + Sync,
+    A::Msg: Send + Sync,
+{
+    let mut exec = Execution::new(Isotropic(algo), inits);
+    exec.drive(net, RunConfig::rounds(rounds));
+    exec.outputs()
+}
+
+/// Scalar outputs as one-entry maps, the shape of frequency outputs.
+fn scalar<T>(outputs: Vec<T>) -> Vec<BTreeMap<u64, T>> {
+    outputs
+        .into_iter()
+        .map(|x| BTreeMap::from([(0, x)]))
+        .collect()
+}
+
+/// The backend audit of one cell, for either Push-Sum: every f64
+/// output lies in its enclosure; on escalation (or always, for the
+/// `exact` variant) the `exact` replay lies in it too, and an output
+/// whose enclosure is unbounded fails as uncertifiable. Outputs are
+/// keyed per agent; failure messages name the key as `key_name`, or
+/// not at all for scalar outputs.
+fn audit_backend(
+    backend: Backend,
+    key_name: Option<&str>,
+    approx: Vec<BTreeMap<u64, f64>>,
+    enc: Vec<BTreeMap<u64, Enclosure>>,
+    exact: impl FnOnce() -> Vec<BTreeMap<u64, BigRational>>,
+) -> CellOutcome {
+    let place = |agent: usize, key: &u64| match key_name {
+        Some(name) => format!("agent {agent} {name} {key}"),
+        None => format!("agent {agent}"),
+    };
+    let mut stats = EscalationStats::default();
+    let mut max_width = 0.0f64;
+    for (v, (a, em)) in approx.iter().zip(&enc).enumerate() {
+        if a.keys().ne(em.keys()) {
+            return fail(format!(
+                "agent {v}: key sets differ: f64 {:?} vs certified {:?}",
+                a.keys().collect::<Vec<_>>(),
+                em.keys().collect::<Vec<_>>()
+            ));
+        }
+        for (key, e) in em {
+            stats.record(e.is_bounded());
+            let f = a[key];
+            if !e.contains(f) {
+                return fail(format!(
+                    "{}: f64 output {f:e} escapes its certified enclosure [{:e}, {:e}]",
+                    place(v, key),
+                    e.lo(),
+                    e.hi()
+                ));
+            }
+            if e.is_bounded() {
+                max_width = max_width.max(e.width());
+            }
+        }
+    }
+    if backend == Backend::Exact || stats.escalations > 0 {
+        for (v, (qm, em)) in exact().iter().zip(&enc).enumerate() {
+            for (key, q) in qm {
+                let Some(e) = em.get(key) else {
+                    return fail(format!(
+                        "{}: exact output missing from the certified run",
+                        place(v, key)
+                    ));
+                };
+                if !e.contains_rational(q) {
+                    return fail(format!(
+                        "{}: exact output escapes its enclosure — unsound interval",
+                        place(v, key)
+                    ));
+                }
+            }
+            for (key, e) in em {
+                if !e.is_bounded() {
+                    return fail(format!(
+                        "{}: f64 output {:e} is uncertifiable (unbounded enclosure)",
+                        place(v, key),
+                        approx[v][key]
+                    ));
+                }
+            }
+        }
+    }
+    CellOutcome::new()
+        .ok(true)
+        .detail("backend", backend.as_str().to_string())
+        .detail("certifications", stats.certifications)
+        .detail("escalations", stats.escalations)
+        .detail("max_width", format!("{max_width:e}"))
 }
 
 // ---------------------------------------------------------------------
