@@ -61,9 +61,6 @@ pub type CertifiedPushSumFrequency = PushSumFrequency<Enclosure>;
 #[allow(non_upper_case_globals)]
 pub const CertifiedPushSumFrequency: CertifiedPushSumFrequency = PushSumFrequency::new(None);
 
-/// Per-value enclosure mass pair.
-pub type CertifiedMass = MassPair<Enclosure>;
-
 /// State of [`CertifiedPushSumFrequency`](type@CertifiedPushSumFrequency).
 pub type CertifiedFrequencyState = FrequencyState<Enclosure>;
 

@@ -40,8 +40,9 @@ pub struct DegreeTagged {
     pub degree: usize,
 }
 
-/// Lanes `[x, degree]`: every degree is below 2^53 (the flat executor
-/// checks this at construction), so the f64 lane holds it exactly.
+/// Lanes `[x, degree]`: every degree is below 2^32 (graph adjacency and
+/// routing plans index edges with `u32`), so the f64 lane holds it
+/// exactly.
 impl Lanes for DegreeTagged {
     const LANES: usize = 2;
 

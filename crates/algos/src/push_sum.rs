@@ -506,9 +506,6 @@ pub type PushSumFrequencyExact = PushSumFrequency<BigRational>;
 #[allow(non_upper_case_globals)]
 pub const PushSumFrequencyExact: PushSumFrequencyExact = PushSumFrequency::new(None);
 
-/// Per-value exact mass pair.
-pub type ExactMass = MassPair<BigRational>;
-
 /// State of [`PushSumFrequency`]: masses per known value.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FrequencyState<M = f64> {

@@ -3,14 +3,14 @@
 //! `MIN_SPAWN_AGENTS`, so `parallel_4` runs its four shards in order on
 //! the calling thread and prices only the sharded phases' bookkeeping
 //! (three passes and a destination-side inbox sort), not thread spawns.
-//! The `counting_observer` entries price the telemetry layer:
-//! `sequential` is the `NullObserver`-monomorphized path, so any gap
-//! between the two is exactly the opt-in observer cost.
+//! The `trace_sink` entries price the telemetry layer: `sequential` is
+//! the `NullObserver`-monomorphized path, so any gap between the two is
+//! exactly the opt-in observer cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kya_algos::gossip::SetGossip;
 use kya_graph::{generators, DynamicGraph, StaticGraph};
-use kya_runtime::{Broadcast, CountingObserver, Execution};
+use kya_runtime::{Broadcast, Execution, RunConfig, TraceSink};
 use std::time::Duration;
 
 fn bench_step(c: &mut Criterion) {
@@ -33,19 +33,15 @@ fn bench_step(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("parallel_4", n), &n, |b, _| {
             b.iter(|| {
                 let mut exec = Execution::new(Broadcast(SetGossip), inits.clone());
-                for _ in 0..20 {
-                    exec.step_parallel(&g, 4);
-                }
+                exec.drive(&g, RunConfig::rounds(20).threads(4));
                 exec.round()
             })
         });
-        group.bench_with_input(BenchmarkId::new("counting_observer", n), &n, |b, _| {
+        group.bench_with_input(BenchmarkId::new("trace_sink", n), &n, |b, _| {
             b.iter(|| {
                 let mut exec = Execution::new(Broadcast(SetGossip), inits.clone());
-                let mut obs = CountingObserver::new();
-                for _ in 0..20 {
-                    exec.step_observed(&g, &mut obs);
-                }
+                let mut obs = TraceSink::new();
+                exec.drive(&g, RunConfig::rounds(20).observer(&mut obs));
                 obs.summary().messages
             })
         });

@@ -5,16 +5,14 @@
 //! allocation on the boxed side vs one pass over reused state and
 //! message columns, routed by a precomputed plan, on the flat side.
 //!
-//! The `flat_probe_overhead` group is the **NullProbe guard**: `run` vs
-//! `run_probed::<NullProbe>` (must be indistinguishable — the probe
-//! hooks compile away behind `FlatProbe::ENABLED`) vs a full
-//! `CountingProbe` (the measured cost of real metrics; EXPERIMENTS.md
-//! quotes this table).
+//! The `flat_probe_overhead` group prices the probe: a plain `drive` vs
+//! a `drive` with a `CountingProbe` attached (the measured cost of real
+//! metrics; EXPERIMENTS.md quotes this table).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kya_algos::push_sum::{PushSum, PushSumState};
 use kya_graph::generators;
-use kya_runtime::{CountingProbe, Execution, FlatExecution, Isotropic, NullProbe, RunConfig};
+use kya_runtime::{CountingProbe, Execution, FlatExecution, FlatRunConfig, Isotropic, RunConfig};
 use std::time::Duration;
 
 const ROUNDS: u64 = 20;
@@ -44,14 +42,14 @@ fn bench_engines(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("flat_t1", n), &n, |b, _| {
             b.iter(|| {
                 let mut exec = FlatExecution::new(PushSum, &g, PushSumState::columns(&states));
-                exec.run(ROUNDS, 1);
+                exec.drive(FlatRunConfig::rounds(ROUNDS));
                 exec.outputs()[0]
             })
         });
         group.bench_with_input(BenchmarkId::new("flat_t4", n), &n, |b, _| {
             b.iter(|| {
                 let mut exec = FlatExecution::new(PushSum, &g, PushSumState::columns(&states));
-                exec.run(ROUNDS, 4);
+                exec.drive(FlatRunConfig::rounds(ROUNDS).threads(4));
                 exec.outputs()[0]
             })
         });
@@ -71,21 +69,10 @@ fn bench_probe_overhead(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("bare", threads), &threads, |b, &t| {
             b.iter(|| {
                 let mut exec = FlatExecution::new(PushSum, &g, PushSumState::columns(&states));
-                exec.run(ROUNDS, t);
+                exec.drive(FlatRunConfig::rounds(ROUNDS).threads(t));
                 exec.outputs()[0]
             })
         });
-        group.bench_with_input(
-            BenchmarkId::new("null_probe", threads),
-            &threads,
-            |b, &t| {
-                b.iter(|| {
-                    let mut exec = FlatExecution::new(PushSum, &g, PushSumState::columns(&states));
-                    exec.run_probed(ROUNDS, t, &mut NullProbe);
-                    exec.outputs()[0]
-                })
-            },
-        );
         group.bench_with_input(
             BenchmarkId::new("counting_probe", threads),
             &threads,
@@ -93,7 +80,7 @@ fn bench_probe_overhead(c: &mut Criterion) {
                 b.iter(|| {
                     let mut exec = FlatExecution::new(PushSum, &g, PushSumState::columns(&states));
                     let mut probe = CountingProbe::new();
-                    exec.run_probed(ROUNDS, t, &mut probe);
+                    exec.drive(FlatRunConfig::rounds(ROUNDS).threads(t).probe(&mut probe));
                     (exec.outputs()[0], probe.summary().messages_routed)
                 })
             },

@@ -1,6 +1,6 @@
 //! **flat** — throughput of the flat SoA/CSR engine
-//! ([`FlatExecution`]) against the boxed executor's sharded
-//! `step_parallel`, as one harness sweep.
+//! ([`FlatExecution`]) against the boxed executor's sharded `drive`, as
+//! one harness sweep.
 //!
 //! The variant axis encodes `engine:tT` (e.g. `boxed:t1`, `flat:t4`);
 //! `--engine boxed|flat|both` selects the engines, `--threads 1,2,4`
@@ -87,17 +87,17 @@ fn cell(ctx: &CellCtx) -> CellOutcome {
             let mut exec = FlatExecution::new(PushSum, &closed, PushSumState::columns(&states));
             let bytes = exec.resident_bytes();
             let start = Instant::now();
-            exec.run(rounds, threads);
+            exec.drive(FlatRunConfig::rounds(rounds).threads(threads));
             let secs = start.elapsed().as_secs_f64();
 
             let mut probed = FlatExecution::new(PushSum, &closed, PushSumState::columns(&states));
             let mut probe = CountingProbe::new();
-            let report = probed.drive_probed(
+            let report = probed.drive(
                 FlatRunConfig::rounds(rounds)
                     .threads(threads)
                     .measure(target, EPS)
-                    .confirm(2),
-                &mut probe,
+                    .confirm(2)
+                    .probe(&mut probe),
             );
             let residuals: Vec<f64> = probed.outputs().iter().map(|x| x - target).collect();
             let plan = probed.plan();

@@ -124,17 +124,17 @@ fn flat_cell(cfg: &ProfileConfig, g: &Digraph, n: usize, threads: usize) -> Valu
     let mut timed = FlatExecution::new(PushSum, g, PushSumState::columns(&states));
     let bytes = timed.resident_bytes();
     let start = Instant::now();
-    timed.run(cfg.rounds, threads);
+    timed.drive(FlatRunConfig::rounds(cfg.rounds).threads(threads));
     let secs = start.elapsed().as_secs_f64().max(1e-9);
 
     let mut probed = FlatExecution::new(PushSum, g, PushSumState::columns(&states));
     let mut probe = CountingProbe::new();
-    let report = probed.drive_probed(
+    let report = probed.drive(
         FlatRunConfig::rounds(cfg.rounds)
             .threads(threads)
             .measure(target, EPS)
-            .confirm(2),
-        &mut probe,
+            .confirm(2)
+            .probe(&mut probe),
     );
     let summary = probe.summary();
     let times = probe.timing();
@@ -237,7 +237,11 @@ pub fn probe_stream(cfg: &ProfileConfig, threads: usize) -> String {
         let states = PushSumState::averaging(&ProfileConfig::values(n));
         let mut exec = FlatExecution::new(PushSum, &g, PushSumState::columns(&states));
         let mut probe = CountingProbe::new();
-        exec.run_probed(cfg.rounds, threads, &mut probe);
+        exec.drive(
+            FlatRunConfig::rounds(cfg.rounds)
+                .threads(threads)
+                .probe(&mut probe),
+        );
         let header = map(vec![
             ("cell", Value::Str(cfg.topology_label(n))),
             ("n", Value::UInt(n as u64)),

@@ -67,8 +67,8 @@ use kya_core::table::{render_table, NetworkKind};
 use kya_fibration::MinimumBase;
 use kya_graph::{connectivity, Digraph, RandomDynamicGraph, StaticGraph};
 use kya_harness::{
-    parse_graph, parse_values, Args, CellOutcome, ChurnSpec, ExperimentSpec, PlanSpec, Runner,
-    SpecError, TelemetryMode,
+    parse_crashes, parse_graph, parse_values, Args, CellOutcome, ChurnSpec, ExperimentSpec,
+    PlanSpec, Runner, SpecError, TelemetryMode,
 };
 use kya_runtime::churn::ChurnMasked;
 use kya_runtime::metric::EuclideanMetric;
@@ -346,47 +346,6 @@ fn cmd_gossip(out: &mut dyn Write, args: &Args) -> Result<(), CliError> {
         exec.outputs()[0]
     )?;
     Ok(())
-}
-
-/// Fold `--crash` specs (`AGENT:FROM:UNTIL` crash-recover,
-/// `AGENT:FROM:-` crash-stop, comma-separated) into the plan template.
-fn parse_crashes(spec: &str, n: usize, mut plan: PlanSpec) -> Result<PlanSpec, SpecError> {
-    for item in spec.split(',').filter(|s| !s.is_empty()) {
-        let parts: Vec<&str> = item.split(':').collect();
-        let [agent, from, until] = parts[..] else {
-            return Err(SpecError(format!(
-                "invalid crash spec `{item}`: expected AGENT:FROM:UNTIL or AGENT:FROM:-"
-            )));
-        };
-        let agent: usize = agent
-            .parse()
-            .map_err(|_| SpecError(format!("invalid crash agent `{agent}`")))?;
-        if agent >= n {
-            return Err(SpecError(format!(
-                "crash agent {agent} out of range (the graph has {n} agents)"
-            )));
-        }
-        let from: u64 = from
-            .parse()
-            .map_err(|_| SpecError(format!("invalid crash round `{from}`")))?;
-        if from == 0 {
-            return Err(SpecError("crash rounds are numbered from 1".into()));
-        }
-        plan = if until == "-" {
-            plan.crash_stop(agent, from)
-        } else {
-            let until: u64 = until
-                .parse()
-                .map_err(|_| SpecError(format!("invalid crash end round `{until}`")))?;
-            if until <= from {
-                return Err(SpecError(format!(
-                    "crash window `{item}` is empty (UNTIL must exceed FROM)"
-                )));
-            }
-            plan.crash(agent, from..until)
-        };
-    }
-    Ok(plan)
 }
 
 /// The F6 one-off: a single-cell harness sweep over the scripted fault

@@ -23,13 +23,13 @@ use kya_algos::push_sum::{
 use kya_algos::quantized::{QuantizedMetropolis, QuantizedPushSum};
 use kya_arith::{BigInt, BigRational, Enclosure};
 use kya_graph::{Digraph, DynamicGraph, StaticGraph};
-use kya_harness::{parse_graph, CellCtx, CellOutcome, ChurnSpec};
+use kya_harness::{parse_graph, CellCtx, CellOutcome, CellSpec, ChurnSpec};
 use kya_runtime::bits::StateBits;
 use kya_runtime::churn::ChurnMasked;
 use kya_runtime::faults::{FaultPlan, FaultyNetwork};
 use kya_runtime::flat::MAX_LANES;
 use kya_runtime::metric::EuclideanMetric;
-use kya_runtime::telemetry::{CountingObserver, NullObserver, Observer};
+use kya_runtime::telemetry::{NullObserver, Observer, TraceSink};
 use kya_runtime::{
     lane_columns, Algorithm, Backend, BandwidthCap, Broadcast, ByteLedger, CountingProbe,
     Execution, FlatAlgorithm, FlatExecution, FlatRunConfig, Isotropic, IsotropicAlgorithm, Lanes,
@@ -170,18 +170,44 @@ fn fail(msg: impl Into<String>) -> CellOutcome {
     CellOutcome::new().ok(false).detail("error", msg.into())
 }
 
+/// The outcome of a digest-producing oracle: pass with the digest, or
+/// fail with the divergence.
+fn digest_outcome(res: Result<u64, String>) -> CellOutcome {
+    match res {
+        Ok(digest) => CellOutcome::new()
+            .ok(true)
+            .detail("digest", format!("{digest:016x}")),
+        Err(e) => fail(e),
+    }
+}
+
+/// The cell's static graph with its self-loops closed once — the same
+/// closure `StaticGraph::new` applies for the boxed path. `instar` is
+/// the conformance-local worst case (see `nets::instar`); everything
+/// else parses through the shared harness families.
+fn static_graph(cell: &CellSpec) -> Result<Digraph, String> {
+    let g = if cell.topology == format!("instar:{}", cell.n) {
+        crate::nets::instar(cell.n)
+    } else {
+        parse_graph(&cell.topology).map_err(|e| e.0)?
+    };
+    Ok(g.with_self_loops())
+}
+
 // ---------------------------------------------------------------------
 // (b) Path agreement
 // ---------------------------------------------------------------------
 
-/// Run the five entry points side by side and demand bit-identical
-/// global states after every round: `step` (the reference), the sharded
-/// `step_parallel`, `step_observed`, `step_parallel_observed`, and `step`
-/// on an execution under a quiescent fault plan (`faulty_quiescent`). Each round the reference
-/// states are written once as [`StateBits`] words and every other path
-/// is compared against them word for word (two reused buffers, no
-/// per-round rendering), then the reference words are folded into the
-/// fingerprint.
+/// Run five executions side by side and demand bit-identical global
+/// states after every round: `step` (the reference), a `drive` sharded
+/// over 3 threads, a sequential `drive` observed by a [`TraceSink`], a
+/// `drive` sharded over 2 threads observed by a [`NullObserver`], and
+/// `step` on an execution under a quiescent fault plan
+/// (`faulty_quiescent`). Each round's graph is fetched once and shared
+/// by all five. Each round the reference states are written once as
+/// [`StateBits`] words and every other path is compared against them
+/// word for word (two reused buffers, no per-round rendering), then the
+/// reference words are folded into the fingerprint.
 fn paths_agree<A>(
     algo: A,
     inits: Vec<A::State>,
@@ -198,22 +224,25 @@ where
     let mut obs = Execution::new(algo.clone(), inits.clone());
     let mut par_obs = Execution::new(algo.clone(), inits.clone());
     let mut faulty = Execution::new(algo, inits).faults(FaultPlan::new(0));
-    let mut counter = CountingObserver::new();
+    let mut trace = TraceSink::new();
     let mut fp = Fingerprint::new();
     let (mut canon, mut other) = (Vec::new(), Vec::new());
     for t in 1..=rounds {
         let g = net.graph_ref(t);
         seq.step(&g);
-        par.step_parallel(&g, 3);
-        obs.step_observed(&g, &mut counter);
-        par_obs.step_parallel_observed(&g, 2, &mut NullObserver);
+        par.drive(&*g, RunConfig::rounds(1).threads(3));
+        obs.drive(&*g, RunConfig::rounds(1).observer(&mut trace));
+        par_obs.drive(
+            &*g,
+            RunConfig::rounds(1).threads(2).observer(&mut NullObserver),
+        );
         faulty.step(&g);
         canon.clear();
         seq.states().feed(&mut canon);
         let others = [
-            ("step_parallel", par.states()),
-            ("step_observed", obs.states()),
-            ("step_parallel_observed", par_obs.states()),
+            ("drive at 3 threads", par.states()),
+            ("observed drive", obs.states()),
+            ("observed drive at 2 threads", par_obs.states()),
             ("faulty_quiescent", faulty.states()),
         ];
         for (name, states) in others {
@@ -282,12 +311,7 @@ fn check_paths(ctx: &CellCtx) -> CellOutcome {
         ),
         other => return fail(format!("unknown paths algorithm `{other}`")),
     };
-    match res {
-        Ok(digest) => CellOutcome::new()
-            .ok(true)
-            .detail("digest", format!("{digest:016x}")),
-        Err(e) => fail(e),
-    }
+    digest_outcome(res)
 }
 
 // ---------------------------------------------------------------------
@@ -336,18 +360,9 @@ where
 
 fn check_flat(ctx: &CellCtx) -> CellOutcome {
     let cell = ctx.cell;
-    // The flat engine runs on static graphs; close the self-loops once,
-    // the same closure `StaticGraph::new` applies for the boxed path.
-    // `instar` is the conformance-local worst case (see `nets::instar`);
-    // everything else parses through the shared harness families.
-    let open = if cell.topology == format!("instar:{}", cell.n) {
-        Ok(crate::nets::instar(cell.n))
-    } else {
-        parse_graph(&cell.topology)
-    };
-    let g = match open {
-        Ok(g) => g.with_self_loops(),
-        Err(e) => return fail(e.0),
+    let g = match static_graph(cell) {
+        Ok(g) => g,
+        Err(e) => return fail(e),
     };
     let n = g.n();
     let rounds = ctx.rounds();
@@ -362,12 +377,7 @@ fn check_flat(ctx: &CellCtx) -> CellOutcome {
         "metropolis" => flat_agree(Metropolis, vals_f64(seed, n), &g, rounds),
         other => return fail(format!("unknown flat algorithm `{other}`")),
     };
-    match res {
-        Ok(digest) => CellOutcome::new()
-            .ok(true)
-            .detail("digest", format!("{digest:016x}")),
-        Err(e) => fail(e),
-    }
+    digest_outcome(res)
 }
 
 /// Run the same probed flat execution at 1, 2 and 4 threads and demand
@@ -388,7 +398,7 @@ fn probe_streams_agree<F: FlatAlgorithm + Clone>(
     for t in [1usize, 2, 4] {
         let mut exec = FlatExecution::new(flat.clone(), g, columns.clone());
         let mut probe = CountingProbe::new();
-        exec.run_probed(rounds, t, &mut probe);
+        exec.drive(FlatRunConfig::rounds(rounds).threads(t).probe(&mut probe));
         let slots = exec.plan().slots() as u64;
         let s = probe.summary();
         if s.rounds != rounds {
@@ -435,14 +445,9 @@ fn probe_streams_agree<F: FlatAlgorithm + Clone>(
 
 fn check_probe(ctx: &CellCtx) -> CellOutcome {
     let cell = ctx.cell;
-    let open = if cell.topology == format!("instar:{}", cell.n) {
-        Ok(crate::nets::instar(cell.n))
-    } else {
-        parse_graph(&cell.topology)
-    };
-    let g = match open {
-        Ok(g) => g.with_self_loops(),
-        Err(e) => return fail(e.0),
+    let g = match static_graph(cell) {
+        Ok(g) => g,
+        Err(e) => return fail(e),
     };
     let n = g.n();
     let rounds = ctx.rounds();
@@ -457,12 +462,7 @@ fn check_probe(ctx: &CellCtx) -> CellOutcome {
         "metropolis" => probe_streams_agree(Metropolis, vec![vals_f64(seed, n)], &g, rounds),
         other => return fail(format!("unknown probe algorithm `{other}`")),
     };
-    match res {
-        Ok(digest) => CellOutcome::new()
-            .ok(true)
-            .detail("digest", format!("{digest:016x}")),
-        Err(e) => fail(e),
-    }
+    digest_outcome(res)
 }
 
 // ---------------------------------------------------------------------
@@ -646,27 +646,18 @@ fn check_bandwidth(ctx: &CellCtx) -> CellOutcome {
         return fail(format!("unknown bandwidth variant `{}`", cell.variant));
     };
     match (cell.algorithm.as_str(), cap.codec()) {
-        ("qpushsum", None) => {
-            match unlimited_rung_is_pure(
-                Isotropic(PushSum),
-                PushSumState::averaging(&values),
-                &g,
-                rounds,
-            ) {
-                Ok(digest) => CellOutcome::new()
-                    .ok(true)
-                    .detail("digest", format!("{digest:016x}")),
-                Err(e) => fail(e),
-            }
-        }
-        ("qmetropolis", None) => {
-            match unlimited_rung_is_pure(Isotropic(Metropolis), values, &g, rounds) {
-                Ok(digest) => CellOutcome::new()
-                    .ok(true)
-                    .detail("digest", format!("{digest:016x}")),
-                Err(e) => fail(e),
-            }
-        }
+        ("qpushsum", None) => digest_outcome(unlimited_rung_is_pure(
+            Isotropic(PushSum),
+            PushSumState::averaging(&values),
+            &g,
+            rounds,
+        )),
+        ("qmetropolis", None) => digest_outcome(unlimited_rung_is_pure(
+            Isotropic(Metropolis),
+            values,
+            &g,
+            rounds,
+        )),
         ("qpushsum", Some(codec)) => {
             let algo = QuantizedPushSum::new(codec.bits());
             let inits = algo.initial(&values);

@@ -1,9 +1,9 @@
 //! Differential conformance oracles for the `kya` stack.
 //!
-//! Every algorithm in this workspace can be driven four ways — the
-//! sequential [`Execution::step`], the sharded `step_parallel`, the
-//! observed variants, and an execution under a quiescent fault plan
-//! ([`Execution::faults`]) — and, for the Push-Sum
+//! Every algorithm in this workspace can be driven several ways — the
+//! sequential [`Execution::step`], [`Execution::drive`] sharded over
+//! threads and observed or not, and an execution under a quiescent
+//! fault plan ([`Execution::faults`]) — and, for the Push-Sum
 //! family, in two arithmetics (f64 and exact [`BigRational`]). The
 //! simulator's claims are only as good as those paths agreeing, so this
 //! crate cross-checks them on a seeded matrix of topologies:
@@ -51,6 +51,7 @@
 //! CI conformance job does.
 //!
 //! [`Execution::step`]: kya_runtime::Execution::step
+//! [`Execution::drive`]: kya_runtime::Execution::drive
 //! [`Execution::faults`]: kya_runtime::Execution::faults
 //! [`BigRational`]: kya_arith::BigRational
 

@@ -71,6 +71,24 @@ impl<G: DynamicGraph + ?Sized> DynamicGraph for Box<G> {
     }
 }
 
+/// A digraph is the static network that lends itself to every round,
+/// as given: unlike [`StaticGraph::new`] it adds no self-loops, so a
+/// round-by-round caller hands the executor its already-closed graph
+/// without a copy.
+impl DynamicGraph for Digraph {
+    fn n(&self) -> usize {
+        Digraph::n(self)
+    }
+
+    fn graph(&self, _t: u64) -> Digraph {
+        self.clone()
+    }
+
+    fn graph_ref(&self, _t: u64) -> Cow<'_, Digraph> {
+        Cow::Borrowed(self)
+    }
+}
+
 /// A static network: the same graph every round.
 ///
 /// ```

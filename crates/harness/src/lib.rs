@@ -56,7 +56,7 @@ pub use args::Args;
 pub use runner::{CellCtx, CellOutcome, Runner, TelemetryMode};
 pub use sink::{CellRecord, CellTelemetry, ResultSink};
 pub use spec::{
-    parse_graph, parse_values, CellSpec, ChurnSpec, ExperimentSpec, PlanSpec, SpecError,
-    SWEEP_FLAGS,
+    parse_crashes, parse_graph, parse_values, CellSpec, ChurnSpec, ExperimentSpec, PlanSpec,
+    SpecError, SWEEP_FLAGS,
 };
 pub use topo::{TopologyCache, WorkerScope};

@@ -428,6 +428,50 @@ impl PlanSpec {
     }
 }
 
+/// Fold a crash spec into `plan`: comma-separated `AGENT:FROM:UNTIL`
+/// (crash-recover for rounds `FROM..UNTIL`) and `AGENT:FROM:-`
+/// (crash-stop from round `FROM`) windows over `n` agents — the grammar
+/// of `kya faults --crash`. Total: a malformed item, an agent outside
+/// `0..n`, round 0 or an empty window is a [`SpecError`].
+pub fn parse_crashes(spec: &str, n: usize, mut plan: PlanSpec) -> Result<PlanSpec, SpecError> {
+    for item in spec.split(',').filter(|s| !s.is_empty()) {
+        let parts: Vec<&str> = item.split(':').collect();
+        let [agent, from, until] = parts[..] else {
+            return Err(SpecError(format!(
+                "invalid crash spec `{item}`: expected AGENT:FROM:UNTIL or AGENT:FROM:-"
+            )));
+        };
+        let agent: usize = agent
+            .parse()
+            .map_err(|_| SpecError(format!("invalid crash agent `{agent}`")))?;
+        if agent >= n {
+            return Err(SpecError(format!(
+                "crash agent {agent} out of range (the graph has {n} agents)"
+            )));
+        }
+        let from: u64 = from
+            .parse()
+            .map_err(|_| SpecError(format!("invalid crash round `{from}`")))?;
+        if from == 0 {
+            return Err(SpecError("crash rounds are numbered from 1".into()));
+        }
+        plan = if until == "-" {
+            plan.crash_stop(agent, from)
+        } else {
+            let until: u64 = until
+                .parse()
+                .map_err(|_| SpecError(format!("invalid crash end round `{until}`")))?;
+            if until <= from {
+                return Err(SpecError(format!(
+                    "crash window `{item}` is empty (UNTIL must exceed FROM)"
+                )));
+            }
+            plan.crash(agent, from..until)
+        };
+    }
+    Ok(plan)
+}
+
 // ---------------------------------------------------------------------
 // Churn-plan templates
 // ---------------------------------------------------------------------

@@ -24,11 +24,18 @@
 //! A fault plan is not a knob of the run but the execution's delivery
 //! policy, attached once with
 //! [`Execution::faults`](crate::Execution::faults).
+//!
+//! [`FlatRunConfig`] carries the knobs that apply to the flat engine:
+//! the budget, the thread count, the measurement knobs, a bandwidth
+//! meter, and [`probe`](FlatRunConfig::probe), which attaches a
+//! [`CountingProbe`] the way [`observer`](RunConfig::observer) attaches
+//! an observer.
 
 use crate::algorithm::Algorithm;
 use crate::bandwidth::{BandwidthCap, ByteLedger};
 use crate::churn::Membership;
 use crate::metric::{EuclideanMetric, Metric};
+use crate::probe::CountingProbe;
 use crate::telemetry::Observer;
 
 /// The arithmetic backend a run executes on — the axis the conformance
@@ -212,17 +219,15 @@ impl<'a, A: Algorithm> RunConfig<'a, A> {
 }
 
 /// [`RunConfig`]'s flat twin, consumed by
-/// [`FlatExecution::drive`](crate::FlatExecution::drive) /
-/// [`drive_probed`](crate::FlatExecution::drive_probed).
+/// [`FlatExecution::drive`](crate::FlatExecution::drive).
 ///
 /// The flat executor's outputs are always `f64` and it runs on static
 /// graphs without observers or churn, so only the measurement knobs
 /// carry over: a round budget, a thread count, an optional distance
 /// functional with tolerance `eps` (judged post hoc over the whole
 /// trace, exactly like the boxed loop), and confirmed early stopping.
-/// Probing is orthogonal — pass a [`FlatProbe`](crate::FlatProbe) to
-/// `drive_probed` instead of a config knob, so the borrow of the probe
-/// stays outside the config.
+/// The flat engine's observation is a [`CountingProbe`], attached with
+/// [`FlatRunConfig::probe`].
 pub struct FlatRunConfig<'a> {
     pub(crate) rounds: u64,
     pub(crate) threads: usize,
@@ -230,6 +235,7 @@ pub struct FlatRunConfig<'a> {
     pub(crate) eps: f64,
     pub(crate) confirm: Option<u64>,
     pub(crate) bandwidth: Option<(BandwidthCap, &'a ByteLedger)>,
+    pub(crate) probe: Option<&'a mut CountingProbe>,
 }
 
 impl<'a> FlatRunConfig<'a> {
@@ -242,6 +248,7 @@ impl<'a> FlatRunConfig<'a> {
             eps: 0.0,
             confirm: None,
             bandwidth: None,
+            probe: None,
         }
     }
 
@@ -284,6 +291,16 @@ impl<'a> FlatRunConfig<'a> {
     /// `cap.bits_per_edge()` charge per routing-plan slot (= per edge).
     pub fn bandwidth(mut self, cap: BandwidthCap, ledger: &'a ByteLedger) -> Self {
         self.bandwidth = Some((cap, ledger));
+        self
+    }
+
+    /// Record every executed round into `probe`: the merged shard
+    /// counters and a bit-exact digest of strided lane samples (the
+    /// deterministic stream), plus the wall-clock phase breakdown in its
+    /// separate timing block. The probe only reads; a probed run computes
+    /// the same bits as an unprobed one.
+    pub fn probe(mut self, probe: &'a mut CountingProbe) -> Self {
+        self.probe = Some(probe);
         self
     }
 }

@@ -4,7 +4,6 @@ use crate::algorithm::Algorithm;
 use crate::churn::{Membership, ReinjectPolicy};
 use crate::config::RunConfig;
 use crate::faults::{FaultEvents, FaultPlan};
-use crate::metric::Metric;
 use crate::report::{CellReport, Measure, Seal};
 use crate::shard::{map_agents, shard_ranges};
 use crate::telemetry::{NullObserver, Observer};
@@ -122,9 +121,9 @@ impl<A: Algorithm> Execution<A> {
     /// its index in the source's `(port label, edge id)`-sorted out-edge
     /// list. Algorithms must treat the inbox as a multiset, but f64
     /// summation is order-sensitive, so every execution path — `step`,
-    /// [`Execution::step_parallel`], faulted or not — pins this one
-    /// order to keep float runs bit-identical across paths (conformance
-    /// check `paths`, `kya check`).
+    /// a sharded or observed [`Execution::drive`], faulted or not — pins
+    /// this one order to keep float runs bit-identical across paths
+    /// (conformance check `paths`, `kya check`).
     ///
     /// # Panics
     ///
@@ -132,18 +131,6 @@ impl<A: Algorithm> Execution<A> {
     /// the algorithm returns the wrong number of port messages.
     pub fn step(&mut self, graph: &Digraph) {
         self.route_round(graph, &Inline, &mut NullObserver);
-    }
-
-    /// Like [`Execution::step`], with an [`Observer`] seeing the round
-    /// boundaries, every delivered message (in the deterministic routing
-    /// order; twice for a duplicated one) and every message a fault plan
-    /// kept from its recipient (`on_message_dropped`).
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Execution::step`].
-    pub fn step_observed<O: Observer<A>>(&mut self, graph: &Digraph, obs: &mut O) {
-        self.route_round(graph, &Inline, obs);
     }
 
     /// Execute one configured run (see [`RunConfig`] for the knobs).
@@ -157,6 +144,18 @@ impl<A: Algorithm> Execution<A> {
     /// [`RunConfig::confirm`] window closes early or an output goes
     /// non-finite (no later round can converge, so the run ends at once
     /// with [`CellReport::diverged_at`] set).
+    ///
+    /// Sharding is bit-identical to `threads = 1`: sends and transitions
+    /// run per agent range, but routing — fault coins and observer
+    /// callbacks included — is one sequential pass in the canonical
+    /// delivery order (see [`Execution::step`]), so states, fault events
+    /// and the observer's event stream match the sequential run. A phase
+    /// spawns threads only if every shard holds at least
+    /// [`crate::MIN_SPAWN_AGENTS`] agents, and then the calling thread
+    /// works the first shard; otherwise the shards run in order on the
+    /// calling thread. A [`Digraph`] is a network that lends itself to
+    /// every round, so a caller stepping round by round writes
+    /// `exec.drive(&*g, RunConfig::rounds(1).threads(t).observer(o))`.
     ///
     /// The report's `last_fault_round` is the later of the last fault
     /// the plan injected during the run and — when a
@@ -208,9 +207,9 @@ impl<A: Algorithm> Execution<A> {
                 ledger.charge_round(g.edge_count() as u64, cap.bits_per_edge());
             }
             match (&mut observer, threads) {
-                (Some(o), t) => exec.route_round(&g, &Sharded(t), o),
-                (None, 1) => exec.step(&g),
-                (None, t) => exec.step_parallel(&g, t),
+                (Some(o), t) => exec.route_round(&g, &Sharded(t), &mut **o),
+                (None, 1) => exec.route_round(&g, &Inline, &mut NullObserver),
+                (None, t) => exec.route_round(&g, &Sharded(t), &mut NullObserver),
             }
         };
         let seal = |exec: &Self| {
@@ -266,64 +265,12 @@ impl<A: Algorithm> Execution<A> {
         rejoining
     }
 
-    /// Like [`Execution::step`], but computes sends and transitions
-    /// sharded over `threads` contiguous agent ranges.
-    ///
-    /// Bit-identical to `step` — the round is communication closed, so
-    /// per-agent work is embarrassingly parallel. Routing is the same
-    /// sequential pass as in [`Execution::step`]: it delivers in the
-    /// canonical ascending `(source id, port rank)` order and tosses a
-    /// fault plan's coins in that order, so f64 runs and fault events
-    /// match the sequential path bitwise. Each sharded phase spawns
-    /// threads only if every shard holds at least
-    /// [`crate::MIN_SPAWN_AGENTS`] agents, and then the calling thread
-    /// works the first shard; otherwise the phase's shards run in order
-    /// on the calling thread.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Execution::step`]; additionally panics if
-    /// `threads == 0`.
-    pub fn step_parallel(&mut self, graph: &Digraph, threads: usize)
-    where
-        A: Sync,
-        A::State: Send + Sync,
-        A::Msg: Send + Sync,
-    {
-        self.route_round(graph, &Sharded(threads), &mut NullObserver);
-    }
-
-    /// Like [`Execution::step_parallel`], with an [`Observer`].
-    ///
-    /// The observer runs on the calling thread and sees the **same event
-    /// stream** as [`Execution::step_observed`]: sends and transitions
-    /// are sharded, but routing — observer callbacks and fault coins —
-    /// is one sequential pass in the sequential executor's order.
-    /// `tests/parallel_equivalence.rs` pins this for every algorithm in
-    /// `kya_algos`.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Execution::step_parallel`].
-    pub fn step_parallel_observed<O: Observer<A>>(
-        &mut self,
-        graph: &Digraph,
-        threads: usize,
-        obs: &mut O,
-    ) where
-        A: Sync,
-        A::State: Send + Sync,
-        A::Msg: Send + Sync,
-    {
-        self.route_round(graph, &Sharded(threads), obs);
-    }
-
-    /// The one round body of every step. Sends run under
+    /// The one round body of `step` and `drive`. Sends run under
     /// `schedule`; then one routing pass in the canonical `(source id,
     /// port rank)` order tosses the fault plan's coins, feeds the
     /// observer and fills the inboxes; then transitions (with
     /// [`Algorithm::reabsorb`] of lost messages) run under `schedule`.
-    fn route_round<S: Schedule<A>, O: Observer<A>>(
+    fn route_round<S: Schedule<A>, O: Observer<A> + ?Sized>(
         &mut self,
         graph: &Digraph,
         schedule: &S,
@@ -384,45 +331,6 @@ impl<A: Algorithm> Execution<A> {
 
         schedule.transitions(&cx, &mut self.states, inboxes, &lost);
         obs.on_round_end(t, &self.algo, &self.states);
-    }
-
-    /// Run for up to `max_rounds` rounds against per-agent targets: the
-    /// measured distance of a round is `max_i δ(output_i, targets[i])`,
-    /// and ε-convergence is judged as in [`Execution::drive`]. This is
-    /// the primitive behind [`crate::testing::check_self_stabilization`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `targets.len() != n()`.
-    pub fn run_until_targets<M: Metric<A::Output>>(
-        &mut self,
-        net: &dyn DynamicGraph,
-        metric: &M,
-        targets: &[A::Output],
-        eps: f64,
-        max_rounds: u64,
-    ) -> CellReport
-    where
-        A: Sync,
-        A::State: Send + Sync,
-        A::Msg: Send + Sync,
-    {
-        assert_eq!(targets.len(), self.n(), "one target per agent");
-        let dist = |outputs: &[A::Output]| {
-            outputs
-                .iter()
-                .zip(targets)
-                .map(|(o, t)| {
-                    let d = metric.distance(o, t);
-                    if d.is_finite() {
-                        d
-                    } else {
-                        f64::INFINITY
-                    }
-                })
-                .fold(0.0, f64::max)
-        };
-        self.drive(net, RunConfig::rounds(max_rounds).measure_with(dist, eps))
     }
 }
 
@@ -555,13 +463,6 @@ impl<A: Algorithm> Schedule<A> for Inline {
 /// [`map_agents`].
 struct Sharded(usize);
 
-impl Sharded {
-    fn ranges(&self, n: usize) -> Vec<std::ops::Range<usize>> {
-        assert!(self.0 > 0, "at least one worker thread");
-        shard_ranges(n, self.0)
-    }
-}
-
 impl<A> Schedule<A> for Sharded
 where
     A: Algorithm + Sync,
@@ -573,7 +474,10 @@ where
         cx: &'s RoundCtx<'s, A>,
         states: &'s [A::State],
     ) -> impl Iterator<Item = Vec<A::Msg>> + 's {
-        map_agents(&self.ranges(states.len()), |v| cx.send(v, &states[v])).into_iter()
+        map_agents(&shard_ranges(states.len(), self.0), |v| {
+            cx.send(v, &states[v])
+        })
+        .into_iter()
     }
 
     fn transitions(
@@ -584,7 +488,7 @@ where
         lost: &[Vec<A::Msg>],
     ) {
         let current = &states[..];
-        let next = map_agents(&self.ranges(current.len()), |v| {
+        let next = map_agents(&shard_ranges(current.len(), self.0), |v| {
             cx.transition(v, &current[v], &inboxes[v], lost)
                 .unwrap_or_else(|| current[v].clone())
         });
@@ -684,44 +588,6 @@ mod tests {
         assert_eq!(report.converged_at, Some(5));
         assert_eq!(report.convergence_rounds, Some(3));
         assert_eq!(report.rounds_run, 10);
-    }
-
-    #[test]
-    fn run_until_targets_checks_per_agent() {
-        use crate::metric::DiscreteMetric;
-        // Frozen states: each agent keeps its own value, so per-agent
-        // targets equal to the initial values are hit at round 1.
-        struct Keep;
-        impl BroadcastAlgorithm for Keep {
-            type State = u32;
-            type Msg = ();
-            type Output = u32;
-            fn message(&self, _: &u32) {}
-            fn transition(&self, s: &u32, _: &[()]) -> u32 {
-                *s
-            }
-            fn output(&self, s: &u32) -> u32 {
-                *s
-            }
-        }
-        let net = StaticGraph::new(generators::directed_ring(3));
-        let mut exec = Execution::new(Broadcast(Keep), vec![7, 8, 9]);
-        let targets = [7u32, 8, 9];
-        let report = exec.run_until_targets(&net, &DiscreteMetric, &targets, 0.0, 5);
-        assert_eq!(report.converged_at, Some(1));
-        // A wrong per-agent target never converges.
-        let mut exec = Execution::new(Broadcast(Keep), vec![7, 8, 9]);
-        let report = exec.run_until_targets(&net, &DiscreteMetric, &[7, 8, 0], 0.0, 5);
-        assert_eq!(report.converged_at, None);
-    }
-
-    #[test]
-    #[should_panic(expected = "one target per agent")]
-    fn run_until_targets_rejects_wrong_arity() {
-        use crate::metric::DiscreteMetric;
-        let net = StaticGraph::new(generators::directed_ring(3));
-        let mut exec = Execution::new(Broadcast(SetGossip), vec![vec![1], vec![2], vec![3]]);
-        let _ = exec.run_until_targets(&net, &DiscreteMetric, &[1u32], 0.0, 5);
     }
 
     /// Frozen states: each agent keeps its value forever.
@@ -893,7 +759,7 @@ mod tests {
         let mut par = Execution::new(Broadcast(SetGossip), inits);
         for _ in 0..8 {
             seq.step(&g);
-            par.step_parallel(&g, 4);
+            par.drive(&g, RunConfig::rounds(1).threads(4));
             assert_eq!(seq.states(), par.states());
             assert_eq!(seq.round(), par.round());
         }
@@ -924,7 +790,7 @@ mod tests {
         // In-star built with sources in *descending* order, so the
         // center's in-edge list is the reverse of the canonical
         // ascending-source delivery order; the self-loops come last.
-        // step_parallel must deliver in canonical order, or the
+        // A sharded drive must deliver in canonical order, or the
         // f64 fold below rounds differently.
         let n = 6;
         let mut g = Digraph::new(n);
@@ -939,7 +805,7 @@ mod tests {
         let mut par = Execution::new(Broadcast(OrderSum), inits);
         for _ in 0..4 {
             seq.step(&g);
-            par.step_parallel(&g, 3);
+            par.drive(&g, RunConfig::rounds(1).threads(3));
             for (a, b) in seq.states().iter().zip(par.states()) {
                 assert_eq!(a.to_bits(), b.to_bits(), "f64 paths diverged bitwise");
             }
@@ -973,7 +839,7 @@ mod tests {
         let n = 3 * crate::MIN_SPAWN_AGENTS;
         let g = generators::directed_ring(n).with_self_loops();
         let mut exec = Execution::new(ShortLast { n }, (0..n).collect());
-        exec.step_parallel(&g, 2);
+        exec.drive(&g, RunConfig::rounds(1).threads(2));
     }
 
     #[test]
@@ -981,7 +847,7 @@ mod tests {
     fn parallel_step_rejects_zero_threads() {
         let g = generators::directed_ring(2).with_self_loops();
         let mut exec = Execution::new(Broadcast(SetGossip), vec![vec![1], vec![2]]);
-        exec.step_parallel(&g, 0);
+        exec.drive(&g, RunConfig::rounds(1).threads(0));
     }
 
     #[test]

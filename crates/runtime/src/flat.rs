@@ -55,56 +55,13 @@ use std::time::Instant;
 
 use crate::algorithm::IsotropicAlgorithm;
 use crate::config::FlatRunConfig;
-use crate::probe::{FlatProbe, NullProbe, PhaseTimes, ShardCounters};
+use crate::probe::{CountingProbe, PhaseTimes, ShardCounters};
 use crate::report::{CellReport, Measure, Seal};
 use crate::shard::{run_shards, shard_ranges};
-
-/// Target number of strided samples per state lane handed to
-/// [`FlatProbe::on_lane_sample`] each round. The stride is computed
-/// from `n` alone, so the sample set is independent of thread count.
-const LANE_SAMPLE_TARGET: usize = 64;
 
 /// Maximum number of f64 lanes a flat state or message may use; bounds
 /// the executor's stack scratch buffers.
 pub const MAX_LANES: usize = 4;
-
-/// Largest structural degree a flat algorithm may carry in an f64 lane
-/// without rounding: every integer up to `2^53 - 1` is exactly
-/// representable, `2^53 + 1` is not.
-pub const MAX_EXACT_DEGREE: usize = (1 << 53) - 1;
-
-/// A structural degree too large to represent exactly as an f64 lane
-/// value (see [`exact_degree`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct DegreeOverflow(pub usize);
-
-impl std::fmt::Display for DegreeOverflow {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "degree {} exceeds 2^53 - 1 and is not exactly representable as f64",
-            self.0
-        )
-    }
-}
-
-impl std::error::Error for DegreeOverflow {}
-
-/// Convert a structural degree to its exact f64 representation, or fail
-/// when the integer would round.
-///
-/// Flat algorithms that tag messages with degrees (Metropolis) store
-/// them in f64 lanes; a degree at or above `2^53` would silently round
-/// and corrupt the weight `1/(1 + max(d_i, d_j))`. [`FlatExecution::new`]
-/// enforces this bound over the whole routing plan at construction, so
-/// inside a running flat algorithm `d as f64` is already exact.
-pub fn exact_degree(d: usize) -> Result<f64, DegreeOverflow> {
-    if d <= MAX_EXACT_DEGREE {
-        Ok(d as f64)
-    } else {
-        Err(DegreeOverflow(d))
-    }
-}
 
 /// One agent's inbox for one round: one message per in-edge, in the
 /// canonical `(source id, port rank)` delivery order, each message
@@ -332,9 +289,8 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
     /// # Panics
     ///
     /// Panics if the column count or a column length mismatches, a lane
-    /// count is zero or exceeds [`MAX_LANES`], a vertex lacks a
-    /// self-loop (§2.1), or a degree exceeds [`MAX_EXACT_DEGREE`] (the
-    /// [`exact_degree`] precondition of degree-tagged algorithms).
+    /// count is zero or exceeds [`MAX_LANES`], or a vertex lacks a
+    /// self-loop (§2.1).
     pub fn new(algo: A, graph: &Digraph, columns: Vec<Vec<f64>>) -> FlatExecution<A> {
         assert!(
             (1..=MAX_LANES).contains(&A::STATE_LANES),
@@ -354,12 +310,8 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
                 assert!(graph.has_self_loop(v), "vertex {v} lacks a self-loop");
             }
         }
+        // Plan degrees are `u32`, so a flat algorithm's `d as f64` is exact.
         let plan = RoutingPlan::new(graph);
-        for v in 0..n {
-            if let Err(e) = exact_degree(plan.outdegree(v).max(plan.indegree(v))) {
-                panic!("vertex {v}: {e}");
-            }
-        }
         let (sl, ml) = (A::STATE_LANES, A::MSG_LANES);
         let mut state = Vec::with_capacity(n * sl);
         for v in 0..n {
@@ -431,125 +383,28 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
             + self.plan.resident_bytes()
     }
 
-    /// Execute one round sequentially.
-    pub fn step(&mut self) {
-        self.step_threads(1);
-    }
-
     /// Execute one round with its pass sharded across `threads`
-    /// contiguous agent ranges. Bitwise identical to
-    /// [`FlatExecution::step`] at any thread count.
+    /// contiguous agent ranges — bitwise identical at any thread count.
+    /// One round of an unprobed, unmeasured [`FlatExecution::drive`].
     ///
     /// # Panics
     ///
     /// Panics if `threads == 0`.
     pub fn step_threads(&mut self, threads: usize) {
-        self.step_probed(threads, &mut NullProbe);
-    }
-
-    /// Execute one round under a [`FlatProbe`]: per-shard counters are
-    /// delivered in ascending shard order after the join, state lanes
-    /// are sampled at a thread-independent stride, and the wall-clock
-    /// phase breakdown arrives through the separate
-    /// [`FlatProbe::on_phase_times`] hook. With [`NullProbe`] (whose
-    /// `ENABLED` is `false`) every probe branch const-folds away and
-    /// this *is* [`FlatExecution::step_threads`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads == 0`.
-    pub fn step_probed<P: FlatProbe>(&mut self, threads: usize, probe: &mut P) {
-        assert!(threads > 0, "at least one worker thread");
-        let n = self.n();
-        let round = self.round + 1;
-        if P::ENABLED {
-            probe.on_round_start(round, n);
-        }
-        let mut times = PhaseTimes::default();
-        let mut mark = if P::ENABLED {
-            Some(Instant::now())
-        } else {
-            None
-        };
-
-        // Each shard owns its contiguous agent range's span of the state
-        // buffer and of the next message buffer; all shards read the
-        // whole current message column.
-        let ranges = shard_ranges(n, threads);
-        let states = split_spans(&mut self.state, &ranges, A::STATE_LANES);
-        let outs = split_spans(&mut self.next_msgs, &ranges, A::MSG_LANES);
-        let shards: Vec<Shard<'_>> = ranges
-            .iter()
-            .zip(states.into_iter().zip(outs))
-            .map(|(range, (state, msgs))| Shard {
-                range: range.clone(),
-                state,
-                msgs,
-            })
-            .collect();
-        let (algo, plan, msgs) = (&self.algo, &self.plan, &self.msgs[..]);
-        lap(&mut mark, &mut times.route_us);
-
-        let counters: Vec<ShardCounters> =
-            run_shards(&ranges, shards, |s| pass_range::<A, P>(algo, plan, msgs, s));
-        lap(&mut mark, &mut times.pass_us);
-
-        std::mem::swap(&mut self.msgs, &mut self.next_msgs);
-        self.round += 1;
-
-        if P::ENABLED {
-            let mut total = ShardCounters::default();
-            for (i, c) in counters.iter().enumerate() {
-                probe.on_shard(i, c);
-                total.merge(c);
-            }
-            // Strided lane sampling over the post-round state; the
-            // stride depends on n only, never on the thread count.
-            let stride = (n / LANE_SAMPLE_TARGET).max(1);
-            let mut samples = Vec::with_capacity(n.div_ceil(stride));
-            for lane in 0..A::STATE_LANES {
-                samples.clear();
-                let agents = self.state.chunks_exact(A::STATE_LANES).step_by(stride);
-                samples.extend(agents.map(|st| st[lane]));
-                probe.on_lane_sample(round, lane, &samples);
-            }
-            probe.on_round_end(round, &total);
-            lap(&mut mark, &mut times.merge_us);
-            probe.on_phase_times(round, &times);
-        }
-    }
-
-    /// Execute `rounds` rounds at the given thread count.
-    pub fn run(&mut self, rounds: u64, threads: usize) {
-        for _ in 0..rounds {
-            self.step_threads(threads);
-        }
-    }
-
-    /// Execute `rounds` rounds under a [`FlatProbe`].
-    pub fn run_probed<P: FlatProbe>(&mut self, rounds: u64, threads: usize, probe: &mut P) {
-        for _ in 0..rounds {
-            self.step_probed(threads, probe);
-        }
+        self.pass(threads, None);
     }
 
     /// Drive the execution under a [`FlatRunConfig`] — the flat twin of
     /// [`Execution::drive`](crate::Execution::drive): a round budget
     /// plus optional residual measurement, ε-convergence judged post
-    /// hoc over the whole trace, and confirmed early stopping. Closes
-    /// the `RunConfig::measure` parity gap, so flat sweeps report
-    /// `converged_at` instead of only fixed budgets.
+    /// hoc over the whole trace, and confirmed early stopping. With a
+    /// [`probe`](FlatRunConfig::probe) attached, every executed round is
+    /// recorded into it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.threads == 0`.
     pub fn drive(&mut self, cfg: FlatRunConfig<'_>) -> CellReport {
-        self.drive_probed(cfg, &mut NullProbe)
-    }
-
-    /// [`FlatExecution::drive`] with a [`FlatProbe`] attached to every
-    /// executed round.
-    pub fn drive_probed<P: FlatProbe>(
-        &mut self,
-        cfg: FlatRunConfig<'_>,
-        probe: &mut P,
-    ) -> CellReport {
         let FlatRunConfig {
             rounds,
             threads,
@@ -557,6 +412,7 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
             eps,
             confirm,
             bandwidth,
+            mut probe,
         } = cfg;
         let start = self.round;
         let measure = Measure {
@@ -571,14 +427,54 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
                 // the boxed drive's `edge_count()`.
                 ledger.charge_round(exec.plan.slots() as u64, cap.bits_per_edge());
             }
-            exec.step_probed(threads, probe);
+            exec.pass(threads, probe.as_deref_mut());
         };
         measure.run(self, start, step, Self::outputs, |_| Seal::default())
+    }
+
+    /// The one round body: shard the pass over `threads` contiguous agent
+    /// ranges, swap the message buffers, and — when probed — record the
+    /// merged shard counters, the lane samples and the wall-clock phase
+    /// breakdown (which is read only then).
+    fn pass(&mut self, threads: usize, probe: Option<&mut CountingProbe>) {
+        assert!(threads > 0, "at least one worker thread");
+        let mut times = PhaseTimes::default();
+        let mut mark = probe.is_some().then(Instant::now);
+
+        // Each shard owns its contiguous agent range's span of the state
+        // buffer and of the next message buffer; all shards read the
+        // whole current message column.
+        let ranges = shard_ranges(self.n(), threads);
+        let states = split_spans(&mut self.state, &ranges, A::STATE_LANES);
+        let outs = split_spans(&mut self.next_msgs, &ranges, A::MSG_LANES);
+        let shards: Vec<Shard<'_>> = ranges
+            .iter()
+            .zip(states.into_iter().zip(outs))
+            .map(|(range, (state, msgs))| Shard {
+                range: range.clone(),
+                state,
+                msgs,
+            })
+            .collect();
+        let (algo, plan, msgs) = (&self.algo, &self.plan, &self.msgs[..]);
+        lap(&mut mark, &mut times.route_us);
+
+        let counters = run_shards(&ranges, shards, |s| pass_range(algo, plan, msgs, s));
+        lap(&mut mark, &mut times.pass_us);
+
+        std::mem::swap(&mut self.msgs, &mut self.next_msgs);
+        self.round += 1;
+
+        if let Some(probe) = probe {
+            probe.record_round(self.round, &counters, &self.state, A::STATE_LANES);
+            lap(&mut mark, &mut times.merge_us);
+            probe.record_times(&times);
+        }
     }
 }
 
 /// Advance the phase timer: charge the elapsed time since the last lap
-/// to `slot` and restart. A `None` mark (probe disabled) is free.
+/// to `slot` and restart. A `None` mark (no probe) is free.
 fn lap(mark: &mut Option<Instant>, slot: &mut u64) {
     if let Some(t) = mark {
         *slot = t.elapsed().as_micros() as u64;
@@ -615,9 +511,9 @@ struct Shard<'b> {
 /// The round's pass over one shard: per agent, copy its state chunk to
 /// the stack, fold the inbox (a view of the current message column) into
 /// the chunk in place, and emit the next round's message from it.
-/// Returns the shard's counters — all accumulation is gated on
-/// `P::ENABLED`, so the [`NullProbe`] instantiation pays nothing.
-fn pass_range<A: FlatAlgorithm, P: FlatProbe>(
+/// Returns the shard's counters, computed once from its range outside
+/// the per-agent loop.
+fn pass_range<A: FlatAlgorithm>(
     algo: &A,
     plan: &RoutingPlan,
     msgs: &[f64],
@@ -629,15 +525,13 @@ fn pass_range<A: FlatAlgorithm, P: FlatProbe>(
         msgs: out,
     } = shard;
     let (sl, ml) = (A::STATE_LANES, A::MSG_LANES);
-    let mut counters = ShardCounters::default();
-    if P::ENABLED {
-        let slots = plan.inbox_slots_in(range.clone()) as u64;
-        counters.agents = range.len() as u64;
-        counters.messages_routed = slots;
+    let slots = plan.inbox_slots_in(range.clone()) as u64;
+    let counters = ShardCounters {
+        messages_routed: slots,
         // One state write and one message write per agent.
-        counters.lane_writes = (range.len() * (sl + ml)) as u64;
-        counters.inbox_bytes = slots * (ml * std::mem::size_of::<f64>()) as u64;
-    }
+        lane_writes: (range.len() * (sl + ml)) as u64,
+        inbox_bytes: slots * (ml * std::mem::size_of::<f64>()) as u64,
+    };
     let mut cur = [0.0f64; MAX_LANES];
     let chunks = state.chunks_exact_mut(sl).zip(out.chunks_exact_mut(ml));
     for (v, (st, msg)) in range.zip(chunks) {
@@ -691,7 +585,7 @@ mod tests {
         let mut two = FlatExecution::new(OrderSum, &g, vec![inits.clone()]);
         let mut four = FlatExecution::new(OrderSum, &g, vec![inits]);
         for _ in 0..4 {
-            seq.step();
+            seq.step_threads(1);
             two.step_threads(2);
             four.step_threads(4);
             for v in 0..6 {
@@ -713,7 +607,7 @@ mod tests {
         let mut two = FlatExecution::new(OrderSum, &g, vec![inits.clone()]);
         let mut three = FlatExecution::new(OrderSum, &g, vec![inits]);
         for _ in 0..3 {
-            seq.step();
+            seq.step_threads(1);
             two.step_threads(2);
             three.step_threads(3);
         }
@@ -917,7 +811,7 @@ mod tests {
         let g = generators::directed_ring(32).with_self_loops();
         let mut exec = FlatExecution::new(OrderSum, &g, vec![vec![1.0; 32]]);
         let before = exec.resident_bytes();
-        exec.run(10, 2);
+        exec.drive(FlatRunConfig::rounds(10).threads(2));
         assert_eq!(exec.resident_bytes(), before);
         assert_eq!(exec.round(), 10);
     }
@@ -934,30 +828,5 @@ mod tests {
     fn column_arity_checked() {
         let g = generators::directed_ring(3).with_self_loops();
         let _ = FlatExecution::new(OrderSum, &g, vec![vec![0.0; 2]]);
-    }
-
-    #[test]
-    fn exact_degree_boundary() {
-        // Every degree up to 2^53 - 1 converts exactly...
-        assert_eq!(exact_degree(0), Ok(0.0));
-        assert_eq!(exact_degree(MAX_EXACT_DEGREE), Ok(9007199254740991.0));
-        assert_eq!(
-            exact_degree(MAX_EXACT_DEGREE).unwrap() as usize,
-            MAX_EXACT_DEGREE
-        );
-        // ...and the first inexact integers are rejected rather than
-        // silently rounded (2^53 itself converts exactly, but 2^53 + 1
-        // would collapse onto it — the bound excludes the whole plateau).
-        assert_eq!(
-            exact_degree(MAX_EXACT_DEGREE + 1),
-            Err(DegreeOverflow(1 << 53))
-        );
-        assert_eq!(
-            exact_degree(MAX_EXACT_DEGREE + 2),
-            Err(DegreeOverflow((1 << 53) + 1))
-        );
-        assert!(exact_degree(usize::MAX).is_err());
-        let msg = DegreeOverflow(1 << 53).to_string();
-        assert!(msg.contains("2^53"), "unhelpful error: {msg}");
     }
 }

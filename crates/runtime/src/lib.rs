@@ -49,9 +49,13 @@
 //! Every run — plain, observed, measured, churned, faulted, parallel —
 //! goes through [`Execution::drive`] with a [`RunConfig`] describing the
 //! knobs; message faults are the executor's delivery policy, attached
-//! with [`Execution::faults`]. Large-`n` f64 simulations can instead use
-//! the flat executor ([`flat::FlatExecution`]), which is bitwise
-//! identical to the boxed path at any thread count.
+//! with [`Execution::faults`]. The one per-round entry point besides it
+//! is [`Execution::step`], an unobserved sequential round on a given
+//! graph. Large-`n` f64 simulations can instead use the flat executor
+//! ([`flat::FlatExecution`]), which is bitwise identical to the boxed
+//! path at any thread count and likewise runs through one
+//! [`FlatExecution::drive`] with a [`FlatRunConfig`] (probed or not);
+//! [`FlatExecution::step_threads`] is its one unprobed round.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -78,16 +82,8 @@ pub use algorithm::{
 pub use bandwidth::{BandwidthCap, ByteLedger, MessageCodec};
 pub use config::{Backend, FlatRunConfig, RunConfig};
 pub use execution::Execution;
-pub use flat::{
-    exact_degree, lane_columns, DegreeOverflow, FlatAlgorithm, FlatExecution, Inbox, Lanes,
-    MAX_EXACT_DEGREE,
-};
-pub use probe::{
-    CountingProbe, FlatProbe, FlatProbeSummary, FlatRoundEvent, NullProbe, PhaseTimes,
-    ShardCounters,
-};
+pub use flat::{lane_columns, FlatAlgorithm, FlatExecution, Inbox, Lanes};
+pub use probe::{CountingProbe, FlatProbeSummary, FlatRoundEvent, PhaseTimes};
 pub use report::CellReport;
 pub use shard::MIN_SPAWN_AGENTS;
-pub use telemetry::{
-    CountSummary, CountingObserver, Log2Histogram, NullObserver, Observer, RoundEvent, TraceSink,
-};
+pub use telemetry::{CountSummary, Log2Histogram, NullObserver, Observer, RoundEvent, TraceSink};

@@ -4,73 +4,65 @@
 //! The boxed executor's [`Observer`](crate::Observer) sees every message
 //! as a value — far too slow for the million-agent flat engine, whose
 //! whole point is that messages are never materialized individually. A
-//! [`FlatProbe`] instead hooks the *shard* structure of
-//! [`FlatExecution::step_probed`](crate::FlatExecution::step_probed):
-//! each shard of the round's single pass accumulates plain counters
-//! ([`ShardCounters`]) while it runs, and the main thread merges them in
-//! canonical ascending shard order after the join, so a probe observes
-//! the same stream at any thread count. On top of the counters, the
-//! executor samples a strided
-//! subset of every state lane each round ([`FlatProbe::on_lane_sample`])
-//! — enough to fingerprint the trajectory without walking all `n`
+//! [`CountingProbe`], attached with
+//! [`FlatRunConfig::probe`](crate::FlatRunConfig::probe), instead reads
+//! the *shard* structure of the round: each shard of the round's single
+//! pass reports plain counters for its agent range, and the main thread
+//! merges them in canonical ascending shard order after the join, so the
+//! probe records the same stream at any thread count. On top of the
+//! counters, the probe digests a strided subset of every state lane each
+//! round — enough to fingerprint the trajectory without walking all `n`
 //! agents.
 //!
-//! Determinism contract (DESIGN.md §10): everything a probe receives
-//! through the counter and sample hooks is a pure function of the
-//! algorithm, the initial columns, and the routing plan — **bitwise
-//! identical across thread counts** (the conformance `probe` oracle
-//! byte-diffs the streams at threads 1/2/4). Wall-clock phase timings
-//! are the deliberate exception: they arrive only through the separate
-//! [`FlatProbe::on_phase_times`] hook and must never be mixed into
-//! fingerprinted output.
+//! Determinism contract (DESIGN.md §10): the per-round events are a pure
+//! function of the algorithm, the initial columns, and the routing plan
+//! — **bitwise identical across thread counts** (the conformance `probe`
+//! oracle byte-diffs the streams at threads 1/2/4). Wall-clock phase
+//! timings are the deliberate exception: they accumulate in a separate
+//! block ([`CountingProbe::timing`]) and never enter the stream.
 //!
-//! Like the observer layer, the null case is free:
-//! [`NullProbe`] sets [`FlatProbe::ENABLED`] to `false`, every counter
-//! accumulation in the hot loops is gated on that associated `const`,
-//! and monomorphization folds the branches away — `step_threads` *is*
-//! `step_probed::<NullProbe>`, and the `flat_engine` bench guard pins
-//! the zero cost.
+//! An unprobed run pays only for the counters: each shard computes them
+//! once from its range, outside the per-agent loop, and the executor
+//! reads no clock.
 
 use crate::bits::Fnv1a;
 use crate::telemetry::Log2Histogram;
 use serde::{Deserialize, Serialize};
 
-/// Plain counters accumulated by one shard of one round's pass.
-///
-/// Per-shard values depend on the shard layout (and therefore on the
-/// thread count); only the merged per-round totals delivered to
-/// [`FlatProbe::on_round_end`] are thread-count invariant. Probes that
-/// want deterministic output must aggregate totals, not shards.
+/// Plain counters of one shard of one round's pass. Per-shard values
+/// depend on the shard layout (and therefore on the thread count); only
+/// their merged per-round totals enter the probe stream.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardCounters {
-    /// Agents the shard processed (its contiguous range length).
-    pub agents: u64,
+pub(crate) struct ShardCounters {
     /// Messages the shard delivered: the inbox slots (in-edges) of its
     /// agents.
-    pub messages_routed: u64,
+    pub(crate) messages_routed: u64,
     /// f64 lane writes the shard performed: each agent's new state and
     /// next message.
-    pub lane_writes: u64,
+    pub(crate) lane_writes: u64,
     /// Message-column bytes the shard's inboxes read
     /// (`messages_routed × MSG_LANES × 8`).
-    pub inbox_bytes: u64,
+    pub(crate) inbox_bytes: u64,
 }
 
 impl ShardCounters {
     /// Fold another shard's counters into this one.
-    pub fn merge(&mut self, other: &ShardCounters) {
-        self.agents += other.agents;
+    fn merge(&mut self, other: &ShardCounters) {
         self.messages_routed += other.messages_routed;
         self.lane_writes += other.lane_writes;
         self.inbox_bytes += other.inbox_bytes;
     }
 }
 
+/// Target number of strided samples per state lane digested each round.
+/// The stride is computed from `n` alone, so the sample set is
+/// independent of thread count.
+const LANE_SAMPLE_TARGET: usize = 64;
+
 /// Wall-clock microseconds per phase of one flat round.
 ///
-/// Timing is measured only when a probe is enabled, reported only
-/// through [`FlatProbe::on_phase_times`], and **never** part of the
-/// deterministic probe stream ([`CountingProbe::to_ndjson`] excludes
+/// Timing is measured only when a probe is attached and **never** part
+/// of the deterministic probe stream ([`CountingProbe::to_ndjson`] excludes
 /// it; [`CountingProbe::timing`] hands back the accumulated block
 /// separately).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -90,83 +82,6 @@ impl PhaseTimes {
         self.route_us += other.route_us;
         self.pass_us += other.pass_us;
         self.merge_us += other.merge_us;
-    }
-}
-
-/// Phase-level hooks driven by
-/// [`FlatExecution::step_probed`](crate::FlatExecution::step_probed).
-///
-/// Per round, the call order is fixed: `on_round_start` → one
-/// `on_shard` per shard in ascending shard order → one `on_lane_sample`
-/// per state lane in lane order → `on_round_end` with the merged totals
-/// → `on_phase_times`. All hooks run on the calling
-/// thread; worker threads only fill [`ShardCounters`] by value.
-pub trait FlatProbe {
-    /// Whether the executor should do any probe work at all. The hot
-    /// loops gate every accumulation on this associated `const`, so a
-    /// `false` instantiation (the [`NullProbe`]) compiles to the bare
-    /// unprobed round.
-    const ENABLED: bool = true;
-
-    /// Round `round` (1-based) over `n` agents is about to execute.
-    fn on_round_start(&mut self, round: u64, n: usize) {
-        let _ = (round, n);
-    }
-
-    /// Counters of shard `shard` (ascending order).
-    fn on_shard(&mut self, shard: usize, counters: &ShardCounters) {
-        let _ = (shard, counters);
-    }
-
-    /// A strided sample of state lane `lane` after the round's swap:
-    /// agents `0, s, 2s, ...` for a deterministic stride `s` chosen from
-    /// `n` alone.
-    fn on_lane_sample(&mut self, round: u64, lane: usize, samples: &[f64]) {
-        let _ = (round, lane, samples);
-    }
-
-    /// The round finished; `total` is merged over all shards
-    /// (thread-count invariant).
-    fn on_round_end(&mut self, round: u64, total: &ShardCounters) {
-        let _ = (round, total);
-    }
-
-    /// Wall-clock phase breakdown of the round. Keep this out of any
-    /// deterministic output.
-    fn on_phase_times(&mut self, round: u64, times: &PhaseTimes) {
-        let _ = (round, times);
-    }
-}
-
-/// The zero-cost default: disables all probe work at compile time.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullProbe;
-
-impl FlatProbe for NullProbe {
-    const ENABLED: bool = false;
-}
-
-impl<P: FlatProbe> FlatProbe for &mut P {
-    const ENABLED: bool = P::ENABLED;
-
-    fn on_round_start(&mut self, round: u64, n: usize) {
-        (**self).on_round_start(round, n);
-    }
-
-    fn on_shard(&mut self, shard: usize, counters: &ShardCounters) {
-        (**self).on_shard(shard, counters);
-    }
-
-    fn on_lane_sample(&mut self, round: u64, lane: usize, samples: &[f64]) {
-        (**self).on_lane_sample(round, lane, samples);
-    }
-
-    fn on_round_end(&mut self, round: u64, total: &ShardCounters) {
-        (**self).on_round_end(round, total);
-    }
-
-    fn on_phase_times(&mut self, round: u64, times: &PhaseTimes) {
-        (**self).on_phase_times(round, times);
     }
 }
 
@@ -213,8 +128,6 @@ pub struct CountingProbe {
     events: Vec<FlatRoundEvent>,
     volume: Log2Histogram,
     timing: PhaseTimes,
-    cur: ShardCounters,
-    cur_digest: Fnv1a,
 }
 
 impl CountingProbe {
@@ -255,27 +168,33 @@ impl CountingProbe {
         }
         out
     }
-}
 
-impl FlatProbe for CountingProbe {
-    fn on_round_start(&mut self, _round: u64, _n: usize) {
-        self.cur = ShardCounters::default();
-        self.cur_digest = Fnv1a::new();
-    }
-
-    fn on_shard(&mut self, _shard: usize, counters: &ShardCounters) {
-        self.cur.merge(counters);
-    }
-
-    fn on_lane_sample(&mut self, _round: u64, lane: usize, samples: &[f64]) {
-        self.cur_digest.write_word(lane as u64);
-        for &x in samples {
-            self.cur_digest.write_word(x.to_bits());
+    /// Record one executed round: merge the per-shard counters (in
+    /// ascending shard order) into the round's totals, and digest the
+    /// exact bits of a strided sample of every state lane of the
+    /// post-round agent-major `state` buffer (`lanes` lanes per agent):
+    /// per lane in lane order, the lane index, then agents `0, s, 2s,
+    /// ...` for a stride `s` chosen from the agent count alone.
+    pub(crate) fn record_round(
+        &mut self,
+        round: u64,
+        shards: &[ShardCounters],
+        state: &[f64],
+        lanes: usize,
+    ) {
+        let mut total = ShardCounters::default();
+        for c in shards {
+            total.merge(c);
         }
-        self.summary.lane_samples += samples.len() as u64;
-    }
-
-    fn on_round_end(&mut self, round: u64, total: &ShardCounters) {
+        let stride = (state.len() / lanes / LANE_SAMPLE_TARGET).max(1);
+        let mut digest = Fnv1a::new();
+        for lane in 0..lanes {
+            digest.write_word(lane as u64);
+            for agent in state.chunks_exact(lanes).step_by(stride) {
+                digest.write_word(agent[lane].to_bits());
+                self.summary.lane_samples += 1;
+            }
+        }
         self.summary.rounds += 1;
         self.summary.messages_routed += total.messages_routed;
         self.summary.lane_writes += total.lane_writes;
@@ -286,11 +205,12 @@ impl FlatProbe for CountingProbe {
             messages_routed: total.messages_routed,
             lane_writes: total.lane_writes,
             inbox_bytes: total.inbox_bytes,
-            sample_digest: self.cur_digest.digest(),
+            sample_digest: digest.digest(),
         });
     }
 
-    fn on_phase_times(&mut self, _round: u64, times: &PhaseTimes) {
+    /// Add one round's wall-clock phase breakdown to the timing block.
+    pub(crate) fn record_times(&mut self, times: &PhaseTimes) {
         self.timing.accumulate(times);
     }
 }
@@ -300,39 +220,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn null_probe_is_disabled_at_compile_time() {
-        const { assert!(!NullProbe::ENABLED) };
-        const { assert!(CountingProbe::ENABLED) };
-        // The forwarding impl inherits the wrapped probe's switch.
-        const { assert!(!<&mut NullProbe as FlatProbe>::ENABLED) };
-    }
-
-    #[test]
     fn counting_probe_merges_shards_into_round_totals() {
         let mut p = CountingProbe::new();
-        p.on_round_start(1, 8);
-        p.on_shard(
-            0,
-            &ShardCounters {
-                agents: 4,
+        let shards = [
+            ShardCounters {
                 messages_routed: 9,
                 lane_writes: 16,
                 inbox_bytes: 144,
             },
-        );
-        p.on_shard(
-            1,
-            &ShardCounters {
-                agents: 4,
+            ShardCounters {
                 messages_routed: 7,
                 lane_writes: 16,
                 inbox_bytes: 112,
             },
-        );
-        p.on_lane_sample(1, 0, &[1.0, 2.0]);
-        let total = p.cur;
-        assert_eq!(total.messages_routed, 16);
-        p.on_round_end(1, &total);
+        ];
+        p.record_round(1, &shards, &[1.0, 2.0], 1);
         let s = p.summary();
         assert_eq!(s.rounds, 1);
         assert_eq!(s.messages_routed, 16);
@@ -340,6 +242,7 @@ mod tests {
         assert_eq!(s.inbox_bytes, 256);
         assert_eq!(s.lane_samples, 2);
         assert_eq!(p.events().len(), 1);
+        assert_eq!(p.events()[0].messages_routed, 16);
         assert_eq!(p.volume_histogram().count(4), 1, "16 messages → bucket 4");
         // The stream excludes timing and serializes stably.
         let ndjson = p.to_ndjson();
@@ -355,9 +258,7 @@ mod tests {
         let mut a = CountingProbe::new();
         let mut b = CountingProbe::new();
         for (p, x) in [(&mut a, 1.0f64), (&mut b, 1.0 + f64::EPSILON)] {
-            p.on_round_start(1, 2);
-            p.on_lane_sample(1, 0, &[x]);
-            p.on_round_end(1, &ShardCounters::default());
+            p.record_round(1, &[ShardCounters::default()], &[x], 1);
         }
         assert_ne!(a.events()[0].sample_digest, b.events()[0].sample_digest);
     }
@@ -365,22 +266,17 @@ mod tests {
     #[test]
     fn phase_times_accumulate_separately_from_the_stream() {
         let mut p = CountingProbe::new();
-        p.on_phase_times(
-            1,
-            &PhaseTimes {
-                route_us: 1,
-                pass_us: 5,
-                merge_us: 4,
-            },
-        );
-        p.on_phase_times(
-            2,
-            &PhaseTimes {
-                route_us: 10,
-                pass_us: 50,
-                merge_us: 40,
-            },
-        );
+        p.record_times(&PhaseTimes {
+            route_us: 1,
+            pass_us: 5,
+            merge_us: 4,
+        });
+        p.record_times(&PhaseTimes {
+            route_us: 10,
+            pass_us: 50,
+            merge_us: 40,
+        });
+        assert_eq!(p.timing().pass_us, 55);
         assert!(p.to_ndjson().is_empty(), "timing alone emits no stream");
     }
 

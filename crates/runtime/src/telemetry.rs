@@ -3,22 +3,20 @@
 //!
 //! The paper's quantitative claims are *rates* — Push-Sum's geometric
 //! convergence (Theorem 5.2) and the ergodic-coefficient bounds of
-//! §5.2–5.3 speak about per-round residual decay — yet a bare
-//! `run_until` only keeps the distance trace. An [`Observer`] hooks into
-//! the executor's round structure and sees every round boundary and
-//! every delivered message, turning an execution into a measured one:
+//! §5.2–5.3 speak about per-round residual decay — yet a bare measured
+//! `drive` only keeps the distance trace. An [`Observer`], attached with
+//! [`RunConfig::observer`](crate::RunConfig::observer), hooks into the
+//! executor's round structure and sees every round boundary and every
+//! delivered message, turning an execution into a measured one:
 //!
-//! - [`NullObserver`] — the zero-cost default. `step` and
-//!   `step_parallel` run the same round body as `step_observed` and
-//!   `step_parallel_observed`, with a `NullObserver`; monomorphization
-//!   erases the empty hooks entirely (a benchmark guard in
-//!   `tests/telemetry.rs` pins this).
-//! - [`CountingObserver`] — messages delivered (split into self-loop and
-//!   real-link traffic), payload bytes, fault-dropped messages, and peak
-//!   state size, summarized as a [`CountSummary`].
+//! - [`NullObserver`] — the zero-cost default. An unobserved `drive` (and
+//!   `step`) runs the same round body with a `NullObserver`;
+//!   monomorphization erases the empty hooks entirely.
 //! - [`TraceSink`] — one [`RoundEvent`] per round (counters plus an
 //!   optional residual), buffered with a stable serde schema and
-//!   rendered as NDJSON.
+//!   rendered as NDJSON, and the run's totals as a [`CountSummary`]:
+//!   messages delivered (split into self-loop and real-link traffic),
+//!   payload bytes, fault-dropped messages, and peak state size.
 //!
 //! Payload and state sizes use the `Debug` rendering's byte length as a
 //! deterministic, dependency-free proxy for serialized size: the repo
@@ -36,8 +34,8 @@ use std::fmt::Write as _;
 /// Every hook has an empty default body, so an observer implements only
 /// what it measures. Within one round the executor guarantees the call
 /// order `on_round_start` → `on_message`/`on_message_dropped` (one call
-/// per message, in the deterministic routing order shared by `step` and
-/// `step_parallel`) → `on_round_end`; `on_converged` fires at most once
+/// per message, in the deterministic routing order shared by every
+/// thread count) → `on_round_end`; `on_converged` fires at most once
 /// per measuring run, after the report is sealed.
 pub trait Observer<A: Algorithm> {
     /// A round began: `round` is the 1-based round number about to
@@ -74,40 +72,15 @@ pub trait Observer<A: Algorithm> {
     }
 }
 
-// Forwarding impl so `&mut dyn Observer<A>` (what a `RunConfig` holds)
-// satisfies the `O: Observer<A>` bounds of `step_observed` and friends.
-impl<A: Algorithm, O: Observer<A> + ?Sized> Observer<A> for &mut O {
-    fn on_round_start(&mut self, round: u64, states: &[A::State]) {
-        (**self).on_round_start(round, states);
-    }
-
-    fn on_message(&mut self, round: u64, src: usize, dst: usize, msg: &A::Msg) {
-        (**self).on_message(round, src, dst, msg);
-    }
-
-    fn on_message_dropped(&mut self, round: u64, src: usize, dst: usize, msg: &A::Msg) {
-        (**self).on_message_dropped(round, src, dst, msg);
-    }
-
-    fn on_round_end(&mut self, round: u64, algo: &A, states: &[A::State]) {
-        (**self).on_round_end(round, algo, states);
-    }
-
-    fn on_converged(&mut self, round: u64, final_distance: f64) {
-        (**self).on_converged(round, final_distance);
-    }
-}
-
 /// The zero-cost default observer: every hook is the empty default.
-///
-/// `Execution::step` is exactly `step_observed(graph, &mut
-/// NullObserver)`; the generic instantiation compiles to the PR-2 loop.
+/// An unobserved round is the observed round body instantiated with it,
+/// so the empty hooks compile away.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NullObserver;
 
 impl<A: Algorithm> Observer<A> for NullObserver {}
 
-/// Flat counters accumulated by [`CountingObserver`] and [`TraceSink`].
+/// Run totals accumulated by a [`TraceSink`].
 ///
 /// All sizes are `Debug`-rendering byte lengths (see the module docs).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -131,49 +104,6 @@ fn debug_len(buf: &mut String, value: &impl std::fmt::Debug) -> u64 {
     buf.clear();
     let _ = write!(buf, "{value:?}");
     buf.len() as u64
-}
-
-/// Counts traffic and state growth: messages sent/received per round,
-/// payload bytes, fault-dropped messages, and the peak state size.
-#[derive(Clone, Debug, Default)]
-pub struct CountingObserver {
-    summary: CountSummary,
-    buf: String,
-}
-
-impl CountingObserver {
-    /// A fresh counter.
-    pub fn new() -> CountingObserver {
-        CountingObserver::default()
-    }
-
-    /// The counters accumulated so far.
-    pub fn summary(&self) -> CountSummary {
-        self.summary
-    }
-}
-
-impl<A: Algorithm> Observer<A> for CountingObserver {
-    fn on_message(&mut self, _round: u64, src: usize, dst: usize, msg: &A::Msg) {
-        if src == dst {
-            self.summary.self_messages += 1;
-        } else {
-            self.summary.messages += 1;
-        }
-        self.summary.payload_bytes += debug_len(&mut self.buf, msg);
-    }
-
-    fn on_message_dropped(&mut self, _round: u64, _src: usize, _dst: usize, _msg: &A::Msg) {
-        self.summary.dropped += 1;
-    }
-
-    fn on_round_end(&mut self, _round: u64, _algo: &A, states: &[A::State]) {
-        self.summary.rounds += 1;
-        for s in states {
-            let bytes = debug_len(&mut self.buf, s);
-            self.summary.peak_state_bytes = self.summary.peak_state_bytes.max(bytes);
-        }
-    }
 }
 
 /// One row of a trace: the counters of a single round, plus the residual
@@ -216,8 +146,8 @@ impl RoundEvent {
 type ResidualFn<A> = Box<dyn FnMut(&A, &[<A as Algorithm>::State]) -> f64>;
 
 /// Buffers one [`RoundEvent`] per round and renders them as NDJSON; also
-/// accumulates the same [`CountSummary`] as a [`CountingObserver`], so a
-/// traced cell needs a single observer.
+/// accumulates the run's [`CountSummary`], so a traced cell needs a
+/// single observer.
 pub struct TraceSink<A: Algorithm> {
     events: Vec<RoundEvent>,
     current: Option<RoundEvent>,
@@ -483,15 +413,13 @@ mod tests {
     }
 
     #[test]
-    fn counting_observer_counts_ring_traffic() {
+    fn trace_sink_counts_ring_traffic() {
         // Directed ring with self-loops: n real links + n self-loops per
         // round.
         let g = generators::directed_ring(5).with_self_loops();
         let mut exec = Execution::new(Broadcast(MaxFlood), vec![1, 2, 3, 4, 9]);
-        let mut obs = CountingObserver::new();
-        for _ in 0..4 {
-            exec.step_observed(&g, &mut obs);
-        }
+        let mut obs = TraceSink::new();
+        exec.drive(&g, RunConfig::rounds(4).observer(&mut obs));
         let s = obs.summary();
         assert_eq!(s.rounds, 4);
         assert_eq!(s.messages, 4 * 5);

@@ -13,8 +13,9 @@
 //! (tolerance of arbitrary initialization).
 
 use crate::algorithm::Algorithm;
+use crate::config::RunConfig;
 use crate::execution::Execution;
-use crate::metric::DiscreteMetric;
+use crate::report::CellReport;
 use kya_graph::DynamicGraph;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -89,13 +90,38 @@ where
     let n = corrupted.len();
     let targets: Vec<A::Output> = (0..n).map(&target).collect();
     let mut exec = Execution::new(algo, corrupted);
-    let report = exec.run_until_targets(net, &DiscreteMetric, &targets, 0.0, max_rounds);
+    let report = drive_to_targets(&mut exec, net, &targets, max_rounds);
     match report.converged_at {
         Some(at_round) => SelfStabOutcome::Stabilized { at_round },
         None => SelfStabOutcome::Diverged {
             outputs: exec.outputs(),
         },
     }
+}
+
+/// Drive `exec` for up to `max_rounds` rounds against per-agent
+/// targets: a round's distance is the discrete distance of the output
+/// vector from `targets` (0 when every agent holds its target, else 1),
+/// and convergence at ε = 0 is judged as in [`Execution::drive`].
+///
+/// # Panics
+///
+/// Panics if `targets.len() != exec.n()`.
+fn drive_to_targets<A>(
+    exec: &mut Execution<A>,
+    net: &dyn DynamicGraph,
+    targets: &[A::Output],
+    max_rounds: u64,
+) -> CellReport
+where
+    A: Algorithm + Sync,
+    A::State: Send + Sync,
+    A::Msg: Send + Sync,
+    A::Output: PartialEq,
+{
+    assert_eq!(targets.len(), exec.n(), "one target per agent");
+    let dist = |outputs: &[A::Output]| if outputs == targets { 0.0 } else { 1.0 };
+    exec.drive(net, RunConfig::rounds(max_rounds).measure_with(dist, 0.0))
 }
 
 #[cfg(test)]
@@ -155,6 +181,41 @@ mod tests {
             16,
             7
         ));
+    }
+
+    #[test]
+    fn drive_to_targets_checks_per_agent() {
+        // Frozen states: each agent keeps its own value, so per-agent
+        // targets equal to the initial values are hit at round 1.
+        struct Keep;
+        impl BroadcastAlgorithm for Keep {
+            type State = u32;
+            type Msg = ();
+            type Output = u32;
+            fn message(&self, _: &u32) {}
+            fn transition(&self, s: &u32, _: &[()]) -> u32 {
+                *s
+            }
+            fn output(&self, s: &u32) -> u32 {
+                *s
+            }
+        }
+        let net = StaticGraph::new(generators::directed_ring(3));
+        let mut exec = Execution::new(Broadcast(Keep), vec![7, 8, 9]);
+        let report = drive_to_targets(&mut exec, &net, &[7, 8, 9], 5);
+        assert_eq!(report.converged_at, Some(1));
+        // A wrong per-agent target never converges.
+        let mut exec = Execution::new(Broadcast(Keep), vec![7, 8, 9]);
+        let report = drive_to_targets(&mut exec, &net, &[7, 8, 0], 5);
+        assert_eq!(report.converged_at, None);
+    }
+
+    #[test]
+    #[should_panic(expected = "one target per agent")]
+    fn drive_to_targets_rejects_wrong_arity() {
+        let net = StaticGraph::new(generators::directed_ring(3));
+        let mut exec = Execution::new(Broadcast(MaxWins), vec![1, 2, 3]);
+        let _ = drive_to_targets(&mut exec, &net, &[1u32], 5);
     }
 
     #[test]

@@ -39,12 +39,12 @@ fn main() {
     );
 
     let mut probe = CountingProbe::new();
-    let report = exec.drive_probed(
+    let report = exec.drive(
         FlatRunConfig::rounds(rounds)
             .threads(threads)
             .measure(target, 1e-9)
-            .confirm(2),
-        &mut probe,
+            .confirm(2)
+            .probe(&mut probe),
     );
     let summary = probe.summary();
     let times = probe.timing();

@@ -14,7 +14,8 @@ use kya_algos::quantized::{QuantizedMetropolis, QuantizedPushSum};
 use kya_graph::{generators, Digraph};
 use kya_runtime::flat::MAX_LANES;
 use kya_runtime::{
-    lane_columns, Execution, FlatAlgorithm, FlatExecution, Isotropic, Lanes, RunConfig,
+    lane_columns, Execution, FlatAlgorithm, FlatExecution, FlatRunConfig, Isotropic, Lanes,
+    RunConfig,
 };
 use proptest::prelude::*;
 
@@ -37,7 +38,7 @@ fn engines_agree<F: FlatAlgorithm + Clone>(
     let mut want = [0.0; MAX_LANES];
     for &t in threads {
         let mut flat = FlatExecution::new(algo.clone(), g, columns.clone());
-        flat.run(rounds, t);
+        flat.drive(FlatRunConfig::rounds(rounds).threads(t));
         if flat.round() != boxed.round() {
             return Err(format!("{t} threads ran {} rounds", flat.round()));
         }

@@ -2,15 +2,13 @@
 //! identical at every thread count, its counters restate the routing
 //! plan's ground truth, measured flat drives report convergence exactly
 //! like the boxed executor, and the resident-footprint numbers pin the
-//! EXPERIMENTS.md figures. The `NullProbe` path is behaviorally
-//! indistinguishable from the unprobed engine.
+//! EXPERIMENTS.md figures. A probed `drive` computes the same bits as
+//! an unprobed one.
 
 use kya_algos::push_sum::{PushSum, PushSumState};
 use kya_graph::{generators, Digraph, StaticGraph};
 use kya_runtime::metric::EuclideanMetric;
-use kya_runtime::{
-    CountingProbe, Execution, FlatExecution, FlatRunConfig, Isotropic, NullProbe, RunConfig,
-};
+use kya_runtime::{CountingProbe, Execution, FlatExecution, FlatRunConfig, Isotropic, RunConfig};
 use proptest::prelude::*;
 
 fn values_for(n: usize, seed: u64) -> Vec<f64> {
@@ -39,7 +37,7 @@ proptest! {
         for threads in [1usize, 2, 4] {
             let mut exec = FlatExecution::new(PushSum, &g, states.clone());
             let mut probe = CountingProbe::new();
-            exec.run_probed(rounds, threads, &mut probe);
+            exec.drive(FlatRunConfig::rounds(rounds).threads(threads).probe(&mut probe));
             let stream = probe.to_ndjson();
             match &baseline {
                 None => baseline = Some((stream, probe)),
@@ -68,7 +66,7 @@ fn probe_counters_match_the_routing_plan() {
     let mut exec = FlatExecution::new(PushSum, &g, states);
     let slots = exec.plan().slots() as u64;
     let mut probe = CountingProbe::new();
-    exec.run_probed(rounds, 3, &mut probe);
+    exec.drive(FlatRunConfig::rounds(rounds).threads(3).probe(&mut probe));
     assert_eq!(probe.events().len() as u64, rounds);
     for event in probe.events() {
         assert_eq!(event.messages_routed, slots);
@@ -141,7 +139,7 @@ fn resident_bytes_pins_the_experiments_numbers() {
     assert_eq!(exec.resident_bytes(), 68 * n + 8);
     // The footprint is capacity-based and no buffer grows with rounds
     // or thread count.
-    exec.run(3, 2);
+    exec.drive(FlatRunConfig::rounds(3).threads(2));
     assert_eq!(exec.resident_bytes(), 68 * n + 8);
 
     // Ring + chord v→v+2 + self-loops: slots = 3n → 68n + 4n + 8.
@@ -155,9 +153,8 @@ fn resident_bytes_pins_the_experiments_numbers() {
     assert_eq!(exec.resident_bytes(), 72 * n + 8);
 }
 
-/// `NullProbe` is purely an erasure: stepping with it (or through the
-/// probed entry points) produces bit-identical states to the bare
-/// engine, and a `CountingProbe` observes without perturbing.
+/// A probe only reads: a probed `drive` produces bit-identical states
+/// to an unprobed `drive` and to the same rounds of `step_threads`.
 #[test]
 fn probed_runs_compute_the_same_bits_as_unprobed_runs() {
     let n = 19;
@@ -166,18 +163,22 @@ fn probed_runs_compute_the_same_bits_as_unprobed_runs() {
     let rounds = 7u64;
 
     let mut bare = FlatExecution::new(PushSum, &g, states.clone());
-    bare.run(rounds, 2);
+    bare.drive(FlatRunConfig::rounds(rounds).threads(2));
 
-    let mut null = FlatExecution::new(PushSum, &g, states.clone());
-    null.run_probed(rounds, 2, &mut NullProbe);
+    let mut stepped = FlatExecution::new(PushSum, &g, states.clone());
+    for _ in 0..rounds {
+        stepped.step_threads(2);
+    }
 
     let mut counted = FlatExecution::new(PushSum, &g, states);
-    counted.run_probed(rounds, 2, &mut CountingProbe::new());
+    let mut probe = CountingProbe::new();
+    counted.drive(FlatRunConfig::rounds(rounds).threads(2).probe(&mut probe));
+    assert_eq!(probe.summary().rounds, rounds);
 
     for lane in 0..2 {
         for v in 0..n {
             let want = bare.state(v)[lane].to_bits();
-            assert_eq!(null.state(v)[lane].to_bits(), want, "NullProbe perturbed");
+            assert_eq!(stepped.state(v)[lane].to_bits(), want, "step_threads");
             assert_eq!(
                 counted.state(v)[lane].to_bits(),
                 want,

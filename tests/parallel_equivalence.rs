@@ -1,11 +1,11 @@
-//! `Execution::step` and `Execution::step_parallel` are one semantics
-//! with two schedules: for every algorithm in `kya_algos` they must
-//! produce identical per-round states **and** drive an [`Observer`]
-//! through an identical event stream (same hooks, same order, same
-//! arguments). The routing phase of the parallel step iterates agents
-//! and ports in the sequential executor's order precisely so this
-//! holds; this test pins it, on a small network whose shards run on
-//! the calling thread and on one large enough to spawn workers.
+//! A sequential and a sharded `Execution::drive` are one semantics with
+//! two schedules: for every algorithm in `kya_algos` they must produce
+//! identical per-round states **and** drive an [`Observer`] through an
+//! identical event stream (same hooks, same order, same arguments). The
+//! routing phase of a sharded round iterates agents and ports in the
+//! sequential executor's order precisely so this holds; this test pins
+//! it, on a small network whose shards run on the calling thread and on
+//! one large enough to spawn workers.
 
 use kya_algos::frequency::{CensusOutdegree, CensusPorts, CensusSymmetric};
 use kya_algos::gossip::SetGossip;
@@ -15,7 +15,7 @@ use kya_algos::push_sum::{PushSum, PushSumState, SelfHealingPushSum};
 use kya_graph::{generators, Digraph};
 use kya_harness::parse_graph;
 use kya_runtime::{
-    Algorithm, Broadcast, CountingObserver, Execution, Isotropic, Observer, MIN_SPAWN_AGENTS,
+    Algorithm, Broadcast, Execution, Isotropic, Observer, RunConfig, TraceSink, MIN_SPAWN_AGENTS,
 };
 
 /// Records every observer hook as a rendered line, so two runs can be
@@ -60,8 +60,8 @@ where
     let mut seq_obs = Recorder::default();
     let mut par_obs = Recorder::default();
     for round in 0..ROUNDS {
-        seq.step_observed(&g, &mut seq_obs);
-        par.step_parallel_observed(&g, 3, &mut par_obs);
+        seq.drive(&g, RunConfig::rounds(1).observer(&mut seq_obs));
+        par.drive(&g, RunConfig::rounds(1).threads(3).observer(&mut par_obs));
         assert_eq!(
             format!("{:?}", seq.states()),
             format!("{:?}", par.states()),
@@ -157,7 +157,8 @@ fn every_algorithm_agrees_between_schedules() {
 
 /// Steps `make()` three ways on `g` — sequentially, at 2 threads and at
 /// 3 threads — and requires bitwise-equal states every round; then runs
-/// the observed twins and requires equal [`CountingObserver`] counters.
+/// observed sequential and 3-thread drives and requires equal
+/// [`TraceSink`] counters.
 fn check_spawned<A, F, B>(make: F, g: &Digraph, bits: B, label: &str)
 where
     A: Algorithm + Sync,
@@ -171,8 +172,8 @@ where
     let mut three = make();
     for round in 1..=3 {
         seq.step(g);
-        two.step_parallel(g, 2);
-        three.step_parallel(g, 3);
+        two.drive(g, RunConfig::rounds(1).threads(2));
+        three.drive(g, RunConfig::rounds(1).threads(3));
         let want = bits(seq.states());
         assert!(
             want == bits(two.states()),
@@ -184,11 +185,9 @@ where
         );
     }
     let (mut seq, mut par) = (make(), make());
-    let (mut seq_obs, mut par_obs) = (CountingObserver::new(), CountingObserver::new());
-    for _ in 0..3 {
-        seq.step_observed(g, &mut seq_obs);
-        par.step_parallel_observed(g, 3, &mut par_obs);
-    }
+    let (mut seq_obs, mut par_obs) = (TraceSink::new(), TraceSink::new());
+    seq.drive(g, RunConfig::rounds(3).observer(&mut seq_obs));
+    par.drive(g, RunConfig::rounds(3).threads(3).observer(&mut par_obs));
     assert_eq!(
         seq_obs.summary(),
         par_obs.summary(),
@@ -262,7 +261,6 @@ impl Observer<Isotropic<SelfHealingPushSum>> for PushSumStream {
 fn faulted_runs_agree_across_thread_counts() {
     use kya_graph::StaticGraph;
     use kya_runtime::faults::FaultPlan;
-    use kya_runtime::RunConfig;
 
     let n = 3 * MIN_SPAWN_AGENTS;
     let net = StaticGraph::new(generators::random_strongly_connected(n, 2 * n, 17));

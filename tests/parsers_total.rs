@@ -3,7 +3,8 @@
 //! panics.
 //!
 //! Labels are shaped like the grammars — `family:N`, `family:NxN`,
-//! `family:N:N:N`, value lists, churn windows — or are free token soup
+//! `family:N:N:N`, value lists, churn windows, crash windows — or are
+//! free token soup
 //! (operands joined by separators). Numbers come from two pools: small
 //! sizes, and the edges of the integer types (2^32 − 1, 2^32, 2^64 − 1
 //! and digit strings past `u64`). Small numbers stay at most 4, and no
@@ -11,7 +12,7 @@
 //! most a few thousand agents.
 
 use kya_conformance::{CheckKind, Matrix};
-use kya_harness::{parse_graph, parse_values, Args, ChurnSpec};
+use kya_harness::{parse_crashes, parse_graph, parse_values, Args, ChurnSpec, PlanSpec};
 use kya_runtime::{Backend, BandwidthCap};
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -160,6 +161,19 @@ fn label(shape: usize, words: Vec<u64>) -> String {
                 s += "+reset";
             }
         }
+        5 => {
+            // Crash windows `AGENT:FROM:UNTIL`, `-` for a crash-stop.
+            for i in 0..=d.below(3) {
+                if i > 0 {
+                    s += ",";
+                }
+                s += d.number();
+                s += ":";
+                s += d.number();
+                s += ":";
+                s += if d.below(3) == 0 { "-" } else { d.number() };
+            }
+        }
         _ => {
             // Token soup: operands joined by separators.
             s += d.operand();
@@ -208,13 +222,14 @@ proptest! {
 
     #[test]
     fn parsers_never_panic(
-        shape in 0usize..6,
+        shape in 0usize..7,
         words in collection::vec(any::<u64>(), 32),
     ) {
         let s = label(shape, words);
         total("parse_graph", &s, || parse_graph(&s).map(|g| g.n()));
         total("parse_values", &s, || parse_values(&s));
         total("ChurnSpec::parse", &s, || ChurnSpec::parse(&s));
+        total("parse_crashes", &s, || parse_crashes(&s, 4, PlanSpec::quiescent()));
         total("BandwidthCap::parse", &s, || BandwidthCap::parse(&s));
         total("BandwidthCap::from_str", &s, || s.parse::<BandwidthCap>());
         total("Backend::parse", &s, || Backend::parse(&s));

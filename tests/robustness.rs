@@ -335,7 +335,7 @@ fn parallel_execution_agrees_with_sequential_for_push_sum() {
     for _ in 0..30 {
         let g = net.graph(seq.round() + 1);
         seq.step(&g);
-        par.step_parallel(&g, 3);
+        par.drive(&g, RunConfig::rounds(1).threads(3));
     }
     // Same messages, same per-agent sums, bit-identical trajectories.
     for (a, b) in seq.states().iter().zip(par.states()) {
