@@ -435,41 +435,57 @@ impl PlanSpec {
 /// `0..n`, round 0 or an empty window is a [`SpecError`].
 pub fn parse_crashes(spec: &str, n: usize, mut plan: PlanSpec) -> Result<PlanSpec, SpecError> {
     for item in spec.split(',').filter(|s| !s.is_empty()) {
-        let parts: Vec<&str> = item.split(':').collect();
-        let [agent, from, until] = parts[..] else {
-            return Err(SpecError(format!(
-                "invalid crash spec `{item}`: expected AGENT:FROM:UNTIL or AGENT:FROM:-"
-            )));
-        };
-        let agent: usize = agent
-            .parse()
-            .map_err(|_| SpecError(format!("invalid crash agent `{agent}`")))?;
+        let (agent, from, until) = parse_window(item, "crash", ["FROM", "UNTIL"])?;
         if agent >= n {
-            return Err(SpecError(format!(
+            return Err(err(format!(
                 "crash agent {agent} out of range (the graph has {n} agents)"
             )));
         }
-        let from: u64 = from
-            .parse()
-            .map_err(|_| SpecError(format!("invalid crash round `{from}`")))?;
-        if from == 0 {
-            return Err(SpecError("crash rounds are numbered from 1".into()));
-        }
-        plan = if until == "-" {
-            plan.crash_stop(agent, from)
-        } else {
-            let until: u64 = until
-                .parse()
-                .map_err(|_| SpecError(format!("invalid crash end round `{until}`")))?;
-            if until <= from {
-                return Err(SpecError(format!(
-                    "crash window `{item}` is empty (UNTIL must exceed FROM)"
-                )));
-            }
-            plan.crash(agent, from..until)
+        plan = match until {
+            Some(until) => plan.crash(agent, from..until),
+            None => plan.crash_stop(agent, from),
         };
     }
     Ok(plan)
+}
+
+/// Parse one `AGENT:FROM:UNTIL` window of the crash and churn grammars
+/// (`UNTIL` is `-` for a window that never ends) into
+/// `(agent, from, until)`. `noun` and the two round names word the
+/// errors. Total: a malformed field, round 0 or an empty window is a
+/// [`SpecError`], so every window it returns builds a plan.
+fn parse_window(
+    item: &str,
+    noun: &str,
+    [from_name, until_name]: [&str; 2],
+) -> Result<(usize, u64, Option<u64>), SpecError> {
+    let parts: Vec<&str> = item.split(':').collect();
+    let [agent, from, until] = parts[..] else {
+        return Err(err(format!(
+            "invalid {noun} window `{item}`: expected AGENT:{from_name}:{until_name} or AGENT:{from_name}:-"
+        )));
+    };
+    let agent: usize = agent
+        .parse()
+        .map_err(|_| err(format!("invalid {noun} agent `{agent}`")))?;
+    let from: u64 = from
+        .parse()
+        .map_err(|_| err(format!("invalid {noun} round `{from}`")))?;
+    if from == 0 {
+        return Err(err(format!("{noun} rounds are numbered from 1")));
+    }
+    if until == "-" {
+        return Ok((agent, from, None));
+    }
+    let until: u64 = until
+        .parse()
+        .map_err(|_| err(format!("invalid {noun} end round `{until}`")))?;
+    if until <= from {
+        return Err(err(format!(
+            "{noun} window `{item}` is empty ({until_name} must exceed {from_name})"
+        )));
+    }
+    Ok((agent, from, Some(until)))
 }
 
 // ---------------------------------------------------------------------
@@ -586,11 +602,14 @@ impl ChurnSpec {
         format!("c{}{suffix}", windows.join(","))
     }
 
-    /// Parse a [`ChurnSpec::label`] back into a template.
+    /// Parse a [`ChurnSpec::label`] back into a template. Windows follow
+    /// the grammar of [`parse_crashes`], so every template it returns
+    /// [`build`](ChurnSpec::build)s.
     ///
     /// # Errors
     ///
-    /// Returns a [`SpecError`] describing the malformed part.
+    /// Returns a [`SpecError`] describing the malformed part, a window
+    /// starting at round 0 or an empty window.
     pub fn parse(label: &str) -> Result<ChurnSpec, SpecError> {
         if label == "stable" {
             return Ok(ChurnSpec::stable());
@@ -607,19 +626,7 @@ impl ChurnSpec {
         let mut spec = ChurnSpec::stable();
         spec.policy = policy;
         for part in body.split(',') {
-            let fields: Vec<&str> = part.split(':').collect();
-            let [agent, leave, rejoin] = fields.as_slice() else {
-                return Err(err(format!(
-                    "churn window must be AGENT:LEAVE:REJOIN, got `{part}`"
-                )));
-            };
-            let agent = parse_num(agent, "churn agent")?;
-            let leave = parse_num(leave, "churn leave round")? as u64;
-            let rejoin = if *rejoin == "-" {
-                None
-            } else {
-                Some(parse_num(rejoin, "churn rejoin round")? as u64)
-            };
+            let (agent, leave, rejoin) = parse_window(part, "churn", ["LEAVE", "REJOIN"])?;
             spec.windows.push(ChurnWindow {
                 agent,
                 leave,
@@ -1260,6 +1267,10 @@ mod tests {
         assert!(ChurnSpec::parse("nonsense").is_err());
         assert!(ChurnSpec::parse("c1:2").is_err());
         assert!(ChurnSpec::parse("c1:x:3").is_err());
+        let err = ChurnSpec::parse("c1:0:5").unwrap_err();
+        assert!(err.0.contains("numbered from 1"), "{err}");
+        let err = ChurnSpec::parse("c1:15:5").unwrap_err();
+        assert!(err.0.contains("is empty"), "{err}");
     }
 
     #[test]
