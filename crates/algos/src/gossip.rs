@@ -77,12 +77,6 @@ pub mod set_functions {
     pub fn contains(set: &[u64], v: u64) -> bool {
         set.binary_search(&v).is_ok()
     }
-
-    /// Size of the support (NOT the network size — simple broadcast
-    /// cannot count agents, only distinct values).
-    pub fn support_size(set: &[u64]) -> usize {
-        set.len()
-    }
 }
 
 #[cfg(test)]
@@ -121,7 +115,6 @@ mod tests {
         assert_eq!(set_functions::max(&set), Some(9));
         assert!(set_functions::contains(&set, 5));
         assert!(!set_functions::contains(&set, 4));
-        assert_eq!(set_functions::support_size(&set), 3);
         assert_eq!(set_functions::min(&[]), None);
     }
 

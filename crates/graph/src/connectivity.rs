@@ -60,12 +60,6 @@ pub fn diameter(g: &Digraph) -> Option<usize> {
     Some(max)
 }
 
-/// All-pairs distance matrix: `m[i][j]` is the BFS distance from `i` to
-/// `j`, or `None` if unreachable.
-pub fn distance_matrix(g: &Digraph) -> Vec<Vec<Option<usize>>> {
-    (0..g.n()).map(|v| bfs_distances(g, v)).collect()
-}
-
 /// Eccentricity of every vertex (the largest distance *from* it), or
 /// `None` for vertices that cannot reach the whole graph.
 pub fn eccentricities(g: &Digraph) -> Vec<Option<usize>> {
@@ -130,9 +124,6 @@ mod tests {
         let ecc = eccentricities(&star);
         assert_eq!(ecc[0], Some(1));
         assert!(ecc[1..].iter().all(|&e| e == Some(2)));
-        let m = distance_matrix(&star);
-        assert_eq!(m[1][2], Some(2));
-        assert_eq!(m[0][3], Some(1));
         // A path graph: endpoint cannot be reached backwards.
         let path = Digraph::from_edges(3, [(0, 1), (1, 2)]);
         assert_eq!(eccentricities(&path), vec![Some(2), None, None]);

@@ -56,12 +56,6 @@ impl Metric<Vec<f64>> for EuclideanMetric {
     }
 }
 
-/// Whether every output is within `eps` of `target` under `metric` — the
-/// pointwise convergence criterion of §2.3 at tolerance `eps`.
-pub fn all_within<X, M: Metric<X>>(metric: &M, outputs: &[X], target: &X, eps: f64) -> bool {
-    outputs.iter().all(|o| metric.distance(o, target) <= eps)
-}
-
 /// The worst-case distance of any output from `target`.
 ///
 /// Returns `0.0` for empty input. A non-finite per-output distance (a
@@ -136,8 +130,6 @@ mod tests {
         let m = DiscreteMetric;
         assert_eq!(m.distance(&1, &1), 0.0);
         assert_eq!(m.distance(&1, &2), 1.0);
-        assert!(all_within(&m, &[5, 5, 5], &5, 0.0));
-        assert!(!all_within(&m, &[5, 4], &5, 0.5));
     }
 
     #[test]
