@@ -1,8 +1,9 @@
 //! Criterion bench: sequential vs parallel executor stepping. At the
 //! n = 32 and 128 measured here every shard is far below
 //! `MIN_SPAWN_AGENTS`, so `parallel_4` runs its four shards in order on
-//! the calling thread and prices only the sharded phases' bookkeeping
-//! (three passes and a destination-side inbox sort), not thread spawns.
+//! the calling thread and prices only the sharding bookkeeping of its two
+//! sharded phases (sends, transitions) around the one sequential routing
+//! pass in canonical order, not thread spawns.
 //! The `trace_sink` entries price the telemetry layer: `sequential` is
 //! the `NullObserver`-monomorphized path, so any gap between the two is
 //! exactly the opt-in observer cost.

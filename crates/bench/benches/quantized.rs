@@ -9,15 +9,12 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kya_algos::push_sum::{PushSum, PushSumState};
 use kya_algos::quantized::{QuantizedMetropolis, QuantizedPushSum};
+use kya_bench::experiments::inputs;
 use kya_graph::generators;
 use kya_runtime::{lane_columns, Execution, FlatExecution, FlatRunConfig, Isotropic, RunConfig};
 use std::time::Duration;
 
 const ROUNDS: u64 = 20;
-
-fn values_for(n: usize) -> Vec<f64> {
-    (0..n).map(|i| ((i * 7) % 13) as f64).collect()
-}
 
 fn bench_quantized_pushsum(c: &mut Criterion) {
     let mut group = c.benchmark_group("quantized_pushsum_20_rounds");
@@ -26,7 +23,7 @@ fn bench_quantized_pushsum(c: &mut Criterion) {
         .sample_size(10);
     for n in [1_000usize, 10_000] {
         let g = generators::random_strongly_connected(n, 2 * n, 5).with_self_loops();
-        let values = values_for(n);
+        let values = inputs(n);
         let plain = PushSumState::averaging(&values);
         group.bench_with_input(BenchmarkId::new("plain_boxed", n), &n, |b, _| {
             b.iter(|| {
@@ -74,7 +71,7 @@ fn bench_quantized_metropolis(c: &mut Criterion) {
         .sample_size(10);
     for n in [1_000usize] {
         let g = generators::bidirectional_ring(n).with_self_loops();
-        let values = values_for(n);
+        let values = inputs(n);
         for bits in [1u32, 8] {
             let algo = QuantizedMetropolis::new(bits, 13.0);
             let states = algo.initial(&values);

@@ -13,7 +13,7 @@ use kya_algos::push_sum::{total_mass, PushSum, PushSumState, SelfHealingPushSum}
 use kya_graph::StaticGraph;
 use kya_harness::{Args, CellCtx, CellOutcome, ExperimentSpec, PlanSpec, ResultSink, SpecError};
 use kya_runtime::metric::EuclideanMetric;
-use kya_runtime::{Execution, Isotropic, RunConfig};
+use kya_runtime::{CellReport, Execution, FlatAlgorithm, Isotropic, RunConfig};
 
 /// The F6 registry entry.
 pub const EXPERIMENT: Experiment = Experiment {
@@ -55,37 +55,46 @@ fn build(args: &Args) -> Result<Vec<ExperimentSpec>, SpecError> {
 }
 
 fn cell(ctx: &CellCtx) -> CellOutcome {
+    let n = ctx.graph().expect("static label").n();
+    CellOutcome::new().report(recovery(ctx, &super::inputs(n)).without_trace())
+}
+
+/// The F6 cell body: Push-Sum averaging of `values` on the cell's static
+/// graph under its fault plan, self-healing (`healing`) or plain
+/// (`plain`) by the cell's algorithm, measured against the mean of
+/// `values` with the z-mass deficit as the invariant. The report keeps
+/// its per-round distances.
+///
+/// # Panics
+///
+/// Panics if the cell's topology is not a static graph, `values` does
+/// not have one entry per agent, or the algorithm is neither name.
+pub fn recovery(ctx: &CellCtx, values: &[f64]) -> CellReport {
     let g = ctx.graph().expect("static label");
-    let n = g.n();
-    let values: Vec<f64> = (0..n).map(|i| ((i * 7) % 13) as f64).collect();
-    let target = values.iter().sum::<f64>() / n as f64;
     let net = StaticGraph::new((*g).clone());
-    let plan = ctx.fault_plan();
+    match ctx.cell.algorithm.as_str() {
+        "healing" => drive(SelfHealingPushSum, ctx, &net, values),
+        "plain" => drive(PushSum, ctx, &net, values),
+        other => panic!("unknown f6 algorithm `{other}`"),
+    }
+}
+
+fn drive<A>(algo: A, ctx: &CellCtx, net: &StaticGraph, values: &[f64]) -> CellReport
+where
+    A: FlatAlgorithm<State = PushSumState>,
+{
+    let n = values.len();
+    let target = values.iter().sum::<f64>() / n as f64;
     // z mass starts (and must stay) at n: the signed deficit is n - Σz.
     let z_deficit = move |states: &[PushSumState]| n as f64 - total_mass(states).1;
-    let report = match ctx.cell.algorithm.as_str() {
-        "healing" => Execution::new(
-            Isotropic(SelfHealingPushSum),
-            PushSumState::averaging(&values),
-        )
-        .faults(plan)
+    Execution::new(Isotropic(algo), PushSumState::averaging(values))
+        .faults(ctx.fault_plan())
         .drive(
-            &net,
+            net,
             RunConfig::rounds(ctx.rounds())
                 .measure(&EuclideanMetric, &target, ctx.eps())
                 .invariant(&z_deficit),
-        ),
-        "plain" => Execution::new(Isotropic(PushSum), PushSumState::averaging(&values))
-            .faults(plan)
-            .drive(
-                &net,
-                RunConfig::rounds(ctx.rounds())
-                    .measure(&EuclideanMetric, &target, ctx.eps())
-                    .invariant(&z_deficit),
-            ),
-        other => panic!("unknown f6 algorithm `{other}`"),
-    };
-    CellOutcome::new().report(report.without_trace())
+        )
 }
 
 fn render(sink: &ResultSink) -> String {

@@ -20,10 +20,10 @@ use kya_algos::metropolis::Metropolis;
 use kya_algos::push_sum::{PushSum, PushSumState};
 use kya_algos::quantized::{QuantizedMetropolis, QuantizedPushSum};
 use kya_arith::{BigInt, BigRational};
-use kya_graph::StaticGraph;
+use kya_graph::{DynamicGraph, StaticGraph};
 use kya_harness::{Args, CellCtx, CellOutcome, ExperimentSpec, ResultSink, SpecError};
 use kya_runtime::metric::EuclideanMetric;
-use kya_runtime::{BandwidthCap, ByteLedger, Execution, Isotropic, RunConfig};
+use kya_runtime::{BandwidthCap, ByteLedger, Execution, Isotropic, MessageCodec, RunConfig};
 
 /// The F7 registry entry.
 pub const EXPERIMENT: Experiment = Experiment {
@@ -46,11 +46,6 @@ fn build(args: &Args) -> Result<Vec<ExperimentSpec>, SpecError> {
         .variants(["b1", "b2", "b4", "b8", "binf"])
         .rounds(600)
         .with_args(args)?])
-}
-
-/// Deterministic per-cell inputs (same scheme as F6): values in `0..13`.
-fn inputs(n: usize) -> Vec<f64> {
-    (0..n).map(|i| ((i * 7) % 13) as f64).collect()
 }
 
 /// Order-sensitive splitmix fold over the state bits — the same
@@ -94,7 +89,7 @@ fn cell(ctx: &CellCtx) -> CellOutcome {
     let n = g.n();
     let edges = g.edge_count() as u64;
     let rounds = ctx.rounds();
-    let values = inputs(n);
+    let values = super::inputs(n);
     let target = values.iter().sum::<f64>() / n as f64;
     let spread0 = diameter(&values);
     let net = StaticGraph::new(g);
@@ -161,56 +156,105 @@ fn cell(ctx: &CellCtx) -> CellOutcome {
     // two effective grid steps (the transfer rule's rounding window) or,
     // where the outputs carry no fixed grid (quantized Push-Sum's token
     // ratios), one part in 2^b of the initial spread.
-    let (outs, ratios, conserved, floor) = match ctx.cell.algorithm.as_str() {
-        "qpushsum" => {
-            let algo = QuantizedPushSum::new(codec.bits());
-            let states = algo.initial(&values);
-            let before = QuantizedPushSum::total_tokens(&states);
-            let mut exec = Execution::new(Isotropic(algo), states);
-            exec.drive(&net, RunConfig::rounds(rounds).bandwidth(cap, &ledger));
-            let after = QuantizedPushSum::total_tokens(exec.states());
-            let ratios: Vec<(u64, u64)> = exec
-                .states()
-                .iter()
-                .map(|s| (s.y as u64, s.z as u64))
-                .collect();
-            let floor = spread0 / codec.levels() as f64;
-            (exec.outputs(), ratios, before == after, floor)
-        }
-        "qmetropolis" => {
-            let algo = QuantizedMetropolis::new(codec.bits(), 13.0);
-            let states = algo.initial(&values);
-            let before = QuantizedMetropolis::total_tokens(&states);
-            let mut exec = Execution::new(Isotropic(algo), states);
-            exec.drive(&net, RunConfig::rounds(rounds).bandwidth(cap, &ledger));
-            let after = QuantizedMetropolis::total_tokens(exec.states());
-            let ratios: Vec<(u64, u64)> = exec
-                .states()
-                .iter()
-                .map(|&x| (x as u64, codec.levels()))
-                .collect();
-            let floor = 2.0 * algo.resolution();
-            (exec.outputs(), ratios, before == after, floor)
-        }
-        other => panic!("unknown f7 algorithm `{other}`"),
-    };
-    let spread = diameter(&outs);
-    let survived = spread <= floor;
-    let residual = outs
+    let run = quantized(
+        &ctx.cell.algorithm,
+        codec,
+        13.0,
+        &values,
+        &net,
+        rounds,
+        &ledger,
+    );
+    let floor = run
+        .grid
+        .map_or(spread0 / codec.levels() as f64, |step| 2.0 * step);
+    let survived = diameter(&run.outputs) <= floor;
+    let residual = run
+        .outputs
         .iter()
         .map(|x| (x - target).abs())
         .fold(0.0f64, f64::max);
     let ledger_ok = ledger.total_bits() == rounds * edges * u64::from(codec.bits());
     CellOutcome::new()
-        .ok(conserved && ledger_ok)
+        .ok(run.conserved && ledger_ok)
         .detail("survived", survived)
         .detail(
             "digest",
-            format!("{:016x}", digest(outs.iter().map(|x| x.to_bits()))),
+            format!("{:016x}", digest(run.outputs.iter().map(|x| x.to_bits()))),
         )
-        .detail("qerr", exact_diameter(&ratios).to_string())
+        .detail("qerr", exact_diameter(&run.ratios).to_string())
         .detail("residual", residual)
         .detail("bytes", ledger.total_bytes())
+}
+
+/// One capped quantized averaging run ([`quantized`]).
+pub struct QuantizedRun {
+    /// The agents' final outputs.
+    pub outputs: Vec<f64>,
+    /// Each agent's exact token ratio `(num, den)`: its output in ℚ.
+    pub ratios: Vec<(u64, u64)>,
+    /// Whether the total token mass was conserved exactly.
+    pub conserved: bool,
+    /// The grid step quantized Metropolis transfers move in, or `None`
+    /// for quantized Push-Sum, whose token ratios carry no fixed grid.
+    pub grid: Option<f64>,
+}
+
+/// The capped F7 run: `qpushsum` or `qmetropolis` (the latter for values
+/// in `[0, bound]`) averaging `values` on `net` for `rounds` rounds with
+/// `codec`'s b-bit codewords, charging the cap's traffic to `ledger`.
+///
+/// # Panics
+///
+/// Panics on any other algorithm name, on `values` outside the
+/// algorithm's range, or if `values` does not have one entry per agent.
+pub fn quantized(
+    algorithm: &str,
+    codec: MessageCodec,
+    bound: f64,
+    values: &[f64],
+    net: &dyn DynamicGraph,
+    rounds: u64,
+    ledger: &ByteLedger,
+) -> QuantizedRun {
+    let cap = BandwidthCap::Bits(codec.bits());
+    match algorithm {
+        "qpushsum" => {
+            let algo = QuantizedPushSum::new(codec.bits());
+            let states = algo.initial(values);
+            let before = QuantizedPushSum::total_tokens(&states);
+            let mut exec = Execution::new(Isotropic(algo), states);
+            exec.drive(net, RunConfig::rounds(rounds).bandwidth(cap, ledger));
+            QuantizedRun {
+                outputs: exec.outputs(),
+                ratios: exec
+                    .states()
+                    .iter()
+                    .map(|s| (s.y as u64, s.z as u64))
+                    .collect(),
+                conserved: QuantizedPushSum::total_tokens(exec.states()) == before,
+                grid: None,
+            }
+        }
+        "qmetropolis" => {
+            let algo = QuantizedMetropolis::new(codec.bits(), bound);
+            let states = algo.initial(values);
+            let before = QuantizedMetropolis::total_tokens(&states);
+            let mut exec = Execution::new(Isotropic(algo), states);
+            exec.drive(net, RunConfig::rounds(rounds).bandwidth(cap, ledger));
+            QuantizedRun {
+                outputs: exec.outputs(),
+                ratios: exec
+                    .states()
+                    .iter()
+                    .map(|&x| (x as u64, codec.levels()))
+                    .collect(),
+                conserved: QuantizedMetropolis::total_tokens(exec.states()) == before,
+                grid: Some(algo.resolution()),
+            }
+        }
+        other => panic!("unknown f7 algorithm `{other}`"),
+    }
 }
 
 fn render(sink: &ResultSink) -> String {

@@ -20,7 +20,7 @@ use kya_harness::SpecError;
 use kya_harness::{Args, CellCtx, CellOutcome, ChurnSpec, ExperimentSpec, PlanSpec, ResultSink};
 use kya_runtime::churn::ChurnMasked;
 use kya_runtime::metric::EuclideanMetric;
-use kya_runtime::{Execution, Isotropic, RunConfig};
+use kya_runtime::{CellReport, Execution, FlatAlgorithm, Isotropic, RunConfig};
 
 /// The F8 registry entry.
 pub const EXPERIMENT: Experiment = Experiment {
@@ -69,48 +69,74 @@ fn build(args: &Args) -> Result<Vec<ExperimentSpec>, SpecError> {
 }
 
 fn cell(ctx: &CellCtx) -> CellOutcome {
-    let net = super::dynamic_net(&ctx.cell.topology).expect("pairing label");
-    let n = net.n();
-    let spec = ChurnSpec::parse(&ctx.cell.variant).expect("churn label");
-    let membership = spec.build(ctx.cell.cell_seed).membership(n);
-    let stack = ChurnMasked::new(net, membership.clone());
-    let values: Vec<f64> = (0..n).map(|i| ((i * 7) % 13) as f64).collect();
-    let target = values.iter().sum::<f64>() / n as f64;
-    let plan = ctx.fault_plan();
-    let report = match ctx.cell.algorithm.as_str() {
-        "healing" => {
-            let fresh = PushSumState::averaging(&values);
-            // Under Reset a rejoining agent restarts from its fresh
-            // initial state; the z ledger shift shows up in the deficit.
-            let reinit = |v: usize, _parked: &PushSumState| fresh[v];
-            let z_deficit = move |states: &[PushSumState]| n as f64 - total_mass(states).1;
-            Execution::new(Isotropic(SelfHealingPushSum), fresh.clone())
-                .faults(plan)
-                .drive(
-                    &stack,
-                    RunConfig::rounds(ctx.rounds())
-                        .membership(&membership, &reinit)
-                        .measure(&EuclideanMetric, &target, ctx.eps())
-                        .invariant(&z_deficit),
-                )
-        }
-        "metropolis" => {
-            let reinit = |v: usize, _parked: &f64| values[v];
-            let x0: f64 = values.iter().sum();
-            let x_deficit = move |states: &[f64]| x0 - states.iter().sum::<f64>();
-            Execution::new(Isotropic(Metropolis), values.clone())
-                .faults(plan)
-                .drive(
-                    &stack,
-                    RunConfig::rounds(ctx.rounds())
-                        .membership(&membership, &reinit)
-                        .measure(&EuclideanMetric, &target, ctx.eps())
-                        .invariant(&x_deficit),
-                )
-        }
+    let n = super::dynamic_net(&ctx.cell.topology)
+        .expect("pairing label")
+        .n();
+    CellOutcome::new().report(recovery(ctx, &super::inputs(n)).without_trace())
+}
+
+/// The F8 cell body: averaging of `values` on the cell's pairing
+/// scheduler, masked by the churn script of its variant label and
+/// faulted by its plan — self-healing Push-Sum (`healing`, z-mass
+/// deficit) or Metropolis (`metropolis`, x-mass deficit) by the cell's
+/// algorithm, measured against the mean of `values`. The report keeps
+/// its per-round distances.
+///
+/// # Panics
+///
+/// Panics if the topology is not a dynamic-network label, the variant
+/// is not a churn label naming agents of the network, `values` does not
+/// have one entry per agent, or the algorithm is neither name.
+pub fn recovery(ctx: &CellCtx, values: &[f64]) -> CellReport {
+    let n = values.len();
+    let x0: f64 = values.iter().sum();
+    let target = x0 / n as f64;
+    match ctx.cell.algorithm.as_str() {
+        "healing" => drive(
+            SelfHealingPushSum,
+            PushSumState::averaging(values),
+            &|states| n as f64 - total_mass(states).1,
+            target,
+            ctx,
+        ),
+        "metropolis" => drive(
+            Metropolis,
+            values.to_vec(),
+            &|states| x0 - states.iter().sum::<f64>(),
+            target,
+            ctx,
+        ),
         other => panic!("unknown f8 algorithm `{other}`"),
-    };
-    CellOutcome::new().report(report.without_trace())
+    }
+}
+
+/// Drive `algo` from `init` under the cell's churn and faults, measured
+/// against `target`, with `deficit` as the mass invariant.
+fn drive<A: FlatAlgorithm>(
+    algo: A,
+    init: Vec<A::State>,
+    deficit: &dyn Fn(&[A::State]) -> f64,
+    target: f64,
+    ctx: &CellCtx,
+) -> CellReport {
+    let net = super::dynamic_net(&ctx.cell.topology).expect("pairing label");
+    let membership = ChurnSpec::parse(&ctx.cell.variant)
+        .expect("churn label")
+        .build(ctx.cell.cell_seed)
+        .membership(net.n());
+    let stack = ChurnMasked::new(net, membership.clone());
+    // Under Reset a rejoining agent restarts from its initial state; the
+    // ledger shift shows up in the deficit.
+    let reinit = |v: usize, _parked: &A::State| init[v];
+    Execution::new(Isotropic(algo), init.clone())
+        .faults(ctx.fault_plan())
+        .drive(
+            &stack,
+            RunConfig::rounds(ctx.rounds())
+                .membership(&membership, &reinit)
+                .measure(&EuclideanMetric, &target, ctx.eps())
+                .invariant(deficit),
+        )
 }
 
 fn render(sink: &ResultSink) -> String {

@@ -304,6 +304,12 @@ pub fn dynamic_net(label: &str) -> Option<Box<dyn DynamicGraph>> {
     }
 }
 
+/// The fixed inputs of the F6, F7 and F8 sweeps: agent `i` holds
+/// `7i mod 13`, so the values spread over `0..13`.
+pub fn inputs(n: usize) -> Vec<f64> {
+    (0..n).map(|i| ((i * 7) % 13) as f64).collect()
+}
+
 /// Parse a comma-separated `f64` list flag with a default (used by F6's
 /// `--drops`).
 pub(crate) fn f64_list_flag(

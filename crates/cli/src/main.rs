@@ -57,12 +57,9 @@ use kya_algos::frequency::{CensusOutdegree, CensusPorts, CensusSymmetric, FibreC
 use kya_algos::gossip::SetGossip;
 use kya_algos::metropolis::Metropolis;
 use kya_algos::min_base::ViewState;
-use kya_algos::push_sum::{
-    round_to_grid, total_mass, FrequencyState, PushSum, PushSumFrequency, PushSumState,
-    SelfHealingPushSum,
-};
-use kya_algos::quantized::{QuantizedMetropolis, QuantizedPushSum};
+use kya_algos::push_sum::{round_to_grid, FrequencyState, PushSum, PushSumFrequency, PushSumState};
 use kya_arith::{BigInt, BigRational};
+use kya_bench::experiments::{f6, f7, f8};
 use kya_core::table::{render_table, NetworkKind};
 use kya_fibration::MinimumBase;
 use kya_graph::{connectivity, Digraph, RandomDynamicGraph, StaticGraph};
@@ -70,8 +67,6 @@ use kya_harness::{
     parse_crashes, parse_graph, parse_values, Args, CellOutcome, ChurnSpec, ExperimentSpec,
     PlanSpec, Runner, SpecError, TelemetryMode,
 };
-use kya_runtime::churn::ChurnMasked;
-use kya_runtime::metric::EuclideanMetric;
 use kya_runtime::{BandwidthCap, Broadcast, ByteLedger, Execution, Isotropic, RunConfig};
 use std::io::{self, Write};
 use std::process::ExitCode;
@@ -349,7 +344,8 @@ fn cmd_gossip(out: &mut dyn Write, args: &Args) -> Result<(), CliError> {
 }
 
 /// The F6 one-off: a single-cell harness sweep over the scripted fault
-/// plan, reported as a [`kya_runtime::CellReport`].
+/// plan that runs F6's cell body ([`f6::recovery`]) on the given values,
+/// reported as a [`kya_runtime::CellReport`].
 fn cmd_faults(out: &mut dyn Write, args: &Args) -> Result<(), CliError> {
     let (g, values) = graph_and_values(args)?;
     if !connectivity::is_strongly_connected(&g) {
@@ -390,33 +386,7 @@ fn cmd_faults(out: &mut dyn Write, args: &Args) -> Result<(), CliError> {
         .rounds(rounds)
         .eps(eps)
         .base_seed(seed);
-    let sink = Runner::new(&spec).run(|ctx| {
-        let g = ctx.graph().expect("validated above");
-        let net = StaticGraph::new((*g).clone());
-        let states = PushSumState::averaging(&inputs);
-        // z mass starts (and must stay) at n: the signed deficit is n - Σz.
-        let z_deficit = move |states: &[PushSumState]| n as f64 - total_mass(states).1;
-        let report = if plain {
-            Execution::new(Isotropic(PushSum), states)
-                .faults(ctx.fault_plan())
-                .drive(
-                    &net,
-                    RunConfig::rounds(ctx.rounds())
-                        .measure(&EuclideanMetric, &target, ctx.eps())
-                        .invariant(&z_deficit),
-                )
-        } else {
-            Execution::new(Isotropic(SelfHealingPushSum), states)
-                .faults(ctx.fault_plan())
-                .drive(
-                    &net,
-                    RunConfig::rounds(ctx.rounds())
-                        .measure(&EuclideanMetric, &target, ctx.eps())
-                        .invariant(&z_deficit),
-                )
-        };
-        CellOutcome::new().report(report)
-    });
+    let sink = Runner::new(&spec).run(|ctx| CellOutcome::new().report(f6::recovery(ctx, &inputs)));
     let record = sink.records().first().expect("one cell");
     let report = record.report.as_ref().expect("report recorded");
     if args.is_set("json") {
@@ -463,8 +433,9 @@ struct BandwidthRecord {
 }
 
 /// The F7 one-off: quantized Push-Sum or Metropolis on a static graph
-/// under a b-bit bandwidth cap, with the per-round byte ledger, exact-ℚ
-/// token accounting, and the convergence residual the cap costs.
+/// under a b-bit bandwidth cap ([`f7::quantized`]), with the per-round
+/// byte ledger, exact-ℚ token accounting, and the convergence residual
+/// the cap costs.
 fn cmd_bandwidth(out: &mut dyn Write, args: &Args) -> Result<(), CliError> {
     let (g, values) = graph_and_values(args)?;
     if !connectivity::is_strongly_connected(&g) {
@@ -474,6 +445,12 @@ fn cmd_bandwidth(out: &mut dyn Write, args: &Args) -> Result<(), CliError> {
     let cap = BandwidthCap::parse(cap_s)
         .ok_or_else(|| SpecError(format!("invalid --bits `{cap_s}` (1..=52, or `inf`)")))?;
     let algo_name = args.optional("algo").unwrap_or("qpushsum");
+    if !matches!(algo_name, "qpushsum" | "qmetropolis") {
+        return Err(SpecError(format!(
+            "unknown --algo `{algo_name}` (qpushsum|qmetropolis)"
+        ))
+        .into());
+    }
     let rounds = args.u64_flag("rounds", 200)?.max(1);
     let g = g.with_self_loops();
     let n = g.n();
@@ -484,39 +461,17 @@ fn cmd_bandwidth(out: &mut dyn Write, args: &Args) -> Result<(), CliError> {
     let net = StaticGraph::new(g);
 
     let (outputs, exact, mass_conserved) = match (algo_name, cap.codec()) {
-        ("qpushsum", Some(codec)) => {
-            let algo = QuantizedPushSum::new(codec.bits());
-            let inits = algo.initial(&inputs);
-            let before = QuantizedPushSum::total_tokens(&inits);
-            let mut exec = Execution::new(Isotropic(algo), inits);
-            exec.drive(&net, RunConfig::rounds(rounds).bandwidth(cap, &ledger));
-            let after = QuantizedPushSum::total_tokens(exec.states());
-            let exact: Vec<String> = exec
-                .states()
-                .iter()
-                .map(|s| {
-                    BigRational::new(BigInt::from(s.y as u64), BigInt::from(s.z as u64)).to_string()
-                })
-                .collect();
-            (exec.outputs(), exact, before == after)
-        }
-        ("qmetropolis", Some(codec)) => {
+        (_, Some(codec)) => {
             let bound = inputs.iter().copied().fold(1.0f64, f64::max);
-            let algo = QuantizedMetropolis::new(codec.bits(), bound);
-            let inits = algo.initial(&inputs);
-            let before = QuantizedMetropolis::total_tokens(&inits);
-            let mut exec = Execution::new(Isotropic(algo), inits);
-            exec.drive(&net, RunConfig::rounds(rounds).bandwidth(cap, &ledger));
-            let after = QuantizedMetropolis::total_tokens(exec.states());
-            let exact: Vec<String> = exec
-                .states()
+            let run = f7::quantized(algo_name, codec, bound, &inputs, &net, rounds, &ledger);
+            let exact = run
+                .ratios
                 .iter()
-                .map(|&x| {
-                    BigRational::new(BigInt::from(x as u64), BigInt::from(codec.levels()))
-                        .to_string()
+                .map(|&(num, den)| {
+                    BigRational::new(BigInt::from(num), BigInt::from(den)).to_string()
                 })
                 .collect();
-            (exec.outputs(), exact, before == after)
+            (run.outputs, exact, run.conserved)
         }
         // `--bits inf`: the unquantized algorithm with the cap rung as a
         // pure observer — no tokens, so no exact column; the ledger
@@ -526,15 +481,10 @@ fn cmd_bandwidth(out: &mut dyn Write, args: &Args) -> Result<(), CliError> {
             exec.drive(&net, RunConfig::rounds(rounds).bandwidth(cap, &ledger));
             (exec.outputs(), Vec::new(), true)
         }
-        ("qmetropolis", None) => {
+        (_, None) => {
             let mut exec = Execution::new(Isotropic(Metropolis), inputs.clone());
             exec.drive(&net, RunConfig::rounds(rounds).bandwidth(cap, &ledger));
             (exec.outputs(), Vec::new(), true)
-        }
-        (other, _) => {
-            return Err(
-                SpecError(format!("unknown --algo `{other}` (qpushsum|qmetropolis)")).into(),
-            );
         }
     };
     let residual = outputs
@@ -585,7 +535,8 @@ fn cmd_bandwidth(out: &mut dyn Write, args: &Args) -> Result<(), CliError> {
 }
 
 /// The F8 one-off: a single-cell harness sweep over an Angluin-style
-/// pairing scheduler, a churn script, and optional message faults —
+/// pairing scheduler, a churn script, and optional message faults that
+/// runs F8's cell body ([`f8::recovery`]) on the given values —
 /// self-healing Push-Sum or Metropolis averaging with the churn-aware
 /// recovery report (convergence counts only strictly after the last
 /// fault *or churn transition*).
@@ -618,18 +569,6 @@ fn cmd_churn(out: &mut dyn Write, args: &Args) -> Result<(), CliError> {
             ))
             .into());
         }
-        if w.leave == 0 {
-            return Err(SpecError("churn rounds are numbered from 1".into()).into());
-        }
-        if let Some(rejoin) = w.rejoin {
-            if rejoin <= w.leave {
-                return Err(SpecError(format!(
-                    "churn window `{}:{}:{rejoin}` is empty (REJOIN must exceed LEAVE)",
-                    w.agent, w.leave
-                ))
-                .into());
-            }
-        }
     }
     let drop_p = args.f64_flag("drop", 0.0)?;
     if !(0.0..1.0).contains(&drop_p) {
@@ -657,45 +596,7 @@ fn cmd_churn(out: &mut dyn Write, args: &Args) -> Result<(), CliError> {
         .rounds(rounds)
         .eps(eps)
         .base_seed(seed);
-    let sink = Runner::new(&spec).run(|ctx| {
-        let net = kya_bench::experiments::dynamic_net(&ctx.cell.topology).expect("validated above");
-        let membership = ChurnSpec::parse(&ctx.cell.variant)
-            .expect("validated above")
-            .build(ctx.cell.cell_seed)
-            .membership(n);
-        let stack = ChurnMasked::new(net, membership.clone());
-        let report = match ctx.cell.algorithm.as_str() {
-            "healing" => {
-                let fresh = PushSumState::averaging(&inputs);
-                let reinit = |v: usize, _parked: &PushSumState| fresh[v];
-                let z_deficit = move |states: &[PushSumState]| n as f64 - total_mass(states).1;
-                Execution::new(Isotropic(SelfHealingPushSum), fresh.clone())
-                    .faults(ctx.fault_plan())
-                    .drive(
-                        &stack,
-                        RunConfig::rounds(ctx.rounds())
-                            .membership(&membership, &reinit)
-                            .measure(&EuclideanMetric, &target, ctx.eps())
-                            .invariant(&z_deficit),
-                    )
-            }
-            _ => {
-                let reinit = |v: usize, _parked: &f64| inputs[v];
-                let x0: f64 = inputs.iter().sum();
-                let x_deficit = move |states: &[f64]| x0 - states.iter().sum::<f64>();
-                Execution::new(Isotropic(Metropolis), inputs.clone())
-                    .faults(ctx.fault_plan())
-                    .drive(
-                        &stack,
-                        RunConfig::rounds(ctx.rounds())
-                            .membership(&membership, &reinit)
-                            .measure(&EuclideanMetric, &target, ctx.eps())
-                            .invariant(&x_deficit),
-                    )
-            }
-        };
-        CellOutcome::new().report(report)
-    });
+    let sink = Runner::new(&spec).run(|ctx| CellOutcome::new().report(f8::recovery(ctx, &inputs)));
     let record = sink.records().first().expect("one cell");
     let report = record.report.as_ref().expect("report recorded");
     if args.is_set("json") {
