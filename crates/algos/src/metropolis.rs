@@ -20,6 +20,7 @@
 //! with finite dynamic diameter follows from Moreau's theorem, quadratic
 //! rates from \[10\].
 
+use kya_runtime::bits::StateBits;
 use kya_runtime::{BroadcastAlgorithm, FlatAlgorithm, Inbox, Lanes};
 
 /// Metropolis averaging: `x_i += Σ_j (x_j - x_i) / (1 + max(d_i, d_j))`
@@ -58,6 +59,12 @@ impl Lanes for DegreeTagged {
     #[inline]
     fn store(&self, lanes: &mut [f64]) {
         (self.x, self.degree as f64).store(lanes);
+    }
+}
+
+impl StateBits for DegreeTagged {
+    fn feed(&self, out: &mut Vec<u64>) {
+        out.extend_from_slice(&[self.x.to_bits(), self.degree as u64]);
     }
 }
 

@@ -49,17 +49,11 @@ impl ViewState {
     }
 }
 
-/// The value, then the view's depth, root value and content hash. The
-/// interning id is left out: it depends on allocation order, so it would
-/// make the words differ between otherwise identical runs.
+/// The value, then the view's words.
 impl StateBits for ViewState {
     fn feed(&self, out: &mut Vec<u64>) {
-        out.extend_from_slice(&[
-            self.value,
-            self.view.depth() as u64,
-            self.view.value(),
-            self.view.canon(),
-        ]);
+        out.push(self.value);
+        self.view.feed(out);
     }
 }
 

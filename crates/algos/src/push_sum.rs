@@ -161,23 +161,12 @@ impl SoundMass for BigRational {}
 
 /// A Push-Sum mass pair over one rung: the state of scalar Push-Sum on
 /// the sound rungs, and the masses of one frequency instance.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MassPair<M> {
     /// Value mass `y`.
     pub y: M,
     /// Weight mass `z`.
     pub z: M,
-}
-
-/// Renders as `Mass { y: .., z: .. }`, the text of the `f64` frequency
-/// state's masses that telemetry counts as payload bytes.
-impl<M: fmt::Debug> fmt::Debug for MassPair<M> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Mass")
-            .field("y", &self.y)
-            .field("z", &self.z)
-            .finish()
-    }
 }
 
 impl<M: StateBits> StateBits for MassPair<M> {

@@ -21,6 +21,7 @@
 //! views of the valued/colored graphs `G_od` / `G_op` of §3.
 
 use kya_graph::Digraph;
+use kya_runtime::bits::StateBits;
 use std::cmp::Ordering;
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
@@ -154,13 +155,6 @@ impl View {
         self.0.depth
     }
 
-    /// Content-derived canonical hash of the whole tree: stable across
-    /// runs, processes and worker threads (unlike the interning identity,
-    /// which depends on allocation order).
-    pub(crate) fn canon(&self) -> u64 {
-        self.0.canon
-    }
-
     /// Annotated children.
     pub fn children(&self) -> &[(u64, View)] {
         &self.0.children
@@ -280,6 +274,15 @@ impl std::hash::Hash for View {
 impl fmt::Debug for View {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "View(value={}, depth={})", self.0.value, self.0.depth)
+    }
+}
+
+/// The depth, root value and content hash. The interning id is left
+/// out: it depends on allocation order, so it would make the words
+/// differ between otherwise identical runs.
+impl StateBits for View {
+    fn feed(&self, out: &mut Vec<u64>) {
+        out.extend_from_slice(&[self.0.depth as u64, self.0.value, self.0.canon]);
     }
 }
 

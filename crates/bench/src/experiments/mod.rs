@@ -26,6 +26,7 @@ use kya_graph::{
 use kya_harness::{Args, CellCtx, CellOutcome, ExperimentSpec, ResultSink, Runner, SpecError};
 use kya_harness::{TelemetryMode, TopologyCache, SWEEP_FLAGS};
 use kya_runtime::adversary::AsyncStarts;
+use kya_runtime::bits::StateBits;
 use kya_runtime::metric::EuclideanMetric;
 use kya_runtime::telemetry::TraceSink;
 use kya_runtime::{Algorithm, Execution, RunConfig};
@@ -166,8 +167,8 @@ pub(crate) fn observed_convergence<A>(
 ) -> (bool, CellOutcome)
 where
     A: Algorithm<Output = f64> + Sync,
-    A::State: Send + Sync,
-    A::Msg: Send + Sync,
+    A::State: Send + Sync + StateBits,
+    A::Msg: Send + Sync + StateBits,
 {
     let mode = ctx.telemetry;
     if !mode.enabled() {

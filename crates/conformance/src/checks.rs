@@ -217,7 +217,7 @@ fn paths_agree<A>(
 where
     A: Algorithm + Clone + Sync,
     A::State: Send + Sync + StateBits,
-    A::Msg: Send + Sync,
+    A::Msg: Send + Sync + StateBits,
 {
     let mut seq = Execution::new(algo.clone(), inits.clone());
     let mut par = Execution::new(algo.clone(), inits.clone());

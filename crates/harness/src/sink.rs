@@ -27,12 +27,13 @@ pub struct CellTelemetry {
     pub messages: u64,
     /// Messages delivered over self-loops.
     pub self_messages: u64,
-    /// Payload bytes delivered (Debug-rendering proxy).
-    pub payload_bytes: u64,
+    /// Payload words delivered: the [`StateBits`](kya_runtime::bits::StateBits)
+    /// words of every message, self-loops included.
+    pub payload_words: u64,
     /// Messages lost to fault injection.
     pub dropped: u64,
-    /// Largest single-agent state seen, in bytes.
-    pub peak_state_bytes: u64,
+    /// Largest single-agent state seen, in `StateBits` words.
+    pub peak_state_words: u64,
     /// Wall-clock microseconds the cell function ran for (0 unless the
     /// runner's telemetry mode is on).
     pub wall_us: u64,
@@ -60,9 +61,9 @@ impl CellTelemetry {
             rounds: c.rounds,
             messages: c.messages,
             self_messages: c.self_messages,
-            payload_bytes: c.payload_bytes,
+            payload_words: c.payload_words,
             dropped: c.dropped,
-            peak_state_bytes: c.peak_state_bytes,
+            peak_state_words: c.peak_state_words,
             ..CellTelemetry::default()
         }
     }

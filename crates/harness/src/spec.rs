@@ -299,7 +299,12 @@ fn mix(mut z: u64) -> u64 {
 /// This is the fault-plan *axis* of an [`ExperimentSpec`]: the same
 /// template crossed with many cells yields independent (but
 /// deterministic and replayable) fault coins per cell.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+///
+/// Deserialization is total: it rejects what [`build`](PlanSpec::build)
+/// would panic on — a drop rate outside `[0, 1)`, a duplication rate
+/// outside `[0, 1]`, `horizon: 0`, a crash window starting at round 0
+/// and an empty one — so every template it returns builds.
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct PlanSpec {
     drop_p: f64,
     dup_p: f64,
@@ -428,6 +433,42 @@ impl PlanSpec {
     }
 }
 
+impl Deserialize for PlanSpec {
+    fn from_value(v: &serde::Value) -> Result<PlanSpec, serde::Error> {
+        let drop_p = f64::from_value(v.field("drop_p")?)?;
+        if !(0.0..1.0).contains(&drop_p) {
+            return Err(serde::Error::custom(format!(
+                "drop rate {drop_p} is outside [0, 1)"
+            )));
+        }
+        let dup_p = f64::from_value(v.field("dup_p")?)?;
+        if !(0.0..=1.0).contains(&dup_p) {
+            return Err(serde::Error::custom(format!(
+                "duplication rate {dup_p} is outside [0, 1]"
+            )));
+        }
+        let horizon = Option::<u64>::from_value(v.field("horizon")?)?;
+        if horizon == Some(0) {
+            return Err(serde::Error::custom(
+                "fault horizon must be at least one round",
+            ));
+        }
+        let crashes = Vec::<CrashWindow>::from_value(v.field("crashes")?)?;
+        for w in &crashes {
+            let item = window_label(w.agent, w.from, w.until);
+            check_window(&item, w.from, w.until, "crash", ["FROM", "UNTIL"])
+                .map_err(|e| serde::Error::custom(e.0))?;
+        }
+        Ok(PlanSpec {
+            drop_p,
+            dup_p,
+            horizon,
+            crashes,
+            seed: Option::<u64>::from_value(v.field("seed")?)?,
+        })
+    }
+}
+
 /// Fold a crash spec into `plan`: comma-separated `AGENT:FROM:UNTIL`
 /// (crash-recover for rounds `FROM..UNTIL`) and `AGENT:FROM:-`
 /// (crash-stop from round `FROM`) windows over `n` agents — the grammar
@@ -471,21 +512,44 @@ fn parse_window(
     let from: u64 = from
         .parse()
         .map_err(|_| err(format!("invalid {noun} round `{from}`")))?;
-    if from == 0 {
-        return Err(err(format!("{noun} rounds are numbered from 1")));
-    }
+    check_window(item, from, None, noun, [from_name, until_name])?;
     if until == "-" {
         return Ok((agent, from, None));
     }
     let until: u64 = until
         .parse()
         .map_err(|_| err(format!("invalid {noun} end round `{until}`")))?;
-    if until <= from {
-        return Err(err(format!(
-            "{noun} window `{item}` is empty ({until_name} must exceed {from_name})"
-        )));
-    }
+    check_window(item, from, Some(until), noun, [from_name, until_name])?;
     Ok((agent, from, Some(until)))
+}
+
+/// The `AGENT:FROM:UNTIL` text of a window, `-` for no end.
+fn window_label(agent: usize, from: u64, until: Option<u64>) -> String {
+    match until {
+        Some(until) => format!("{agent}:{from}:{until}"),
+        None => format!("{agent}:{from}:-"),
+    }
+}
+
+/// Reject the window `item` if it starts at round 0 or is empty, the
+/// two windows the crash and churn plans panic on; `noun` and the
+/// round names word the error.
+fn check_window(
+    item: &str,
+    from: u64,
+    until: Option<u64>,
+    noun: &str,
+    [from_name, until_name]: [&str; 2],
+) -> Result<(), SpecError> {
+    if from == 0 {
+        return Err(err(format!("{noun} rounds are numbered from 1")));
+    }
+    match until {
+        Some(until) if until <= from => Err(err(format!(
+            "{noun} window `{item}` is empty ({until_name} must exceed {from_name})"
+        ))),
+        _ => Ok(()),
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -501,7 +565,11 @@ fn parse_window(
 /// so the label grammar is round-trippable: [`ChurnSpec::label`] and
 /// [`ChurnSpec::parse`] are inverses, and a cell function reconstructs
 /// the template from its `variant` string.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+///
+/// Deserialization is total like [`ChurnSpec::parse`]: a window starting
+/// at round 0 or an empty one is an error, so every template it returns
+/// builds.
+#[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct ChurnSpec {
     windows: Vec<ChurnWindow>,
     policy: ReinjectPolicy,
@@ -590,10 +658,7 @@ impl ChurnSpec {
         let windows: Vec<String> = self
             .windows
             .iter()
-            .map(|w| {
-                let rejoin = w.rejoin.map_or_else(|| "-".to_string(), |r| r.to_string());
-                format!("{}:{}:{}", w.agent, w.leave, rejoin)
-            })
+            .map(|w| window_label(w.agent, w.leave, w.rejoin))
             .collect();
         let suffix = match self.policy {
             ReinjectPolicy::Carry => "",
@@ -647,6 +712,22 @@ impl ChurnSpec {
             };
         }
         plan
+    }
+}
+
+impl Deserialize for ChurnSpec {
+    fn from_value(v: &serde::Value) -> Result<ChurnSpec, serde::Error> {
+        let windows = Vec::<ChurnWindow>::from_value(v.field("windows")?)?;
+        for w in &windows {
+            let item = window_label(w.agent, w.leave, w.rejoin);
+            check_window(&item, w.leave, w.rejoin, "churn", ["LEAVE", "REJOIN"])
+                .map_err(|e| serde::Error::custom(e.0))?;
+        }
+        Ok(ChurnSpec {
+            windows,
+            policy: ReinjectPolicy::from_value(v.field("policy")?)?,
+            seed: Option::<u64>::from_value(v.field("seed")?)?,
+        })
     }
 }
 
@@ -908,63 +989,74 @@ impl ExperimentSpec {
     /// (what a runner pre-warms the cache with).
     pub fn topology_labels(&self) -> Vec<String> {
         let mut labels = Vec::new();
-        for c in self.cells() {
-            if !labels.contains(&c.topology) {
-                labels.push(c.topology);
+        for (topology, _, _) in self.points() {
+            if !labels.contains(&topology) {
+                labels.push(topology);
             }
         }
         labels
     }
 
-    /// Enumerate every cell in the fixed axis order: topology (outer) ×
-    /// size × seed × algorithm × variant × plan (inner).
-    pub fn cells(&self) -> Vec<CellSpec> {
-        fn or_neutral<T: Clone>(axis: &[T], neutral: T) -> Vec<T> {
-            if axis.is_empty() {
-                vec![neutral]
-            } else {
-                axis.to_vec()
-            }
-        }
+    /// Every (topology, size, seed) point of the three outer axes, in
+    /// enumeration order, with its resolved topology label.
+    fn points(&self) -> Vec<(String, usize, u64)> {
         let topologies = or_neutral(&self.topologies, String::new());
         let sizes = or_neutral(&self.sizes, 0);
         let seeds = or_neutral(&self.seeds, self.base_seed);
+        let mut out = Vec::with_capacity(topologies.len() * sizes.len() * seeds.len());
+        for pattern in &topologies {
+            for &n in &sizes {
+                let sized = pattern.replace("{n}", &n.to_string());
+                for &seed in &seeds {
+                    out.push((sized.replace("{seed}", &seed.to_string()), n, seed));
+                }
+            }
+        }
+        out
+    }
+
+    /// Enumerate every cell in the fixed axis order: topology (outer) ×
+    /// size × seed × algorithm × variant × plan (inner).
+    pub fn cells(&self) -> Vec<CellSpec> {
         let algorithms = or_neutral(&self.algorithms, String::new());
         let variants = or_neutral(&self.variants, String::new());
         let plans = or_neutral(&self.plans, PlanSpec::quiescent());
+        let points = self.points();
+        let base = mix(self.base_seed ^ 0x6b79_615f_6877_7373);
 
-        let mut out = Vec::new();
-        let mut index = 0;
-        for pattern in &topologies {
-            for &n in &sizes {
-                for &seed in &seeds {
-                    for algorithm in &algorithms {
-                        for variant in &variants {
-                            for plan in &plans {
-                                let topology = pattern
-                                    .replace("{n}", &n.to_string())
-                                    .replace("{seed}", &seed.to_string());
-                                let mut h = mix(self.base_seed ^ 0x6b79_615f_6877_7373);
-                                h = mix(h.wrapping_add(seed));
-                                let cell_seed = mix(h.wrapping_add(index as u64));
-                                out.push(CellSpec {
-                                    index,
-                                    topology,
-                                    n,
-                                    seed,
-                                    algorithm: algorithm.clone(),
-                                    variant: variant.clone(),
-                                    plan: plan.clone(),
-                                    cell_seed,
-                                });
-                                index += 1;
-                            }
-                        }
+        let mut out =
+            Vec::with_capacity(points.len() * algorithms.len() * variants.len() * plans.len());
+        for (topology, n, seed) in points {
+            let h = mix(base.wrapping_add(seed));
+            for algorithm in &algorithms {
+                for variant in &variants {
+                    for plan in &plans {
+                        let index = out.len();
+                        out.push(CellSpec {
+                            index,
+                            topology: topology.clone(),
+                            n,
+                            seed,
+                            algorithm: algorithm.clone(),
+                            variant: variant.clone(),
+                            plan: plan.clone(),
+                            cell_seed: mix(h.wrapping_add(index as u64)),
+                        });
                     }
                 }
             }
         }
         out
+    }
+}
+
+/// An axis as enumerated: the configured values, or the single
+/// `neutral` element when the axis is empty.
+fn or_neutral<T: Clone>(axis: &[T], neutral: T) -> Vec<T> {
+    if axis.is_empty() {
+        vec![neutral]
+    } else {
+        axis.to_vec()
     }
 }
 

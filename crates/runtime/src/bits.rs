@@ -12,6 +12,7 @@
 
 use kya_arith::{BigInt, BigRational, Sign};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -120,6 +121,20 @@ impl<T: StateBits> StateBits for Vec<T> {
     }
 }
 
+impl<A: StateBits, B: StateBits> StateBits for (A, B) {
+    fn feed(&self, out: &mut Vec<u64>) {
+        self.0.feed(out);
+        self.1.feed(out);
+    }
+}
+
+/// The shared value's words: sharing is not part of the bit pattern.
+impl<T: StateBits + ?Sized> StateBits for Arc<T> {
+    fn feed(&self, out: &mut Vec<u64>) {
+        (**self).feed(out);
+    }
+}
+
 impl<K: StateBits, V: StateBits> StateBits for BTreeMap<K, V> {
     fn feed(&self, out: &mut Vec<u64>) {
         out.push(self.len() as u64);
@@ -194,6 +209,14 @@ mod tests {
         let mut m = BTreeMap::new();
         m.insert(4u64, true);
         assert_eq!(m.words(), vec![1, 4, 1]);
+    }
+
+    #[test]
+    fn pairs_and_shared_values_feed_their_parts() {
+        assert_eq!((3u64, 1.5f64).words(), vec![3, 1.5f64.to_bits()]);
+        let shared = Arc::new(vec![7u32, 8]);
+        assert_eq!(shared.words(), vec![2, 7, 8]);
+        assert_eq!(shared.words(), (*shared).words());
     }
 
     #[test]

@@ -16,18 +16,20 @@
 //!   optional residual), buffered with a stable serde schema and
 //!   rendered as NDJSON, and the run's totals as a [`CountSummary`]:
 //!   messages delivered (split into self-loop and real-link traffic),
-//!   payload bytes, fault-dropped messages, and peak state size.
+//!   payload words, fault-dropped messages, and peak state size.
 //!
-//! Payload and state sizes use the `Debug` rendering's byte length as a
-//! deterministic, dependency-free proxy for serialized size: the repo
-//! has no wire format, and `Debug` is the one encoding every `Msg` and
-//! `State` already carries. The proxy is documented, stable across runs,
-//! and only ever computed by opt-in observers.
+//! Payload and state sizes are counted in [`StateBits`] words: the
+//! number of `u64` words a value writes with [`StateBits::feed`], the
+//! same exact bit-level encoding the conformance oracles compare and
+//! fingerprint. An `f64` is one word, a pair two, a map its length plus
+//! its entries. The repo has no wire format, so this is the size
+//! measure; it is deterministic, never formats a value, and is only
+//! ever computed by opt-in observers.
 
 use crate::algorithm::Algorithm;
+use crate::bits::StateBits;
 use crate::metric::{max_distance, Metric};
 use serde::{Deserialize, Serialize};
-use std::fmt::Write as _;
 
 /// Round-scoped hooks driven by the executors.
 ///
@@ -82,7 +84,7 @@ impl<A: Algorithm> Observer<A> for NullObserver {}
 
 /// Run totals accumulated by a [`TraceSink`].
 ///
-/// All sizes are `Debug`-rendering byte lengths (see the module docs).
+/// All sizes are [`StateBits`] word counts (see the module docs).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CountSummary {
     /// Rounds observed (`on_round_end` calls).
@@ -91,18 +93,18 @@ pub struct CountSummary {
     pub messages: u64,
     /// Messages delivered over self-loops (`src == dst`).
     pub self_messages: u64,
-    /// Payload bytes of every delivered message, self-loops included.
-    pub payload_bytes: u64,
+    /// Payload words of every delivered message, self-loops included.
+    pub payload_words: u64,
     /// Messages lost to fault injection (drops and bounces).
     pub dropped: u64,
-    /// Largest single-agent state seen at any round end, in bytes.
-    pub peak_state_bytes: u64,
+    /// Largest single-agent state seen at any round end, in words.
+    pub peak_state_words: u64,
 }
 
-/// Byte length of a value's `Debug` rendering, reusing `buf`.
-fn debug_len(buf: &mut String, value: &impl std::fmt::Debug) -> u64 {
+/// Number of [`StateBits`] words `value` writes, reusing `buf`.
+fn word_count(buf: &mut Vec<u64>, value: &impl StateBits) -> u64 {
     buf.clear();
-    let _ = write!(buf, "{value:?}");
+    value.feed(buf);
     buf.len() as u64
 }
 
@@ -110,7 +112,7 @@ fn debug_len(buf: &mut String, value: &impl std::fmt::Debug) -> u64 {
 /// when the sink was built with a metric.
 ///
 /// Serializes with a stable field order (`round`, `messages`,
-/// `self_messages`, `payload_bytes`, `dropped`, `residual`) — the schema
+/// `self_messages`, `payload_words`, `dropped`, `residual`) — the schema
 /// the CI trace-determinism job diffs byte for byte.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RoundEvent {
@@ -120,8 +122,8 @@ pub struct RoundEvent {
     pub messages: u64,
     /// Messages delivered over self-loops this round.
     pub self_messages: u64,
-    /// Payload bytes delivered this round (self-loops included).
-    pub payload_bytes: u64,
+    /// Payload words delivered this round (self-loops included).
+    pub payload_words: u64,
     /// Messages lost to fault injection this round.
     pub dropped: u64,
     /// Worst-case distance from the target at the round's end, when a
@@ -135,7 +137,7 @@ impl RoundEvent {
             round,
             messages: 0,
             self_messages: 0,
-            payload_bytes: 0,
+            payload_words: 0,
             dropped: 0,
             residual: None,
         }
@@ -152,7 +154,7 @@ pub struct TraceSink<A: Algorithm> {
     events: Vec<RoundEvent>,
     current: Option<RoundEvent>,
     summary: CountSummary,
-    buf: String,
+    words: Vec<u64>,
     residual: Option<ResidualFn<A>>,
 }
 
@@ -169,7 +171,7 @@ impl<A: Algorithm> TraceSink<A> {
             events: Vec::new(),
             current: None,
             summary: CountSummary::default(),
-            buf: String::new(),
+            words: Vec::new(),
             residual: None,
         }
     }
@@ -219,13 +221,19 @@ impl<A: Algorithm> TraceSink<A> {
     }
 }
 
-impl<A: Algorithm> Observer<A> for TraceSink<A> {
+/// Sizes are [`StateBits`] word counts, so a traced algorithm's
+/// messages and states implement it; nothing is ever formatted.
+impl<A: Algorithm> Observer<A> for TraceSink<A>
+where
+    A::Msg: StateBits,
+    A::State: StateBits,
+{
     fn on_round_start(&mut self, round: u64, _states: &[A::State]) {
         self.current = Some(RoundEvent::empty(round));
     }
 
     fn on_message(&mut self, round: u64, src: usize, dst: usize, msg: &A::Msg) {
-        let bytes = debug_len(&mut self.buf, msg);
+        let words = word_count(&mut self.words, msg);
         let is_self = src == dst;
         let e = self.current_mut(round);
         if is_self {
@@ -233,13 +241,13 @@ impl<A: Algorithm> Observer<A> for TraceSink<A> {
         } else {
             e.messages += 1;
         }
-        e.payload_bytes += bytes;
+        e.payload_words += words;
         if is_self {
             self.summary.self_messages += 1;
         } else {
             self.summary.messages += 1;
         }
-        self.summary.payload_bytes += bytes;
+        self.summary.payload_words += words;
     }
 
     fn on_message_dropped(&mut self, round: u64, _src: usize, _dst: usize, _msg: &A::Msg) {
@@ -257,8 +265,8 @@ impl<A: Algorithm> Observer<A> for TraceSink<A> {
         }
         self.summary.rounds += 1;
         for s in states {
-            let bytes = debug_len(&mut self.buf, s);
-            self.summary.peak_state_bytes = self.summary.peak_state_bytes.max(bytes);
+            let words = word_count(&mut self.words, s);
+            self.summary.peak_state_words = self.summary.peak_state_words.max(words);
         }
         self.events.push(e);
     }
@@ -425,9 +433,60 @@ mod tests {
         assert_eq!(s.messages, 4 * 5);
         assert_eq!(s.self_messages, 4 * 5);
         assert_eq!(s.dropped, 0);
-        // Every u32 here renders as one digit: 2 × 5 msgs × 1 byte/round.
-        assert_eq!(s.payload_bytes, 4 * 10);
-        assert_eq!(s.peak_state_bytes, 1);
+        // Every u32 is one word: 2 × 5 msgs × 1 word/round.
+        assert_eq!(s.payload_words, 4 * 10);
+        assert_eq!(s.peak_state_words, 1);
+    }
+
+    /// A word whose `Debug` impl panics, so a trace that formatted a
+    /// message or a state would fail the test that runs it.
+    #[derive(Clone, Copy)]
+    struct Opaque(u64);
+
+    impl std::fmt::Debug for Opaque {
+        fn fmt(&self, _: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            panic!("a trace formatted a value")
+        }
+    }
+
+    impl StateBits for Opaque {
+        fn feed(&self, out: &mut Vec<u64>) {
+            out.push(self.0);
+        }
+    }
+
+    /// Flood the maximum, sending it twice per message.
+    #[derive(Clone)]
+    struct OpaqueFlood;
+    impl BroadcastAlgorithm for OpaqueFlood {
+        type State = Opaque;
+        type Msg = (Opaque, Opaque);
+        type Output = u64;
+        fn message(&self, state: &Opaque) -> (Opaque, Opaque) {
+            (*state, *state)
+        }
+        fn transition(&self, state: &Opaque, inbox: &[(Opaque, Opaque)]) -> Opaque {
+            Opaque(inbox.iter().map(|m| m.0 .0).fold(state.0, u64::max))
+        }
+        fn output(&self, state: &Opaque) -> u64 {
+            state.0
+        }
+    }
+
+    #[test]
+    fn trace_sink_counts_words_without_formatting() {
+        let g = generators::directed_ring(3).with_self_loops();
+        let mut exec = Execution::new(
+            Broadcast(OpaqueFlood),
+            vec![Opaque(5), Opaque(0), Opaque(2)],
+        );
+        let mut sink = TraceSink::new();
+        exec.drive(&g, RunConfig::rounds(2).observer(&mut sink));
+        let s = sink.summary();
+        // 2 rounds × 6 messages (3 links + 3 self-loops) × 2 words each.
+        assert_eq!(s.payload_words, 2 * 6 * 2);
+        assert_eq!(s.peak_state_words, 1);
+        assert_eq!(sink.to_ndjson().lines().count(), 2);
     }
 
     #[test]
@@ -466,7 +525,7 @@ mod tests {
             round: 7,
             messages: 12,
             self_messages: 6,
-            payload_bytes: 99,
+            payload_words: 99,
             dropped: 2,
             residual: Some(0.125),
         };
@@ -486,9 +545,9 @@ mod tests {
             rounds: 3,
             messages: 10,
             self_messages: 5,
-            payload_bytes: 42,
+            payload_words: 42,
             dropped: 1,
-            peak_state_bytes: 8,
+            peak_state_words: 8,
         };
         let json = serde::to_json_string(&s);
         let back: CountSummary = serde::from_json_str(&json).expect("parses");

@@ -14,6 +14,7 @@ use kya_algos::min_base::{MinBaseBroadcast, MinBaseOutdegree, MinBasePorts, View
 use kya_algos::push_sum::{PushSum, PushSumState, SelfHealingPushSum};
 use kya_graph::{generators, Digraph};
 use kya_harness::parse_graph;
+use kya_runtime::bits::StateBits;
 use kya_runtime::{
     Algorithm, Broadcast, Execution, Isotropic, Observer, RunConfig, TraceSink, MIN_SPAWN_AGENTS,
 };
@@ -159,13 +160,12 @@ fn every_algorithm_agrees_between_schedules() {
 /// 3 threads — and requires bitwise-equal states every round; then runs
 /// observed sequential and 3-thread drives and requires equal
 /// [`TraceSink`] counters.
-fn check_spawned<A, F, B>(make: F, g: &Digraph, bits: B, label: &str)
+fn check_spawned<A, F>(make: F, g: &Digraph, label: &str)
 where
     A: Algorithm + Sync,
-    A::State: Send + Sync,
-    A::Msg: Send + Sync,
+    A::State: Send + Sync + StateBits,
+    A::Msg: Send + Sync + StateBits,
     F: Fn() -> Execution<A>,
-    B: Fn(&[A::State]) -> Vec<u64>,
 {
     let mut seq = make();
     let mut two = make();
@@ -174,13 +174,13 @@ where
         seq.step(g);
         two.drive(g, RunConfig::rounds(1).threads(2));
         three.drive(g, RunConfig::rounds(1).threads(3));
-        let want = bits(seq.states());
+        let want = seq.states().words();
         assert!(
-            want == bits(two.states()),
+            want == two.states().words(),
             "{label}: 2 threads, round {round}"
         );
         assert!(
-            want == bits(three.states()),
+            want == three.states().words(),
             "{label}: 3 threads, round {round}"
         );
     }
@@ -194,7 +194,7 @@ where
         "{label}: observer counters"
     );
     assert!(
-        bits(seq.states()) == bits(par.states()),
+        seq.states().words() == par.states().words(),
         "{label}: observed states"
     );
 }
@@ -213,18 +213,11 @@ fn spawned_shards_agree_with_the_sequential_step() {
     check_spawned(
         || Execution::new(Isotropic(PushSum), PushSumState::averaging(&floats)),
         &g,
-        |states| {
-            states
-                .iter()
-                .flat_map(|s| [s.y.to_bits(), s.z.to_bits()])
-                .collect()
-        },
         "PushSum",
     );
     check_spawned(
         || Execution::new(Isotropic(Metropolis), floats.clone()),
         &g,
-        |states| states.iter().map(|x| x.to_bits()).collect(),
         "Metropolis",
     );
 }

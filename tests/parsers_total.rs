@@ -1,7 +1,8 @@
 //! Every user-facing parser is total: on any label built from the
 //! grammars' tokens it returns `Ok`/`Err` (or `Some`/`None`) and never
 //! panics. Every churn label `ChurnSpec::parse` accepts also builds a
-//! plan without a panic.
+//! plan without a panic, and serialized `PlanSpec`/`ChurnSpec` templates
+//! edited into unbuildable ones fail to deserialize.
 //!
 //! Labels are shaped like the grammars — `family:N`, `family:NxN`,
 //! `family:N:N:N`, value lists, churn windows, crash windows — or are
@@ -255,5 +256,54 @@ fn accepted_churn_labels_build() {
         total("ChurnSpec::parse + build", label, || {
             ChurnSpec::parse(label).map(|c| c.build(0))
         });
+    }
+}
+
+/// Serialized fault and churn templates, edited into values their
+/// builders panic on: deserialization rejects each one, as the label
+/// parsers reject the same windows, so every template that deserializes
+/// builds.
+#[test]
+fn edited_serialized_specs_are_rejected() {
+    let plan = PlanSpec::quiescent()
+        .drop_links(0.25)
+        .duplicate(0.5)
+        .until(9)
+        .crash(1, 3..7)
+        .crash_stop(2, 4);
+    let churn = ChurnSpec::stable().leave(1, 3..7).depart(2, 4);
+    let plan_json = serde::to_json_string(&plan);
+    let churn_json = serde::to_json_string(&churn);
+    let back: PlanSpec = serde::from_json_str(&plan_json).expect("unedited plan");
+    assert_eq!(back, plan);
+    let back: ChurnSpec = serde::from_json_str(&churn_json).expect("unedited churn");
+    assert_eq!(back, churn);
+
+    let edit = |json: &str, from: &str, to: &str| {
+        assert!(json.contains(from), "`{from}` not in {json}");
+        json.replacen(from, to, 1)
+    };
+    for (from, to, why) in [
+        (r#""drop_p":0.25"#, r#""drop_p":1.0"#, "drop rate"),
+        (r#""drop_p":0.25"#, r#""drop_p":-0.5"#, "drop rate"),
+        (r#""dup_p":0.5"#, r#""dup_p":1.5"#, "duplication rate"),
+        (r#""horizon":9"#, r#""horizon":0"#, "fault horizon"),
+        (r#""from":3"#, r#""from":0"#, "numbered from 1"),
+        (r#""until":7"#, r#""until":3"#, "is empty"),
+        (r#""from":4"#, r#""from":0"#, "numbered from 1"),
+    ] {
+        let json = edit(&plan_json, from, to);
+        let err = serde::from_json_str::<PlanSpec>(&json).expect_err(&json);
+        assert!(err.to_string().contains(why), "{json}: {err}");
+    }
+    for (from, to, why) in [
+        (r#""leave":3"#, r#""leave":0"#, "numbered from 1"),
+        (r#""rejoin":7"#, r#""rejoin":3"#, "is empty"),
+        (r#""rejoin":7"#, r#""rejoin":2"#, "is empty"),
+        (r#""leave":4"#, r#""leave":0"#, "numbered from 1"),
+    ] {
+        let json = edit(&churn_json, from, to);
+        let err = serde::from_json_str::<ChurnSpec>(&json).expect_err(&json);
+        assert!(err.to_string().contains(why), "{json}: {err}");
     }
 }

@@ -58,13 +58,21 @@ fn counting_totals_land_in_cell_records() {
         assert_eq!(t.self_messages, ROUNDS * n, "{}", r.topology);
         assert_eq!(t.messages, ROUNDS * (edges - n), "{}", r.topology);
         assert_eq!(t.dropped, 0);
-        assert!(t.payload_bytes > 0 && t.peak_state_bytes > 0);
+        // Every f64 Push-Sum message is the pair `(y, z)`, two words,
+        // and every state is one `PushSumState`, two words.
+        assert_eq!(
+            t.payload_words,
+            2 * (t.messages + t.self_messages),
+            "{}",
+            r.topology
+        );
+        assert_eq!(t.peak_state_words, 2, "{}", r.topology);
         // The trace stream restates the same counters per round.
         assert_eq!(r.trace.len() as u64, ROUNDS);
         let msgs: u64 = r.trace.iter().map(|e| e.messages).sum();
-        let bytes: u64 = r.trace.iter().map(|e| e.payload_bytes).sum();
+        let words: u64 = r.trace.iter().map(|e| e.payload_words).sum();
         assert_eq!(msgs, t.messages);
-        assert_eq!(bytes, t.payload_bytes);
+        assert_eq!(words, t.payload_words);
     }
 }
 
