@@ -103,7 +103,7 @@ impl FibreCensus {
 
     /// Sum of the ray (the size of the canonical representative vector
     /// `⟨ν⟩`).
-    pub fn ray_total(&self) -> BigInt {
+    fn ray_total(&self) -> BigInt {
         self.ray.iter().sum()
     }
 
@@ -122,12 +122,13 @@ impl FibreCensus {
     }
 
     /// Exact multiplicities when the network size `n` is known
-    /// (Corollary 4.3): the global factor is `n / ray_total`, which must
-    /// be a positive integer.
+    /// (Corollary 4.3): the global factor is `n / Σ ray`, which must be
+    /// a positive integer.
     ///
     /// # Errors
     ///
-    /// [`CensusError::ScaleMismatch`] if `ray_total` does not divide `n`.
+    /// [`CensusError::ScaleMismatch`] if the ray's sum does not divide
+    /// `n`.
     pub fn multiplicities_known_n(&self, n: usize) -> Result<Vec<(u64, BigInt)>, CensusError> {
         let total = self.ray_total();
         let n_big = BigInt::from(n);

@@ -758,22 +758,6 @@ impl BigInt {
         }
     }
 
-    /// Exact conversion to `i128` when the value fits.
-    pub fn to_i128(&self) -> Option<i128> {
-        if self.mag.len() > 2 {
-            return None;
-        }
-        let lo = self.mag.first().copied().unwrap_or(0) as u128;
-        let hi = self.mag.get(1).copied().unwrap_or(0) as u128;
-        let m = (hi << 64) | lo;
-        match self.sign {
-            Sign::Zero => Some(0),
-            Sign::Positive if m <= i128::MAX as u128 => Some(m as i128),
-            Sign::Negative if m <= i128::MAX as u128 + 1 => Some((m as i128).wrapping_neg()),
-            _ => None,
-        }
-    }
-
     /// Greatest common divisor (always non-negative; `gcd(0, 0) == 0`).
     ///
     /// Limb-level binary (Stein) gcd — the normalization kernel of every
@@ -1298,6 +1282,7 @@ mod tests {
             assert_eq!(b.to_string(), v.to_string());
             assert_eq!(b.to_string().parse::<BigInt>().unwrap(), b);
         }
+        assert_eq!(big(i128::MIN).to_string(), i128::MIN.to_string());
     }
 
     #[test]
@@ -1571,11 +1556,6 @@ mod tests {
             acc -= &b;
             prop_assert_eq!(acc, diff);
             prop_assert!((&a - &a).is_zero());
-        }
-
-        #[test]
-        fn to_i128_roundtrip(v in any::<i128>()) {
-            prop_assert_eq!(BigInt::from(v).to_i128(), Some(v));
         }
 
         #[test]

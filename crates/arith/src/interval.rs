@@ -45,21 +45,6 @@ pub enum Certainty {
     Unknown,
 }
 
-impl Certainty {
-    /// The decided value, if any.
-    pub fn known(self) -> Option<bool> {
-        match self {
-            Certainty::Certain(b) => Some(b),
-            Certainty::Unknown => None,
-        }
-    }
-
-    /// Whether the enclosure decided at all.
-    pub fn is_certain(self) -> bool {
-        matches!(self, Certainty::Certain(_))
-    }
-}
-
 /// 2Sum error term: zero iff `s = a + b` was exact (NaN when `s`
 /// overflowed, which callers treat as inexact).
 #[inline]
@@ -189,40 +174,6 @@ impl Enclosure {
         }
     }
 
-    /// The tightest enclosure of an exact rational: a point when the
-    /// value is a representable double, the one-ulp bracket around the
-    /// correctly rounded conversion otherwise (with an unbounded side
-    /// when the value overflows f64 range).
-    pub fn from_rational(q: &BigRational) -> Enclosure {
-        let f = q.to_f64();
-        if f == f64::INFINITY {
-            return Enclosure {
-                lo: f64::MAX,
-                hi: f64::INFINITY,
-            };
-        }
-        if f == f64::NEG_INFINITY {
-            return Enclosure {
-                lo: f64::NEG_INFINITY,
-                hi: f64::MIN,
-            };
-        }
-        // Correct rounding puts `f` on the tight side: compare the
-        // lifted float back against `q` to bracket with the minimal
-        // one-ulp interval (any sound enclosure of `q` contains it).
-        match BigRational::from_f64(f).map(|lifted| lifted.cmp(q)) {
-            Some(std::cmp::Ordering::Equal) => Enclosure { lo: f, hi: f },
-            Some(std::cmp::Ordering::Less) => Enclosure {
-                lo: f,
-                hi: f.next_up(),
-            },
-            _ => Enclosure {
-                lo: f.next_down(),
-                hi: f,
-            },
-        }
-    }
-
     /// The zero point.
     pub fn zero() -> Enclosure {
         Enclosure { lo: 0.0, hi: 0.0 }
@@ -261,11 +212,6 @@ impl Enclosure {
         }
     }
 
-    /// Whether the enclosure is a single f64 (width zero).
-    pub fn is_point(&self) -> bool {
-        self.lo == self.hi
-    }
-
     /// Whether both endpoints are finite — the precondition for any
     /// certification.
     pub fn is_bounded(&self) -> bool {
@@ -291,45 +237,6 @@ impl Enclosure {
             None => self.hi == f64::INFINITY,
         };
         above_lo && below_hi
-    }
-
-    /// Certified `self ≤ t`: true when even the upper endpoint is below
-    /// the threshold, false when even the lower endpoint is above.
-    pub fn le(&self, t: f64) -> Certainty {
-        if self.hi <= t {
-            Certainty::Certain(true)
-        } else if self.lo > t {
-            Certainty::Certain(false)
-        } else {
-            Certainty::Unknown
-        }
-    }
-
-    /// Certified `self < t`.
-    pub fn lt(&self, t: f64) -> Certainty {
-        if self.hi < t {
-            Certainty::Certain(true)
-        } else if self.lo >= t {
-            Certainty::Certain(false)
-        } else {
-            Certainty::Unknown
-        }
-    }
-
-    /// Certified `self ≥ t`.
-    pub fn ge(&self, t: f64) -> Certainty {
-        match self.lt(t) {
-            Certainty::Certain(b) => Certainty::Certain(!b),
-            Certainty::Unknown => Certainty::Unknown,
-        }
-    }
-
-    /// Certified `self > t`.
-    pub fn gt(&self, t: f64) -> Certainty {
-        match self.le(t) {
-            Certainty::Certain(b) => Certainty::Certain(!b),
-            Certainty::Unknown => Certainty::Unknown,
-        }
     }
 
     /// Certified sign: `Certain(true)` strictly positive,
@@ -449,21 +356,21 @@ mod tests {
     fn point_ops_stay_points_when_exact() {
         let a = Enclosure::point(0.5);
         let b = Enclosure::point(0.25);
-        assert!((a + b).is_point());
+        assert_eq!((a + b).width(), 0.0);
         assert_eq!((a + b).lo(), 0.75);
-        assert!((a - b).is_point());
-        assert!((a * b).is_point());
+        assert_eq!((a - b).width(), 0.0);
+        assert_eq!((a * b).width(), 0.0);
         assert_eq!((a * b).lo(), 0.125);
-        assert!((a / b).is_point());
+        assert_eq!((a / b).width(), 0.0);
         assert_eq!((a / b).lo(), 2.0);
-        assert!(Enclosure::point(1.0).div_u64(4).is_point());
+        assert_eq!(Enclosure::point(1.0).div_u64(4).width(), 0.0);
     }
 
     #[test]
     fn inexact_ops_bracket_the_real_value() {
         // 0.1 + 0.2 is famously inexact.
         let s = Enclosure::point(0.1) + Enclosure::point(0.2);
-        assert!(!s.is_point());
+        assert!(s.width() > 0.0);
         assert!(s.contains(0.1 + 0.2));
         let exact = &BigRational::from_f64(0.1).unwrap() + &BigRational::from_f64(0.2).unwrap();
         assert!(s.contains_rational(&exact));
@@ -490,49 +397,21 @@ mod tests {
     }
 
     #[test]
-    fn certification_decisions() {
+    fn certified_sign() {
         let e = Enclosure::point(0.5) + Enclosure::point(0.25);
-        assert_eq!(e.le(1.0), Certainty::Certain(true));
-        assert_eq!(e.le(0.5), Certainty::Certain(false));
-        assert_eq!(e.gt(0.0), Certainty::Certain(true));
         assert_eq!(e.sign_positive(), Certainty::Certain(true));
         assert_eq!((-e).sign_positive(), Certainty::Certain(false));
-        // A threshold inside the interval is undecidable.
-        let wide = Enclosure::point(0.1) + Enclosure::point(0.2);
-        assert_eq!(wide.le(0.1 + 0.2), Certainty::Unknown);
-        assert_eq!(Certainty::Unknown.known(), None);
-        assert!(Certainty::Certain(false).is_certain());
-    }
-
-    #[test]
-    fn from_rational_is_tight() {
-        // Representable values become points.
-        assert!(Enclosure::from_rational(&rat(3, 4)).is_point());
-        // Non-representable values become one-ulp brackets.
-        let third = Enclosure::from_rational(&rat(1, 3));
-        assert!(!third.is_point());
-        assert!(third.contains_rational(&rat(1, 3)));
-        assert!(third.width() <= 4.0 * f64::EPSILON);
-        // Overflowing values keep one finite endpoint.
-        let huge = BigRational::from_integer(&BigInt::one() << 2000);
-        let e = Enclosure::from_rational(&huge);
-        assert_eq!(e.hi(), f64::INFINITY);
-        assert!(e.contains_rational(&huge));
-        let tiny = -&huge;
-        let e = Enclosure::from_rational(&tiny);
-        assert_eq!(e.lo(), f64::NEG_INFINITY);
-        assert!(e.contains_rational(&tiny));
     }
 
     #[test]
     fn integer_constructors_are_exact_or_bracketing() {
-        assert!(Enclosure::from_i64(1 << 53).is_point());
-        assert!(Enclosure::from_u64(1 << 53).is_point());
+        assert_eq!(Enclosure::from_i64(1 << 53).width(), 0.0);
+        assert_eq!(Enclosure::from_u64(1 << 53).width(), 0.0);
         let big = (1u64 << 53) + 1;
         let e = Enclosure::from_u64(big);
-        assert!(!e.is_point());
+        assert!(e.width() > 0.0);
         assert!(e.contains_rational(&BigRational::from_integer(BigInt::from(big))));
-        assert!(Enclosure::from_i64(-7).is_point());
+        assert_eq!(Enclosure::from_i64(-7).width(), 0.0);
         assert_eq!(Enclosure::from_i64(-7).lo(), -7.0);
     }
 
@@ -595,39 +474,6 @@ mod tests {
                     "exact {exact:?} escaped {enc:?}");
                 prop_assert!(enc.contains(f), "f64 {f} escaped {enc:?}");
             }
-        }
-
-        /// Widths shrink under normalization: re-deriving the enclosure
-        /// from the reduced exact value is never wider than the
-        /// propagated enclosure, and still contains the value.
-        #[test]
-        fn width_shrinks_under_normalization(start in -1000i64..1000, ops in arb_ops()) {
-            let mut enc = Enclosure::from_i64(start);
-            let mut exact = BigRational::from(start);
-            for op in &ops {
-                match *op {
-                    Op::Add(k) => {
-                        enc = enc + Enclosure::from_i64(k as i64);
-                        exact = &exact + &BigRational::from(k as i64);
-                    }
-                    Op::Sub(k) => {
-                        enc = enc - Enclosure::from_i64(k as i64);
-                        exact = &exact - &BigRational::from(k as i64);
-                    }
-                    Op::Mul(k) => {
-                        enc = enc * Enclosure::from_i64(k as i64);
-                        exact = &exact * &BigRational::from(k as i64);
-                    }
-                    Op::DivInt(k) => {
-                        enc = enc.div_u64(k as u64);
-                        exact = exact.div_integer(k as u64);
-                    }
-                }
-            }
-            let tightened = Enclosure::from_rational(&exact);
-            prop_assert!(tightened.width() <= enc.width());
-            prop_assert!(tightened.contains_rational(&exact));
-            prop_assert!(enc.contains_rational(&exact));
         }
 
         /// Endpoint soundness for a single op on arbitrary doubles

@@ -14,9 +14,10 @@ use std::fmt;
 ///
 /// ```
 /// use kya_arith::QMatrix;
-/// let m = QMatrix::from_i64_rows(&[&[1, 2], &[2, 4]]);
+/// use kya_arith::BigInt;
+/// let m = QMatrix::from_i64_rows(&[&[1, -2], &[2, -4]]);
 /// assert_eq!(m.rank(), 1);
-/// assert_eq!(m.kernel_basis().len(), 1);
+/// assert_eq!(m.positive_integer_kernel(), Ok(vec![BigInt::from(2), BigInt::from(1)]));
 /// ```
 #[derive(Clone, PartialEq, Eq)]
 pub struct QMatrix {
@@ -96,16 +97,6 @@ impl QMatrix {
         m
     }
 
-    /// Build from a row-major vector of rationals.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `data.len() != rows * cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<BigRational>) -> QMatrix {
-        assert_eq!(data.len(), rows * cols, "dimension mismatch");
-        QMatrix { rows, cols, data }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -133,7 +124,7 @@ impl QMatrix {
     }
 
     /// Reduced row echelon form; returns (rref, pivot column indices).
-    pub fn rref(&self) -> (QMatrix, Vec<usize>) {
+    fn rref(&self) -> (QMatrix, Vec<usize>) {
         let mut m = self.clone();
         let mut pivots = Vec::new();
         let mut row = 0;
@@ -174,7 +165,7 @@ impl QMatrix {
     ///
     /// The returned vectors are exact; the kernel dimension is
     /// `cols - rank`.
-    pub fn kernel_basis(&self) -> Vec<Vec<BigRational>> {
+    fn kernel_basis(&self) -> Vec<Vec<BigRational>> {
         let (r, pivots) = self.rref();
         let pivot_set: Vec<Option<usize>> = {
             let mut v = vec![None; self.cols];
@@ -366,16 +357,11 @@ mod tests {
     fn exactness_vs_float_ablation() {
         // A system that floating point cannot solve to a coprime integer
         // kernel: entries with denominators that are not dyadic.
-        let m = QMatrix::from_vec(
-            2,
-            2,
-            vec![
-                BigRational::from_i64(1, 3),
-                BigRational::from_i64(-1, 7),
-                BigRational::from_i64(-1, 3),
-                BigRational::from_i64(1, 7),
-            ],
-        );
+        let mut m = QMatrix::zeros(2, 2);
+        m[(0, 0)] = BigRational::from_i64(1, 3);
+        m[(0, 1)] = BigRational::from_i64(-1, 7);
+        m[(1, 0)] = BigRational::from_i64(-1, 3);
+        m[(1, 1)] = BigRational::from_i64(1, 7);
         let z = m.positive_integer_kernel().unwrap();
         assert_eq!(z, vec![BigInt::from(3), BigInt::from(7)]);
     }

@@ -166,11 +166,6 @@ impl BigRational {
         self.num.is_zero()
     }
 
-    /// Whether this rational is an integer.
-    pub fn is_integer(&self) -> bool {
-        self.den.is_one()
-    }
-
     /// Whether this rational is strictly positive.
     pub fn is_positive(&self) -> bool {
         self.num.is_positive()
@@ -373,55 +368,6 @@ impl BigRational {
             num: self.num.pow(exp as u32),
             den: self.den.pow(exp as u32),
         }
-    }
-
-    /// The continued-fraction expansion `[a0; a1, a2, ...]`: the unique
-    /// finite sequence with `a0 = floor(self)` and `a_i >= 1` for
-    /// `i >= 1` whose value is `self` (the last coefficient is `>= 2`
-    /// for non-integers, making the expansion canonical).
-    ///
-    /// ```
-    /// use kya_arith::{BigInt, BigRational};
-    /// let x = BigRational::from_i64(355, 113);
-    /// let cf: Vec<i64> = x
-    ///     .continued_fraction()
-    ///     .iter()
-    ///     .map(|a| a.to_i64().unwrap())
-    ///     .collect();
-    /// assert_eq!(cf, vec![3, 7, 16]);
-    /// ```
-    pub fn continued_fraction(&self) -> Vec<BigInt> {
-        let mut out = Vec::new();
-        let mut p = self.num.clone();
-        let mut q = self.den.clone();
-        // First coefficient uses floor division to handle negatives.
-        let a0 = self.floor();
-        out.push(a0.clone());
-        let r = &p - &(&a0 * &q);
-        p = q;
-        q = r;
-        while !q.is_zero() {
-            let (a, r) = p.div_rem(&q);
-            out.push(a);
-            p = q;
-            q = r;
-        }
-        out
-    }
-
-    /// Rebuild a rational from a continued-fraction expansion.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cf` is empty or some tail coefficient is zero (which
-    /// would divide by zero).
-    pub fn from_continued_fraction(cf: &[BigInt]) -> BigRational {
-        assert!(!cf.is_empty(), "empty continued fraction");
-        let mut acc = BigRational::from_integer(cf.last().expect("non-empty").clone());
-        for a in cf[..cf.len() - 1].iter().rev() {
-            acc = &BigRational::from_integer(a.clone()) + &acc.recip();
-        }
-        acc
     }
 
     /// The best rational approximation to `self` with denominator at most
@@ -968,7 +914,7 @@ mod tests {
         assert_eq!(rat(-2, -4), rat(1, 2));
         assert_eq!(rat(2, -4), rat(-1, 2));
         assert_eq!(rat(0, 7), BigRational::zero());
-        assert!(rat(3, 1).is_integer());
+        assert_eq!(rat(6, 2).denom(), &BigInt::one());
     }
 
     #[test]
@@ -1248,36 +1194,6 @@ mod tests {
     }
 
     #[test]
-    fn continued_fraction_examples() {
-        let cf = rat(355, 113).continued_fraction();
-        assert_eq!(cf, vec![BigInt::from(3), BigInt::from(7), BigInt::from(16)]);
-        assert_eq!(rat(3, 1).continued_fraction(), vec![BigInt::from(3)]);
-        // Negative values: floor-based first coefficient.
-        let cf = rat(-7, 2).continued_fraction();
-        assert_eq!(BigRational::from_continued_fraction(&cf), rat(-7, 2));
-    }
-
-    #[test]
-    fn continued_fraction_negative_floor_edges() {
-        // The first coefficient is the *floor*, so values just below an
-        // integer flip it: -1/q has floor -1 for every q >= 1.
-        for q in [1i64, 2, 3, 97] {
-            let x = rat(-1, q);
-            let cf = x.continued_fraction();
-            assert_eq!(cf[0], BigInt::from(-1), "-1/{q}");
-            assert!(cf[1..].iter().all(|a| a >= &BigInt::one()));
-            assert_eq!(BigRational::from_continued_fraction(&cf), x);
-        }
-        // Exactly-integer negatives stay single-coefficient.
-        assert_eq!(rat(-4, 2).continued_fraction(), vec![BigInt::from(-2)]);
-        // Just above/below a negative integer.
-        for x in [rat(-201, 100), rat(-199, 100), rat(-2, 1)] {
-            let cf = x.continued_fraction();
-            assert_eq!(BigRational::from_continued_fraction(&cf), x);
-        }
-    }
-
-    #[test]
     fn div_integer_matches_general_division() {
         let xs = [
             rat(0, 1),
@@ -1329,15 +1245,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn continued_fraction_roundtrip(n in -400i64..400, d in 1i64..120) {
-            let x = rat(n, d);
-            let cf = x.continued_fraction();
-            prop_assert_eq!(BigRational::from_continued_fraction(&cf), x);
-            // Tail coefficients are >= 1.
-            prop_assert!(cf[1..].iter().all(|a| a >= &BigInt::one()));
-        }
-
         #[test]
         fn floor_ceil_round_consistency(n in -300i64..300, d in 1i64..60) {
             let x = rat(n, d);

@@ -170,7 +170,7 @@ impl GraphMorphism {
     }
 
     /// Whether both maps are surjective.
-    pub fn is_epimorphism(&self, b: &Digraph) -> bool {
+    fn is_epimorphism(&self, b: &Digraph) -> bool {
         let mut v_hit = vec![false; b.n()];
         for &v in &self.vertex_map {
             if v < b.n() {
@@ -184,11 +184,6 @@ impl GraphMorphism {
             }
         }
         v_hit.into_iter().all(|x| x) && e_hit.into_iter().all(|x| x)
-    }
-
-    /// Whether both maps are bijective (a graph isomorphism).
-    pub fn is_isomorphism(&self, g: &Digraph, b: &Digraph) -> bool {
-        g.n() == b.n() && g.edge_count() == b.edge_count() && self.is_epimorphism(b)
     }
 
     /// The fibre over each base vertex: `fibres[i]` lists the vertices of
@@ -458,17 +453,5 @@ mod tests {
         verify_fibration(&composite, &g12, &g3, &[], &[]).unwrap();
         let (_, _, direct) = ring_fibration(12, 3);
         assert_eq!(composite.vertex_map, direct.vertex_map);
-    }
-
-    #[test]
-    fn isomorphism_detection() {
-        let g = generators::directed_ring(3);
-        let b = generators::directed_ring(3);
-        let phi = GraphMorphism {
-            vertex_map: vec![1, 2, 0],
-            edge_map: vec![1, 2, 0],
-        };
-        phi.verify(&g, &b, &[], &[]).unwrap();
-        assert!(phi.is_isomorphism(&g, &b));
     }
 }

@@ -9,7 +9,7 @@ use std::collections::VecDeque;
 /// # Panics
 ///
 /// Panics if `src` is out of range.
-pub fn bfs_distances(g: &Digraph, src: Vertex) -> Vec<Option<usize>> {
+fn bfs_distances(g: &Digraph, src: Vertex) -> Vec<Option<usize>> {
     assert!(src < g.n(), "source out of range");
     let mut dist = vec![None; g.n()];
     dist[src] = Some(0);
@@ -62,7 +62,7 @@ pub fn diameter(g: &Digraph) -> Option<usize> {
 
 /// Eccentricity of every vertex (the largest distance *from* it), or
 /// `None` for vertices that cannot reach the whole graph.
-pub fn eccentricities(g: &Digraph) -> Vec<Option<usize>> {
+fn eccentricities(g: &Digraph) -> Vec<Option<usize>> {
     (0..g.n())
         .map(|v| {
             bfs_distances(g, v)

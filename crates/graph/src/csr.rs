@@ -85,17 +85,11 @@ impl RoutingPlan {
         self.sources.len()
     }
 
-    /// The inbox slots of vertex `v`, in canonical order.
-    #[inline]
-    pub fn inbox_range(&self, v: Vertex) -> Range<usize> {
-        self.inbox_start[v]..self.inbox_start[v + 1]
-    }
-
     /// The source vertex of every inbox slot of `v`, in canonical
     /// delivery order.
     #[inline]
     pub fn sources_of(&self, v: Vertex) -> &[u32] {
-        &self.sources[self.inbox_range(v)]
+        &self.sources[self.inbox_start[v]..self.inbox_start[v + 1]]
     }
 
     /// Out-degree of vertex `v`.
@@ -146,7 +140,7 @@ mod tests {
         // Every in-edge of every vertex is fed by its own source.
         let edges = g.edges();
         for v in 0..4 {
-            assert_eq!(plan.inbox_range(v).len(), g.indegree(v));
+            assert_eq!(plan.sources_of(v).len(), g.indegree(v));
             for &src in plan.sources_of(v) {
                 assert!(edges.iter().any(|e| e.src == src as usize && e.dst == v));
             }
@@ -165,7 +159,7 @@ mod tests {
         for v in 0..5 {
             assert_eq!(plan.outdegree(v), g.outdegree(v));
             assert_eq!(plan.indegree(v), g.indegree(v));
-            assert_eq!(plan.inbox_slots_in(v..v + 1), plan.inbox_range(v).len());
+            assert_eq!(plan.inbox_slots_in(v..v + 1), plan.sources_of(v).len());
         }
         // Any split of 0..n partitions the slot total exactly.
         for cut in 0..=5 {

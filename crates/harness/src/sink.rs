@@ -56,7 +56,7 @@ pub struct CellTelemetry {
 impl CellTelemetry {
     /// A block carrying an observer's counters, with the runner-side
     /// fields zeroed.
-    pub fn from_counts(c: &CountSummary) -> CellTelemetry {
+    fn from_counts(c: &CountSummary) -> CellTelemetry {
         CellTelemetry {
             rounds: c.rounds,
             messages: c.messages,

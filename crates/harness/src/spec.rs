@@ -631,11 +631,6 @@ impl ChurnSpec {
         self
     }
 
-    /// Whether the template scripts no churn.
-    pub fn is_stable(&self) -> bool {
-        self.windows.is_empty()
-    }
-
     /// The scripted absence windows.
     pub fn windows(&self) -> &[ChurnWindow] {
         &self.windows
@@ -652,7 +647,7 @@ impl ChurnSpec {
     /// `c2:10:40,5:20:-+reset`. Inverse of [`ChurnSpec::parse`]; a
     /// pinned seed is not part of the label.
     pub fn label(&self) -> String {
-        if self.is_stable() {
+        if self.windows.is_empty() {
             return "stable".to_string();
         }
         let windows: Vec<String> = self

@@ -56,11 +56,6 @@ impl<G: DynamicGraph> AsyncStarts<G> {
     pub fn starts(&self) -> &[u64] {
         &self.starts
     }
-
-    /// The round by which every agent has started.
-    pub fn all_started_by(&self) -> u64 {
-        self.starts.iter().copied().max().unwrap_or(1)
-    }
 }
 
 impl<G: DynamicGraph> DynamicGraph for AsyncStarts<G> {
@@ -81,9 +76,10 @@ impl<G: DynamicGraph> DynamicGraph for AsyncStarts<G> {
 
     fn diameter_hint(&self) -> Option<usize> {
         // The paper: max(s_i) + D bounds the masked dynamic diameter.
+        let all_started_by = self.starts.iter().copied().max().unwrap_or(1);
         self.inner
             .diameter_hint()
-            .map(|d| d + self.all_started_by() as usize)
+            .map(|d| d + all_started_by as usize)
     }
 }
 
@@ -109,10 +105,9 @@ mod tests {
     }
 
     #[test]
-    fn all_started_by_and_hint() {
+    fn starts_and_hint() {
         let net = StaticGraph::new(generators::complete(3));
         let masked = AsyncStarts::new(net, vec![2, 5, 1]);
-        assert_eq!(masked.all_started_by(), 5);
         assert_eq!(masked.starts(), &[2, 5, 1]);
         assert_eq!(masked.diameter_hint(), Some(1 + 5));
     }

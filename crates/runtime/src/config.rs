@@ -26,7 +26,9 @@
 //! [`Execution::faults`](crate::Execution::faults).
 //!
 //! [`FlatRunConfig`] carries the knobs that apply to the flat engine:
-//! the budget, the thread count, the measurement knobs, a bandwidth
+//! the budget, the thread count, the scalar measurement knobs
+//! ([`measure`](FlatRunConfig::measure) against a target, and
+//! [`confirm`](FlatRunConfig::confirm)), a bandwidth
 //! meter, and [`probe`](FlatRunConfig::probe), which attaches a
 //! [`CountingProbe`] the way [`observer`](RunConfig::observer) attaches
 //! an observer.
@@ -264,17 +266,10 @@ impl<'a> FlatRunConfig<'a> {
     /// spelling of [`RunConfig::measure`] with the Euclidean metric on
     /// scalars. A non-finite distance ends the run at once with
     /// `diverged_at` set.
-    pub fn measure(self, target: f64, eps: f64) -> Self {
-        self.measure_with(
-            move |outputs| crate::metric::max_distance(&EuclideanMetric, outputs, &target),
-            eps,
-        )
-    }
-
-    /// Like [`FlatRunConfig::measure`], with an arbitrary distance
-    /// functional over the output vector.
-    pub fn measure_with(mut self, dist: impl Fn(&[f64]) -> f64 + 'a, eps: f64) -> Self {
-        self.dist = Some(Box::new(dist));
+    pub fn measure(mut self, target: f64, eps: f64) -> Self {
+        self.dist = Some(Box::new(move |outputs: &[f64]| {
+            crate::metric::max_distance(&EuclideanMetric, outputs, &target)
+        }));
         self.eps = eps;
         self
     }

@@ -342,11 +342,6 @@ impl Log2Histogram {
         self.zeros
     }
 
-    /// Samples that were NaN or infinite.
-    pub fn non_finite(&self) -> u64 {
-        self.non_finite
-    }
-
     /// Occupied `(exponent, count)` buckets in ascending exponent order.
     pub fn buckets(&self) -> impl Iterator<Item = (i32, u64)> + '_ {
         self.buckets.iter().map(|(&e, &c)| (e, c))
@@ -565,7 +560,6 @@ mod tests {
         assert_eq!(h.count(-1), 1, "[0.5, 1) bucket");
         assert_eq!(h.count(2), 1, "magnitude bucketing ignores sign");
         assert_eq!(h.zeros(), 1);
-        assert_eq!(h.non_finite(), 1);
         assert_eq!(h.total(), 9);
         // Subnormals collapse into the minimum exponent bucket.
         h.record(f64::MIN_POSITIVE / 4.0);
