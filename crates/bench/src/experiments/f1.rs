@@ -12,7 +12,7 @@
 //! networks never leaves the ball again, so `converged_at` matches the
 //! full-budget answer at a fraction of the wall-clock.
 
-use super::{dynamic_net, observed_convergence, Experiment};
+use super::{dynamic_net, observed_convergence, Experiment, Nets};
 use kya_algos::push_sum::{PushSum, PushSumState};
 use kya_graph::StaticGraph;
 use kya_harness::{Args, CellCtx, CellOutcome, ExperimentSpec, ResultSink, SpecError};
@@ -23,6 +23,7 @@ pub const EXPERIMENT: Experiment = Experiment {
     name: "f1",
     about: "Push-Sum rounds to epsilon-consensus (Theorem 5.2)",
     extra_flags: &["groups", "exps"],
+    nets: Nets::Either,
     build,
     cell,
     render,
@@ -81,7 +82,7 @@ fn cell(ctx: &CellCtx) -> CellOutcome {
     let (converged, outcome) = match ctx.graph() {
         Ok(g) => run(g.n(), &StaticGraph::new((*g).clone())),
         Err(_) => {
-            let net = dynamic_net(&ctx.cell.topology).expect("known dynamic label");
+            let net = dynamic_net(&ctx.cell.topology).expect("label resolved before the sweep");
             run(ctx.cell.n, &*net)
         }
     };

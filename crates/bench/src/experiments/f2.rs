@@ -11,7 +11,7 @@
 //! [`TopologyCache`](kya_harness::TopologyCache), computed once per
 //! (topology, values) pair and reused by every worker.
 
-use super::Experiment;
+use super::{Experiment, Nets};
 use crate::minbase_stabilization_round;
 use kya_algos::min_base::{DepthCapped, MinBaseBroadcast, MinBaseOutdegree, ViewState};
 use kya_fibration::iso::are_isomorphic;
@@ -24,6 +24,7 @@ pub const EXPERIMENT: Experiment = Experiment {
     name: "f2",
     about: "minimum-base stabilization round vs n + D, and the smallest working depth cap",
     extra_flags: &["rand-sizes"],
+    nets: Nets::Static,
     build,
     cell,
     render,

@@ -3,7 +3,7 @@
 //! algorithm axis carries the five §5 update rules; cells measure
 //! rounds to a stable 1e-9 ε-ball via `RunConfig::confirm`.
 
-use super::{dynamic_net, observed_convergence, Experiment};
+use super::{dynamic_net, observed_convergence, Experiment, Nets};
 use kya_algos::metropolis::{FixedWeight, LazyMetropolis, Metropolis};
 use kya_algos::push_sum::{PushSum, PushSumState};
 use kya_harness::{Args, CellCtx, CellOutcome, ExperimentSpec, ResultSink, SpecError};
@@ -14,6 +14,7 @@ pub const EXPERIMENT: Experiment = Experiment {
     name: "f4",
     about: "averaging family: Push-Sum vs Metropolis vs fixed-weight, sync and async starts",
     extra_flags: &[],
+    nets: Nets::Dynamic,
     build,
     cell,
     render,
@@ -49,7 +50,7 @@ fn cell(ctx: &CellCtx) -> CellOutcome {
     let n = ctx.cell.n;
     let values: Vec<f64> = (0..n).map(|i| ((i * i) % 29) as f64).collect();
     let target = values.iter().sum::<f64>() / n as f64;
-    let net = dynamic_net(&ctx.cell.topology).expect("known dynamic label");
+    let net = dynamic_net(&ctx.cell.topology).expect("label resolved before the sweep");
     let net = &*net;
     let eps = ctx.eps();
     let (_, outcome) = match ctx.cell.algorithm.as_str() {

@@ -4,7 +4,7 @@
 //! worst-case error at exponentially spaced checkpoints from the
 //! round-by-round trace `run_until` records.
 
-use super::{dynamic_net, Experiment};
+use super::{dynamic_net, Experiment, Nets};
 use kya_algos::metropolis::{FixedWeight, Metropolis};
 use kya_algos::push_sum::{PushSum, PushSumState};
 use kya_harness::{Args, CellCtx, CellOutcome, ExperimentSpec, ResultSink, SpecError};
@@ -16,6 +16,7 @@ pub const EXPERIMENT: Experiment = Experiment {
     name: "f5",
     about: "weak connectivity: geometric schedules, no finite dynamic diameter (open question)",
     extra_flags: &[],
+    nets: Nets::Dynamic,
     build,
     cell,
     render,
@@ -43,7 +44,7 @@ fn cell(ctx: &CellCtx) -> CellOutcome {
     let n = ctx.cell.n;
     let values: Vec<f64> = (0..n).map(|i| ((i * 11) % 17) as f64).collect();
     let target = values.iter().sum::<f64>() / n as f64;
-    let net = dynamic_net(&ctx.cell.topology).expect("known dynamic label");
+    let net = dynamic_net(&ctx.cell.topology).expect("label resolved before the sweep");
     let net = &*net;
     let m = &EuclideanMetric;
     let report: CellReport = match ctx.cell.algorithm.as_str() {

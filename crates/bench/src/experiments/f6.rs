@@ -8,7 +8,7 @@
 //! `--seed` and the cell index), so output is byte-identical across
 //! runs and worker counts.
 
-use super::{f64_list_flag, Experiment};
+use super::{f64_list_flag, Experiment, Nets};
 use kya_algos::push_sum::{total_mass, PushSum, PushSumState, SelfHealingPushSum};
 use kya_graph::StaticGraph;
 use kya_harness::{Args, CellCtx, CellOutcome, ExperimentSpec, PlanSpec, ResultSink, SpecError};
@@ -20,6 +20,7 @@ pub const EXPERIMENT: Experiment = Experiment {
     name: "f6",
     about: "fault injection: drop/crash sweep, self-healing vs lossy Push-Sum, measured recovery",
     extra_flags: &["drops", "crashes", "horizon"],
+    nets: Nets::Static,
     build,
     cell,
     render,

@@ -15,7 +15,7 @@
 //! exactly, a ledger mismatch, or the `b = ∞` rung not reproducing the
 //! uncapped fingerprint bitwise.
 
-use super::Experiment;
+use super::{Experiment, Nets};
 use kya_algos::metropolis::Metropolis;
 use kya_algos::push_sum::{PushSum, PushSumState};
 use kya_algos::quantized::{QuantizedMetropolis, QuantizedPushSum};
@@ -30,6 +30,7 @@ pub const EXPERIMENT: Experiment = Experiment {
     name: "f7",
     about: "bounded bandwidth: quantized averaging survival matrix across caps b=1,2,4,8,inf",
     extra_flags: &[],
+    nets: Nets::Static,
     build,
     cell,
     render,

@@ -13,7 +13,7 @@
 //! `churn-determinism` job diffs this sweep's NDJSON at `--workers 1`
 //! vs `--workers 4`.
 
-use super::Experiment;
+use super::{Experiment, Nets};
 use kya_algos::metropolis::Metropolis;
 use kya_algos::push_sum::{total_mass, PushSumState, SelfHealingPushSum};
 use kya_harness::SpecError;
@@ -27,6 +27,7 @@ pub const EXPERIMENT: Experiment = Experiment {
     name: "f8",
     about: "churn: pairing fairness x churn scripts x faults, quiescence-aware recovery",
     extra_flags: &["drop", "horizon"],
+    nets: Nets::Dynamic,
     build,
     cell,
     render,
@@ -70,7 +71,7 @@ fn build(args: &Args) -> Result<Vec<ExperimentSpec>, SpecError> {
 
 fn cell(ctx: &CellCtx) -> CellOutcome {
     let n = super::dynamic_net(&ctx.cell.topology)
-        .expect("pairing label")
+        .expect("label resolved before the sweep")
         .n();
     CellOutcome::new().report(recovery(ctx, &super::inputs(n)).without_trace())
 }
@@ -119,7 +120,7 @@ fn drive<A: FlatAlgorithm>(
     target: f64,
     ctx: &CellCtx,
 ) -> CellReport {
-    let net = super::dynamic_net(&ctx.cell.topology).expect("pairing label");
+    let net = super::dynamic_net(&ctx.cell.topology).expect("label resolved before the sweep");
     let membership = ChurnSpec::parse(&ctx.cell.variant)
         .expect("churn label")
         .build(ctx.cell.cell_seed)

@@ -10,7 +10,7 @@
 //! compute bit-identical states (the `kya check` flat oracle pins
 //! that), so the sweep is a pure like-for-like timing.
 
-use super::Experiment;
+use super::{Experiment, Nets};
 use kya_algos::push_sum::{PushSum, PushSumState};
 use kya_graph::StaticGraph;
 use kya_harness::{Args, CellCtx, CellOutcome, ExperimentSpec, ResultSink, SpecError};
@@ -30,6 +30,7 @@ pub const EXPERIMENT: Experiment = Experiment {
     name: "flat",
     about: "flat SoA/CSR engine vs boxed executor throughput",
     extra_flags: &["threads"],
+    nets: Nets::Unchecked,
     build,
     cell,
     render,

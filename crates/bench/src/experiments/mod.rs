@@ -23,6 +23,7 @@ use kya_graph::{
     DynamicGraph, PairingScheduler, RandomDynamicGraph, RoundRobinCover, SparselyConnected,
     UniformRandom,
 };
+use kya_harness::spec::{MAX_AGENTS, MAX_EDGES};
 use kya_harness::{Args, CellCtx, CellOutcome, ExperimentSpec, ResultSink, Runner, SpecError};
 use kya_harness::{TelemetryMode, TopologyCache, SWEEP_FLAGS};
 use kya_runtime::adversary::AsyncStarts;
@@ -45,12 +46,48 @@ pub struct Experiment {
     pub about: &'static str,
     /// Experiment-specific flags accepted on top of [`SWEEP_FLAGS`].
     pub extra_flags: &'static [&'static str],
+    /// The networks the cells run on.
+    pub nets: Nets,
     /// Build the specs to sweep (applying flag overrides).
     pub build: fn(&Args) -> Result<Vec<ExperimentSpec>, SpecError>,
     /// Execute one cell.
     pub cell: fn(&CellCtx) -> CellOutcome,
     /// Render one finished spec's sink for humans.
     pub render: fn(&ResultSink) -> String,
+}
+
+/// The networks an experiment's cells run on, which decides how
+/// [`run_collect`] resolves every topology label before any cell runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Nets {
+    /// Static graphs of the [`kya_harness::parse_graph`] grammar.
+    Static,
+    /// The dynamic networks of [`dynamic_net`].
+    Dynamic,
+    /// Either: a label of a [`dynamic_net`] family is dynamic, any
+    /// other is static.
+    Either,
+    /// Not resolved up front: the cells ignore the topology axis, or
+    /// record a bad label as a failed cell.
+    Unchecked,
+}
+
+impl Nets {
+    /// Resolve `label` as these networks, through `cache` for static
+    /// graphs, and return the error a bad label gives.
+    fn check(self, cache: &TopologyCache, label: &str) -> Result<(), SpecError> {
+        let dynamic = matches!(
+            label.split(':').next(),
+            Some("dyn" | "async" | "sparse" | "pair")
+        );
+        match self {
+            Nets::Static => cache.graph(label).map(drop),
+            Nets::Dynamic => dynamic_net(label).map(drop),
+            Nets::Either if dynamic => dynamic_net(label).map(drop),
+            Nets::Either => cache.graph(label).map(drop),
+            Nets::Unchecked => Ok(()),
+        }
+    }
 }
 
 /// All registered experiments.
@@ -138,6 +175,12 @@ pub fn run_collect(
     // One cache across the experiment's specs: e.g. F1's ring sweep and
     // F2's ring sweep each share parsed graphs and diameters.
     let cache = TopologyCache::new();
+    // A bad label ends the sweep here, before any cell runs.
+    for spec in &specs {
+        for label in spec.topology_labels() {
+            exp.nets.check(&cache, &label)?;
+        }
+    }
     let sinks: Vec<ResultSink> = specs
         .iter()
         .map(|spec| {
@@ -250,59 +293,87 @@ fn main_with(name: &str, argv: &[String], out: &mut dyn Write) -> ExitCode {
 /// - `pair:uniform:N:SEED` / `pair:cover:N:SEED` — an Angluin-style
 ///   [`PairingScheduler`] over `N` agents (seeded random matchings, or
 ///   the deterministic round-robin tournament).
-pub fn dynamic_net(label: &str) -> Option<Box<dyn DynamicGraph>> {
-    fn num<T: std::str::FromStr>(s: &str) -> Option<T> {
-        s.parse().ok()
-    }
-    fn rand_net(parts: &[&str]) -> Option<RandomDynamicGraph> {
-        match parts {
-            ["dyn", "directed", n, extra, seed] => Some(RandomDynamicGraph::directed(
-                num(n)?,
-                num(extra)?,
-                num(seed)?,
-            )),
-            ["dyn", "symmetric", n, extra, seed] => Some(RandomDynamicGraph::symmetric(
-                num(n)?,
-                num(extra)?,
-                num(seed)?,
-            )),
-            _ => None,
+///
+/// # Errors
+///
+/// Returns a [`SpecError`] for any other label, a number that does not
+/// parse, `N` outside `1..=MAX_AGENTS`, more extra edges than
+/// `MAX_EDGES` allows, more extra symmetric pairs than the graph has
+/// room for, and a zero `MAXDELAY` or `BASEGAP`.
+pub fn dynamic_net(label: &str) -> Result<Box<dyn DynamicGraph>, SpecError> {
+    let bad = |why: &str| SpecError(format!("dynamic network `{label}`: {why}"));
+    let num = |s: &str| -> Result<u64, SpecError> {
+        s.parse()
+            .map_err(|_| bad(&format!("`{s}` is not a number")))
+    };
+    let agents = |s: &str| -> Result<usize, SpecError> {
+        match usize::try_from(num(s)?) {
+            Ok(0) => Err(bad("it needs at least one agent")),
+            Ok(n) if n <= MAX_AGENTS => Ok(n),
+            _ => Err(bad(&format!("it has more than {MAX_AGENTS} agents"))),
         }
-    }
+    };
+    let positive = |s: &str, what: &str| -> Result<u64, SpecError> {
+        match num(s)? {
+            0 => Err(bad(&format!("its {what} must be at least 1"))),
+            k => Ok(k),
+        }
+    };
+    let rand_net = |parts: &[&str]| -> Result<RandomDynamicGraph, SpecError> {
+        let ["dyn", kind @ ("directed" | "symmetric"), n, extra, seed] = parts else {
+            return Err(bad("expected dyn:directed|symmetric:N:EXTRA:SEED"));
+        };
+        let (n, seed) = (agents(n)?, num(seed)?);
+        let extra = usize::try_from(num(extra)?).unwrap_or(usize::MAX);
+        if *kind == "directed" {
+            if extra > MAX_EDGES - n {
+                return Err(bad(&format!("it has more than {MAX_EDGES} edges")));
+            }
+            return Ok(RandomDynamicGraph::directed(n, extra, seed));
+        }
+        // Past the spanning tree's n - 1 pairs the generator draws extra
+        // pairs until it has them all, so it must have room for them.
+        let room = (n - 1) * n.saturating_sub(2) / 2;
+        if n > 1 && extra > room {
+            return Err(bad(&format!(
+                "{n} agents leave room for at most {room} extra pairs"
+            )));
+        }
+        Ok(RandomDynamicGraph::symmetric(n, extra, seed))
+    };
     let parts: Vec<&str> = label.split(':').collect();
-    match parts.as_slice() {
-        ["dyn", ..] => rand_net(&parts).map(|g| Box::new(g) as Box<dyn DynamicGraph>),
-        ["async", delay, seed, rest @ ..] => {
-            let inner = rand_net(rest)?;
-            Some(Box::new(AsyncStarts::random(
-                inner,
-                num(delay)?,
-                num(seed)?,
-            )))
-        }
-        ["sparse", gap, horizon, rest @ ..] => {
-            let inner = rand_net(rest)?;
-            Some(Box::new(SparselyConnected::geometric(
-                inner,
-                num(gap)?,
-                num(horizon)?,
-            )))
-        }
+    Ok(match parts.as_slice() {
+        ["dyn", ..] => Box::new(rand_net(&parts)?),
+        ["async", delay, seed, rest @ ..] => Box::new(AsyncStarts::random(
+            rand_net(rest)?,
+            positive(delay, "MAXDELAY")?,
+            num(seed)?,
+        )),
+        ["sparse", gap, horizon, rest @ ..] => Box::new(SparselyConnected::geometric(
+            rand_net(rest)?,
+            positive(gap, "BASEGAP")?,
+            num(horizon)?,
+        )),
         ["pair", "uniform", n, seed] => {
-            let n: usize = num(n)?;
-            Some(Box::new(PairingScheduler::new(
+            let n = agents(n)?;
+            Box::new(PairingScheduler::new(
                 n.max(2),
                 UniformRandom::new((n / 2).max(1)),
                 num(seed)?,
-            )))
+            ))
         }
-        ["pair", "cover", n, seed] => Some(Box::new(PairingScheduler::new(
-            num::<usize>(n)?.max(2),
+        ["pair", "cover", n, seed] => Box::new(PairingScheduler::new(
+            agents(n)?.max(2),
             RoundRobinCover,
             num(seed)?,
-        ))),
-        _ => None,
-    }
+        )),
+        _ => {
+            return Err(bad(
+                "expected dyn:directed|symmetric:N:EXTRA:SEED, async:MAXDELAY:SEED:<dyn>, \
+                 sparse:BASEGAP:HORIZON:<dyn> or pair:uniform|cover:N:SEED",
+            ))
+        }
+    })
 }
 
 /// The fixed inputs of the F6, F7 and F8 sweeps: agent `i` holds
@@ -437,14 +508,31 @@ mod tests {
 
     #[test]
     fn dynamic_labels_parse() {
-        assert!(dynamic_net("dyn:directed:12:6:555").is_some());
-        assert!(dynamic_net("dyn:symmetric:16:4:2718").is_some());
-        assert!(dynamic_net("async:8:4:dyn:symmetric:16:4:9182").is_some());
-        assert!(dynamic_net("sparse:2:1023:dyn:directed:10:4:48").is_some());
-        assert!(dynamic_net("pair:uniform:12:7").is_some());
-        assert!(dynamic_net("pair:cover:9:0").is_some());
-        assert!(dynamic_net("ring:6").is_none());
-        assert!(dynamic_net("dyn:undirected:4:1:1").is_none());
-        assert!(dynamic_net("pair:lottery:4:1").is_none());
+        for label in [
+            "dyn:directed:12:6:555",
+            "dyn:symmetric:16:4:2718",
+            "dyn:symmetric:4:3:1",
+            "async:8:4:dyn:symmetric:16:4:9182",
+            "sparse:2:1023:dyn:directed:10:4:48",
+            "pair:uniform:12:7",
+            "pair:cover:9:0",
+        ] {
+            assert!(dynamic_net(label).is_ok(), "{label}");
+        }
+        for label in [
+            "ring:6",
+            "dyn:undirected:4:1:1",
+            "pair:lottery:4:1",
+            "dyn:directed:0:1:1",
+            "dyn:directed:16777217:1:1",
+            "dyn:directed:4:536870909:1",
+            "dyn:symmetric:4:4:1",
+            "async:0:1:dyn:directed:4:1:1",
+            "sparse:0:9:dyn:directed:4:1:1",
+            "pair:cover:0:1",
+            "",
+        ] {
+            assert!(dynamic_net(label).is_err(), "{label}");
+        }
     }
 }

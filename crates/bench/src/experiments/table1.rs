@@ -6,7 +6,7 @@
 //! representative) and negative certification (the lifting-lemma
 //! counterexample) and carries one boolean detail per sub-check.
 
-use super::Experiment;
+use super::{Experiment, Nets};
 use crate::{directed_cases, run_static, stabilization_budget, symmetric_cases, StaticCase};
 use kya_algos::frequency::{CensusOutdegree, CensusPorts, CensusSymmetric};
 use kya_algos::gossip::{set_functions, SetGossip};
@@ -24,6 +24,7 @@ pub const EXPERIMENT: Experiment = Experiment {
     name: "table1",
     about: "certify every cell of Table 1 (static networks) positively and negatively",
     extra_flags: &[],
+    nets: Nets::Unchecked,
     build,
     cell,
     render,

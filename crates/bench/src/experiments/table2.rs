@@ -8,7 +8,7 @@
 //! with the partial positive result that *is* known (Cor. 5.5 / §5.5).
 
 use super::table1::{parse_help, render_checks, HELPS};
-use super::Experiment;
+use super::{Experiment, Nets};
 use kya_algos::gossip::{set_functions, SetGossip};
 use kya_algos::metropolis::{FixedWeight, Metropolis};
 use kya_algos::push_sum::{normalize_estimate, round_to_grid, FrequencyState, PushSumFrequency};
@@ -24,6 +24,7 @@ pub const EXPERIMENT: Experiment = Experiment {
     name: "table2",
     about: "certify every cell of Table 2 (dynamic networks), incl. the known open-cell partials",
     extra_flags: &[],
+    nets: Nets::Unchecked,
     build,
     cell,
     render,

@@ -495,11 +495,11 @@ impl<G: DynamicGraph> SparselyConnected<G> {
     pub fn geometric(inner: G, base_gap: u64, horizon: u64) -> SparselyConnected<G> {
         assert!(base_gap >= 1, "gaps must be positive");
         let mut schedule = Vec::new();
-        let mut t = 1u64;
+        let mut next = Some(1u64);
         let mut gap = base_gap;
-        while t <= horizon {
+        while let Some(t) = next.filter(|&t| t <= horizon) {
             schedule.push(t);
-            t = t.saturating_add(gap);
+            next = t.checked_add(gap);
             gap = gap.saturating_mul(2);
         }
         SparselyConnected { inner, schedule }
@@ -729,6 +729,11 @@ mod tests {
         let gaps: Vec<u64> = sched.windows(2).map(|w| w[1] - w[0]).collect();
         assert!(gaps.windows(2).all(|w| w[1] >= w[0]));
         assert!(*gaps.last().unwrap() > 64);
+        // The last round the schedule can name ends it, so an unbounded
+        // horizon still gives a finite schedule: 1, 2, 4, …, 2^63.
+        let whole =
+            SparselyConnected::geometric(RandomDynamicGraph::directed(2, 0, 1), 1, u64::MAX);
+        assert_eq!(whole.schedule().len(), 64);
     }
 
     #[test]

@@ -1,18 +1,20 @@
 //! Every user-facing parser is total: on any label built from the
 //! grammars' tokens it returns `Ok`/`Err` (or `Some`/`None`) and never
 //! panics. Every churn label `ChurnSpec::parse` accepts also builds a
-//! plan without a panic, and serialized `PlanSpec`/`ChurnSpec` templates
-//! edited into unbuildable ones fail to deserialize.
+//! plan without a panic, every label `dynamic_net` accepts builds its
+//! first round, and serialized `PlanSpec`/`ChurnSpec` templates edited
+//! into unbuildable ones fail to deserialize.
 //!
 //! Labels are shaped like the grammars — `family:N`, `family:NxN`,
-//! `family:N:N:N`, value lists, churn windows, crash windows — or are
-//! free token soup
+//! `family:N:N:N`, dynamic networks, value lists, churn windows, crash
+//! windows — or are free token soup
 //! (operands joined by separators). Numbers come from two pools: small
 //! sizes, and the edges of the integer types (2^32 − 1, 2^32, 2^64 − 1
 //! and digit strings past `u64`). Small numbers stay at most 4, and no
 //! two numbers are ever adjacent, so any label that parses builds at
 //! most a few thousand agents.
 
+use kya_bench::experiments::dynamic_net;
 use kya_conformance::{CheckKind, Matrix};
 use kya_harness::{parse_crashes, parse_graph, parse_values, Args, ChurnSpec, PlanSpec};
 use kya_runtime::{Backend, BandwidthCap};
@@ -163,6 +165,26 @@ fn label(shape: usize, words: Vec<u64>) -> String {
                 s += "+reset";
             }
         }
+        6 => {
+            // Dynamic networks `dyn:KIND:N:N:N` or `pair:KIND:N:N`, a
+            // kind word of either family, after an optional
+            // `async:N:N:` or `sparse:N:N:`.
+            if d.below(2) == 0 {
+                s += d.pick(&["async:", "sparse:"]);
+                s += d.number();
+                s += ":";
+                s += d.number();
+                s += ":";
+            }
+            let (head, fields) = [("dyn", 3), ("pair", 2)][d.below(2)];
+            s += head;
+            s += ":";
+            s += d.pick(&["directed", "symmetric", "uniform", "cover"]);
+            for _ in 0..fields {
+                s += ":";
+                s += d.number();
+            }
+        }
         5 => {
             // Crash windows `AGENT:FROM:UNTIL`, `-` for a crash-stop.
             for i in 0..=d.below(3) {
@@ -224,7 +246,7 @@ proptest! {
 
     #[test]
     fn parsers_never_panic(
-        shape in 0usize..7,
+        shape in 0usize..8,
         words in collection::vec(any::<u64>(), 32),
     ) {
         let s = label(shape, words);
@@ -232,6 +254,7 @@ proptest! {
         total("parse_values", &s, || parse_values(&s));
         total("ChurnSpec::parse + build", &s, || ChurnSpec::parse(&s).map(|c| c.build(0)));
         total("parse_crashes", &s, || parse_crashes(&s, 4, PlanSpec::quiescent()));
+        total("dynamic_net + graph(1)", &s, || dynamic_net(&s).map(|net| net.graph(1).n()));
         total("BandwidthCap::parse", &s, || BandwidthCap::parse(&s));
         total("BandwidthCap::from_str", &s, || s.parse::<BandwidthCap>());
         total("Backend::parse", &s, || Backend::parse(&s));
