@@ -21,6 +21,11 @@
 //!    comparison (a convergence threshold, an α-safety sign, a
 //!    frequency-table tie): the run is replayed on the exact rung,
 //!    whose inbox sums normalize once per inbox.
+//!
+//! A scalar state is the same [`MassPair<M>`](MassPair) on each rung:
+//! [`PushSumState`](crate::push_sum::PushSumState) on f64,
+//! [`CertifiedPushSumState`] here and
+//! [`PushSumExactState`](crate::push_sum::PushSumExactState) on ℚ.
 
 use crate::push_sum::{FrequencyState, MassPair, PushSum, PushSumFrequency};
 use kya_arith::Enclosure;
