@@ -433,7 +433,7 @@ mod tests {
         // the identity reinjection keeps the parked tokens — total mass
         // must not move by a single token, even with 30% link drops
         // bouncing shares back through reabsorb.
-        let membership = ChurnPlan::new(7)
+        let membership = ChurnPlan::default()
             .leave(2, 10..25)
             .depart(4, 30)
             .membership(6);

@@ -201,17 +201,6 @@ impl Enclosure {
         sum_up(self.hi, -self.lo)
     }
 
-    /// A representative point (the rounded midpoint; `lo` when hi is
-    /// unbounded, `hi` when lo is).
-    pub fn midpoint(&self) -> f64 {
-        match (self.lo.is_finite(), self.hi.is_finite()) {
-            (true, true) => self.lo + (self.hi - self.lo) / 2.0,
-            (true, false) => self.lo,
-            (false, true) => self.hi,
-            (false, false) => 0.0,
-        }
-    }
-
     /// Whether both endpoints are finite — the precondition for any
     /// certification.
     pub fn is_bounded(&self) -> bool {

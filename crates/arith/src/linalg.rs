@@ -69,15 +69,6 @@ impl QMatrix {
         }
     }
 
-    /// The `n x n` identity matrix.
-    pub fn identity(n: usize) -> QMatrix {
-        let mut m = QMatrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = BigRational::one();
-        }
-        m
-    }
-
     /// Build from rows of machine integers (convenient in tests and when
     /// reading a matrix off a minimum base).
     ///
@@ -289,7 +280,7 @@ mod tests {
 
     #[test]
     fn identity_and_zero() {
-        let id = QMatrix::identity(3);
+        let id = QMatrix::from_i64_rows(&[&[1, 0, 0], &[0, 1, 0], &[0, 0, 1]]);
         assert_eq!(id.rank(), 3);
         assert!(id.kernel_basis().is_empty());
         let z = QMatrix::zeros(2, 3);
@@ -302,7 +293,7 @@ mod tests {
         let m = QMatrix::from_i64_rows(&[&[2, 4], &[1, 3]]);
         let (r, pivots) = m.rref();
         assert_eq!(pivots, vec![0, 1]);
-        assert_eq!(r, QMatrix::identity(2));
+        assert_eq!(r, QMatrix::from_i64_rows(&[&[1, 0], &[0, 1]]));
     }
 
     #[test]
@@ -317,7 +308,7 @@ mod tests {
     #[test]
     fn kernel_errors() {
         assert_eq!(
-            QMatrix::identity(2).positive_integer_kernel(),
+            QMatrix::from_i64_rows(&[&[1, 0], &[0, 1]]).positive_integer_kernel(),
             Err(KernelError::Trivial)
         );
         assert_eq!(

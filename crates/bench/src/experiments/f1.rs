@@ -24,6 +24,7 @@ pub const EXPERIMENT: Experiment = Experiment {
     about: "Push-Sum rounds to epsilon-consensus (Theorem 5.2)",
     extra_flags: &["groups", "exps"],
     nets: Nets::Either,
+    churn_variants: false,
     build,
     cell,
     render,

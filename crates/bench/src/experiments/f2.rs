@@ -25,6 +25,7 @@ pub const EXPERIMENT: Experiment = Experiment {
     about: "minimum-base stabilization round vs n + D, and the smallest working depth cap",
     extra_flags: &["rand-sizes"],
     nets: Nets::Static,
+    churn_variants: false,
     build,
     cell,
     render,

@@ -15,6 +15,7 @@ pub const EXPERIMENT: Experiment = Experiment {
     about: "averaging family: Push-Sum vs Metropolis vs fixed-weight, sync and async starts",
     extra_flags: &[],
     nets: Nets::Dynamic,
+    churn_variants: false,
     build,
     cell,
     render,

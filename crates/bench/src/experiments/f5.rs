@@ -17,6 +17,7 @@ pub const EXPERIMENT: Experiment = Experiment {
     about: "weak connectivity: geometric schedules, no finite dynamic diameter (open question)",
     extra_flags: &[],
     nets: Nets::Dynamic,
+    churn_variants: false,
     build,
     cell,
     render,

@@ -31,6 +31,7 @@ pub const EXPERIMENT: Experiment = Experiment {
     about: "bounded bandwidth: quantized averaging survival matrix across caps b=1,2,4,8,inf",
     extra_flags: &[],
     nets: Nets::Static,
+    churn_variants: false,
     build,
     cell,
     render,

@@ -31,6 +31,7 @@ pub const EXPERIMENT: Experiment = Experiment {
     about: "flat SoA/CSR engine vs boxed executor throughput",
     extra_flags: &["threads"],
     nets: Nets::Unchecked,
+    churn_variants: false,
     build,
     cell,
     render,

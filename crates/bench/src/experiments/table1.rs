@@ -25,6 +25,7 @@ pub const EXPERIMENT: Experiment = Experiment {
     about: "certify every cell of Table 1 (static networks) positively and negatively",
     extra_flags: &[],
     nets: Nets::Unchecked,
+    churn_variants: false,
     build,
     cell,
     render,

@@ -25,6 +25,7 @@ pub const EXPERIMENT: Experiment = Experiment {
     about: "certify every cell of Table 2 (dynamic networks), incl. the known open-cell partials",
     extra_flags: &[],
     nets: Nets::Unchecked,
+    churn_variants: false,
     build,
     cell,
     render,

@@ -23,16 +23,16 @@ use kya_algos::push_sum::{
 use kya_algos::quantized::{QuantizedMetropolis, QuantizedPushSum};
 use kya_arith::{BigInt, BigRational, Enclosure};
 use kya_graph::{Digraph, DynamicGraph, StaticGraph};
-use kya_harness::{parse_graph, CellCtx, CellOutcome, CellSpec, ChurnSpec};
+use kya_harness::{parse_graph, CellCtx, CellOutcome, CellSpec};
 use kya_runtime::bits::StateBits;
-use kya_runtime::churn::ChurnMasked;
+use kya_runtime::churn::{ChurnMasked, ChurnPlan};
 use kya_runtime::faults::{FaultPlan, FaultyNetwork};
 use kya_runtime::flat::MAX_LANES;
 use kya_runtime::metric::EuclideanMetric;
 use kya_runtime::telemetry::{NullObserver, Observer, TraceSink};
 use kya_runtime::{
-    lane_columns, Algorithm, Backend, BandwidthCap, Broadcast, ByteLedger, CountingProbe,
-    Execution, FlatAlgorithm, FlatExecution, FlatRunConfig, Isotropic, IsotropicAlgorithm, Lanes,
+    lane_columns, Algorithm, BandwidthCap, Broadcast, ByteLedger, CountingProbe, Execution,
+    FlatAlgorithm, FlatExecution, FlatRunConfig, Isotropic, IsotropicAlgorithm, Lanes,
     MessageCodec, RunConfig,
 };
 use std::cell::{Cell, RefCell};
@@ -800,13 +800,9 @@ fn check_backend(ctx: &CellCtx) -> CellOutcome {
     let vals = vals_u64(cell.cell_seed, n);
     let backend = match cell.variant.as_str() {
         // The bare axis means the default backend under test.
-        "" => Backend::Certified,
-        v => match Backend::parse(v) {
-            Some(Backend::F64) | None => {
-                return fail(format!("unknown backend variant `{v}`"));
-            }
-            Some(b) => b,
-        },
+        "" | "certified" => Backend::Certified,
+        "exact" => Backend::Exact,
+        v => return fail(format!("unknown backend variant `{v}`")),
     };
     let ints: Vec<i64> = vals.iter().map(|&v| v as i64).collect();
     let floats: Vec<f64> = vals.iter().map(|&v| v as f64).collect();
@@ -851,6 +847,25 @@ fn check_backend(ctx: &CellCtx) -> CellOutcome {
             },
         ),
         other => fail(format!("unknown backend algorithm `{other}`")),
+    }
+}
+
+/// The rung a backend cell replays on exact ℚ: only where an enclosure
+/// cannot certify (`certified`), or on every cell (`exact`, the cost
+/// baseline).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Backend {
+    Certified,
+    Exact,
+}
+
+impl Backend {
+    /// The variant-axis name, also the record's `backend` detail.
+    fn as_str(self) -> &'static str {
+        match self {
+            Backend::Certified => "certified",
+            Backend::Exact => "exact",
+        }
     }
 }
 
@@ -1195,11 +1210,10 @@ fn check_churn(ctx: &CellCtx) -> CellOutcome {
     };
     let n = net.n();
     let rounds = ctx.rounds();
-    let spec = match ChurnSpec::parse(&cell.variant) {
-        Ok(spec) => spec,
-        Err(e) => return fail(e.0),
+    let membership = match ChurnPlan::parse(&cell.variant) {
+        Ok(churn) => churn.membership(n),
+        Err(e) => return fail(e),
     };
-    let membership = spec.build(cell.cell_seed).membership(n);
     let plan = ctx.fault_plan();
     let vals = vals_u64(cell.cell_seed, n);
     match cell.algorithm.as_str() {

@@ -62,7 +62,9 @@ pub mod nets;
 pub use checks::{f64_tolerance, CheckKind};
 pub use fingerprint::Fingerprint;
 
-use kya_harness::{ChurnSpec, ExperimentSpec, PlanSpec, ResultSink, Runner, SpecError};
+use kya_harness::{ExperimentSpec, ResultSink, Runner, SpecError};
+use kya_runtime::churn::{ChurnPlan, ReinjectPolicy};
+use kya_runtime::faults::FaultPlan;
 
 /// How much of the conformance matrix to run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -125,16 +127,16 @@ pub fn specs(matrix: Matrix) -> Vec<(CheckKind, ExperimentSpec)> {
     // the stabilization detector.
     let half = rounds / 2;
     let churn_variants: Vec<String> = [
-        ChurnSpec::stable(),
-        ChurnSpec::stable().leave(1, rounds / 4..half),
-        ChurnSpec::stable()
+        ChurnPlan::default(),
+        ChurnPlan::default().leave(1, rounds / 4..half),
+        ChurnPlan::default()
             .leave(1, rounds / 4..half)
             .leave(2, rounds / 3..half + rounds / 4)
-            .reset(),
-        ChurnSpec::stable().depart(0, half),
+            .policy(ReinjectPolicy::Reset),
+        ChurnPlan::default().depart(0, half),
     ]
     .iter()
-    .map(ChurnSpec::label)
+    .map(ChurnPlan::label)
     .collect();
     vec![
         (
@@ -189,7 +191,7 @@ pub fn specs(matrix: Matrix) -> Vec<(CheckKind, ExperimentSpec)> {
                 .sizes(sizes.clone())
                 .seeds(seeds.clone())
                 .algorithms(["exact-graph-faults", "healing-message-faults"])
-                .plans([PlanSpec::quiescent().drop_links(0.25).until(rounds / 2)])
+                .plans([FaultPlan::new(0).drop_links(0.25).until(rounds / 2)])
                 .rounds(rounds)
                 .base_seed(0xc0f0_0004),
         ),
@@ -211,7 +213,7 @@ pub fn specs(matrix: Matrix) -> Vec<(CheckKind, ExperimentSpec)> {
                 .seeds(seeds.clone())
                 .algorithms(["exact-mass", "healing-mass", "frozen-absence"])
                 .variants(churn_variants)
-                .plans([PlanSpec::quiescent().drop_links(0.25).until(half)])
+                .plans([FaultPlan::new(0).drop_links(0.25).until(half)])
                 .rounds(rounds)
                 .base_seed(0xc0f0_0006),
         ),

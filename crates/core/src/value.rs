@@ -33,12 +33,6 @@ pub fn is_leader(value: u64) -> bool {
     value & LEADER_BIT != 0
 }
 
-/// Strip leader flags from a whole input vector (for evaluating the
-/// target function on payloads only).
-pub fn payloads(values: &[u64]) -> Vec<u64> {
-    values.iter().map(|&v| decode(v).0).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -52,12 +46,6 @@ mod tests {
                 assert_eq!(is_leader(enc), leader);
             }
         }
-    }
-
-    #[test]
-    fn payload_stripping() {
-        let vals = vec![encode(5, true), encode(7, false)];
-        assert_eq!(payloads(&vals), vec![5, 7]);
     }
 
     #[test]

@@ -91,27 +91,6 @@ impl Partition {
         }
         out
     }
-
-    /// Whether this partition refines `other` (every class of `self` is
-    /// contained in a class of `other`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the partitions have different lengths.
-    pub fn refines(&self, other: &Partition) -> bool {
-        assert_eq!(self.len(), other.len(), "partition length mismatch");
-        let mut image: Vec<Option<usize>> = vec![None; self.num_classes];
-        for v in 0..self.len() {
-            let mine = self.class_of[v];
-            let theirs = other.class_of[v];
-            match image[mine] {
-                None => image[mine] = Some(theirs),
-                Some(t) if t == theirs => {}
-                Some(_) => return false,
-            }
-        }
-        true
-    }
 }
 
 /// The rank of each element of `xs` in the sorted set of its values.
@@ -267,12 +246,6 @@ mod tests {
         assert_eq!(p.class_sizes(), vec![2, 1, 1]);
         assert!(!p.is_empty());
         assert_eq!(p.len(), 4);
-        let finer = Partition::from_class_ids(&[0, 1, 2, 3]);
-        let coarser = Partition::from_class_ids(&[0, 0, 0, 0]);
-        assert!(finer.refines(&p));
-        assert!(p.refines(&coarser));
-        assert!(!coarser.refines(&p));
-        assert!(p.refines(&p));
     }
 
     #[test]

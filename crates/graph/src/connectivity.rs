@@ -60,30 +60,6 @@ pub fn diameter(g: &Digraph) -> Option<usize> {
     Some(max)
 }
 
-/// Eccentricity of every vertex (the largest distance *from* it), or
-/// `None` for vertices that cannot reach the whole graph.
-fn eccentricities(g: &Digraph) -> Vec<Option<usize>> {
-    (0..g.n())
-        .map(|v| {
-            bfs_distances(g, v)
-                .into_iter()
-                .try_fold(0usize, |acc, d| d.map(|d| acc.max(d)))
-        })
-        .collect()
-}
-
-/// The radius: the smallest eccentricity, or `None` if no vertex reaches
-/// every other (or the graph is empty).
-///
-/// ```
-/// use kya_graph::{connectivity::radius, generators};
-/// // The star's center sees everyone in one hop.
-/// assert_eq!(radius(&generators::star(5)), Some(1));
-/// ```
-pub fn radius(g: &Digraph) -> Option<usize> {
-    eccentricities(g).into_iter().flatten().min()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,22 +88,8 @@ mod tests {
     fn diameters() {
         assert_eq!(diameter(&generators::bidirectional_ring(6)), Some(3));
         assert_eq!(diameter(&generators::complete(5)), Some(1));
+        assert_eq!(diameter(&generators::star(4)), Some(2));
         assert_eq!(diameter(&Digraph::new(1)), Some(0));
         assert_eq!(diameter(&Digraph::new(0)), None);
-    }
-
-    #[test]
-    fn distance_and_radius() {
-        let star = generators::star(4);
-        assert_eq!(radius(&star), Some(1));
-        assert_eq!(diameter(&star), Some(2));
-        let ecc = eccentricities(&star);
-        assert_eq!(ecc[0], Some(1));
-        assert!(ecc[1..].iter().all(|&e| e == Some(2)));
-        // A path graph: endpoint cannot be reached backwards.
-        let path = Digraph::from_edges(3, [(0, 1), (1, 2)]);
-        assert_eq!(eccentricities(&path), vec![Some(2), None, None]);
-        assert_eq!(radius(&path), Some(2));
-        assert_eq!(radius(&Digraph::new(0)), None);
     }
 }

@@ -109,11 +109,6 @@ impl StaticGraph {
             g: g.with_self_loops(),
         }
     }
-
-    /// The underlying static graph (with self-loops).
-    pub fn underlying(&self) -> &Digraph {
-        &self.g
-    }
 }
 
 impl DynamicGraph for StaticGraph {
@@ -441,11 +436,6 @@ impl<F: Fairness> PairingScheduler<F> {
     pub fn new(n: usize, fairness: F, seed: u64) -> PairingScheduler<F> {
         assert!(n > 0, "population needs at least one agent");
         PairingScheduler { n, fairness, seed }
-    }
-
-    /// The fairness condition in use.
-    pub fn fairness(&self) -> &F {
-        &self.fairness
     }
 }
 

@@ -72,10 +72,10 @@ impl CellCtx<'_> {
         self.cache.graph(&self.cell.topology)
     }
 
-    /// The cell's fault plan: its template instantiated with the
-    /// deterministic per-cell seed.
+    /// The cell's fault plan, its coins seeded by the deterministic
+    /// per-cell seed.
     pub fn fault_plan(&self) -> FaultPlan {
-        self.cell.plan.build(self.cell.cell_seed)
+        self.cell.plan.clone().reseed(self.cell.cell_seed)
     }
 
     /// Shorthand for the spec's round budget.
@@ -380,15 +380,16 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_uses_cell_seed_unless_pinned() {
-        use crate::spec::PlanSpec;
+    fn fault_plan_uses_cell_seed() {
+        let template = FaultPlan::new(77).drop_links(0.2);
         let spec = ExperimentSpec::new("demo")
             .topologies(["ring:{n}"])
             .sizes([4])
-            .plans([PlanSpec::quiescent().drop_links(0.2)]);
+            .plans([template.clone()]);
         let sink = Runner::new(&spec).run(|ctx| {
             let plan = ctx.fault_plan();
-            CellOutcome::new().ok(plan.seed() == ctx.cell.cell_seed)
+            let seed = ctx.cell.cell_seed;
+            CellOutcome::new().ok(seed != 77 && plan == template.clone().reseed(seed))
         });
         assert!(sink.all_ok());
     }

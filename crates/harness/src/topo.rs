@@ -11,7 +11,6 @@
 
 use kya_fibration::MinimumBase;
 use kya_graph::{connectivity, Digraph};
-use kya_runtime::faults::FaultPlan;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -167,12 +166,6 @@ impl TopologyCache {
         Ok(self.memo(&self.bases, &key, || {
             Arc::new(MinimumBase::compute(&g.with_self_loops(), values))
         }))
-    }
-
-    /// Instantiate the cell's fault plan against the cached graph —
-    /// pure convenience mirroring [`FaultPlan::new`] usage.
-    pub fn fault_plan(&self, template: &crate::spec::PlanSpec, cell_seed: u64) -> FaultPlan {
-        template.build(cell_seed)
     }
 
     /// (hits, misses) over all tables so far.

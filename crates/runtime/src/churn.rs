@@ -27,9 +27,17 @@
 //! The executor side is [`crate::RunConfig::membership`], applied by
 //! [`crate::Execution::drive`] before every round; the composition order with the other adversaries is pairing ∘ churn ∘
 //! faults ∘ async-starts (see DESIGN.md).
+//!
+//! A plan rides a sweep's variant axis as its label
+//! ([`ChurnPlan::label`], parsed back by [`ChurnPlan::parse`]), whose
+//! windows follow the `--crash` grammar of
+//! [`crate::faults::parse_crashes`]. Deserialization is as total as the
+//! label parser: a window starting at round 0 or an empty one is an
+//! error.
 
+use crate::faults::{check_window, parse_window, window_label};
 use kya_graph::{Digraph, DynamicGraph};
-use serde::{Deserialize, Serialize};
+use serde::{Deserialize, Serialize, Value};
 use std::borrow::Cow;
 use std::ops::Range;
 
@@ -69,36 +77,27 @@ pub enum ReinjectPolicy {
 /// when, and what happens to their mass at rejoin.
 ///
 /// Like [`crate::faults::FaultPlan`], the plan is pure data — it can be
-/// stored next to an experiment's JSON output and replayed exactly. The
-/// seed identifies the script for provenance (and seeds any future
-/// randomized churn); the windows themselves are explicit.
+/// stored next to an experiment's JSON output and replayed exactly. It
+/// has no seed: the windows are explicit. The default plan is
+/// quiescent.
 ///
 /// ```
 /// use kya_runtime::churn::{ChurnPlan, ReinjectPolicy};
 ///
-/// let plan = ChurnPlan::new(7)
+/// let plan = ChurnPlan::default()
 ///     .leave(2, 10..40)          // agent 2 is away for rounds 10..40
 ///     .depart(5, 60)             // agent 5 leaves for good at round 60
 ///     .policy(ReinjectPolicy::Reset);
 /// assert!(!plan.is_quiescent());
+/// assert_eq!(plan.label(), "c2:10:40,5:60:-+reset");
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Serialize)]
 pub struct ChurnPlan {
-    seed: u64,
     windows: Vec<ChurnWindow>,
     policy: ReinjectPolicy,
 }
 
 impl ChurnPlan {
-    /// A quiescent plan (no churn) with the given seed.
-    pub fn new(seed: u64) -> ChurnPlan {
-        ChurnPlan {
-            seed,
-            windows: Vec::new(),
-            policy: ReinjectPolicy::Carry,
-        }
-    }
-
     /// `agent` is absent for the rounds in `window` (leave + rejoin).
     ///
     /// # Panics
@@ -136,24 +135,77 @@ impl ChurnPlan {
         self
     }
 
-    /// The plan's seed (provenance only — the windows are explicit).
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// The scripted absence windows.
     pub fn windows(&self) -> &[ChurnWindow] {
         &self.windows
     }
 
-    /// The mass re-injection policy.
-    pub fn reinject_policy(&self) -> ReinjectPolicy {
-        self.policy
-    }
-
     /// Whether the plan scripts no churn at all.
     pub fn is_quiescent(&self) -> bool {
         self.windows.is_empty()
+    }
+
+    /// A deterministic, parseable label: `stable`, or `c` followed by
+    /// comma-joined `AGENT:LEAVE:REJOIN` windows (`-` for a permanent
+    /// departure), with `+reset` appended under the reset policy — e.g.
+    /// `c2:10:40,5:20:-+reset`. Inverse of [`ChurnPlan::parse`].
+    pub fn label(&self) -> String {
+        if self.windows.is_empty() {
+            return "stable".to_string();
+        }
+        let windows: Vec<String> = self
+            .windows
+            .iter()
+            .map(|w| window_label(w.agent, w.leave, w.rejoin))
+            .collect();
+        let suffix = match self.policy {
+            ReinjectPolicy::Carry => "",
+            ReinjectPolicy::Reset => "+reset",
+        };
+        format!("c{}{suffix}", windows.join(","))
+    }
+
+    /// Parse a [`ChurnPlan::label`] back into a plan. Windows follow the
+    /// grammar of [`crate::faults::parse_crashes`].
+    ///
+    /// # Errors
+    ///
+    /// Describes the malformed part, a window starting at round 0 or an
+    /// empty window.
+    pub fn parse(label: &str) -> Result<ChurnPlan, String> {
+        if label == "stable" {
+            return Ok(ChurnPlan::default());
+        }
+        let body = label
+            .strip_prefix('c')
+            .ok_or_else(|| format!("churn label must be `stable` or start with `c`: `{label}`"))?;
+        let (body, policy) = match body.strip_suffix("+reset") {
+            Some(b) => (b, ReinjectPolicy::Reset),
+            None => (body, ReinjectPolicy::Carry),
+        };
+        let mut plan = ChurnPlan::default().policy(policy);
+        for part in body.split(',') {
+            plan = match parse_window(part, "churn", ["LEAVE", "REJOIN"])? {
+                (agent, leave, Some(rejoin)) => plan.leave(agent, leave..rejoin),
+                (agent, leave, None) => plan.depart(agent, leave),
+            };
+        }
+        Ok(plan)
+    }
+
+    /// Check that every window names an agent of an `n`-agent network.
+    ///
+    /// # Errors
+    ///
+    /// Names the first window whose agent is outside `0..n`.
+    pub fn check_agents(&self, n: usize) -> Result<(), String> {
+        match self.windows.iter().find(|w| w.agent >= n) {
+            Some(w) => Err(format!(
+                "churn agent {} out of range (the network has {n} agents)",
+                w.agent
+            )),
+            None => Ok(()),
+        }
     }
 
     /// The round-indexed membership view over `n` agents — the form the
@@ -163,18 +215,29 @@ impl ChurnPlan {
     ///
     /// Panics if a window names an agent outside `0..n`.
     pub fn membership(&self, n: usize) -> Membership {
-        for w in &self.windows {
-            assert!(
-                w.agent < n,
-                "churn window names agent {} but the network has {n} agents",
-                w.agent
-            );
+        if let Err(e) = self.check_agents(n) {
+            panic!("{e}");
         }
         Membership {
             n,
             windows: self.windows.clone(),
             policy: self.policy,
         }
+    }
+}
+
+impl Deserialize for ChurnPlan {
+    fn from_value(v: &Value) -> Result<ChurnPlan, serde::Error> {
+        let windows = Vec::<ChurnWindow>::from_value(v.field("windows")?)?;
+        for w in &windows {
+            let item = window_label(w.agent, w.leave, w.rejoin);
+            check_window(&item, w.leave, w.rejoin, "churn", ["LEAVE", "REJOIN"])
+                .map_err(serde::Error::custom)?;
+        }
+        Ok(ChurnPlan {
+            windows,
+            policy: ReinjectPolicy::from_value(v.field("policy")?)?,
+        })
     }
 }
 
@@ -336,7 +399,7 @@ mod tests {
 
     #[test]
     fn plan_roundtrips_through_json() {
-        let plan = ChurnPlan::new(3)
+        let plan = ChurnPlan::default()
             .leave(1, 5..9)
             .depart(2, 20)
             .policy(ReinjectPolicy::Reset);
@@ -346,8 +409,40 @@ mod tests {
     }
 
     #[test]
+    fn labels_parse_back() {
+        let stable = ChurnPlan::default();
+        assert_eq!(stable.label(), "stable");
+        assert_eq!(ChurnPlan::parse("stable").unwrap(), stable);
+
+        let plan = ChurnPlan::default()
+            .leave(2, 10..40)
+            .depart(5, 20)
+            .policy(ReinjectPolicy::Reset);
+        assert_eq!(plan.label(), "c2:10:40,5:20:-+reset");
+        assert_eq!(ChurnPlan::parse(&plan.label()).unwrap(), plan);
+        assert!(plan.check_agents(6).is_ok());
+        let err = plan.check_agents(5).unwrap_err();
+        assert!(err.contains("churn agent 5 out of range"), "{err}");
+
+        let carry = ChurnPlan::default().leave(0, 1..3);
+        assert_eq!(carry.label(), "c0:1:3");
+        assert_eq!(ChurnPlan::parse("c0:1:3").unwrap(), carry);
+
+        assert!(ChurnPlan::parse("nonsense").is_err());
+        assert!(ChurnPlan::parse("c1:2").is_err());
+        assert!(ChurnPlan::parse("c1:x:3").is_err());
+        let err = ChurnPlan::parse("c1:0:5").unwrap_err();
+        assert!(err.contains("numbered from 1"), "{err}");
+        let err = ChurnPlan::parse("c1:15:5").unwrap_err();
+        assert!(err.contains("is empty"), "{err}");
+    }
+
+    #[test]
     fn membership_tracks_windows() {
-        let m = ChurnPlan::new(0).leave(1, 3..6).depart(3, 8).membership(5);
+        let m = ChurnPlan::default()
+            .leave(1, 3..6)
+            .depart(3, 8)
+            .membership(5);
         assert_eq!(m.n(), 5);
         assert!(m.is_member(1, 2));
         assert!(!m.is_member(1, 3) && !m.is_member(1, 5));
@@ -362,16 +457,16 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "names agent")]
+    #[should_panic(expected = "out of range")]
     fn membership_rejects_out_of_range_agents() {
-        let _ = ChurnPlan::new(0).depart(7, 1).membership(4);
+        let _ = ChurnPlan::default().depart(7, 1).membership(4);
     }
 
     #[test]
     fn absent_agent_keeps_only_self_loop() {
         let net = ChurnMasked::new(
             StaticGraph::new(generators::complete(4)),
-            ChurnPlan::new(0).leave(2, 3..6).membership(4),
+            ChurnPlan::default().leave(2, 3..6).membership(4),
         );
         let g = net.graph(4);
         assert!(g.has_self_loop(2));
@@ -388,7 +483,7 @@ mod tests {
         let inner = StaticGraph::new(generators::random_strongly_connected(6, 4, 5));
         let masked = ChurnMasked::new(
             StaticGraph::new(generators::random_strongly_connected(6, 4, 5)),
-            ChurnPlan::new(0).membership(6),
+            ChurnPlan::default().membership(6),
         );
         for t in 1..10 {
             assert_eq!(

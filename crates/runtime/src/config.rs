@@ -40,62 +40,6 @@ use crate::metric::{EuclideanMetric, Metric};
 use crate::probe::CountingProbe;
 use crate::telemetry::Observer;
 
-/// The arithmetic backend a run executes on — the axis the conformance
-/// matrix and the benches select cells by.
-///
-/// The three rungs of the certified ladder (see `kya_arith::interval`):
-/// plain round-to-nearest `f64`; directed-rounding enclosures that
-/// certify the `f64` run and escalate to ℚ only at undecidable
-/// comparisons (`certified`); and eager `BigRational` on every
-/// operation (`exact`, the cost baseline the certified backend is
-/// measured against).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum Backend {
-    /// Plain round-to-nearest f64 — fast, uncertified.
-    F64,
-    /// Eager exact rationals on every operation.
-    Exact,
-    /// Machine-checked enclosures; a comparison they cannot decide
-    /// escalates to a replay on the [`Backend::Exact`] algorithms.
-    Certified,
-}
-
-impl Backend {
-    /// Parse a backend name as it appears in spec variant axes
-    /// (`"f64"`, `"exact"`, `"certified"`).
-    pub fn parse(s: &str) -> Option<Backend> {
-        match s {
-            "f64" => Some(Backend::F64),
-            "exact" => Some(Backend::Exact),
-            "certified" => Some(Backend::Certified),
-            _ => None,
-        }
-    }
-
-    /// The canonical spec-axis name of this backend.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Backend::F64 => "f64",
-            Backend::Exact => "exact",
-            Backend::Certified => "certified",
-        }
-    }
-}
-
-impl std::fmt::Display for Backend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for Backend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Backend, String> {
-        Backend::parse(s).ok_or_else(|| format!("unknown backend `{s}` (f64|exact|certified)"))
-    }
-}
-
 /// A distance functional over the whole output vector, as installed by
 /// [`RunConfig::measure`] / [`RunConfig::measure_with`].
 pub type DistanceFn<'a, O> = Box<dyn Fn(&[O]) -> f64 + 'a>;

@@ -80,7 +80,7 @@ pub use algorithm::{
     Algorithm, Broadcast, BroadcastAlgorithm, CommunicationModel, Isotropic, IsotropicAlgorithm,
 };
 pub use bandwidth::{BandwidthCap, ByteLedger, MessageCodec};
-pub use config::{Backend, FlatRunConfig, RunConfig};
+pub use config::{FlatRunConfig, RunConfig};
 pub use execution::Execution;
 pub use flat::{lane_columns, FlatAlgorithm, FlatExecution, Inbox, Lanes};
 pub use probe::{CountingProbe, FlatProbeSummary, FlatRoundEvent, PhaseTimes};

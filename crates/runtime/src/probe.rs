@@ -78,7 +78,7 @@ pub struct PhaseTimes {
 
 impl PhaseTimes {
     /// Accumulate another round's phase times into this block.
-    pub fn accumulate(&mut self, other: &PhaseTimes) {
+    fn accumulate(&mut self, other: &PhaseTimes) {
         self.route_us += other.route_us;
         self.pass_us += other.pass_us;
         self.merge_us += other.merge_us;

@@ -34,7 +34,7 @@ fn fault_plan_roundtrips_and_tolerates_unknown_fields() {
 #[test]
 fn churn_plan_roundtrips_and_tolerates_unknown_fields() {
     for policy in [ReinjectPolicy::Carry, ReinjectPolicy::Reset] {
-        let plan = ChurnPlan::new(0xf8)
+        let plan = ChurnPlan::default()
             .leave(2, 10..40)
             .leave(4, 25..55)
             .depart(0, 70)
@@ -51,7 +51,7 @@ fn churn_plan_roundtrips_and_tolerates_unknown_fields() {
 #[test]
 fn quiescent_plans_roundtrip() {
     let fault = FaultPlan::new(0);
-    let churn = ChurnPlan::new(0);
+    let churn = ChurnPlan::default();
     assert!(fault.is_quiescent() && churn.is_quiescent());
     let fault_back: FaultPlan =
         serde::from_json_str(&serde::to_json_string(&fault)).expect("parses");
@@ -66,7 +66,7 @@ fn unknown_reinject_policy_is_rejected() {
     // The flip side of tolerance: an unknown *enum variant* cannot be
     // defaulted away — a plan asking for a policy this build does not
     // implement must fail loudly, not silently fall back to Carry.
-    let json = serde::to_json_string(&ChurnPlan::new(1).leave(0, 1..2));
+    let json = serde::to_json_string(&ChurnPlan::default().leave(0, 1..2));
     let bad = json.replace("\"Carry\"", "\"Teleport\"");
     assert_ne!(bad, json, "fixture actually rewrote the policy");
     assert!(serde::from_json_str::<ChurnPlan>(&bad).is_err());

@@ -65,7 +65,9 @@ fn churned_stack(
     know_your_audience::runtime::churn::Membership,
 ) {
     let g = generators::random_strongly_connected(n, n, 9).with_self_loops();
-    let membership = ChurnPlan::new(9).leave(PARKED, LEAVE..REJOIN).membership(n);
+    let membership = ChurnPlan::default()
+        .leave(PARKED, LEAVE..REJOIN)
+        .membership(n);
     (
         ChurnMasked::new(StaticGraph::new(g), membership.clone()),
         membership,
@@ -186,7 +188,7 @@ proptest! {
         rounds in 1u64..16,
     ) {
         let g = generators::random_strongly_connected(n, extra, seed).with_self_loops();
-        let membership = ChurnPlan::new(seed)
+        let membership = ChurnPlan::default()
             .leave(n - 1, 2..6)
             .leave(0, 3..8)
             .membership(n);

@@ -4,7 +4,8 @@
 
 use kya_algos::push_sum::{PushSum, PushSumState};
 use kya_graph::StaticGraph;
-use kya_harness::{CellCtx, CellOutcome, ExperimentSpec, PlanSpec, Runner, TopologyCache};
+use kya_harness::{CellCtx, CellOutcome, ExperimentSpec, Runner, TopologyCache};
+use kya_runtime::faults::FaultPlan;
 use kya_runtime::metric::EuclideanMetric;
 use kya_runtime::{Execution, Isotropic, RunConfig};
 use proptest::prelude::*;
@@ -16,7 +17,7 @@ fn demo_spec() -> ExperimentSpec {
         .topologies(["ring:{n}", "torus:{n}", "random:{n}:4:{seed}"])
         .sizes([6, 9])
         .seeds([1, 2])
-        .plans([PlanSpec::quiescent(), PlanSpec::quiescent().drop_links(0.2)])
+        .plans([FaultPlan::new(0), FaultPlan::new(0).drop_links(0.2)])
         .rounds(200)
         .eps(1e-6)
 }
@@ -132,7 +133,7 @@ proptest! {
             .topologies(["ring:{n}", "random:{n}:3:{seed}"])
             .sizes([n, n + 1])
             .seeds([seed])
-            .plans([PlanSpec::quiescent().drop_links(f64::from(drop_ppm) / 1e6)])
+            .plans([FaultPlan::new(0).drop_links(f64::from(drop_ppm) / 1e6)])
             .rounds(120)
             .base_seed(seed);
         let cold = Runner::new(&spec).workers(workers).run(demo_cell).to_ndjson();

@@ -1,9 +1,10 @@
 //! Every user-facing parser is total: on any label built from the
 //! grammars' tokens it returns `Ok`/`Err` (or `Some`/`None`) and never
-//! panics. Every churn label `ChurnSpec::parse` accepts also builds a
-//! plan without a panic, every label `dynamic_net` accepts builds its
-//! first round, and serialized `PlanSpec`/`ChurnSpec` templates edited
-//! into unbuildable ones fail to deserialize.
+//! panics. `ChurnPlan::parse` and `parse_crashes` build their plans
+//! through the builders, so every label they accept builds; every label
+//! `dynamic_net` accepts builds its first round; and serialized
+//! `FaultPlan`/`ChurnPlan` scripts edited into ones the builders refuse
+//! fail to deserialize.
 //!
 //! Labels are shaped like the grammars — `family:N`, `family:NxN`,
 //! `family:N:N:N`, dynamic networks, value lists, churn windows, crash
@@ -16,8 +17,10 @@
 
 use kya_bench::experiments::dynamic_net;
 use kya_conformance::{CheckKind, Matrix};
-use kya_harness::{parse_crashes, parse_graph, parse_values, Args, ChurnSpec, PlanSpec};
-use kya_runtime::{Backend, BandwidthCap};
+use kya_harness::{parse_graph, parse_values, Args};
+use kya_runtime::churn::ChurnPlan;
+use kya_runtime::faults::{parse_crashes, FaultPlan};
+use kya_runtime::BandwidthCap;
 use proptest::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -252,13 +255,11 @@ proptest! {
         let s = label(shape, words);
         total("parse_graph", &s, || parse_graph(&s).map(|g| g.n()));
         total("parse_values", &s, || parse_values(&s));
-        total("ChurnSpec::parse + build", &s, || ChurnSpec::parse(&s).map(|c| c.build(0)));
-        total("parse_crashes", &s, || parse_crashes(&s, 4, PlanSpec::quiescent()));
+        total("ChurnPlan::parse", &s, || ChurnPlan::parse(&s));
+        total("parse_crashes", &s, || parse_crashes(&s, FaultPlan::new(0)));
         total("dynamic_net + graph(1)", &s, || dynamic_net(&s).map(|net| net.graph(1).n()));
         total("BandwidthCap::parse", &s, || BandwidthCap::parse(&s));
         total("BandwidthCap::from_str", &s, || s.parse::<BandwidthCap>());
-        total("Backend::parse", &s, || Backend::parse(&s));
-        total("Backend::from_str", &s, || s.parse::<Backend>());
         total("CheckKind::parse", &s, || CheckKind::parse(&s));
         total("Matrix::parse", &s, || Matrix::parse(&s));
         args_total(&s);
@@ -276,30 +277,29 @@ fn accepted_churn_labels_build() {
         "c1:5:5",
         "c0:1:3,2:0:-+reset",
     ] {
-        total("ChurnSpec::parse + build", label, || {
-            ChurnSpec::parse(label).map(|c| c.build(0))
-        });
+        total("ChurnPlan::parse", label, || ChurnPlan::parse(label));
     }
 }
 
-/// Serialized fault and churn templates, edited into values their
+/// Serialized fault and churn scripts, edited into values their
 /// builders panic on: deserialization rejects each one, as the label
-/// parsers reject the same windows, so every template that deserializes
-/// builds.
+/// parsers reject the same windows, so every script that deserializes
+/// could have been built.
 #[test]
 fn edited_serialized_specs_are_rejected() {
-    let plan = PlanSpec::quiescent()
+    let plan = FaultPlan::new(11)
         .drop_links(0.25)
         .duplicate(0.5)
+        .retry_within(5)
         .until(9)
         .crash(1, 3..7)
         .crash_stop(2, 4);
-    let churn = ChurnSpec::stable().leave(1, 3..7).depart(2, 4);
+    let churn = ChurnPlan::default().leave(1, 3..7).depart(2, 4);
     let plan_json = serde::to_json_string(&plan);
     let churn_json = serde::to_json_string(&churn);
-    let back: PlanSpec = serde::from_json_str(&plan_json).expect("unedited plan");
+    let back: FaultPlan = serde::from_json_str(&plan_json).expect("unedited plan");
     assert_eq!(back, plan);
-    let back: ChurnSpec = serde::from_json_str(&churn_json).expect("unedited churn");
+    let back: ChurnPlan = serde::from_json_str(&churn_json).expect("unedited churn");
     assert_eq!(back, churn);
 
     let edit = |json: &str, from: &str, to: &str| {
@@ -311,12 +311,13 @@ fn edited_serialized_specs_are_rejected() {
         (r#""drop_p":0.25"#, r#""drop_p":-0.5"#, "drop rate"),
         (r#""dup_p":0.5"#, r#""dup_p":1.5"#, "duplication rate"),
         (r#""horizon":9"#, r#""horizon":0"#, "fault horizon"),
+        (r#""retry_within":5"#, r#""retry_within":0"#, "retry bound"),
         (r#""from":3"#, r#""from":0"#, "numbered from 1"),
         (r#""until":7"#, r#""until":3"#, "is empty"),
         (r#""from":4"#, r#""from":0"#, "numbered from 1"),
     ] {
         let json = edit(&plan_json, from, to);
-        let err = serde::from_json_str::<PlanSpec>(&json).expect_err(&json);
+        let err = serde::from_json_str::<FaultPlan>(&json).expect_err(&json);
         assert!(err.to_string().contains(why), "{json}: {err}");
     }
     for (from, to, why) in [
@@ -326,7 +327,7 @@ fn edited_serialized_specs_are_rejected() {
         (r#""leave":4"#, r#""leave":0"#, "numbered from 1"),
     ] {
         let json = edit(&churn_json, from, to);
-        let err = serde::from_json_str::<ChurnSpec>(&json).expect_err(&json);
+        let err = serde::from_json_str::<ChurnPlan>(&json).expect_err(&json);
         assert!(err.to_string().contains(why), "{json}: {err}");
     }
 }

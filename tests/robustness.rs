@@ -225,7 +225,7 @@ fn self_healing_push_sum_recovers_under_pairing_churn_and_faults() {
     let n = values.len();
     let target = values.iter().sum::<f64>() / n as f64;
     let net = PairingScheduler::new(n, RoundRobinCover, 0);
-    let membership = ChurnPlan::new(6).leave(2, 10..30).membership(n);
+    let membership = ChurnPlan::default().leave(2, 10..30).membership(n);
     let stack = ChurnMasked::new(net, membership.clone());
     let plan = FaultPlan::new(6).drop_links(0.3).until(40);
     let fresh = PushSumState::averaging(&values);
@@ -261,7 +261,7 @@ fn churned_reports_agree_with_and_without_a_quiescent_fault_plan() {
     let values = [3.0, 1.0, 4.0, 1.0, 5.0, 9.0];
     let n = values.len();
     let target = values.iter().sum::<f64>() / n as f64;
-    let membership = ChurnPlan::new(0).depart(2, 100).membership(n);
+    let membership = ChurnPlan::default().depart(2, 100).membership(n);
     let keep = |_: usize, parked: &f64| *parked;
     let run = |plan: Option<FaultPlan>| {
         let net = StaticGraph::new(generators::bidirectional_ring(n));
@@ -301,7 +301,7 @@ fn exact_mass_is_conserved_through_the_full_adversary_stack() {
     let inits = PushSumExactState::averaging(&ints);
     let y0: BigRational = inits.iter().map(|s| &s.y).sum();
     let z0: BigRational = inits.iter().map(|s| &s.z).sum();
-    let membership = ChurnPlan::new(1)
+    let membership = ChurnPlan::default()
         .leave(1, 5..20)
         .depart(4, 25)
         .membership(n);
