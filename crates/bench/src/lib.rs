@@ -1,16 +1,17 @@
-//! Shared harness code for the experiment binaries and criterion benches.
+//! Shared harness code for the experiment sweeps and criterion benches.
 //!
-//! The binaries regenerate the paper's evaluation artifacts:
+//! The sweeps (`kya sweep NAME`, see [`experiments`]) regenerate the
+//! paper's evaluation artifacts:
 //!
 //! - `table1` / `table2`: every cell of Tables 1 and 2, each certified by
 //!   a *positive* run (the witnessing algorithm computes the class
 //!   representative) and a *negative* run (the lifting-lemma
 //!   counterexample shows the next-larger class is out of reach);
-//! - `f1_pushsum_rate`: Theorem 5.2's `O(n² D log 1/ε)` convergence
-//!   bound, swept over `n`, `D`, and `ε`;
-//! - `f2_minbase_rounds`: the `n + D` stabilization bound of §3.2 and the
-//!   depth-cap (finite-state) trade-off of §4.2;
-//! - `f4_metropolis_vs_pushsum`: the §5 algorithm family compared.
+//! - `f1`: Theorem 5.2's `O(n² D log 1/ε)` convergence bound, swept over
+//!   `n`, `D`, and `ε`;
+//! - `f2`: the `n + D` stabilization bound of §3.2 and the depth-cap
+//!   (finite-state) trade-off of §4.2;
+//! - `f4`: the §5 algorithm family compared.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

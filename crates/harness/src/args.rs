@@ -1,7 +1,7 @@
 //! The shared `--key value` flag parser.
 //!
-//! Every `kya` subcommand and every bench binary parses flags the same
-//! way: `--key value` pairs (a `--key` followed by another flag or
+//! Every `kya` subcommand and every experiment sweep parses flags the
+//! same way: `--key value` pairs (a `--key` followed by another flag or
 //! nothing is boolean `true`), with unknown flags rejected loudly
 //! against the subcommand's valid set. This module is that single
 //! implementation; it used to be copy-pasted between the CLI and the
