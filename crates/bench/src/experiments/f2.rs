@@ -3,7 +3,7 @@
 //! as one sweep with two algorithm-axis entries:
 //!
 //! - `stabilization`: measure the round at which every agent's
-//!   candidate base stabilizes; certify it is `≤ n + D`;
+//!   candidate base stabilizes; certify it is `≤ max(n + D, 2)`;
 //! - `depth-cap`: find the smallest view-depth cap whose capped
 //!   pipeline still stabilizes to the centralized minimum base.
 //!
@@ -77,10 +77,14 @@ fn cell(ctx: &CellCtx) -> CellOutcome {
             let stab =
                 minbase_stabilization_round(Broadcast(MinBaseBroadcast), &g, &values, budget)
                     .expect("non-empty history");
+            // A candidate base needs two view levels with equal class
+            // counts, so no agent outputs one before round 2; n + D is
+            // below 2 only at n = 1.
+            let bound = (n + d).max(2) as u64;
             CellOutcome::new()
-                .ok(stab <= (n + d) as u64)
+                .ok(stab <= bound)
                 .detail("stabilized_at", stab)
-                .detail("bound", (n + d) as u64)
+                .detail("bound", bound)
         }
         "depth-cap" => {
             // Reference: the centralized base of G_od (values annotated

@@ -15,7 +15,7 @@ use kya_algos::push_sum::{normalize_estimate, round_to_grid, FrequencyState, Pus
 use kya_arith::BigRational;
 use kya_core::functions::{maximum, FrequencyFunction};
 use kya_core::table::{computable_class, CentralizedHelp, NetworkKind};
-use kya_graph::{DynamicGraph, RandomDynamicGraph};
+use kya_graph::{generators, DynamicGraph, RandomDynamicGraph};
 use kya_harness::{Args, CellCtx, CellOutcome, ExperimentSpec, ResultSink, SpecError};
 use kya_runtime::{Broadcast, CommunicationModel, Execution, Isotropic, RunConfig};
 
@@ -159,7 +159,8 @@ fn symmetric_checks(
     values: &[u64],
     rounds: u64,
 ) {
-    let net = RandomDynamicGraph::symmetric(n, 3, 300 + help as u64);
+    let extra = generators::extra_pair_room(n).min(3);
+    let net = RandomDynamicGraph::symmetric(n, extra, 300 + help as u64);
     let fvals: Vec<f64> = values.iter().map(|&v| v as f64).collect();
     let true_avg = fvals.iter().sum::<f64>() / n as f64;
     match help {

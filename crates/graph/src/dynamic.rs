@@ -226,7 +226,8 @@ impl RandomDynamicGraph {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`.
+    /// Panics if `n == 0`. Each round's graph panics if `extra_pairs`
+    /// exceeds [`generators::extra_pair_room`]`(n)`.
     pub fn symmetric(n: usize, extra_pairs: usize, seed: u64) -> RandomDynamicGraph {
         assert!(n > 0, "dynamic graph needs at least one vertex");
         RandomDynamicGraph {

@@ -155,6 +155,18 @@ pub fn random_strongly_connected(n: usize, extra_edges: usize, seed: u64) -> Dig
     Digraph::from_edge_vec(n, edges)
 }
 
+/// The most extra pairs [`random_bidirectional_connected`] can add on
+/// `n` vertices. Its spanning tree takes `n - 1` of the `n(n-1)/2`
+/// vertex pairs and leaves `(n-1)(n-2)/2`: none at `n = 2`, one at
+/// `n = 3`. A single vertex has no pair to join and ignores any extra
+/// pairs it is asked for, so its room is unbounded.
+pub fn extra_pair_room(n: usize) -> usize {
+    match n {
+        0 | 1 => usize::MAX,
+        n => (n - 1).saturating_mul(n - 2) / 2,
+    }
+}
+
 /// A random connected *bidirectional* graph: a random spanning tree plus
 /// `extra_pairs` random antiparallel edge pairs.
 ///
@@ -162,9 +174,16 @@ pub fn random_strongly_connected(n: usize, extra_edges: usize, seed: u64) -> Dig
 ///
 /// # Panics
 ///
-/// Panics if `n == 0`.
+/// Panics if `n == 0`, or if `extra_pairs` exceeds
+/// [`extra_pair_room`]`(n)`: the pairs would not fit, and the draw
+/// would never end.
 pub fn random_bidirectional_connected(n: usize, extra_pairs: usize, seed: u64) -> Digraph {
     assert!(n > 0, "graph needs at least one vertex");
+    let room = extra_pair_room(n);
+    assert!(
+        extra_pairs <= room,
+        "{n} vertices leave room for at most {room} extra pairs, not {extra_pairs}"
+    );
     let mut rng = StdRng::seed_from_u64(seed);
     let mut g = Digraph::new(n);
     // The ordered pairs joined so far. Checking them, not the graph,
@@ -524,6 +543,27 @@ mod tests {
             assert!(b.is_bidirectional());
             assert!(is_strongly_connected(&b));
         }
+    }
+
+    #[test]
+    fn bidirectional_graphs_fill_their_room_and_no_more() {
+        assert_eq!(
+            [2, 3, 4, 5].map(extra_pair_room),
+            [0, 1, 3, 6],
+            "(n-1)(n-2)/2"
+        );
+        for n in 2..=5 {
+            let full = random_bidirectional_connected(n, extra_pair_room(n), 7);
+            assert_eq!(full.edge_count(), n * (n - 1), "complete at n = {n}");
+        }
+        // One vertex ignores its extra pairs.
+        assert_eq!(random_bidirectional_connected(1, 3, 7).edge_count(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "room for at most 1 extra pairs")]
+    fn bidirectional_graphs_reject_pairs_that_do_not_fit() {
+        random_bidirectional_connected(3, 2, 7);
     }
 
     #[test]
