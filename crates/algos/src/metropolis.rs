@@ -394,7 +394,7 @@ mod tests {
         let n = 8;
         let values: Vec<f64> = (0..n).map(|i| i as f64).collect();
         let avg = 3.5;
-        let net = kya_graph::PairwiseMatching::new(n, 4, 21);
+        let net = kya_graph::PairingScheduler::new(n, kya_graph::UniformRandom::new(4), 21);
         let mut exec = Execution::new(Broadcast(FixedWeight::new(n)), values);
         exec.drive(&net, RunConfig::rounds(4000));
         for x in exec.outputs() {

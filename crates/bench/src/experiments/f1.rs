@@ -12,9 +12,8 @@
 //! networks never leaves the ball again, so `converged_at` matches the
 //! full-budget answer at a fraction of the wall-clock.
 
-use super::{dynamic_net, observed_convergence, Experiment, Nets};
+use super::{observed_convergence, Experiment, Nets};
 use kya_algos::push_sum::{PushSum, PushSumState};
-use kya_graph::StaticGraph;
 use kya_harness::{Args, CellCtx, CellOutcome, ExperimentSpec, ResultSink, SpecError};
 use kya_runtime::{Execution, Isotropic};
 
@@ -23,7 +22,7 @@ pub const EXPERIMENT: Experiment = Experiment {
     name: "f1",
     about: "Push-Sum rounds to epsilon-consensus (Theorem 5.2)",
     extra_flags: &["groups", "exps"],
-    nets: Nets::Either,
+    nets: Nets::Any,
     churn_variants: false,
     build,
     cell,
@@ -74,19 +73,11 @@ fn cell(ctx: &CellCtx) -> CellOutcome {
         Ok(exp) => 10f64.powi(-exp),
         Err(_) => ctx.eps(),
     };
-    let run = |n: usize, net: &dyn kya_graph::DynamicGraph| {
-        let values = values_for(n);
-        let avg = values.iter().sum::<f64>() / n as f64;
-        let exec = Execution::new(Isotropic(PushSum), PushSumState::averaging(&values));
-        observed_convergence(ctx, exec, net, avg, eps, CONFIRM)
-    };
-    let (converged, outcome) = match ctx.graph() {
-        Ok(g) => run(g.n(), &StaticGraph::new((*g).clone())),
-        Err(_) => {
-            let net = dynamic_net(&ctx.cell.topology).expect("label resolved before the sweep");
-            run(ctx.cell.n, &*net)
-        }
-    };
+    let net = ctx.net().expect("label resolved before the sweep");
+    let values = values_for(net.n());
+    let avg = values.iter().sum::<f64>() / values.len() as f64;
+    let exec = Execution::new(Isotropic(PushSum), PushSumState::averaging(&values));
+    let (converged, outcome) = observed_convergence(ctx, exec, &*net, avg, eps, CONFIRM);
     outcome.ok(converged).detail("eps", eps)
 }
 

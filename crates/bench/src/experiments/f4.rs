@@ -3,9 +3,10 @@
 //! algorithm axis carries the five §5 update rules; cells measure
 //! rounds to a stable 1e-9 ε-ball via `RunConfig::confirm`.
 
-use super::{dynamic_net, observed_convergence, Experiment, Nets};
+use super::{observed_convergence, per_size, Experiment, Nets};
 use kya_algos::metropolis::{FixedWeight, LazyMetropolis, Metropolis};
 use kya_algos::push_sum::{PushSum, PushSumState};
+use kya_graph::generators;
 use kya_harness::{Args, CellCtx, CellOutcome, ExperimentSpec, ResultSink, SpecError};
 use kya_runtime::{Broadcast, Execution, Isotropic};
 
@@ -14,7 +15,7 @@ pub const EXPERIMENT: Experiment = Experiment {
     name: "f4",
     about: "averaging family: Push-Sum vs Metropolis vs fixed-weight, sync and async starts",
     extra_flags: &[],
-    nets: Nets::Dynamic,
+    nets: Nets::Any,
     churn_variants: false,
     build,
     cell,
@@ -24,8 +25,10 @@ pub const EXPERIMENT: Experiment = Experiment {
 const CONFIRM: u64 = 50;
 
 fn build(args: &Args) -> Result<Vec<ExperimentSpec>, SpecError> {
+    // Four extra pairs per round, or as many as a small network has room
+    // for.
+    let pairs = |n| generators::extra_pair_room(n).min(4);
     let sync = ExperimentSpec::new("f4_sync")
-        .topologies(["dyn:symmetric:{n}:4:2718"])
         .sizes([16])
         .algorithms([
             "pushsum",
@@ -38,21 +41,26 @@ fn build(args: &Args) -> Result<Vec<ExperimentSpec>, SpecError> {
         .eps(1e-9)
         .with_args(args)?;
     let async_starts = ExperimentSpec::new("f4_async")
-        .topologies(["async:8:4:dyn:symmetric:{n}:4:9182"])
         .sizes([16])
         .algorithms(["pushsum", "metropolis", "fixed-1n"])
         .rounds(200_000)
         .eps(1e-9)
         .with_args(args)?;
-    Ok(vec![sync, async_starts])
+    let mut specs = per_size(sync, args, |n| {
+        format!("dyn:symmetric:{n}:{}:2718", pairs(n))
+    });
+    specs.extend(per_size(async_starts, args, |n| {
+        format!("async:8:4:dyn:symmetric:{n}:{}:9182", pairs(n))
+    }));
+    Ok(specs)
 }
 
 fn cell(ctx: &CellCtx) -> CellOutcome {
-    let n = ctx.cell.n;
+    let net = ctx.net().expect("label resolved before the sweep");
+    let net = &*net;
+    let n = net.n();
     let values: Vec<f64> = (0..n).map(|i| ((i * i) % 29) as f64).collect();
     let target = values.iter().sum::<f64>() / n as f64;
-    let net = dynamic_net(&ctx.cell.topology).expect("label resolved before the sweep");
-    let net = &*net;
     let eps = ctx.eps();
     let (_, outcome) = match ctx.cell.algorithm.as_str() {
         "pushsum" => observed_convergence(

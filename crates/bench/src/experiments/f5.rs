@@ -4,9 +4,10 @@
 //! worst-case error at exponentially spaced checkpoints from the
 //! round-by-round trace `run_until` records.
 
-use super::{dynamic_net, Experiment, Nets};
+use super::{per_size, Experiment, Nets};
 use kya_algos::metropolis::{FixedWeight, Metropolis};
 use kya_algos::push_sum::{PushSum, PushSumState};
+use kya_graph::generators;
 use kya_harness::{Args, CellCtx, CellOutcome, ExperimentSpec, ResultSink, SpecError};
 use kya_runtime::metric::EuclideanMetric;
 use kya_runtime::{Broadcast, CellReport, Execution, Isotropic, RunConfig};
@@ -16,7 +17,7 @@ pub const EXPERIMENT: Experiment = Experiment {
     name: "f5",
     about: "weak connectivity: geometric schedules, no finite dynamic diameter (open question)",
     extra_flags: &[],
-    nets: Nets::Dynamic,
+    nets: Nets::Any,
     churn_variants: false,
     build,
     cell,
@@ -27,7 +28,6 @@ const CHECKPOINTS: [u64; 8] = [7, 15, 31, 63, 127, 255, 511, 1023];
 
 fn build(args: &Args) -> Result<Vec<ExperimentSpec>, SpecError> {
     let sym = ExperimentSpec::new("f5_symmetric")
-        .topologies(["sparse:2:1023:dyn:symmetric:{n}:3:47"])
         .sizes([10])
         .algorithms(["fixed-1n", "metropolis"])
         .rounds(1023)
@@ -38,15 +38,22 @@ fn build(args: &Args) -> Result<Vec<ExperimentSpec>, SpecError> {
         .algorithms(["pushsum"])
         .rounds(1023)
         .with_args(args)?;
-    Ok(vec![sym, dir])
+    // Three extra pairs per round, or as many as a small network has
+    // room for.
+    let mut specs = per_size(sym, args, |n| {
+        let pairs = generators::extra_pair_room(n).min(3);
+        format!("sparse:2:1023:dyn:symmetric:{n}:{pairs}:47")
+    });
+    specs.push(dir);
+    Ok(specs)
 }
 
 fn cell(ctx: &CellCtx) -> CellOutcome {
-    let n = ctx.cell.n;
+    let net = ctx.net().expect("label resolved before the sweep");
+    let net = &*net;
+    let n = net.n();
     let values: Vec<f64> = (0..n).map(|i| ((i * 11) % 17) as f64).collect();
     let target = values.iter().sum::<f64>() / n as f64;
-    let net = dynamic_net(&ctx.cell.topology).expect("label resolved before the sweep");
-    let net = &*net;
     let m = &EuclideanMetric;
     let report: CellReport = match ctx.cell.algorithm.as_str() {
         "pushsum" => Execution::new(Isotropic(PushSum), PushSumState::averaging(&values)).drive(

@@ -28,7 +28,7 @@ pub const EXPERIMENT: Experiment = Experiment {
     name: "f8",
     about: "churn: pairing fairness x churn scripts x faults, quiescence-aware recovery",
     extra_flags: &["drop", "horizon"],
-    nets: Nets::Dynamic,
+    nets: Nets::Any,
     churn_variants: true,
     build,
     cell,
@@ -71,9 +71,7 @@ fn build(args: &Args) -> Result<Vec<ExperimentSpec>, SpecError> {
 }
 
 fn cell(ctx: &CellCtx) -> CellOutcome {
-    let n = super::dynamic_net(&ctx.cell.topology)
-        .expect("label resolved before the sweep")
-        .n();
+    let n = ctx.net().expect("label resolved before the sweep").n();
     CellOutcome::new().report(recovery(ctx, &super::inputs(n), ctx.fault_plan()).without_trace())
 }
 
@@ -86,7 +84,7 @@ fn cell(ctx: &CellCtx) -> CellOutcome {
 ///
 /// # Panics
 ///
-/// Panics if the topology is not a dynamic-network label, the variant
+/// Panics if the topology is not a network label, the variant
 /// is not a churn label naming agents of the network, `plan` crashes an
 /// agent the network lacks, `values` does not have one entry per agent,
 /// or the algorithm is neither name.
@@ -125,7 +123,7 @@ fn drive<A: FlatAlgorithm>(
     ctx: &CellCtx,
     plan: FaultPlan,
 ) -> CellReport {
-    let net = super::dynamic_net(&ctx.cell.topology).expect("label resolved before the sweep");
+    let net = ctx.net().expect("label resolved before the sweep");
     let membership = ChurnPlan::parse(&ctx.cell.variant)
         .expect("churn label")
         .membership(net.n());

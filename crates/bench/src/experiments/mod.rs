@@ -20,14 +20,9 @@ pub mod flat;
 pub mod table1;
 pub mod table2;
 
-use kya_graph::{
-    generators, DynamicGraph, PairingScheduler, RandomDynamicGraph, RoundRobinCover,
-    SparselyConnected, UniformRandom,
-};
-use kya_harness::spec::{MAX_AGENTS, MAX_EDGES};
+use kya_graph::DynamicGraph;
 use kya_harness::{Args, CellCtx, CellOutcome, ExperimentSpec, ResultSink, Runner, SpecError};
 use kya_harness::{TelemetryMode, TopologyCache, SWEEP_FLAGS};
-use kya_runtime::adversary::AsyncStarts;
 use kya_runtime::bits::StateBits;
 use kya_runtime::churn::ChurnPlan;
 use kya_runtime::metric::EuclideanMetric;
@@ -65,30 +60,21 @@ pub struct Experiment {
 pub enum Nets {
     /// Static graphs of the [`kya_harness::parse_graph`] grammar.
     Static,
-    /// The dynamic networks of [`dynamic_net`].
-    Dynamic,
-    /// Either: a label of a [`dynamic_net`] family is dynamic, any
-    /// other is static.
-    Either,
+    /// Any network of the [`kya_harness::parse_net`] grammar.
+    Any,
     /// Not resolved up front: the cells ignore the topology axis, or
     /// record a bad label as a failed cell.
     Unchecked,
 }
 
 impl Nets {
-    /// Resolve `label` as these networks, through `cache` for static
-    /// graphs, and return its agent count (`None` when unchecked) or the
-    /// error a bad label gives.
+    /// Resolve `label` as these networks, through `cache`, and return its
+    /// agent count (`None` when unchecked) or the error a bad label
+    /// gives.
     fn resolve(self, cache: &TopologyCache, label: &str) -> Result<Option<usize>, SpecError> {
-        let dynamic = matches!(
-            label.split(':').next(),
-            Some("dyn" | "async" | "sparse" | "pair")
-        );
         match self {
             Nets::Static => cache.graph(label).map(|g| Some(g.n())),
-            Nets::Dynamic => dynamic_net(label).map(|net| Some(net.n())),
-            Nets::Either if dynamic => dynamic_net(label).map(|net| Some(net.n())),
-            Nets::Either => cache.graph(label).map(|g| Some(g.n())),
+            Nets::Any => cache.net(label).map(|net| Some(net.n())),
             Nets::Unchecked => Ok(None),
         }
     }
@@ -276,105 +262,28 @@ where
     (converged, outcome.report(report))
 }
 
-/// Interpret the dynamic-network topology labels the static-graph
-/// grammar does not cover:
-///
-/// - `dyn:directed:N:EXTRA:SEED` / `dyn:symmetric:N:EXTRA:SEED` — a
-///   [`RandomDynamicGraph`];
-/// - `async:MAXDELAY:SEED:<dyn label>` — asynchronous starts on top of
-///   a random dynamic graph;
-/// - `sparse:BASEGAP:HORIZON:<dyn label>` — the geometric
-///   sparsely-connected schedule (gaps 2, 4, 8, …);
-/// - `pair:uniform:N:SEED` / `pair:cover:N:SEED` — an Angluin-style
-///   [`PairingScheduler`] over `N` agents (seeded random matchings, or
-///   the deterministic round-robin tournament).
-///
-/// # Errors
-///
-/// Returns a [`SpecError`] for any other label, a number that does not
-/// parse, `N` outside `1..=MAX_AGENTS` (`2..=MAX_AGENTS` for a pairing),
-/// more extra edges than `MAX_EDGES` allows, more extra symmetric pairs
-/// than [`generators::extra_pair_room`] allows, and a zero `MAXDELAY` or
-/// `BASEGAP`.
-pub fn dynamic_net(label: &str) -> Result<Box<dyn DynamicGraph>, SpecError> {
-    let bad = |why: &str| SpecError(format!("dynamic network `{label}`: {why}"));
-    let num = |s: &str| -> Result<u64, SpecError> {
-        s.parse()
-            .map_err(|_| bad(&format!("`{s}` is not a number")))
+/// `spec` split into one spec per size of its size axis (an empty axis
+/// counts as size 0), each on the topology `label(n)`: for a network
+/// whose other parameters depend on its size, such as the extra pairs
+/// of a symmetric one, which
+/// [`kya_graph::generators::extra_pair_room`] bounds. A `--topologies`
+/// axis leaves `spec` whole.
+pub(crate) fn per_size(
+    spec: ExperimentSpec,
+    args: &Args,
+    label: impl Fn(usize) -> String,
+) -> Vec<ExperimentSpec> {
+    if args.optional("topologies").is_some() {
+        return vec![spec];
+    }
+    let sizes = match spec.size_axis() {
+        [] => vec![0],
+        sizes => sizes.to_vec(),
     };
-    let agents = |s: &str| -> Result<usize, SpecError> {
-        match usize::try_from(num(s)?) {
-            Ok(0) => Err(bad("it needs at least one agent")),
-            Ok(n) if n <= MAX_AGENTS => Ok(n),
-            _ => Err(bad(&format!("it has more than {MAX_AGENTS} agents"))),
-        }
-    };
-    // A pairwise interaction needs two agents.
-    let pairing_agents = |s: &str| -> Result<usize, SpecError> {
-        match agents(s)? {
-            1 => Err(bad("a pairing needs at least two agents")),
-            n => Ok(n),
-        }
-    };
-    let positive = |s: &str, what: &str| -> Result<u64, SpecError> {
-        match num(s)? {
-            0 => Err(bad(&format!("its {what} must be at least 1"))),
-            k => Ok(k),
-        }
-    };
-    let rand_net = |parts: &[&str]| -> Result<RandomDynamicGraph, SpecError> {
-        let ["dyn", kind @ ("directed" | "symmetric"), n, extra, seed] = parts else {
-            return Err(bad("expected dyn:directed|symmetric:N:EXTRA:SEED"));
-        };
-        let (n, seed) = (agents(n)?, num(seed)?);
-        let extra = usize::try_from(num(extra)?).unwrap_or(usize::MAX);
-        if *kind == "directed" {
-            if extra > MAX_EDGES - n {
-                return Err(bad(&format!("it has more than {MAX_EDGES} edges")));
-            }
-            return Ok(RandomDynamicGraph::directed(n, extra, seed));
-        }
-        let room = generators::extra_pair_room(n);
-        if extra > room {
-            return Err(bad(&format!(
-                "{n} agents leave room for at most {room} extra pairs"
-            )));
-        }
-        Ok(RandomDynamicGraph::symmetric(n, extra, seed))
-    };
-    let parts: Vec<&str> = label.split(':').collect();
-    Ok(match parts.as_slice() {
-        ["dyn", ..] => Box::new(rand_net(&parts)?),
-        ["async", delay, seed, rest @ ..] => Box::new(AsyncStarts::random(
-            rand_net(rest)?,
-            positive(delay, "MAXDELAY")?,
-            num(seed)?,
-        )),
-        ["sparse", gap, horizon, rest @ ..] => Box::new(SparselyConnected::geometric(
-            rand_net(rest)?,
-            positive(gap, "BASEGAP")?,
-            num(horizon)?,
-        )),
-        ["pair", "uniform", n, seed] => {
-            let n = pairing_agents(n)?;
-            Box::new(PairingScheduler::new(
-                n,
-                UniformRandom::new(n / 2),
-                num(seed)?,
-            ))
-        }
-        ["pair", "cover", n, seed] => Box::new(PairingScheduler::new(
-            pairing_agents(n)?,
-            RoundRobinCover,
-            num(seed)?,
-        )),
-        _ => {
-            return Err(bad(
-                "expected dyn:directed|symmetric:N:EXTRA:SEED, async:MAXDELAY:SEED:<dyn>, \
-                 sparse:BASEGAP:HORIZON:<dyn> or pair:uniform|cover:N:SEED",
-            ))
-        }
-    })
+    sizes
+        .into_iter()
+        .map(|n| spec.clone().topologies([label(n)]).sizes([n]))
+        .collect()
 }
 
 /// The fixed inputs of the F6, F7 and F8 sweeps: agent `i` holds
@@ -479,38 +388,6 @@ mod tests {
                 let rep = r.report.as_ref().expect("f1 cells report");
                 assert!(rep.distances.is_empty(), "residual series stripped");
             }
-        }
-    }
-
-    #[test]
-    fn dynamic_labels_parse() {
-        for label in [
-            "dyn:directed:12:6:555",
-            "dyn:symmetric:16:4:2718",
-            "dyn:symmetric:4:3:1",
-            "async:8:4:dyn:symmetric:16:4:9182",
-            "sparse:2:1023:dyn:directed:10:4:48",
-            "pair:uniform:12:7",
-            "pair:cover:9:0",
-        ] {
-            assert!(dynamic_net(label).is_ok(), "{label}");
-        }
-        for label in [
-            "ring:6",
-            "dyn:undirected:4:1:1",
-            "pair:lottery:4:1",
-            "dyn:directed:0:1:1",
-            "dyn:directed:16777217:1:1",
-            "dyn:directed:4:536870909:1",
-            "dyn:symmetric:4:4:1",
-            "async:0:1:dyn:directed:4:1:1",
-            "sparse:0:9:dyn:directed:4:1:1",
-            "pair:cover:0:1",
-            "pair:cover:1:1",
-            "pair:uniform:1:7",
-            "",
-        ] {
-            assert!(dynamic_net(label).is_err(), "{label}");
         }
     }
 }

@@ -47,9 +47,9 @@
 //!                                  breakdown, host fingerprint)
 //! ```
 //!
-//! Graph specs: `ring:6`, `biring:6`, `star:5`, `path:4`, `complete:4`,
-//! `torus:3x4` (or `torus:12`), `hypercube:3`, `debruijn:2x3`,
-//! `kautz:2x1`, `layered:3x8`, `random:N:EXTRA:SEED`,
+//! Graph specs: `ring:6`, `biring:6`, `star:5`, `instar:5`, `path:4`,
+//! `complete:4`, `torus:3x4` (or `torus:12`), `hypercube:3`,
+//! `debruijn:2x3`, `kautz:2x1`, `layered:3x8`, `random:N:EXTRA:SEED`,
 //! `randbi:N:EXTRA:SEED`.
 //! Value lists: `1,2,3` or `5x3,7` (repeat shorthand).
 
@@ -92,8 +92,8 @@ const USAGE: &str = "usage:
   kya profile [--out FILE] [--smoke] [--threads LIST] [--probe-out FILE]
               [--validate FILE]
 
-graph specs: ring:6 biring:6 star:5 path:4 complete:4 torus:3x4 torus:12
-             hypercube:3 debruijn:2x3 kautz:2x1 layered:3x8
+graph specs: ring:6 biring:6 star:5 instar:N path:4 complete:4 torus:3x4
+             torus:12 hypercube:3 debruijn:2x3 kautz:2x1 layered:3x8
              random:N:EXTRA:SEED randbi:N:EXTRA:SEED
 value lists: 1,2,3 or 5x3,7 (repeat shorthand)
 crash specs: AGENT:FROM:UNTIL (crash-recover) or AGENT:FROM:- (crash-stop)

@@ -96,3 +96,20 @@ fn every_sweep_ends_at_every_size() {
     }
     assert!(wrong.is_empty(), "{}", wrong.join("\n"));
 }
+
+/// F4 and F5 give a symmetric network only the extra pairs it has room
+/// for, so at two and three agents they run their cells instead of
+/// ending with an error.
+#[test]
+fn small_symmetric_sweeps_run_their_cells() {
+    for experiment in ["f4", "f5"] {
+        for size in ["2", "3"] {
+            let (code, stderr) = sweep(&[experiment, "--sizes", size]);
+            assert_eq!(
+                code,
+                Some(0),
+                "kya sweep {experiment} --sizes {size}: {stderr}"
+            );
+        }
+    }
+}

@@ -7,7 +7,6 @@
 //! `--workers N`, which the CI job diffs.
 
 use crate::fingerprint::Fingerprint;
-use crate::nets::{build_net, lift_ring};
 use kya_algos::certified::{
     CertifiedFrequencyState, CertifiedPushSum, CertifiedPushSumFrequency, CertifiedPushSumState,
     EscalationStats,
@@ -23,8 +22,8 @@ use kya_algos::push_sum::{
 use kya_algos::quantized::{QuantizedMetropolis, QuantizedPushSum};
 use kya_arith::{BigInt, BigRational, Enclosure};
 use kya_graph::{Digraph, DynamicGraph, StaticGraph};
-use kya_harness::{parse_graph, CellCtx, CellOutcome, CellSpec};
-use kya_runtime::bits::StateBits;
+use kya_harness::{CellCtx, CellOutcome};
+use kya_runtime::bits::{splitmix64, StateBits};
 use kya_runtime::churn::{ChurnMasked, ChurnPlan};
 use kya_runtime::faults::{FaultPlan, FaultyNetwork};
 use kya_runtime::flat::MAX_LANES;
@@ -59,8 +58,8 @@ pub enum CheckKind {
     /// (b) Flat CSR executor bitwise identical to the boxed
     /// executor at 1, 2 and 4 threads.
     Flat,
-    /// (b) Probed flat runs: the deterministic probe stream (merged
-    /// shard counters + strided sample digests) byte-identical at 1, 2
+    /// (b) Probed flat runs: the deterministic probe stream (per-round
+    /// counters + strided sample digests) byte-identical at 1, 2
     /// and 4 threads, and the counters equal to the routing plan's
     /// ground truth.
     Probe,
@@ -143,18 +142,12 @@ pub fn f64_tolerance(rounds: u64, n: usize, scale: f64) -> f64 {
     linear.max(32.0 * f64::EPSILON * scale)
 }
 
-/// `splitmix64` finalizer — the same mixer the harness uses for cell
-/// seeds, reused to derive deterministic per-cell input values.
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
 /// Small input values in `1..=9` (repeats on purpose — the frequency
 /// solvers need collisions to be interesting).
 fn vals_u64(seed: u64, n: usize) -> Vec<u64> {
-    (0..n).map(|i| 1 + mix(seed ^ (i as u64 + 1)) % 9).collect()
+    (0..n)
+        .map(|i| 1 + splitmix64(seed ^ (i as u64 + 1)) % 9)
+        .collect()
 }
 
 /// Full-precision f64 inputs in `(0, 1)`: every mantissa bit is live, so
@@ -162,7 +155,7 @@ fn vals_u64(seed: u64, n: usize) -> Vec<u64> {
 /// rounding — what the paths oracle needs to catch delivery-order bugs.
 fn vals_f64(seed: u64, n: usize) -> Vec<f64> {
     (0..n)
-        .map(|i| (mix(seed ^ (i as u64 + 0x9e37)) >> 11) as f64 / (1u64 << 53) as f64 + 0.25)
+        .map(|i| (splitmix64(seed ^ (i as u64 + 0x9e37)) >> 11) as f64 / (1u64 << 53) as f64 + 0.25)
         .collect()
 }
 
@@ -179,19 +172,6 @@ fn digest_outcome(res: Result<u64, String>) -> CellOutcome {
             .detail("digest", format!("{digest:016x}")),
         Err(e) => fail(e),
     }
-}
-
-/// The cell's static graph with its self-loops closed once — the same
-/// closure `StaticGraph::new` applies for the boxed path. `instar` is
-/// the conformance-local worst case (see `nets::instar`); everything
-/// else parses through the shared harness families.
-fn static_graph(cell: &CellSpec) -> Result<Digraph, String> {
-    let g = if cell.topology == format!("instar:{}", cell.n) {
-        crate::nets::instar(cell.n)
-    } else {
-        parse_graph(&cell.topology).map_err(|e| e.0)?
-    };
-    Ok(g.with_self_loops())
 }
 
 // ---------------------------------------------------------------------
@@ -261,7 +241,7 @@ where
 
 fn check_paths(ctx: &CellCtx) -> CellOutcome {
     let cell = ctx.cell;
-    let net = match build_net(&cell.topology) {
+    let net = match ctx.net() {
         Ok(net) => net,
         Err(e) => return fail(e.0),
     };
@@ -360,9 +340,11 @@ where
 
 fn check_flat(ctx: &CellCtx) -> CellOutcome {
     let cell = ctx.cell;
-    let g = match static_graph(cell) {
-        Ok(g) => g,
-        Err(e) => return fail(e),
+    // Closed once: the same closure `StaticGraph::new` applies for the
+    // boxed path.
+    let g = match ctx.graph() {
+        Ok(g) => g.with_self_loops(),
+        Err(e) => return fail(e.0),
     };
     let n = g.n();
     let rounds = ctx.rounds();
@@ -445,9 +427,9 @@ fn probe_streams_agree<F: FlatAlgorithm + Clone>(
 
 fn check_probe(ctx: &CellCtx) -> CellOutcome {
     let cell = ctx.cell;
-    let g = match static_graph(cell) {
-        Ok(g) => g,
-        Err(e) => return fail(e),
+    let g = match ctx.graph() {
+        Ok(g) => g.with_self_loops(),
+        Err(e) => return fail(e.0),
     };
     let n = g.n();
     let rounds = ctx.rounds();
@@ -633,7 +615,7 @@ fn capped_laws(
 ///   uncapped baseline ([`unlimited_rung_is_pure`]).
 fn check_bandwidth(ctx: &CellCtx) -> CellOutcome {
     let cell = ctx.cell;
-    let g = match parse_graph(&cell.topology) {
+    let g = match ctx.graph() {
         Ok(g) => g.with_self_loops(),
         Err(e) => return fail(e.0),
     };
@@ -791,7 +773,7 @@ fn check_bandwidth(ctx: &CellCtx) -> CellOutcome {
 /// CI can watch the escalation rate (see `tests/escalation_guard.rs`).
 fn check_backend(ctx: &CellCtx) -> CellOutcome {
     let cell = ctx.cell;
-    let net = match build_net(&cell.topology) {
+    let net = match ctx.net() {
         Ok(net) => net,
         Err(e) => return fail(e.0),
     };
@@ -979,7 +961,7 @@ fn audit_backend(
 fn permutation(seed: u64, n: usize) -> Vec<usize> {
     let mut perm: Vec<usize> = (0..n).collect();
     for i in (1..n).rev() {
-        let j = (mix(seed ^ (i as u64) << 17) % (i as u64 + 1)) as usize;
+        let j = (splitmix64(seed ^ (i as u64) << 17) % (i as u64 + 1)) as usize;
         perm.swap(i, j);
     }
     perm
@@ -1024,9 +1006,9 @@ where
 
 fn check_relabel(ctx: &CellCtx) -> CellOutcome {
     let cell = ctx.cell;
-    // Relabeling is defined on static graphs; parse the loop-less graph
+    // Relabeling is defined on static graphs; take the loop-less graph
     // so both copies get their self-loop closure the same way.
-    let g = match parse_graph(&cell.topology) {
+    let g = match ctx.graph() {
         Ok(g) => g,
         Err(e) => return fail(e.0),
     };
@@ -1081,11 +1063,11 @@ fn check_relabel(ctx: &CellCtx) -> CellOutcome {
 
 fn check_mass(ctx: &CellCtx) -> CellOutcome {
     let cell = ctx.cell;
-    let g = match parse_graph(&cell.topology) {
-        Ok(g) => g,
+    let net = match ctx.net() {
+        Ok(net) => net,
         Err(e) => return fail(e.0),
     };
-    let n = g.n();
+    let n = net.n();
     let rounds = ctx.rounds();
     let vals = vals_u64(cell.cell_seed, n);
     let plan = ctx.fault_plan();
@@ -1099,7 +1081,7 @@ fn check_mass(ctx: &CellCtx) -> CellOutcome {
             let inits = PushSumExactState::averaging(&ints);
             let y0: BigRational = inits.iter().map(|s| &s.y).sum();
             let z0: BigRational = inits.iter().map(|s| &s.z).sum();
-            let net = FaultyNetwork::new(StaticGraph::new(g), plan);
+            let net = FaultyNetwork::new(net, plan);
             let mut exec = Execution::new(Isotropic(PushSumExact), inits);
             exec.drive(&net, RunConfig::rounds(rounds));
             let y: BigRational = exec.states().iter().map(|s| &s.y).sum();
@@ -1122,7 +1104,7 @@ fn check_mass(ctx: &CellCtx) -> CellOutcome {
                 PushSumState::averaging(&floats),
             )
             .faults(plan);
-            exec.drive(&StaticGraph::new(g), RunConfig::rounds(rounds));
+            exec.drive(&net, RunConfig::rounds(rounds));
             let (_, z) = total_mass(exec.states());
             let deficit = (n as f64 - z).abs();
             let tol = f64_tolerance(rounds, n, 9.0);
@@ -1142,6 +1124,14 @@ fn check_mass(ctx: &CellCtx) -> CellOutcome {
 // ---------------------------------------------------------------------
 // (c) Lift/base indistinguishability
 // ---------------------------------------------------------------------
+
+/// The closed ring fibration `R_n -> R_{n/2}` the lift oracle runs on:
+/// `(total graph, base graph, morphism)`, all with self-loops. `n` must
+/// be even and at least 4.
+fn lift_ring(n: usize) -> (Digraph, Digraph, kya_fibration::GraphMorphism) {
+    let (g, b, phi) = kya_algos::lifting::ring_fibration(n, n / 2);
+    kya_algos::lifting::close_fibration(&phi, &g, &b)
+}
 
 fn check_lift(ctx: &CellCtx) -> CellOutcome {
     let cell = ctx.cell;
@@ -1204,7 +1194,7 @@ fn check_lift(ctx: &CellCtx) -> CellOutcome {
 /// [`CellReport`]: kya_runtime::CellReport
 fn check_churn(ctx: &CellCtx) -> CellOutcome {
     let cell = ctx.cell;
-    let net = match build_net(&cell.topology) {
+    let net = match ctx.net() {
         Ok(net) => net,
         Err(e) => return fail(e.0),
     };

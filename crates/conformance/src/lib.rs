@@ -34,7 +34,7 @@
 //!   sequential executor at 1, 2 and 4 threads
 //!   ([`checks::CheckKind::Flat`]);
 //! - **probe** — the deterministic probe stream of a probed flat run
-//!   (merged shard counters plus strided bit-exact sample digests)
+//!   (per-round counters plus strided bit-exact sample digests)
 //!   byte-identical at 1, 2 and 4 threads, with counters matching the
 //!   routing plan's ground truth ([`checks::CheckKind::Probe`]);
 //! - **bandwidth** — the bounded-bandwidth laws of the quantized
@@ -57,7 +57,6 @@
 
 pub mod checks;
 pub mod fingerprint;
-pub mod nets;
 
 pub use checks::{f64_tolerance, CheckKind};
 pub use fingerprint::Fingerprint;
@@ -148,7 +147,7 @@ pub fn specs(matrix: Matrix) -> Vec<(CheckKind, ExperimentSpec)> {
                     "instar:{n}",
                     "torus:{n}",
                     "periodic:{n}",
-                    "dyn:{n}:{seed}",
+                    "dyn:directed:{n}:2:{seed}",
                 ])
                 .sizes(sizes.clone())
                 .seeds(seeds.clone())
@@ -208,7 +207,7 @@ pub fn specs(matrix: Matrix) -> Vec<(CheckKind, ExperimentSpec)> {
         (
             CheckKind::Churn,
             ExperimentSpec::new("conformance-churn")
-                .topologies(["pair:{n}:uniform:{seed}", "pair:{n}:cover:{seed}"])
+                .topologies(["pair:uniform:{n}:{seed}", "pair:cover:{n}:{seed}"])
                 .sizes(sizes.clone())
                 .seeds(seeds.clone())
                 .algorithms(["exact-mass", "healing-mass", "frozen-absence"])

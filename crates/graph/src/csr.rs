@@ -22,7 +22,6 @@
 //!   share-splitting algorithms).
 
 use crate::digraph::{Digraph, Vertex};
-use std::ops::Range;
 
 /// A precomputed routing plan realizing the canonical delivery order of
 /// one [`Digraph`]; see the module docs for the layout.
@@ -104,13 +103,6 @@ impl RoutingPlan {
         self.inbox_start[v + 1] - self.inbox_start[v]
     }
 
-    /// Inbox slots owned by the contiguous vertex range — the number of
-    /// messages a flat-executor shard over that range folds per round.
-    #[inline]
-    pub fn inbox_slots_in(&self, range: Range<Vertex>) -> usize {
-        self.inbox_start[range.end] - self.inbox_start[range.start]
-    }
-
     /// Resident size of the plan's arrays in bytes.
     pub fn resident_bytes(&self) -> usize {
         std::mem::size_of::<usize>() * self.inbox_start.len()
@@ -145,30 +137,6 @@ mod tests {
                 assert!(edges.iter().any(|e| e.src == src as usize && e.dst == v));
             }
         }
-    }
-
-    #[test]
-    fn shard_accounting_partitions_the_slots() {
-        let mut g = Digraph::new(5);
-        for v in (1..5).rev() {
-            g.add_edge(v, 0);
-        }
-        g.add_edge(0, 3);
-        let g = g.with_self_loops();
-        let plan = RoutingPlan::new(&g);
-        for v in 0..5 {
-            assert_eq!(plan.outdegree(v), g.outdegree(v));
-            assert_eq!(plan.indegree(v), g.indegree(v));
-            assert_eq!(plan.inbox_slots_in(v..v + 1), plan.sources_of(v).len());
-        }
-        // Any split of 0..n partitions the slot total exactly.
-        for cut in 0..=5 {
-            assert_eq!(
-                plan.inbox_slots_in(0..cut) + plan.inbox_slots_in(cut..5),
-                plan.slots()
-            );
-        }
-        assert_eq!(plan.inbox_slots_in(2..2), 0);
     }
 
     #[test]

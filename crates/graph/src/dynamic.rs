@@ -260,59 +260,6 @@ impl DynamicGraph for RandomDynamicGraph {
     }
 }
 
-/// A population-protocol-style adversary (§2 footnote 2 of the paper):
-/// each round is a random *matching* — disjoint bidirectional pairs —
-/// so every vertex has degree zero or one. This is the dynamic,
-/// symmetric network class population protocols live in. Random
-/// matchings make any pair interact infinitely often with probability 1,
-/// and over any window of `O(n log n)` rounds the composed graph is
-/// complete with high probability, so the dynamic diameter is finite in
-/// practice (though not worst-case bounded — the paper's §6 discusses
-/// exactly this weaker connectivity regime).
-#[derive(Clone, Debug)]
-pub struct PairwiseMatching {
-    n: usize,
-    seed: u64,
-    pairs_per_round: usize,
-}
-
-impl PairwiseMatching {
-    /// Random matchings on `n` vertices with up to `pairs` disjoint pairs
-    /// per round (capped at `n / 2`), deterministic in `seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n == 0` or `pairs == 0`.
-    pub fn new(n: usize, pairs: usize, seed: u64) -> PairwiseMatching {
-        assert!(n > 0, "population needs at least one agent");
-        assert!(pairs > 0, "at least one interaction per round");
-        PairwiseMatching {
-            n,
-            seed,
-            pairs_per_round: pairs.min(n / 2),
-        }
-    }
-}
-
-impl DynamicGraph for PairwiseMatching {
-    fn n(&self) -> usize {
-        self.n
-    }
-
-    fn graph(&self, t: u64) -> Digraph {
-        use rand::seq::SliceRandom;
-        let mut rng = StdRng::seed_from_u64(self.seed ^ t.wrapping_mul(0xd134_2543_de82_ef95));
-        let mut order: Vec<usize> = (0..self.n).collect();
-        order.shuffle(&mut rng);
-        let mut g = Digraph::new(self.n);
-        for pair in order.chunks_exact(2).take(self.pairs_per_round) {
-            g.add_edge(pair[0], pair[1]);
-            g.add_edge(pair[1], pair[0]);
-        }
-        g.with_self_loops()
-    }
-}
-
 /// A pluggable fairness condition for [`PairingScheduler`]: given the
 /// population size, the round number, and the scheduler seed, produce the
 /// disjoint pairs that interact this round.
@@ -410,14 +357,15 @@ impl Fairness for RoundRobinCover {
     }
 }
 
-/// An Angluin-style population-protocol scheduler: each round a matching
-/// of pairwise interactions chosen by a pluggable [`Fairness`] condition.
+/// An Angluin-style population-protocol scheduler (§2 footnote 2 of the
+/// paper): each round a matching of pairwise interactions chosen by a
+/// pluggable [`Fairness`] condition, so every vertex has degree zero or
+/// one.
 ///
-/// This generalizes [`PairwiseMatching`] (which is the uniform-random
-/// special case with its own legacy salt): the fairness condition decides
-/// *which* pairs meet, and the scheduler materializes each interaction as
-/// a bidirectional edge (population-protocol interactions are symmetric
-/// exchanges in our communication-model reading). Composes freely with
+/// The fairness condition decides *which* pairs meet, and the scheduler
+/// materializes each interaction as a bidirectional edge
+/// (population-protocol interactions are symmetric exchanges in our
+/// communication-model reading). Composes freely with
 /// the masking adversaries — `FaultyNetwork`, churn masking, and
 /// `AsyncStarts` all wrap any `DynamicGraph`, this one included.
 #[derive(Clone, Debug)]
@@ -611,37 +559,6 @@ mod tests {
         // The borrowing accessors actually borrow.
         assert!(matches!(statics.graph_ref(3), Cow::Borrowed(_)));
         assert!(matches!(periodic.graph_ref(3), Cow::Borrowed(_)));
-    }
-
-    #[test]
-    fn pairwise_matching_is_degree_at_most_one() {
-        let pop = PairwiseMatching::new(7, 3, 5);
-        for t in 1..=10 {
-            let g = pop.graph(t);
-            assert!(g.is_bidirectional());
-            for v in 0..7 {
-                // Self-loop plus at most one partner.
-                assert!(g.outdegree(v) <= 2, "round {t} vertex {v}");
-                assert!(g.has_self_loop(v));
-            }
-        }
-        // Deterministic.
-        assert_eq!(
-            pop.graph(4).edges(),
-            PairwiseMatching::new(7, 3, 5).graph(4).edges()
-        );
-    }
-
-    #[test]
-    fn pairwise_matching_mixes_eventually() {
-        // Over enough rounds the composed graph becomes complete: the
-        // empirical dynamic diameter is finite.
-        let pop = PairwiseMatching::new(6, 3, 11);
-        let d = measured_dynamic_diameter(&pop, 120, 80).expect("mixes");
-        assert!(
-            d >= 3,
-            "matchings cannot mix in fewer rounds than pairs allow"
-        );
     }
 
     #[test]

@@ -71,6 +71,20 @@ pub fn star(n: usize) -> Digraph {
     g
 }
 
+/// The directed in-star: every leaf `1..n` sends to the center `0`.
+/// Edges are inserted from the highest leaf down, so the center's
+/// in-edge list is the reverse of the canonical delivery order: the
+/// topology that catches a parallel router that forgets to sort. It is
+/// also Push-Sum's worst case for `z` underflow.
+///
+/// # Panics
+///
+/// Panics if `n == 0`.
+pub fn instar(n: usize) -> Digraph {
+    assert!(n > 0, "star needs at least one vertex");
+    Digraph::from_edges(n, (1..n).rev().map(|leaf| (leaf, 0)))
+}
+
 /// The bidirectional path `0 - 1 - ... - n-1`.
 ///
 /// # Panics
@@ -452,6 +466,14 @@ mod tests {
         assert!(b.is_bidirectional());
         let one = bidirectional_ring(1);
         assert!(one.has_self_loop(0));
+    }
+
+    #[test]
+    fn instar_in_edges_are_descending() {
+        let g = instar(5);
+        let srcs: Vec<usize> = g.in_edges(0).map(|e| g.edges()[e].src).collect();
+        assert_eq!(srcs, vec![4, 3, 2, 1]);
+        assert_eq!(instar(1).edge_count(), 0);
     }
 
     #[test]

@@ -44,6 +44,6 @@ mod reference;
 pub use csr::RoutingPlan;
 pub use digraph::{Digraph, Edge, EdgeId, PortOrder, Vertex};
 pub use dynamic::{
-    DynamicGraph, Fairness, PairingScheduler, PairwiseMatching, PeriodicGraph, RandomDynamicGraph,
-    RoundRobinCover, SparselyConnected, StaticGraph, UniformRandom,
+    DynamicGraph, Fairness, PairingScheduler, PeriodicGraph, RandomDynamicGraph, RoundRobinCover,
+    SparselyConnected, StaticGraph, UniformRandom,
 };

@@ -55,5 +55,7 @@ pub mod topo;
 pub use args::Args;
 pub use runner::{CellCtx, CellOutcome, Runner, TelemetryMode};
 pub use sink::{CellRecord, CellTelemetry, ResultSink};
-pub use spec::{parse_graph, parse_values, CellSpec, ExperimentSpec, SpecError, SWEEP_FLAGS};
+pub use spec::{
+    parse_graph, parse_net, parse_values, CellSpec, ExperimentSpec, Net, SpecError, SWEEP_FLAGS,
+};
 pub use topo::{TopologyCache, WorkerScope};

@@ -8,7 +8,7 @@
 //! collected output is **byte-identical for every worker count**.
 
 use crate::sink::{CellRecord, CellTelemetry, ResultSink};
-use crate::spec::{CellSpec, ExperimentSpec, SpecError};
+use crate::spec::{CellSpec, ExperimentSpec, Net, SpecError};
 use crate::topo::TopologyCache;
 use kya_graph::Digraph;
 use kya_runtime::faults::FaultPlan;
@@ -66,10 +66,20 @@ impl CellCtx<'_> {
     /// # Errors
     ///
     /// Returns a [`SpecError`] when the topology label is not in the
-    /// static-graph grammar (experiments with dynamic-network labels
-    /// interpret `cell.topology` themselves instead).
+    /// static-graph grammar.
     pub fn graph(&self) -> Result<Arc<Digraph>, SpecError> {
         self.cache.graph(&self.cell.topology)
+    }
+
+    /// The cell's network, static or dynamic, via the shared cache
+    /// ([`TopologyCache::net`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SpecError`] when the topology label is not in the
+    /// grammar.
+    pub fn net(&self) -> Result<Net, SpecError> {
+        self.cache.net(&self.cell.topology)
     }
 
     /// The cell's fault plan, its coins seeded by the deterministic

@@ -1,13 +1,15 @@
-//! Experiment specifications: axes, graph/value grammars, and
+//! Experiment specifications: axes, network/value grammars, and
 //! deterministic cell enumeration.
 //!
-//! Graph specs are `family:params`:
+//! This module owns the one network-label grammar. Labels are
+//! `family:params`; static graphs ([`parse_graph`]) are
 //!
 //! | spec | graph |
 //! |------|-------|
 //! | `ring:N` | directed ring |
 //! | `biring:N` | bidirectional ring |
 //! | `star:N` | bidirectional star |
+//! | `instar:N` | directed in-star, in-edges in descending order |
 //! | `path:N` | bidirectional path |
 //! | `complete:N` | complete digraph |
 //! | `torus:RxC` / `torus:N` | directed torus (near-square for `N`) |
@@ -18,18 +20,34 @@
 //! | `random:N:EXTRA:SEED` | random strongly connected digraph |
 //! | `randbi:N:EXTRA:SEED` | random connected bidirectional graph |
 //!
+//! and [`parse_net`] reads those as constant networks plus the dynamic
+//! families:
+//!
+//! | spec | network |
+//! |------|---------|
+//! | `periodic:N` | a directed ring and a bidirectional star, alternating |
+//! | `dyn:directed:N:EXTRA:SEED` | random dynamic digraph |
+//! | `dyn:symmetric:N:EXTRA:SEED` | random dynamic bidirectional graph |
+//! | `async:MAXDELAY:SEED:<dyn>` | asynchronous starts on a `dyn` network |
+//! | `sparse:BASEGAP:HORIZON:<dyn>` | geometric sparsely-connected schedule |
+//! | `pair:uniform:N:SEED` / `pair:cover:N:SEED` | pairwise interactions |
+//!
 //! Every family is capped at [`MAX_AGENTS`] agents and [`MAX_EDGES`]
-//! edges: a larger spec is a [`SpecError`], never an allocation abort.
+//! edges: a larger spec is a [`SpecError`], never an allocation abort,
+//! and a size outside a family's range is an error, never clamped.
 //!
 //! In an [`ExperimentSpec`] topology axis, specs are *patterns*: the
 //! placeholders `{n}` and `{seed}` are substituted from the size and
 //! seed axes, so `ring:{n}` crossed with sizes `[4, 8]` enumerates
-//! `ring:4` and `ring:8`. Labels the grammar does not know (for dynamic
-//! networks, say) pass through verbatim for the experiment's cell
-//! function to interpret.
+//! `ring:4` and `ring:8`.
 
 use crate::args::Args;
-use kya_graph::{generators, Digraph};
+use kya_graph::{
+    generators, Digraph, DynamicGraph, PairingScheduler, PeriodicGraph, RandomDynamicGraph,
+    RoundRobinCover, SparselyConnected, StaticGraph, UniformRandom,
+};
+use kya_runtime::adversary::AsyncStarts;
+use kya_runtime::bits::splitmix64;
 use kya_runtime::faults::FaultPlan;
 use std::fmt;
 
@@ -152,6 +170,11 @@ pub fn parse_graph(spec: &str) -> Result<Digraph, SpecError> {
             fits(Some(n), (n - 1).checked_mul(2))?;
             generators::star(n)
         }
+        "instar" => {
+            let n = size("size")?;
+            fits(Some(n), Some(n - 1))?;
+            generators::instar(n)
+        }
         "path" => {
             let n = size("size")?;
             fits(Some(n), (n - 1).checked_mul(2))?;
@@ -230,12 +253,134 @@ pub fn parse_graph(spec: &str) -> Result<Digraph, SpecError> {
         }
         other => {
             return Err(err(format!(
-                "unknown graph family `{other}` (try ring, biring, star, path, complete, \
-                 torus, hypercube, debruijn, kautz, layered, random, randbi)"
+                "unknown graph family `{other}` (try ring, biring, star, instar, path, \
+                 complete, torus, hypercube, debruijn, kautz, layered, random, randbi)"
             )))
         }
     };
     Ok(graph)
+}
+
+/// A network a label names: a static graph closed with self-loops, or a
+/// dynamic network.
+pub type Net = Box<dyn DynamicGraph + Send + Sync>;
+
+/// Parse a network label (see module docs for the grammar): a static
+/// family as a [`StaticGraph`], or a dynamic one.
+///
+/// # Errors
+///
+/// Returns a [`SpecError`] describing the problem.
+pub fn parse_net(label: &str) -> Result<Net, SpecError> {
+    match parse_dynamic(label) {
+        Some(net) => net,
+        None => Ok(Box::new(StaticGraph::new(parse_graph(label)?))),
+    }
+}
+
+/// The dynamic network `label` names, or `None` when its family is not
+/// a dynamic one (it is then static or unknown, for [`parse_graph`]).
+pub(crate) fn parse_dynamic(label: &str) -> Option<Result<Net, SpecError>> {
+    let family = label.split(':').next().unwrap_or_default();
+    matches!(family, "periodic" | "dyn" | "async" | "sparse" | "pair").then(|| dynamic_net(label))
+}
+
+/// Build a dynamic network.
+///
+/// # Errors
+///
+/// Returns a [`SpecError`] for a malformed label, a number that does not
+/// parse, `N` outside `1..=MAX_AGENTS` (`2..=MAX_AGENTS` for a pairing),
+/// more extra edges than `MAX_EDGES` allows, more extra symmetric pairs
+/// than [`generators::extra_pair_room`] allows, and a zero `MAXDELAY` or
+/// `BASEGAP`.
+fn dynamic_net(label: &str) -> Result<Net, SpecError> {
+    let bad = |why: &str| SpecError(format!("dynamic network `{label}`: {why}"));
+    let num = |s: &str| -> Result<u64, SpecError> {
+        s.parse()
+            .map_err(|_| bad(&format!("`{s}` is not a number")))
+    };
+    let agents = |s: &str| -> Result<usize, SpecError> {
+        match usize::try_from(num(s)?) {
+            Ok(0) => Err(bad("it needs at least one agent")),
+            Ok(n) if n <= MAX_AGENTS => Ok(n),
+            _ => Err(bad(&format!("it has more than {MAX_AGENTS} agents"))),
+        }
+    };
+    // A pairwise interaction needs two agents.
+    let pairing_agents = |s: &str| -> Result<usize, SpecError> {
+        match agents(s)? {
+            1 => Err(bad("a pairing needs at least two agents")),
+            n => Ok(n),
+        }
+    };
+    let positive = |s: &str, what: &str| -> Result<u64, SpecError> {
+        match num(s)? {
+            0 => Err(bad(&format!("its {what} must be at least 1"))),
+            k => Ok(k),
+        }
+    };
+    let rand_net = |parts: &[&str]| -> Result<RandomDynamicGraph, SpecError> {
+        let ["dyn", kind @ ("directed" | "symmetric"), n, extra, seed] = parts else {
+            return Err(bad("expected dyn:directed|symmetric:N:EXTRA:SEED"));
+        };
+        let (n, seed) = (agents(n)?, num(seed)?);
+        let extra = usize::try_from(num(extra)?).unwrap_or(usize::MAX);
+        if *kind == "directed" {
+            if extra > MAX_EDGES - n {
+                return Err(bad(&format!("it has more than {MAX_EDGES} edges")));
+            }
+            return Ok(RandomDynamicGraph::directed(n, extra, seed));
+        }
+        let room = generators::extra_pair_room(n);
+        if extra > room {
+            return Err(bad(&format!(
+                "{n} agents leave room for at most {room} extra pairs"
+            )));
+        }
+        Ok(RandomDynamicGraph::symmetric(n, extra, seed))
+    };
+    let parts: Vec<&str> = label.split(':').collect();
+    Ok(match parts.as_slice() {
+        ["periodic", n] => {
+            let n = agents(n)?;
+            Box::new(PeriodicGraph::new(vec![
+                generators::directed_ring(n),
+                generators::star(n),
+            ]))
+        }
+        ["dyn", ..] => Box::new(rand_net(&parts)?),
+        ["async", delay, seed, rest @ ..] => Box::new(AsyncStarts::random(
+            rand_net(rest)?,
+            positive(delay, "MAXDELAY")?,
+            num(seed)?,
+        )),
+        ["sparse", gap, horizon, rest @ ..] => Box::new(SparselyConnected::geometric(
+            rand_net(rest)?,
+            positive(gap, "BASEGAP")?,
+            num(horizon)?,
+        )),
+        ["pair", "uniform", n, seed] => {
+            let n = pairing_agents(n)?;
+            Box::new(PairingScheduler::new(
+                n,
+                UniformRandom::new(n / 2),
+                num(seed)?,
+            ))
+        }
+        ["pair", "cover", n, seed] => Box::new(PairingScheduler::new(
+            pairing_agents(n)?,
+            RoundRobinCover,
+            num(seed)?,
+        )),
+        _ => {
+            return Err(bad(
+                "expected periodic:N, dyn:directed|symmetric:N:EXTRA:SEED, \
+                 async:MAXDELAY:SEED:<dyn>, sparse:BASEGAP:HORIZON:<dyn> or \
+                 pair:uniform|cover:N:SEED",
+            ))
+        }
+    })
 }
 
 /// Parse a comma-separated value list (`1,2,3`), optionally with `xK`
@@ -274,14 +419,6 @@ pub fn parse_values(spec: &str) -> Result<Vec<u64>, SpecError> {
         return Err(err("empty value list"));
     }
     Ok(out)
-}
-
-/// The same `splitmix64` finalizer the fault plans use: cell seeds are
-/// pure functions of the spec, never of scheduling.
-fn mix(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 // ---------------------------------------------------------------------
@@ -589,12 +726,12 @@ impl ExperimentSpec {
         let variants = or_neutral(&self.variants, String::new());
         let plans = or_neutral(&self.plans, FaultPlan::new(0));
         let points = self.points();
-        let base = mix(self.base_seed ^ 0x6b79_615f_6877_7373);
+        let base = splitmix64(self.base_seed ^ 0x6b79_615f_6877_7373);
 
         let mut out =
             Vec::with_capacity(points.len() * algorithms.len() * variants.len() * plans.len());
         for (topology, n, seed) in points {
-            let h = mix(base.wrapping_add(seed));
+            let h = splitmix64(base.wrapping_add(seed));
             for algorithm in &algorithms {
                 for variant in &variants {
                     for plan in &plans {
@@ -607,7 +744,7 @@ impl ExperimentSpec {
                             algorithm: algorithm.clone(),
                             variant: variant.clone(),
                             plan: plan.clone(),
-                            cell_seed: mix(h.wrapping_add(index as u64)),
+                            cell_seed: splitmix64(h.wrapping_add(index as u64)),
                         });
                     }
                 }
@@ -686,6 +823,7 @@ mod tests {
             "ring:99999999999",
             "biring:99999999999",
             "star:99999999999",
+            "instar:99999999999",
             "path:99999999999",
             "complete:99999999999",
             "torus:99999x99999",
@@ -736,6 +874,7 @@ mod tests {
             "ring:0",
             "biring:0",
             "star:0",
+            "instar:0",
             "path:0",
             "complete:0",
             "torus:0",
@@ -754,8 +893,63 @@ mod tests {
             let e = parse_graph(label).unwrap_err();
             assert!(e.0.contains("is empty"), "{label}: {e}");
         }
-        for label in ["ring:1", "star:1", "complete:1", "torus:1x1", "layered:1x1"] {
+        for label in [
+            "ring:1",
+            "star:1",
+            "instar:1",
+            "complete:1",
+            "torus:1x1",
+            "layered:1x1",
+        ] {
             assert_eq!(parse_graph(label).unwrap().n(), 1, "{label}");
+        }
+    }
+
+    #[test]
+    fn net_labels_parse() {
+        for label in [
+            "ring:6",
+            "instar:6",
+            "periodic:1",
+            "periodic:4",
+            "dyn:directed:12:6:555",
+            "dyn:directed:4:2:1",
+            "dyn:symmetric:16:4:2718",
+            "dyn:symmetric:4:3:1",
+            "dyn:symmetric:2:0:1",
+            "async:8:4:dyn:symmetric:16:4:9182",
+            "sparse:2:1023:dyn:directed:10:4:48",
+            "pair:uniform:12:7",
+            "pair:uniform:4:1",
+            "pair:cover:9:0",
+            "pair:cover:6:2",
+        ] {
+            let net = parse_net(label).expect(label);
+            let g = net.graph(1);
+            assert!((0..net.n()).all(|v| g.has_self_loop(v)), "{label}");
+        }
+        for label in [
+            "nosuch:3",
+            "periodic:0",
+            "periodic:16777217",
+            "periodic:4:1",
+            "instar:0",
+            "dyn:4:1",
+            "dyn:undirected:4:1:1",
+            "pair:4:uniform:1",
+            "pair:lottery:4:1",
+            "dyn:directed:0:1:1",
+            "dyn:directed:16777217:1:1",
+            "dyn:directed:4:536870909:1",
+            "dyn:symmetric:4:4:1",
+            "async:0:1:dyn:directed:4:1:1",
+            "sparse:0:9:dyn:directed:4:1:1",
+            "pair:cover:0:1",
+            "pair:cover:1:1",
+            "pair:uniform:1:7",
+            "",
+        ] {
+            assert!(parse_net(label).is_err(), "{label}");
         }
     }
 

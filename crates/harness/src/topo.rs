@@ -10,12 +10,12 @@
 //! equal cold ones).
 
 use kya_fibration::MinimumBase;
-use kya_graph::{connectivity, Digraph};
+use kya_graph::{connectivity, Digraph, StaticGraph};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use crate::spec::{parse_graph, SpecError};
+use crate::spec::{parse_dynamic, parse_graph, Net, SpecError};
 
 std::thread_local! {
     /// The worker index cache accesses on this thread are attributed to
@@ -109,9 +109,8 @@ impl TopologyCache {
     ///
     /// # Errors
     ///
-    /// Returns a [`SpecError`] if the label is not in the grammar (the
-    /// error is *not* cached; dynamic-network labels that experiments
-    /// interpret themselves simply never hit this method).
+    /// Returns a [`SpecError`] if the label is not in the static-graph
+    /// grammar (the error is *not* cached).
     pub fn graph(&self, label: &str) -> Result<Arc<Digraph>, SpecError> {
         {
             let map = self.graphs.lock().expect("cache lock");
@@ -125,6 +124,22 @@ impl TopologyCache {
         self.record(false);
         let mut map = self.graphs.lock().expect("cache lock");
         Ok(map.entry(label.to_string()).or_insert(g).clone())
+    }
+
+    /// The network `label` names, as [`parse_net`](crate::parse_net)
+    /// builds it, with a static graph taken from [`TopologyCache::graph`].
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SpecError`] if the label is not in the grammar.
+    pub fn net(&self, label: &str) -> Result<Net, SpecError> {
+        match parse_dynamic(label) {
+            Some(net) => net,
+            None => {
+                let g = self.graph(label)?;
+                Ok(Box::new(StaticGraph::new((*g).clone())))
+            }
+        }
     }
 
     /// The diameter of the self-loop closure of `label`'s graph
@@ -208,6 +223,17 @@ mod tests {
         assert!(cache.graph("not-a-graph").is_err());
         // Errors are not cached and do not disturb the counters' sense.
         assert!(cache.graph("not-a-graph").is_err());
+    }
+
+    #[test]
+    fn nets_take_static_graphs_from_the_cache() {
+        let cache = TopologyCache::new();
+        let _ = cache.graph("ring:6").unwrap();
+        assert!(cache.net("ring:6").unwrap().graph(1).has_self_loop(0));
+        assert_eq!(cache.stats(), (1, 1));
+        assert_eq!(cache.net("pair:cover:4:1").unwrap().n(), 4);
+        assert_eq!(cache.stats(), (1, 1), "dynamic networks bypass the cache");
+        assert!(cache.net("nosuch:3").is_err());
     }
 
     #[test]

@@ -43,6 +43,7 @@ const PINS: &[(&str, u64)] = &[
     ("ring:7", 0x5489c9a6987a58ec),
     ("biring:6", 0x76a2a5eaf7b4929a),
     ("star:5", 0x849ff622e62e47a0),
+    ("instar:6", 0xc755e2193742d12f),
     ("path:5", 0x71d2e00b6d7d1de0),
     ("complete:5", 0x659079f049627bac),
     ("torus:3x4", 0x00e94f43b6c3d7b9),

@@ -60,6 +60,15 @@ impl Default for Fnv1a {
     }
 }
 
+/// The `splitmix64` finalizer: a bijective mix of one word. Fault coins,
+/// cell seeds and the conformance inputs all derive from it, so each is
+/// a pure function of its seed, never of scheduling.
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 /// A value that can write its exact bit pattern as `u64` words.
 ///
 /// Equal words must mean bit-identical values: implementations feed

@@ -45,6 +45,7 @@
 //! bound, or a crash window starting at round 0 or empty is an error,
 //! and the executors panic on a built plan that breaks a rule.
 
+use crate::bits::splitmix64;
 use kya_graph::{Digraph, DynamicGraph};
 use serde::{Deserialize, Serialize, Value};
 use std::ops::Range;
@@ -112,12 +113,6 @@ pub struct FaultPlan {
 const SALT_DROP: u64 = 0x6472_6f70_6c69_6e6b; // "droplink"
 const SALT_DUP: u64 = 0x6475_706c_6963_6174; // "duplicat"
 const SALT_DELAY: u64 = 0x6465_6c61_795f_5f5f; // "delay___"
-
-fn splitmix_finalize(mut z: u64) -> u64 {
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 impl FaultPlan {
     /// A quiescent plan (no faults) with the given seed.
@@ -322,7 +317,7 @@ impl FaultPlan {
     fn raw(&self, salt: u64, t: u64, src: usize, dst: usize) -> u64 {
         let mut h = self.seed ^ salt;
         for w in [t, src as u64, dst as u64] {
-            h = splitmix_finalize(h.wrapping_add(0x9e37_79b9_7f4a_7c15).wrapping_add(w));
+            h = splitmix64(h.wrapping_add(0x9e37_79b9_7f4a_7c15).wrapping_add(w));
         }
         h
     }

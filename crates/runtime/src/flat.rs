@@ -55,7 +55,7 @@ use std::time::Instant;
 
 use crate::algorithm::IsotropicAlgorithm;
 use crate::config::FlatRunConfig;
-use crate::probe::{CountingProbe, PhaseTimes, ShardCounters};
+use crate::probe::{CountingProbe, PhaseTimes};
 use crate::report::{CellReport, Measure, Seal};
 use crate::shard::{run_shards, shard_ranges};
 
@@ -434,8 +434,8 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
 
     /// The one round body: shard the pass over `threads` contiguous agent
     /// ranges, swap the message buffers, and — when probed — record the
-    /// merged shard counters, the lane samples and the wall-clock phase
-    /// breakdown (which is read only then).
+    /// round's counters (read off the routing plan), the lane samples and
+    /// the wall-clock phase breakdown (which is read only then).
     fn pass(&mut self, threads: usize, probe: Option<&mut CountingProbe>) {
         assert!(threads > 0, "at least one worker thread");
         let mut times = PhaseTimes::default();
@@ -459,14 +459,15 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
         let (algo, plan, msgs) = (&self.algo, &self.plan, &self.msgs[..]);
         lap(&mut mark, &mut times.route_us);
 
-        let counters = run_shards(&ranges, shards, |s| pass_range(algo, plan, msgs, s));
+        run_shards(&ranges, shards, |s| pass_range(algo, plan, msgs, s));
         lap(&mut mark, &mut times.pass_us);
 
         std::mem::swap(&mut self.msgs, &mut self.next_msgs);
         self.round += 1;
 
         if let Some(probe) = probe {
-            probe.record_round(self.round, &counters, &self.state, A::STATE_LANES);
+            let lanes = (A::STATE_LANES, A::MSG_LANES);
+            probe.record_round(self.round, self.plan.slots(), &self.state, lanes);
             lap(&mut mark, &mut times.merge_us);
             probe.record_times(&times);
         }
@@ -511,27 +512,13 @@ struct Shard<'b> {
 /// The round's pass over one shard: per agent, copy its state chunk to
 /// the stack, fold the inbox (a view of the current message column) into
 /// the chunk in place, and emit the next round's message from it.
-/// Returns the shard's counters, computed once from its range outside
-/// the per-agent loop.
-fn pass_range<A: FlatAlgorithm>(
-    algo: &A,
-    plan: &RoutingPlan,
-    msgs: &[f64],
-    shard: Shard<'_>,
-) -> ShardCounters {
+fn pass_range<A: FlatAlgorithm>(algo: &A, plan: &RoutingPlan, msgs: &[f64], shard: Shard<'_>) {
     let Shard {
         range,
         state,
         msgs: out,
     } = shard;
     let (sl, ml) = (A::STATE_LANES, A::MSG_LANES);
-    let slots = plan.inbox_slots_in(range.clone()) as u64;
-    let counters = ShardCounters {
-        messages_routed: slots,
-        // One state write and one message write per agent.
-        lane_writes: (range.len() * (sl + ml)) as u64,
-        inbox_bytes: slots * (ml * std::mem::size_of::<f64>()) as u64,
-    };
     let mut cur = [0.0f64; MAX_LANES];
     let chunks = state.chunks_exact_mut(sl).zip(out.chunks_exact_mut(ml));
     for (v, (st, msg)) in range.zip(chunks) {
@@ -541,7 +528,6 @@ fn pass_range<A: FlatAlgorithm>(
         FlatAlgorithm::transition_with_outdegree(algo, &cur[..sl], outdegree, inbox, st);
         FlatAlgorithm::message(algo, st, outdegree, msg);
     }
-    counters
 }
 
 #[cfg(test)]

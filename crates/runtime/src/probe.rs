@@ -5,14 +5,13 @@
 //! as a value — far too slow for the million-agent flat engine, whose
 //! whole point is that messages are never materialized individually. A
 //! [`CountingProbe`], attached with
-//! [`FlatRunConfig::probe`](crate::FlatRunConfig::probe), instead reads
-//! the *shard* structure of the round: each shard of the round's single
-//! pass reports plain counters for its agent range, and the main thread
-//! merges them in canonical ascending shard order after the join, so the
-//! probe records the same stream at any thread count. On top of the
-//! counters, the probe digests a strided subset of every state lane each
-//! round — enough to fingerprint the trajectory without walking all `n`
-//! agents.
+//! [`FlatRunConfig::probe`](crate::FlatRunConfig::probe), instead counts
+//! each round from the routing plan: every round of a static network
+//! delivers the plan's slots and writes every agent's state and message
+//! lanes, whatever the thread count, so the probe records the same
+//! stream at any thread count. On top of the counters, the probe digests
+//! a strided subset of every state lane each round — enough to
+//! fingerprint the trajectory without walking all `n` agents.
 //!
 //! Determinism contract (DESIGN.md §10): the per-round events are a pure
 //! function of the algorithm, the initial columns, and the routing plan
@@ -21,38 +20,12 @@
 //! timings are the deliberate exception: they accumulate in a separate
 //! block ([`CountingProbe::timing`]) and never enter the stream.
 //!
-//! An unprobed run pays only for the counters: each shard computes them
-//! once from its range, outside the per-agent loop, and the executor
+//! An unprobed run pays nothing: the executor computes no counter and
 //! reads no clock.
 
 use crate::bits::Fnv1a;
 use crate::telemetry::Log2Histogram;
 use serde::{Deserialize, Serialize};
-
-/// Plain counters of one shard of one round's pass. Per-shard values
-/// depend on the shard layout (and therefore on the thread count); only
-/// their merged per-round totals enter the probe stream.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub(crate) struct ShardCounters {
-    /// Messages the shard delivered: the inbox slots (in-edges) of its
-    /// agents.
-    pub(crate) messages_routed: u64,
-    /// f64 lane writes the shard performed: each agent's new state and
-    /// next message.
-    pub(crate) lane_writes: u64,
-    /// Message-column bytes the shard's inboxes read
-    /// (`messages_routed × MSG_LANES × 8`).
-    pub(crate) inbox_bytes: u64,
-}
-
-impl ShardCounters {
-    /// Fold another shard's counters into this one.
-    fn merge(&mut self, other: &ShardCounters) {
-        self.messages_routed += other.messages_routed;
-        self.lane_writes += other.lane_writes;
-        self.inbox_bytes += other.inbox_bytes;
-    }
-}
 
 /// Target number of strided samples per state lane digested each round.
 /// The stride is computed from `n` alone, so the sample set is
@@ -72,7 +45,7 @@ pub struct PhaseTimes {
     /// The round's pass: inbox fold, transition, and next-message
     /// emission, fused per agent.
     pub pass_us: u64,
-    /// Counter merge and lane sampling.
+    /// Round counters and lane sampling.
     pub merge_us: u64,
 }
 
@@ -169,24 +142,26 @@ impl CountingProbe {
         out
     }
 
-    /// Record one executed round: merge the per-shard counters (in
-    /// ascending shard order) into the round's totals, and digest the
+    /// Record one executed round over a plan of `slots` inbox slots, with
+    /// `lanes = (STATE_LANES, MSG_LANES)`: the round delivers `slots`
+    /// messages, reading `slots × MSG_LANES × 8` message-column bytes,
+    /// and writes one state and one message per agent. Then digest the
     /// exact bits of a strided sample of every state lane of the
-    /// post-round agent-major `state` buffer (`lanes` lanes per agent):
-    /// per lane in lane order, the lane index, then agents `0, s, 2s,
-    /// ...` for a stride `s` chosen from the agent count alone.
+    /// post-round agent-major `state` buffer: per lane in lane order, the
+    /// lane index, then agents `0, s, 2s, ...` for a stride `s` chosen
+    /// from the agent count alone.
     pub(crate) fn record_round(
         &mut self,
         round: u64,
-        shards: &[ShardCounters],
+        slots: usize,
         state: &[f64],
-        lanes: usize,
+        (lanes, msg_lanes): (usize, usize),
     ) {
-        let mut total = ShardCounters::default();
-        for c in shards {
-            total.merge(c);
-        }
-        let stride = (state.len() / lanes / LANE_SAMPLE_TARGET).max(1);
+        let agents = state.len() / lanes;
+        let messages_routed = slots as u64;
+        let lane_writes = (agents * (lanes + msg_lanes)) as u64;
+        let inbox_bytes = (slots * msg_lanes * std::mem::size_of::<f64>()) as u64;
+        let stride = (agents / LANE_SAMPLE_TARGET).max(1);
         let mut digest = Fnv1a::new();
         for lane in 0..lanes {
             digest.write_word(lane as u64);
@@ -196,15 +171,15 @@ impl CountingProbe {
             }
         }
         self.summary.rounds += 1;
-        self.summary.messages_routed += total.messages_routed;
-        self.summary.lane_writes += total.lane_writes;
-        self.summary.inbox_bytes += total.inbox_bytes;
-        self.volume.record_count(total.messages_routed);
+        self.summary.messages_routed += messages_routed;
+        self.summary.lane_writes += lane_writes;
+        self.summary.inbox_bytes += inbox_bytes;
+        self.volume.record_count(messages_routed);
         self.events.push(FlatRoundEvent {
             round,
-            messages_routed: total.messages_routed,
-            lane_writes: total.lane_writes,
-            inbox_bytes: total.inbox_bytes,
+            messages_routed,
+            lane_writes,
+            inbox_bytes,
             sample_digest: digest.digest(),
         });
     }
@@ -220,25 +195,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counting_probe_merges_shards_into_round_totals() {
+    fn counting_probe_counts_rounds_from_the_plan() {
         let mut p = CountingProbe::new();
-        let shards = [
-            ShardCounters {
-                messages_routed: 9,
-                lane_writes: 16,
-                inbox_bytes: 144,
-            },
-            ShardCounters {
-                messages_routed: 7,
-                lane_writes: 16,
-                inbox_bytes: 112,
-            },
-        ];
-        p.record_round(1, &shards, &[1.0, 2.0], 1);
+        p.record_round(1, 16, &[1.0, 2.0], (1, 2));
         let s = p.summary();
         assert_eq!(s.rounds, 1);
         assert_eq!(s.messages_routed, 16);
-        assert_eq!(s.lane_writes, 32);
+        assert_eq!(s.lane_writes, 6);
         assert_eq!(s.inbox_bytes, 256);
         assert_eq!(s.lane_samples, 2);
         assert_eq!(p.events().len(), 1);
@@ -258,7 +221,7 @@ mod tests {
         let mut a = CountingProbe::new();
         let mut b = CountingProbe::new();
         for (p, x) in [(&mut a, 1.0f64), (&mut b, 1.0 + f64::EPSILON)] {
-            p.record_round(1, &[ShardCounters::default()], &[x], 1);
+            p.record_round(1, 0, &[x], (1, 1));
         }
         assert_ne!(a.events()[0].sample_digest, b.events()[0].sample_digest);
     }

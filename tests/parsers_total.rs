@@ -2,7 +2,7 @@
 //! grammars' tokens it returns `Ok`/`Err` (or `Some`/`None`) and never
 //! panics. `ChurnPlan::parse` and `parse_crashes` build their plans
 //! through the builders, so every label they accept builds; every label
-//! `dynamic_net` accepts builds its first round; and serialized
+//! `parse_net` accepts builds its first round; and serialized
 //! `FaultPlan`/`ChurnPlan` scripts edited into ones the builders refuse
 //! fail to deserialize.
 //!
@@ -15,9 +15,9 @@
 //! two numbers are ever adjacent, so any label that parses builds at
 //! most a few thousand agents.
 
-use kya_bench::experiments::dynamic_net;
 use kya_conformance::{CheckKind, Matrix};
-use kya_harness::{parse_graph, parse_values, Args};
+use kya_harness::spec::MAX_AGENTS;
+use kya_harness::{parse_graph, parse_net, parse_values, Args};
 use kya_runtime::churn::ChurnPlan;
 use kya_runtime::faults::{parse_crashes, FaultPlan};
 use kya_runtime::BandwidthCap;
@@ -29,6 +29,7 @@ const FAMILIES: &[&str] = &[
     "ring",
     "biring",
     "star",
+    "instar",
     "path",
     "complete",
     "torus",
@@ -168,6 +169,11 @@ fn label(shape: usize, words: Vec<u64>) -> String {
                 s += "+reset";
             }
         }
+        6 if d.below(4) == 0 => {
+            // A periodic network `periodic:N`.
+            s += "periodic:";
+            s += d.number();
+        }
         6 => {
             // Dynamic networks `dyn:KIND:N:N:N` or `pair:KIND:N:N`, a
             // kind word of either family, after an optional
@@ -257,12 +263,28 @@ proptest! {
         total("parse_values", &s, || parse_values(&s));
         total("ChurnPlan::parse", &s, || ChurnPlan::parse(&s));
         total("parse_crashes", &s, || parse_crashes(&s, FaultPlan::new(0)));
-        total("dynamic_net + graph(1)", &s, || dynamic_net(&s).map(|net| net.graph(1).n()));
+        total("parse_net + graph(1)", &s, || parse_net(&s).map(|net| net.graph(1).n()));
         total("BandwidthCap::parse", &s, || BandwidthCap::parse(&s));
         total("BandwidthCap::from_str", &s, || s.parse::<BandwidthCap>());
         total("CheckKind::parse", &s, || CheckKind::parse(&s));
         total("Matrix::parse", &s, || Matrix::parse(&s));
         args_total(&s);
+    }
+}
+
+/// A size outside a family's range is an error, never clamped to one
+/// inside it.
+#[test]
+fn out_of_range_network_sizes_are_rejected() {
+    let past = MAX_AGENTS + 1;
+    for family in ["instar", "periodic"] {
+        for n in [0, past] {
+            let label = format!("{family}:{n}");
+            assert!(parse_net(&label).is_err(), "{label}");
+        }
+    }
+    for label in ["instar:1", "periodic:1"] {
+        assert_eq!(parse_net(label).expect(label).n(), 1, "{label}");
     }
 }
 

@@ -8,8 +8,8 @@ use know_your_audience::algos::min_base::{DepthCapped, MinBaseBroadcast, ViewSta
 use know_your_audience::algos::push_sum::{total_mass, PushSum, PushSumState, SelfHealingPushSum};
 use know_your_audience::algos::views::View;
 use know_your_audience::graph::{
-    generators, DynamicGraph, PairingScheduler, PairwiseMatching, RandomDynamicGraph,
-    RoundRobinCover, SparselyConnected, StaticGraph, UniformRandom,
+    generators, DynamicGraph, PairingScheduler, RandomDynamicGraph, RoundRobinCover,
+    SparselyConnected, StaticGraph, UniformRandom,
 };
 use know_your_audience::runtime::churn::{ChurnMasked, ChurnPlan};
 use know_your_audience::runtime::faults::{FaultPlan, FaultyNetwork};
@@ -24,7 +24,7 @@ fn gossip_floods_over_pairwise_interactions() {
     // adversary.
     let n = 8;
     let values: Vec<u64> = (0..n as u64).map(|i| i % 3).collect();
-    let net = PairwiseMatching::new(n, n / 2, 99);
+    let net = PairingScheduler::new(n, UniformRandom::new(n / 2), 99);
     let mut exec = Execution::new(Broadcast(SetGossip), SetGossip::initial(&values));
     exec.drive(&net, RunConfig::rounds(200));
     for out in exec.outputs() {
@@ -36,7 +36,7 @@ fn gossip_floods_over_pairwise_interactions() {
 fn fixed_weight_averages_over_pairwise_interactions() {
     let n = 6;
     let values: Vec<f64> = vec![0.0, 6.0, 12.0, 0.0, 6.0, 12.0];
-    let net = PairwiseMatching::new(n, 3, 123);
+    let net = PairingScheduler::new(n, UniformRandom::new(3), 123);
     let mut exec = Execution::new(Broadcast(FixedWeight::new(n)), values);
     exec.drive(&net, RunConfig::rounds(5000));
     for x in exec.outputs() {
