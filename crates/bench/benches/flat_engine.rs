@@ -81,7 +81,7 @@ fn bench_probe_overhead(c: &mut Criterion) {
                     let mut exec = FlatExecution::new(PushSum, &g, PushSumState::columns(&states));
                     let mut probe = CountingProbe::new();
                     exec.drive(FlatRunConfig::rounds(ROUNDS).threads(t).probe(&mut probe));
-                    (exec.outputs()[0], probe.summary().messages_routed)
+                    (exec.outputs()[0], probe.summary().messages)
                 })
             },
         );

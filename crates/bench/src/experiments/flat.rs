@@ -30,7 +30,7 @@ pub const EXPERIMENT: Experiment = Experiment {
     name: "flat",
     about: "flat SoA/CSR engine vs boxed executor throughput",
     extra_flags: &["threads"],
-    nets: Nets::Unchecked,
+    nets: Nets::Static,
     churn_variants: false,
     build,
     cell,
@@ -43,6 +43,9 @@ fn values_for(n: usize) -> Vec<f64> {
 
 fn build(args: &Args) -> Result<Vec<ExperimentSpec>, SpecError> {
     let threads = args.usize_list_flag("threads", &[1, 4])?;
+    if threads.contains(&0) {
+        return Err(SpecError("--threads entries must be positive".into()));
+    }
     let spec = ExperimentSpec::new("flat_engine")
         .topologies(["ring:{n}", "torus:{n}", "random:{n}:{n}:{seed}"])
         .sizes([10_000, 100_000])
@@ -109,9 +112,8 @@ fn cell(ctx: &CellCtx) -> CellOutcome {
             }
             outcome = outcome
                 .report(report.without_trace())
-                .probe(probe.summary())
+                .telemetry(probe.summary())
                 .detail("residual_hist", Log2Histogram::from_values(&residuals))
-                .detail("volume_hist", probe.volume_histogram().clone())
                 .detail("indegree_hist", indeg);
             (secs, exec.outputs(), Some(bytes))
         }

@@ -38,6 +38,12 @@ fn build(args: &Args) -> Result<Vec<ExperimentSpec>, SpecError> {
         .sizes([8])
         .rounds(1200)
         .with_args(args)?;
+    if positive.size_axis().contains(&0) {
+        return Err(SpecError(
+            "table2: a dynamic network needs at least one agent, so every size must be at least 1"
+                .into(),
+        ));
+    }
     // The shared negative side: one cell, no axes.
     let negative = ExperimentSpec::new("table2_negative");
     Ok(vec![positive, negative])

@@ -13,11 +13,13 @@
 //!   [`validate`] checks a snapshot against the schema, which *is*
 //!   stable ([`SCHEMA_VERSION`]).
 //! - [`probe_stream`] produces the **deterministic probe stream** of
-//!   the same matrix: merged counters and bit-exact sample digests,
-//!   nothing wall-clock. CI byte-diffs it at `--threads 1` vs `4`.
+//!   the same matrix: the round events (counters and bit-exact state
+//!   digests) a boxed trace would record, nothing wall-clock. The
+//!   contract test pins it at `--threads 1` and `4`.
 
 use kya_algos::push_sum::{PushSum, PushSumState};
 use kya_graph::{generators, Digraph, StaticGraph};
+use kya_runtime::telemetry;
 use kya_runtime::{CountingProbe, Execution, FlatExecution, FlatRunConfig, Isotropic, RunConfig};
 use serde::Value;
 use std::time::Instant;
@@ -136,6 +138,8 @@ fn flat_cell(cfg: &ProfileConfig, g: &Digraph, n: usize, threads: usize) -> Valu
             .confirm(2)
             .probe(&mut probe),
     );
+    // Every message is `MSG_LANES` f64 lanes of one `StateBits` word
+    // each, so the inbox reads 8 bytes per payload word.
     let summary = probe.summary();
     let times = probe.timing();
     map(vec![
@@ -151,8 +155,11 @@ fn flat_cell(cfg: &ProfileConfig, g: &Digraph, n: usize, threads: usize) -> Valu
             Value::Float(bytes as f64 / n.max(1) as f64),
         ),
         ("converged_at", opt_u64(report.converged_at)),
-        ("messages_routed", Value::UInt(summary.messages_routed)),
-        ("inbox_bytes", Value::UInt(summary.inbox_bytes)),
+        (
+            "messages_routed",
+            Value::UInt(summary.messages + summary.self_messages),
+        ),
+        ("inbox_bytes", Value::UInt(8 * summary.payload_words)),
         (
             "phase_us",
             map(vec![
@@ -226,10 +233,10 @@ pub fn run(cfg: &ProfileConfig) -> Value {
 
 /// The deterministic probe stream of the matrix at one thread count:
 /// per cell, a header line (`{"cell": ..., "n": ..., "rounds": ...}`)
-/// followed by the cell's [`CountingProbe`] NDJSON. Contains neither
-/// the thread count nor any wall-clock value, so two streams from
-/// different `--threads` must be byte-identical — the CI `metrics` job
-/// diffs exactly that.
+/// followed by the cell's [`CountingProbe`] round events as NDJSON.
+/// Contains neither the thread count nor any wall-clock value, so two
+/// streams from different `--threads` must be byte-identical — the
+/// contract test checks exactly that.
 pub fn probe_stream(cfg: &ProfileConfig, threads: usize) -> String {
     let mut out = String::new();
     for &n in &cfg.sizes {
@@ -249,7 +256,7 @@ pub fn probe_stream(cfg: &ProfileConfig, threads: usize) -> String {
         ]);
         out.push_str(&header.to_json());
         out.push('\n');
-        out.push_str(&probe.to_ndjson());
+        out.push_str(&telemetry::to_ndjson(probe.events()));
     }
     out
 }

@@ -733,8 +733,8 @@ fn cmd_check(out: &mut dyn Write, args: &Args) -> Result<(), CliError> {
 
 /// `kya profile` — run the flat+boxed profile matrix and write the
 /// schema-versioned `BENCH_flat.json` snapshot; or, with `--probe-out`,
-/// write the matrix's *deterministic* probe stream (the artifact the CI
-/// `metrics` job byte-diffs across `--threads`); or, with `--validate`,
+/// write the matrix's *deterministic* probe stream (the artifact the
+/// contract test compares across `--threads`); or, with `--validate`,
 /// check an existing snapshot against the schema without running
 /// anything.
 fn cmd_profile(out: &mut dyn Write, args: &Args) -> Result<(), CliError> {

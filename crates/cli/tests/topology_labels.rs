@@ -56,7 +56,8 @@ fn bad_topology_labels_are_errors() {
 
 /// F6 crashes agents 0 and 1, and F8's churn scripts name agents 0, 1
 /// and 2, so a network with fewer agents cannot run them; neither can a
-/// fault plan with a zero horizon or a drop rate of 1 or more.
+/// fault plan with a zero horizon or a drop rate of 1 or more, nor the
+/// flat sweep on zero threads.
 #[test]
 fn scripts_that_do_not_fit_are_errors() {
     for args in [
@@ -67,20 +68,24 @@ fn scripts_that_do_not_fit_are_errors() {
         &["f6", "--drops", "1.5"],
         &["f8", "--drop", "0.4", "--horizon", "0"],
         &["f8", "--drop", "1.5"],
+        &["flat", "--threads", "0"],
     ] {
         assert_clean_error(args);
     }
 }
 
-/// At one, two and three agents every sweep ends within a minute, with
-/// every cell passing or with a `kya:` error before any cell runs: no
-/// generator loops forever, no bound misses a tiny network, and no
+/// At zero, one, two and three agents every sweep ends within a minute,
+/// with every cell passing or with a `kya:` error before any cell runs:
+/// no generator loops forever, no bound misses a tiny network, and no
 /// panic.
 #[test]
 fn every_sweep_ends_at_every_size() {
     let mut wrong = Vec::new();
-    for experiment in ["table1", "table2", "f1", "f2", "f4", "f5", "f6", "f7", "f8"] {
-        for size in ["1", "2", "3"] {
+    let experiments = [
+        "table1", "table2", "f1", "f2", "f4", "f5", "f6", "f7", "f8", "flat",
+    ];
+    for experiment in experiments {
+        for size in ["0", "1", "2", "3"] {
             let (code, stderr) = sweep(&[experiment, "--sizes", size]);
             let clean = match code {
                 Some(0) => true,

@@ -28,7 +28,7 @@ use kya_runtime::churn::{ChurnMasked, ChurnPlan};
 use kya_runtime::faults::{FaultPlan, FaultyNetwork};
 use kya_runtime::flat::MAX_LANES;
 use kya_runtime::metric::EuclideanMetric;
-use kya_runtime::telemetry::{NullObserver, Observer, TraceSink};
+use kya_runtime::telemetry::{self, NullObserver, Observer, TraceSink};
 use kya_runtime::{
     lane_columns, Algorithm, BandwidthCap, Broadcast, ByteLedger, CountingProbe, Execution,
     FlatAlgorithm, FlatExecution, FlatRunConfig, Isotropic, IsotropicAlgorithm, Lanes,
@@ -58,10 +58,9 @@ pub enum CheckKind {
     /// (b) Flat CSR executor bitwise identical to the boxed
     /// executor at 1, 2 and 4 threads.
     Flat,
-    /// (b) Probed flat runs: the deterministic probe stream (per-round
-    /// counters + strided sample digests) byte-identical at 1, 2
-    /// and 4 threads, and the counters equal to the routing plan's
-    /// ground truth.
+    /// (b) Probed flat runs: the round-event stream of the flat probe
+    /// (per-round counters + strided state digests) at 1, 2 and 4
+    /// threads byte-identical to the boxed trace of the same run.
     Probe,
     /// (c) Bounded-bandwidth laws of the quantized variants: every
     /// payload a `b`-bit cell broadcasts is a codeword (audited message
@@ -307,7 +306,6 @@ fn check_paths(ctx: &CellCtx) -> CellOutcome {
 fn flat_agree<F>(algo: F, inits: Vec<F::State>, g: &Digraph, rounds: u64) -> Result<u64, String>
 where
     F: FlatAlgorithm + Clone,
-    F::State: StateBits,
 {
     let columns = lane_columns(&inits);
     let mut boxed = Execution::new(Isotropic(algo.clone()), inits);
@@ -362,66 +360,40 @@ fn check_flat(ctx: &CellCtx) -> CellOutcome {
     digest_outcome(res)
 }
 
-/// Run the same probed flat execution at 1, 2 and 4 threads and demand
-/// the [`CountingProbe`] NDJSON streams — merged per-round counters plus
-/// the bit-exact strided sample digests — are **byte-identical**, then
-/// check the counters against the routing plan's ground truth: every
-/// round delivers exactly `plan.slots()` messages, reads exactly
-/// `slots × MSG_LANES × 8` message-column bytes, and writes one state and
-/// one message per agent. Returns the fingerprint of the (shared)
-/// stream.
+/// Run `algo` on the boxed executor observed by a [`TraceSink`], and on
+/// the flat executor probed at 1, 2 and 4 threads, and demand that every
+/// [`CountingProbe`] NDJSON stream is byte-identical to the boxed trace.
+/// The boxed sink counts each delivered message and hashes the states
+/// it is handed, so it is the ground truth for the counters the probe
+/// reads off the routing plan and for the digests it takes of the flat
+/// state buffer. Returns the fingerprint of the shared stream.
 fn probe_streams_agree<F: FlatAlgorithm + Clone>(
-    flat: F,
-    columns: Vec<Vec<f64>>,
+    algo: F,
+    inits: Vec<F::State>,
     g: &Digraph,
     rounds: u64,
 ) -> Result<u64, String> {
-    let mut baseline: Option<String> = None;
+    let columns = lane_columns(&inits);
+    let mut trace = TraceSink::new();
+    Execution::new(Isotropic(algo.clone()), inits)
+        .drive(g, RunConfig::rounds(rounds).observer(&mut trace));
+    let canon = telemetry::to_ndjson(trace.events());
     for t in [1usize, 2, 4] {
-        let mut exec = FlatExecution::new(flat.clone(), g, columns.clone());
+        let mut exec = FlatExecution::new(algo.clone(), g, columns.clone());
         let mut probe = CountingProbe::new();
         exec.drive(FlatRunConfig::rounds(rounds).threads(t).probe(&mut probe));
-        let slots = exec.plan().slots() as u64;
-        let s = probe.summary();
-        if s.rounds != rounds {
+        let stream = telemetry::to_ndjson(probe.events());
+        if stream != canon {
+            let (flat, boxed) = (stream.lines(), canon.lines());
+            let round = flat.zip(boxed).take_while(|(a, b)| a == b).count() + 1;
             return Err(format!(
-                "probe at {t} thread(s) saw {} rounds, expected {rounds}",
-                s.rounds
+                "round {round}: probe stream at {t} thread(s) differs bytewise \
+                 from the boxed trace"
             ));
-        }
-        if s.messages_routed != rounds * slots {
-            return Err(format!(
-                "probe at {t} thread(s) counted {} routed messages, \
-                 plan ground truth is {}",
-                s.messages_routed,
-                rounds * slots
-            ));
-        }
-        let bytes = slots * (F::MSG_LANES * std::mem::size_of::<f64>()) as u64;
-        let writes = (g.n() * (F::STATE_LANES + F::MSG_LANES)) as u64;
-        for e in probe.events() {
-            if (e.messages_routed, e.inbox_bytes, e.lane_writes) != (slots, bytes, writes) {
-                return Err(format!(
-                    "round {}: probe at {t} thread(s) reported {} messages / \
-                     {} inbox bytes / {} lane writes, plan ground truth is \
-                     {slots} / {bytes} / {writes}",
-                    e.round, e.messages_routed, e.inbox_bytes, e.lane_writes
-                ));
-            }
-        }
-        let stream = probe.to_ndjson();
-        match &baseline {
-            None => baseline = Some(stream),
-            Some(b) if *b != stream => {
-                return Err(format!(
-                    "probe stream at {t} thread(s) differs bytewise from 1 thread"
-                ));
-            }
-            Some(_) => {}
         }
     }
     let mut fp = Fingerprint::new();
-    fp.absorb_bytes(baseline.unwrap_or_default().as_bytes());
+    fp.absorb_bytes(canon.as_bytes());
     Ok(fp.digest())
 }
 
@@ -437,11 +409,11 @@ fn check_probe(ctx: &CellCtx) -> CellOutcome {
     let res = match cell.algorithm.as_str() {
         "pushsum" => probe_streams_agree(
             PushSum,
-            PushSumState::columns(&PushSumState::averaging(&vals_f64(seed, n))),
+            PushSumState::averaging(&vals_f64(seed, n)),
             &g,
             rounds,
         ),
-        "metropolis" => probe_streams_agree(Metropolis, vec![vals_f64(seed, n)], &g, rounds),
+        "metropolis" => probe_streams_agree(Metropolis, vals_f64(seed, n), &g, rounds),
         other => return fail(format!("unknown probe algorithm `{other}`")),
     };
     digest_outcome(res)
@@ -1127,7 +1099,8 @@ fn check_mass(ctx: &CellCtx) -> CellOutcome {
 
 /// The closed ring fibration `R_n -> R_{n/2}` the lift oracle runs on:
 /// `(total graph, base graph, morphism)`, all with self-loops. `n` must
-/// be even and at least 4.
+/// be even and at least 4. The total graph is the directed ring that
+/// the cell's `ring:{n}` label names.
 fn lift_ring(n: usize) -> (Digraph, Digraph, kya_fibration::GraphMorphism) {
     let (g, b, phi) = kya_algos::lifting::ring_fibration(n, n / 2);
     kya_algos::lifting::close_fibration(&phi, &g, &b)
@@ -1137,7 +1110,10 @@ fn check_lift(ctx: &CellCtx) -> CellOutcome {
     let cell = ctx.cell;
     let n = cell.n;
     if n < 4 || !n.is_multiple_of(2) {
-        return fail(format!("liftring needs an even n >= 4, got {n}"));
+        return fail(format!(
+            "{}: the lift oracle needs an even n >= 4",
+            cell.topology
+        ));
     }
     let (gc, bc, phic) = lift_ring(n);
     let base_vals = vals_u64(cell.cell_seed, n / 2);

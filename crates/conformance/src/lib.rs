@@ -33,10 +33,10 @@
 //!   ([`kya_runtime::FlatExecution`]) bitwise identical to the boxed
 //!   sequential executor at 1, 2 and 4 threads
 //!   ([`checks::CheckKind::Flat`]);
-//! - **probe** — the deterministic probe stream of a probed flat run
-//!   (per-round counters plus strided bit-exact sample digests)
-//!   byte-identical at 1, 2 and 4 threads, with counters matching the
-//!   routing plan's ground truth ([`checks::CheckKind::Probe`]);
+//! - **probe** — the round-event stream of a probed flat run
+//!   (per-round counters plus strided bit-exact state digests) at 1, 2
+//!   and 4 threads byte-identical to the boxed executor's trace of the
+//!   same run ([`checks::CheckKind::Probe`]);
 //! - **bandwidth** — the bounded-bandwidth laws of the quantized
 //!   variants: every payload lane a codeword below `2^b` (audited
 //!   message by message), token mass conserved exactly in ℚ, f64
@@ -197,7 +197,7 @@ pub fn specs(matrix: Matrix) -> Vec<(CheckKind, ExperimentSpec)> {
         (
             CheckKind::Lift,
             ExperimentSpec::new("conformance-lift")
-                .topologies(["liftring:{n}"])
+                .topologies(["ring:{n}"])
                 .sizes(sizes.clone())
                 .seeds(seeds.clone())
                 .algorithms(["gossip", "pushsum-exact"])
@@ -335,6 +335,18 @@ mod tests {
         }
     }
 
+    /// Every topology label of the full matrix names a network that the
+    /// one label grammar builds, so any record's `topology` replays.
+    #[test]
+    fn every_matrix_label_parses() {
+        for (kind, spec) in specs(Matrix::Full) {
+            for label in spec.topology_labels() {
+                let parsed = kya_harness::parse_net(&label);
+                assert!(parsed.is_ok(), "{kind:?} `{label}`: {:?}", parsed.err());
+            }
+        }
+    }
+
     /// Run the full matrix's `kind` oracle on its `topology`, seed-1
     /// cells alone (every other cell is skipped) and assert that their
     /// `(algorithm, digest)` pairs, in matrix order, are `expected`.
@@ -383,15 +395,15 @@ mod tests {
     }
 
     /// Pins the `probe` digests of the full matrix's `random:12:12:1`
-    /// cells, one per algorithm. The `probe` oracle only compares a
-    /// stream across thread counts, so a sampling or counting defect
-    /// shared by every count would pass it; this pin fixes the stream
-    /// itself (counters, lane order and sampled bits).
+    /// cells, one per algorithm. The `probe` oracle compares the flat
+    /// probe with the boxed trace, so a defect in the round-event code
+    /// both engines share would pass it; this pin fixes the stream itself
+    /// (counters, sampled agents and their state words).
     #[test]
     fn probe_digest_pin() {
         const EXPECTED: [(&str, &str); 2] = [
-            ("pushsum", "a8c31b9bd59ed4b8"),
-            ("metropolis", "54cda8ff804d8d09"),
+            ("pushsum", "6d6f0ab79724368d"),
+            ("metropolis", "806a1bd774f2a2ae"),
         ];
         assert_digests(CheckKind::Probe, "random:12:12:1", &EXPECTED);
     }

@@ -13,7 +13,7 @@ use crate::topo::TopologyCache;
 use kya_graph::Digraph;
 use kya_runtime::faults::FaultPlan;
 use kya_runtime::telemetry::{CountSummary, RoundEvent};
-use kya_runtime::{CellReport, FlatProbeSummary};
+use kya_runtime::CellReport;
 use serde::{Serialize, Value};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -107,7 +107,6 @@ pub struct CellOutcome {
     pub(crate) ok: Option<bool>,
     pub(crate) report: Option<CellReport>,
     pub(crate) telemetry: Option<CountSummary>,
-    pub(crate) probe: Option<FlatProbeSummary>,
     pub(crate) details: Vec<(String, Value)>,
     pub(crate) trace: Vec<RoundEvent>,
 }
@@ -144,14 +143,6 @@ impl CellOutcome {
     #[must_use]
     pub fn telemetry(mut self, summary: CountSummary) -> CellOutcome {
         self.telemetry = Some(summary);
-        self
-    }
-
-    /// Attach a flat-engine probe summary; it becomes the `probe` field
-    /// of the record's `telemetry` block.
-    #[must_use]
-    pub fn probe(mut self, summary: FlatProbeSummary) -> CellOutcome {
-        self.probe = Some(summary);
         self
     }
 

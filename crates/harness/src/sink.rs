@@ -7,14 +7,14 @@
 use crate::runner::CellOutcome;
 use crate::spec::{CellSpec, ExperimentSpec};
 use kya_runtime::telemetry::{CountSummary, RoundEvent};
-use kya_runtime::{CellReport, FlatProbeSummary};
+use kya_runtime::CellReport;
 use serde::{Deserialize, Serialize, Value};
 
 /// The optional `telemetry` block of a [`CellRecord`]: the cell's
 /// observer counters plus the runner's own measurements.
 ///
 /// The counter fields are deterministic (they restate the cell's
-/// [`CountSummary`]); `wall_us` and `queue_wait_us` are wall-clock and
+/// [`CountSummary`], from a boxed observer or a flat probe); `wall_us` and `queue_wait_us` are wall-clock and
 /// therefore the **one deliberate exception** to byte-stable output —
 /// they are only ever non-zero when the runner runs with telemetry
 /// enabled (`kya trace`), never in plain sweeps, so the CI determinism
@@ -46,11 +46,6 @@ pub struct CellTelemetry {
     pub cache_hits: u64,
     /// Cache misses by this cell's worker while the cell ran.
     pub cache_misses: u64,
-    /// Flat-engine probe totals, when the cell ran a probed
-    /// [`FlatExecution`](kya_runtime::FlatExecution). Fully
-    /// deterministic (the probe stream is bitwise identical at any
-    /// thread count); `null` for boxed cells.
-    pub probe: Option<FlatProbeSummary>,
 }
 
 impl CellTelemetry {
@@ -127,17 +122,7 @@ impl CellRecord {
             cell_seed: cell.cell_seed,
             ok: outcome.ok,
             report: outcome.report,
-            telemetry: match (&outcome.telemetry, outcome.probe) {
-                (None, None) => None,
-                (counts, probe) => {
-                    let mut t = counts
-                        .as_ref()
-                        .map(CellTelemetry::from_counts)
-                        .unwrap_or_default();
-                    t.probe = probe;
-                    Some(t)
-                }
-            },
+            telemetry: outcome.telemetry.as_ref().map(CellTelemetry::from_counts),
             details: outcome.details,
             trace: outcome.trace,
         }

@@ -7,7 +7,7 @@
 //! do NaNs with different payloads; variable-length parts (slices,
 //! maps, big-integer limbs) are preceded by their length, so two states
 //! have equal words only if they are equal bit for bit. [`Fnv1a`] hashes
-//! bytes or words — the same function behind the probe's sample digests
+//! bytes or words — the same function behind the round digests
 //! and the conformance fingerprints.
 
 use kya_arith::{BigInt, BigRational, Sign};
@@ -134,6 +134,13 @@ impl<A: StateBits, B: StateBits> StateBits for (A, B) {
     fn feed(&self, out: &mut Vec<u64>) {
         self.0.feed(out);
         self.1.feed(out);
+    }
+}
+
+/// The borrowed value's words.
+impl<T: StateBits + ?Sized> StateBits for &T {
+    fn feed(&self, out: &mut Vec<u64>) {
+        (**self).feed(out);
     }
 }
 

@@ -233,10 +233,11 @@ impl<'a> FlatRunConfig<'a> {
         self
     }
 
-    /// Record every executed round into `probe`: the merged shard
-    /// counters and a bit-exact digest of strided lane samples (the
-    /// deterministic stream), plus the wall-clock phase breakdown in its
-    /// separate timing block. The probe only reads; a probed run computes
+    /// Record every executed round into `probe`: the round event a boxed
+    /// [`TraceSink`](crate::TraceSink) would record — counters and a
+    /// bit-exact digest of strided state samples (the deterministic
+    /// stream) — plus the wall-clock phase breakdown in its separate
+    /// timing block. The probe only reads; a probed run computes
     /// the same bits as an unprobed one.
     pub fn probe(mut self, probe: &'a mut CountingProbe) -> Self {
         self.probe = Some(probe);

@@ -54,10 +54,12 @@ use std::ops::{Index, Range};
 use std::time::Instant;
 
 use crate::algorithm::IsotropicAlgorithm;
+use crate::bits::StateBits;
 use crate::config::FlatRunConfig;
 use crate::probe::{CountingProbe, PhaseTimes};
 use crate::report::{CellReport, Measure, Seal};
 use crate::shard::{run_shards, shard_ranges};
+use crate::telemetry::RoundEvent;
 
 /// Maximum number of f64 lanes a flat state or message may use; bounds
 /// the executor's stack scratch buffers.
@@ -141,10 +143,11 @@ pub fn lane_columns<L: Lanes>(states: &[L]) -> Vec<Vec<f64>> {
 /// Both engines run this one implementation, so they agree bitwise.
 pub trait FlatAlgorithm: Sync {
     /// Per-agent state of the boxed executor, stored in `STATE_LANES`
-    /// lanes.
-    type State: Lanes;
-    /// Message of the boxed executor, stored in `MSG_LANES` lanes.
-    type Msg: Lanes;
+    /// lanes. Its [`StateBits`] words are what a round digest hashes.
+    type State: Lanes + StateBits;
+    /// Message of the boxed executor, stored in `MSG_LANES` lanes. Its
+    /// [`StateBits`] words are the payload a round event counts.
+    type Msg: Lanes + StateBits;
 
     /// Number of f64 lanes per agent state (1..=[`MAX_LANES`]).
     const STATE_LANES: usize = <Self::State as Lanes>::LANES;
@@ -399,7 +402,7 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
     /// plus optional residual measurement, ε-convergence judged post
     /// hoc over the whole trace, and confirmed early stopping. With a
     /// [`probe`](FlatRunConfig::probe) attached, every executed round is
-    /// recorded into it.
+    /// recorded into it, with the plan's traffic counted once.
     ///
     /// # Panics
     ///
@@ -421,22 +424,50 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
             eps,
             confirm,
         };
+        let traffic = probe.is_some().then(|| self.traffic());
         let step = |exec: &mut Self| {
             if let Some((cap, ledger)) = bandwidth {
                 // One delivery per edge: the same per-round charge as
                 // the boxed drive's `edge_count()`.
                 ledger.charge_round(exec.plan.slots() as u64, cap.bits_per_edge());
             }
-            exec.pass(threads, probe.as_deref_mut());
+            exec.pass(threads, probe.as_deref_mut().zip(traffic.as_ref()));
         };
         measure.run(self, start, step, Self::outputs, |_| Seal::default())
     }
 
+    /// The counters of every round on this plan, as an event template
+    /// (real-link and self-loop slots, and the payload words they carry),
+    /// with the [`StateBits`] words of one agent's state. A [`Lanes`]
+    /// value writes the same number of words whatever its lanes hold.
+    fn traffic(&self) -> (RoundEvent, u64) {
+        let plan = &self.plan;
+        let self_slots: usize = (0..plan.n())
+            .map(|v| {
+                plan.sources_of(v)
+                    .iter()
+                    .filter(|&&s| s as usize == v)
+                    .count()
+            })
+            .sum();
+        let zeros = [0.0; MAX_LANES];
+        let msg_words = A::Msg::load(&zeros[..A::MSG_LANES]).words().len();
+        let state_words = A::State::load(&zeros[..A::STATE_LANES]).words().len();
+        let event = RoundEvent {
+            messages: (plan.slots() - self_slots) as u64,
+            self_messages: self_slots as u64,
+            payload_words: (plan.slots() * msg_words) as u64,
+            ..RoundEvent::empty(0)
+        };
+        (event, state_words as u64)
+    }
+
     /// The one round body: shard the pass over `threads` contiguous agent
     /// ranges, swap the message buffers, and — when probed — record the
-    /// round's counters (read off the routing plan), the lane samples and
-    /// the wall-clock phase breakdown (which is read only then).
-    fn pass(&mut self, threads: usize, probe: Option<&mut CountingProbe>) {
+    /// round's event (the plan's `traffic` plus the digest of the new
+    /// states) and the wall-clock phase breakdown (which is read only
+    /// then).
+    fn pass(&mut self, threads: usize, probe: Option<(&mut CountingProbe, &(RoundEvent, u64))>) {
         assert!(threads > 0, "at least one worker thread");
         let mut times = PhaseTimes::default();
         let mut mark = probe.is_some().then(Instant::now);
@@ -465,9 +496,9 @@ impl<A: FlatAlgorithm> FlatExecution<A> {
         std::mem::swap(&mut self.msgs, &mut self.next_msgs);
         self.round += 1;
 
-        if let Some(probe) = probe {
-            let lanes = (A::STATE_LANES, A::MSG_LANES);
-            probe.record_round(self.round, self.plan.slots(), &self.state, lanes);
+        if let Some((probe, traffic)) = probe {
+            let states = self.state.chunks_exact(A::STATE_LANES).map(A::State::load);
+            probe.record_round(self.round, traffic, states);
             lap(&mut mark, &mut times.merge_us);
             probe.record_times(&times);
         }
@@ -612,6 +643,12 @@ mod tests {
         }
         fn store(&self, lanes: &mut [f64]) {
             lanes.copy_from_slice(self);
+        }
+    }
+
+    impl<const N: usize> StateBits for [f64; N] {
+        fn feed(&self, out: &mut Vec<u64>) {
+            self.as_slice().feed(out);
         }
     }
 

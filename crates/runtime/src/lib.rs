@@ -83,7 +83,7 @@ pub use bandwidth::{BandwidthCap, ByteLedger, MessageCodec};
 pub use config::{FlatRunConfig, RunConfig};
 pub use execution::Execution;
 pub use flat::{lane_columns, FlatAlgorithm, FlatExecution, Inbox, Lanes};
-pub use probe::{CountingProbe, FlatProbeSummary, FlatRoundEvent, PhaseTimes};
+pub use probe::{CountingProbe, PhaseTimes};
 pub use report::CellReport;
 pub use shard::MIN_SPAWN_AGENTS;
 pub use telemetry::{CountSummary, Log2Histogram, NullObserver, Observer, RoundEvent, TraceSink};

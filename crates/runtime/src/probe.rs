@@ -1,43 +1,38 @@
-//! Probes: deterministic metrics for the flat executor's sharded hot
-//! path.
+//! Probes: the flat executor's round events.
 //!
 //! The boxed executor's [`Observer`](crate::Observer) sees every message
 //! as a value — far too slow for the million-agent flat engine, whose
 //! whole point is that messages are never materialized individually. A
 //! [`CountingProbe`], attached with
-//! [`FlatRunConfig::probe`](crate::FlatRunConfig::probe), instead counts
-//! each round from the routing plan: every round of a static network
-//! delivers the plan's slots and writes every agent's state and message
-//! lanes, whatever the thread count, so the probe records the same
-//! stream at any thread count. On top of the counters, the probe digests
-//! a strided subset of every state lane each round — enough to
-//! fingerprint the trajectory without walking all `n` agents.
+//! [`FlatRunConfig::probe`](crate::FlatRunConfig::probe), records the
+//! same [`RoundEvent`] a boxed [`TraceSink`](crate::TraceSink) does
+//! without seeing a message: every round of a static network delivers
+//! the routing plan's slots, so the counters come from the plan (its
+//! self-loop slots counted once per probed drive), and the digest is the
+//! one sample digest ([`crate::telemetry`]) both engines take of the
+//! post-round states.
 //!
-//! Determinism contract (DESIGN.md §10): the per-round events are a pure
-//! function of the algorithm, the initial columns, and the routing plan
-//! — **bitwise identical across thread counts** (the conformance `probe`
-//! oracle byte-diffs the streams at threads 1/2/4). Wall-clock phase
-//! timings are the deliberate exception: they accumulate in a separate
-//! block ([`CountingProbe::timing`]) and never enter the stream.
+//! Determinism contract (DESIGN.md §10): the events are a pure function
+//! of the algorithm, the initial states and the graph — **byte-identical
+//! across thread counts and to the boxed trace of the same run** (the
+//! conformance `probe` oracle compares the NDJSON of the flat probe at
+//! threads 1/2/4 with the boxed `TraceSink`'s). Wall-clock phase timings
+//! are the deliberate exception: they accumulate in a separate block
+//! ([`CountingProbe::timing`]) and never enter the stream.
 //!
 //! An unprobed run pays nothing: the executor computes no counter and
 //! reads no clock.
 
-use crate::bits::Fnv1a;
-use crate::telemetry::Log2Histogram;
+use crate::bits::StateBits;
+use crate::telemetry::{sample_digest, CountSummary, RoundEvent};
 use serde::{Deserialize, Serialize};
-
-/// Target number of strided samples per state lane digested each round.
-/// The stride is computed from `n` alone, so the sample set is
-/// independent of thread count.
-const LANE_SAMPLE_TARGET: usize = 64;
 
 /// Wall-clock microseconds per phase of one flat round.
 ///
 /// Timing is measured only when a probe is attached and **never** part
-/// of the deterministic probe stream ([`CountingProbe::to_ndjson`] excludes
-/// it; [`CountingProbe::timing`] hands back the accumulated block
-/// separately).
+/// of the deterministic event stream ([`CountingProbe::events`]
+/// excludes it; [`CountingProbe::timing`] hands back the accumulated
+/// block separately).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PhaseTimes {
     /// Shard layout and span splitting.
@@ -45,7 +40,7 @@ pub struct PhaseTimes {
     /// The round's pass: inbox fold, transition, and next-message
     /// emission, fused per agent.
     pub pass_us: u64,
-    /// Round counters and lane sampling.
+    /// The round event: counters and the state digest.
     pub merge_us: u64,
 }
 
@@ -58,48 +53,14 @@ impl PhaseTimes {
     }
 }
 
-/// One round of the deterministic probe stream (the flat analogue of
-/// [`RoundEvent`](crate::RoundEvent)). Every field is thread-count
-/// invariant; `sample_digest` folds the strided lane samples' exact
-/// bits, so two streams agree iff the trajectories agree bitwise.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FlatRoundEvent {
-    /// 1-based round number.
-    pub round: u64,
-    /// Messages delivered this round (= the plan's slot count).
-    pub messages_routed: u64,
-    /// f64 lane writes of the round's pass.
-    pub lane_writes: u64,
-    /// Message-column bytes read by the round's inboxes.
-    pub inbox_bytes: u64,
-    /// FNV-1a over the bit patterns of the round's strided lane samples.
-    pub sample_digest: u64,
-}
-
-/// Totals of a probed flat run, serialized into harness telemetry
-/// blocks (`CellTelemetry.probe`).
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FlatProbeSummary {
-    /// Rounds observed.
-    pub rounds: u64,
-    /// Total messages delivered.
-    pub messages_routed: u64,
-    /// Total f64 lane writes.
-    pub lane_writes: u64,
-    /// Total message-column bytes read by inboxes.
-    pub inbox_bytes: u64,
-    /// Individual lane samples hashed into the round digests.
-    pub lane_samples: u64,
-}
-
-/// The workhorse probe: merged per-round counters, a bit-exact sample
-/// digest per round, a per-round message-volume [`Log2Histogram`], and
-/// the (separate, nondeterministic) accumulated [`PhaseTimes`].
+/// The flat engine's round recorder: one [`RoundEvent`] per round and
+/// the run's [`CountSummary`] — the schema of a boxed
+/// [`TraceSink`](crate::TraceSink) — plus the (separate,
+/// nondeterministic) accumulated [`PhaseTimes`].
 #[derive(Clone, Debug, Default)]
 pub struct CountingProbe {
-    summary: FlatProbeSummary,
-    events: Vec<FlatRoundEvent>,
-    volume: Log2Histogram,
+    summary: CountSummary,
+    events: Vec<RoundEvent>,
     timing: PhaseTimes,
 }
 
@@ -110,18 +71,14 @@ impl CountingProbe {
     }
 
     /// Run totals so far.
-    pub fn summary(&self) -> FlatProbeSummary {
-        self.summary.clone()
+    pub fn summary(&self) -> CountSummary {
+        self.summary
     }
 
-    /// The per-round event stream.
-    pub fn events(&self) -> &[FlatRoundEvent] {
+    /// The per-round event stream, rendered by
+    /// [`telemetry::to_ndjson`](crate::telemetry::to_ndjson).
+    pub fn events(&self) -> &[RoundEvent] {
         &self.events
-    }
-
-    /// Histogram of per-round delivered message volume.
-    pub fn volume_histogram(&self) -> &Log2Histogram {
-        &self.volume
     }
 
     /// Accumulated wall-clock phase breakdown — the timing block. Never
@@ -130,58 +87,23 @@ impl CountingProbe {
         self.timing
     }
 
-    /// The deterministic probe stream: one JSON object per round.
-    /// Byte-identical at any thread count (CI diffs `--threads 1` vs
-    /// `4`); contains no timing.
-    pub fn to_ndjson(&self) -> String {
-        let mut out = String::new();
-        for e in &self.events {
-            out.push_str(&serde::to_json_string(e));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Record one executed round over a plan of `slots` inbox slots, with
-    /// `lanes = (STATE_LANES, MSG_LANES)`: the round delivers `slots`
-    /// messages, reading `slots × MSG_LANES × 8` message-column bytes,
-    /// and writes one state and one message per agent. Then digest the
-    /// exact bits of a strided sample of every state lane of the
-    /// post-round agent-major `state` buffer: per lane in lane order, the
-    /// lane index, then agents `0, s, 2s, ...` for a stride `s` chosen
-    /// from the agent count alone.
-    pub(crate) fn record_round(
+    /// Record round `round` of a flat run: `traffic` holds its counters
+    /// (the same every round of a static plan), `state_words` the size
+    /// of one agent's state, and `states` the post-round configuration
+    /// that the digest samples.
+    pub(crate) fn record_round<S: StateBits>(
         &mut self,
         round: u64,
-        slots: usize,
-        state: &[f64],
-        (lanes, msg_lanes): (usize, usize),
+        (traffic, state_words): &(RoundEvent, u64),
+        states: impl ExactSizeIterator<Item = S>,
     ) {
-        let agents = state.len() / lanes;
-        let messages_routed = slots as u64;
-        let lane_writes = (agents * (lanes + msg_lanes)) as u64;
-        let inbox_bytes = (slots * msg_lanes * std::mem::size_of::<f64>()) as u64;
-        let stride = (agents / LANE_SAMPLE_TARGET).max(1);
-        let mut digest = Fnv1a::new();
-        for lane in 0..lanes {
-            digest.write_word(lane as u64);
-            for agent in state.chunks_exact(lanes).step_by(stride) {
-                digest.write_word(agent[lane].to_bits());
-                self.summary.lane_samples += 1;
-            }
-        }
-        self.summary.rounds += 1;
-        self.summary.messages_routed += messages_routed;
-        self.summary.lane_writes += lane_writes;
-        self.summary.inbox_bytes += inbox_bytes;
-        self.volume.record_count(messages_routed);
-        self.events.push(FlatRoundEvent {
+        let e = RoundEvent {
             round,
-            messages_routed,
-            lane_writes,
-            inbox_bytes,
-            sample_digest: digest.digest(),
-        });
+            digest: sample_digest(states),
+            ..traffic.clone()
+        };
+        self.summary.add(&e, *state_words);
+        self.events.push(e);
     }
 
     /// Add one round's wall-clock phase breakdown to the timing block.
@@ -193,37 +115,29 @@ impl CountingProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::telemetry::to_ndjson;
 
     #[test]
-    fn counting_probe_counts_rounds_from_the_plan() {
+    fn counting_probe_records_round_events() {
         let mut p = CountingProbe::new();
-        p.record_round(1, 16, &[1.0, 2.0], (1, 2));
+        let traffic = RoundEvent {
+            messages: 12,
+            self_messages: 4,
+            payload_words: 32,
+            ..RoundEvent::empty(0)
+        };
+        p.record_round(1, &(traffic, 2), [1.0, 2.0].iter());
         let s = p.summary();
-        assert_eq!(s.rounds, 1);
-        assert_eq!(s.messages_routed, 16);
-        assert_eq!(s.lane_writes, 6);
-        assert_eq!(s.inbox_bytes, 256);
-        assert_eq!(s.lane_samples, 2);
-        assert_eq!(p.events().len(), 1);
-        assert_eq!(p.events()[0].messages_routed, 16);
-        assert_eq!(p.volume_histogram().count(4), 1, "16 messages → bucket 4");
+        assert_eq!((s.rounds, s.messages, s.self_messages), (1, 12, 4));
+        assert_eq!((s.payload_words, s.dropped, s.peak_state_words), (32, 0, 2));
+        assert_eq!(p.events()[0].round, 1);
+        assert_eq!(p.events()[0].digest, sample_digest([1.0, 2.0].iter()));
         // The stream excludes timing and serializes stably.
-        let ndjson = p.to_ndjson();
+        let ndjson = to_ndjson(p.events());
         assert!(ndjson.starts_with("{\"round\":1,"), "{ndjson}");
         assert!(!ndjson.contains("_us"), "timing leaked into the stream");
-        let back: FlatRoundEvent =
-            serde::from_json_str(ndjson.trim_end()).expect("stream line parses");
+        let back: RoundEvent = serde::from_json_str(ndjson.trim_end()).expect("stream line parses");
         assert_eq!(back, p.events()[0]);
-    }
-
-    #[test]
-    fn sample_digest_is_bit_sensitive() {
-        let mut a = CountingProbe::new();
-        let mut b = CountingProbe::new();
-        for (p, x) in [(&mut a, 1.0f64), (&mut b, 1.0 + f64::EPSILON)] {
-            p.record_round(1, 0, &[x], (1, 1));
-        }
-        assert_ne!(a.events()[0].sample_digest, b.events()[0].sample_digest);
     }
 
     #[test]
@@ -240,20 +154,6 @@ mod tests {
             merge_us: 40,
         });
         assert_eq!(p.timing().pass_us, 55);
-        assert!(p.to_ndjson().is_empty(), "timing alone emits no stream");
-    }
-
-    #[test]
-    fn summary_roundtrips_through_json() {
-        let s = FlatProbeSummary {
-            rounds: 5,
-            messages_routed: 100,
-            lane_writes: 400,
-            inbox_bytes: 1600,
-            lane_samples: 40,
-        };
-        let json = serde::to_json_string(&s);
-        let back: FlatProbeSummary = serde::from_json_str(&json).expect("parses");
-        assert_eq!(back, s);
+        assert!(p.events().is_empty(), "timing alone emits no stream");
     }
 }

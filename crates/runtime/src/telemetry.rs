@@ -12,11 +12,17 @@
 //! - [`NullObserver`] — the zero-cost default. An unobserved `drive` (and
 //!   `step`) runs the same round body with a `NullObserver`;
 //!   monomorphization erases the empty hooks entirely.
-//! - [`TraceSink`] — one [`RoundEvent`] per round (counters plus an
-//!   optional residual), buffered with a stable serde schema and
-//!   rendered as NDJSON, and the run's totals as a [`CountSummary`]:
-//!   messages delivered (split into self-loop and real-link traffic),
-//!   payload words, fault-dropped messages, and peak state size.
+//! - [`TraceSink`] — one [`RoundEvent`] per round (counters, an
+//!   optional residual and a state digest), buffered with a stable serde
+//!   schema, and the run's totals as a [`CountSummary`]: messages
+//!   delivered (split into self-loop and real-link traffic), payload
+//!   words, fault-dropped messages, and peak state size.
+//!
+//! [`RoundEvent`] is the round schema of both engines: the flat
+//! engine's [`CountingProbe`](crate::CountingProbe) records the same
+//! events, with the same state digest (`sample_digest`), and
+//! [`to_ndjson`] renders either stream, so a boxed trace and a flat
+//! probe of one cell compare byte for byte.
 //!
 //! Payload and state sizes are counted in [`StateBits`] words: the
 //! number of `u64` words a value writes with [`StateBits::feed`], the
@@ -27,7 +33,7 @@
 //! ever computed by opt-in observers.
 
 use crate::algorithm::Algorithm;
-use crate::bits::StateBits;
+use crate::bits::{Fnv1a, StateBits};
 use crate::metric::{max_distance, Metric};
 use serde::{Deserialize, Serialize};
 
@@ -101,6 +107,18 @@ pub struct CountSummary {
     pub peak_state_words: u64,
 }
 
+impl CountSummary {
+    /// Add one finished round whose largest agent state is `state_words`.
+    pub(crate) fn add(&mut self, e: &RoundEvent, state_words: u64) {
+        self.rounds += 1;
+        self.messages += e.messages;
+        self.self_messages += e.self_messages;
+        self.payload_words += e.payload_words;
+        self.dropped += e.dropped;
+        self.peak_state_words = self.peak_state_words.max(state_words);
+    }
+}
+
 /// Number of [`StateBits`] words `value` writes, reusing `buf`.
 fn word_count(buf: &mut Vec<u64>, value: &impl StateBits) -> u64 {
     buf.clear();
@@ -108,12 +126,45 @@ fn word_count(buf: &mut Vec<u64>, value: &impl StateBits) -> u64 {
     buf.len() as u64
 }
 
-/// One row of a trace: the counters of a single round, plus the residual
-/// when the sink was built with a metric.
+/// Number of agents a round digest samples, at most. The stride comes
+/// from the agent count alone, so the sample is the same at any thread
+/// count.
+const DIGEST_SAMPLES: usize = 64;
+
+/// The round digest of both engines: FNV-1a over the [`StateBits`]
+/// words of agents `0, s, 2s, …` of `states`, for the stride
+/// `s = max(1, n / 64)` of an `n`-agent configuration. Two runs agree on
+/// it iff their sampled states agree bit for bit (up to hash collisions).
+pub(crate) fn sample_digest<S: StateBits>(states: impl ExactSizeIterator<Item = S>) -> u64 {
+    let stride = (states.len() / DIGEST_SAMPLES).max(1);
+    let mut words = Vec::new();
+    for state in states.step_by(stride) {
+        state.feed(&mut words);
+    }
+    let mut digest = Fnv1a::new();
+    digest.write_words(&words);
+    digest.digest()
+}
+
+/// One compact JSON object per event, in order: the NDJSON of a boxed
+/// [`TraceSink`] and of a flat [`CountingProbe`](crate::CountingProbe)
+/// alike.
+pub fn to_ndjson(events: &[RoundEvent]) -> String {
+    let mut out = String::new();
+    for e in events {
+        out.push_str(&e.to_value().to_json());
+        out.push('\n');
+    }
+    out
+}
+
+/// One row of a trace: the counters of a single round, the residual
+/// when the sink was built with a metric, and the digest of the round's
+/// states.
 ///
 /// Serializes with a stable field order (`round`, `messages`,
-/// `self_messages`, `payload_words`, `dropped`, `residual`) — the schema
-/// the CI trace-determinism job diffs byte for byte.
+/// `self_messages`, `payload_words`, `dropped`, `residual`, `digest`) —
+/// the schema the CI trace-determinism job diffs byte for byte.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct RoundEvent {
     /// The 1-based round number.
@@ -129,10 +180,14 @@ pub struct RoundEvent {
     /// Worst-case distance from the target at the round's end, when a
     /// residual metric was attached.
     pub residual: Option<f64>,
+    /// FNV-1a over the [`StateBits`] words of a strided sample of the
+    /// states at the round's end: agents `0, s, 2s, …` for
+    /// `s = max(1, n / 64)`, a stride of the agent count `n` alone.
+    pub digest: u64,
 }
 
 impl RoundEvent {
-    fn empty(round: u64) -> RoundEvent {
+    pub(crate) fn empty(round: u64) -> RoundEvent {
         RoundEvent {
             round,
             messages: 0,
@@ -140,6 +195,7 @@ impl RoundEvent {
             payload_words: 0,
             dropped: 0,
             residual: None,
+            digest: 0,
         }
     }
 }
@@ -147,7 +203,7 @@ impl RoundEvent {
 /// Type of the optional residual computation a [`TraceSink`] carries.
 type ResidualFn<A> = Box<dyn FnMut(&A, &[<A as Algorithm>::State]) -> f64>;
 
-/// Buffers one [`RoundEvent`] per round and renders them as NDJSON; also
+/// Buffers one [`RoundEvent`] per round (rendered by [`to_ndjson`]) and
 /// accumulates the run's [`CountSummary`], so a traced cell needs a
 /// single observer.
 pub struct TraceSink<A: Algorithm> {
@@ -206,16 +262,6 @@ impl<A: Algorithm> TraceSink<A> {
         (self.events, self.summary)
     }
 
-    /// One compact JSON object per round, in round order.
-    pub fn to_ndjson(&self) -> String {
-        let mut out = String::new();
-        for e in &self.events {
-            out.push_str(&e.to_value().to_json());
-            out.push('\n');
-        }
-        out
-    }
-
     fn current_mut(&mut self, round: u64) -> &mut RoundEvent {
         self.current.get_or_insert_with(|| RoundEvent::empty(round))
     }
@@ -234,25 +280,17 @@ where
 
     fn on_message(&mut self, round: u64, src: usize, dst: usize, msg: &A::Msg) {
         let words = word_count(&mut self.words, msg);
-        let is_self = src == dst;
         let e = self.current_mut(round);
-        if is_self {
+        if src == dst {
             e.self_messages += 1;
         } else {
             e.messages += 1;
         }
         e.payload_words += words;
-        if is_self {
-            self.summary.self_messages += 1;
-        } else {
-            self.summary.messages += 1;
-        }
-        self.summary.payload_words += words;
     }
 
     fn on_message_dropped(&mut self, round: u64, _src: usize, _dst: usize, _msg: &A::Msg) {
         self.current_mut(round).dropped += 1;
-        self.summary.dropped += 1;
     }
 
     fn on_round_end(&mut self, round: u64, algo: &A, states: &[A::State]) {
@@ -263,11 +301,10 @@ where
         if let Some(f) = self.residual.as_mut() {
             e.residual = Some(f(algo, states));
         }
-        self.summary.rounds += 1;
-        for s in states {
-            let words = word_count(&mut self.words, s);
-            self.summary.peak_state_words = self.summary.peak_state_words.max(words);
-        }
+        e.digest = sample_digest(states.iter());
+        let words = &mut self.words;
+        let peak = states.iter().map(|s| word_count(words, s)).max();
+        self.summary.add(&e, peak.unwrap_or(0));
         self.events.push(e);
     }
 }
@@ -481,7 +518,7 @@ mod tests {
         // 2 rounds × 6 messages (3 links + 3 self-loops) × 2 words each.
         assert_eq!(s.payload_words, 2 * 6 * 2);
         assert_eq!(s.peak_state_words, 1);
-        assert_eq!(sink.to_ndjson().lines().count(), 2);
+        assert_eq!(to_ndjson(sink.events()).lines().count(), 2);
     }
 
     #[test]
@@ -502,7 +539,7 @@ mod tests {
             assert_eq!(e.self_messages, 4);
             assert_eq!(e.residual, Some(report.distances[i]));
         }
-        let nd = sink.to_ndjson();
+        let nd = to_ndjson(sink.events());
         assert_eq!(nd.lines().count(), 5);
         assert!(
             nd.lines().next().unwrap().starts_with("{\"round\":1,"),
@@ -523,6 +560,7 @@ mod tests {
             payload_words: 99,
             dropped: 2,
             residual: Some(0.125),
+            digest: u64::MAX,
         };
         let json = serde::to_json_string(&e);
         let back: RoundEvent = serde::from_json_str(&json).expect("parses");
@@ -532,6 +570,22 @@ mod tests {
         assert!(json.contains("\"residual\":null"), "{json}");
         let back: RoundEvent = serde::from_json_str(&json).expect("parses");
         assert_eq!(back, none);
+    }
+
+    #[test]
+    fn sample_digest_is_bit_sensitive() {
+        // 130 agents: stride 2, so agents 0, 2, …, 128 are sampled.
+        let states: Vec<f64> = (0..130).map(f64::from).collect();
+        let mut nudged = states.clone();
+        nudged[64] = f64::from_bits(nudged[64].to_bits() + 1);
+        assert_ne!(sample_digest(states.iter()), sample_digest(nudged.iter()));
+        // An unsampled agent does not enter the digest.
+        let mut unsampled = states.clone();
+        unsampled[65] += 1.0;
+        assert_eq!(
+            sample_digest(states.iter()),
+            sample_digest(unsampled.iter())
+        );
     }
 
     #[test]

@@ -5,11 +5,12 @@
 //! Run with `cargo run --release --example flat_profile`
 //! (debug builds work but take minutes at n = 10^6).
 //!
-//! A [`CountingProbe`] rides the sharded hot path for free-ish: merged
-//! per-round counters, a bit-exact sample digest per round (identical at
-//! any thread count — conformance oracle `probe` pins that), and a
-//! separate wall-clock phase breakdown that never touches the
-//! deterministic stream. For the machine-readable artifact version of
+//! A [`CountingProbe`] rides the sharded hot path for free-ish: the
+//! round events and totals a boxed trace would record (counters read off
+//! the routing plan and a bit-exact state digest per round, identical at
+//! any thread count and to the boxed trace — conformance oracle `probe`
+//! pins that), and a separate wall-clock phase breakdown that never
+//! touches the deterministic stream. For the machine-readable artifact version of
 //! this run, see `kya profile` and `BENCH_flat.json`.
 
 use know_your_audience::algos::push_sum::{PushSum, PushSumState};
@@ -49,10 +50,9 @@ fn main() {
     let summary = probe.summary();
     let times = probe.timing();
     println!(
-        "ran {} rounds at {threads} threads: {} messages routed, {:.1} MiB of inbox reads",
-        summary.rounds,
-        summary.messages_routed,
-        summary.inbox_bytes as f64 / (1024.0 * 1024.0)
+        "ran {} rounds at {threads} threads: {} messages over links, {} over self-loops, \
+         {} payload words",
+        summary.rounds, summary.messages, summary.self_messages, summary.payload_words
     );
     println!(
         "phase breakdown: route {} us, pass {} us, merge {} us",
