@@ -654,7 +654,8 @@ impl Neg for BigRational {
 /// normalized once in [`SumAcc::finish`], so a k-term Push-Sum inbox
 /// pays one normalization instead of k − 1.
 ///
-/// `den` stays the lcm of the denominators seen. A term with the same
+/// From the first nonzero term on, `den` is the lcm of the denominators
+/// seen; before it, neither field holds an allocation. A term with the same
 /// denominator is one numerator add. When both denominators are powers
 /// of two (every Push-Sum share whose out-degrees are powers of two),
 /// alignment is a shift and no gcd runs at all, not even at the end.
@@ -671,7 +672,7 @@ impl SumAcc {
     fn new() -> SumAcc {
         SumAcc {
             num: BigInt::zero(),
-            den: BigInt::one(),
+            den: BigInt::zero(),
             reduced: true,
         }
     }

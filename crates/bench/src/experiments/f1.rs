@@ -22,6 +22,7 @@ pub const EXPERIMENT: Experiment = Experiment {
     name: "f1",
     about: "Push-Sum rounds to epsilon-consensus (Theorem 5.2)",
     extra_flags: &["groups", "exps"],
+    ignored_flags: &[],
     nets: Nets::Any,
     churn_variants: false,
     build,

@@ -24,6 +24,7 @@ pub const EXPERIMENT: Experiment = Experiment {
     name: "f2",
     about: "minimum-base stabilization round vs n + D, and the smallest working depth cap",
     extra_flags: &["rand-sizes"],
+    ignored_flags: &[],
     nets: Nets::Static,
     churn_variants: false,
     build,

@@ -15,6 +15,7 @@ pub const EXPERIMENT: Experiment = Experiment {
     name: "f4",
     about: "averaging family: Push-Sum vs Metropolis vs fixed-weight, sync and async starts",
     extra_flags: &[],
+    ignored_flags: &[],
     nets: Nets::Any,
     churn_variants: false,
     build,

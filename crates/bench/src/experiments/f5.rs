@@ -17,6 +17,7 @@ pub const EXPERIMENT: Experiment = Experiment {
     name: "f5",
     about: "weak connectivity: geometric schedules, no finite dynamic diameter (open question)",
     extra_flags: &[],
+    ignored_flags: &[],
     nets: Nets::Any,
     churn_variants: false,
     build,

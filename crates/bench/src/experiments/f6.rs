@@ -21,6 +21,7 @@ pub const EXPERIMENT: Experiment = Experiment {
     name: "f6",
     about: "fault injection: drop/crash sweep, self-healing vs lossy Push-Sum, measured recovery",
     extra_flags: &["drops", "crashes", "horizon"],
+    ignored_flags: &[],
     nets: Nets::Static,
     churn_variants: false,
     build,

@@ -30,6 +30,7 @@ pub const EXPERIMENT: Experiment = Experiment {
     name: "f7",
     about: "bounded bandwidth: quantized averaging survival matrix across caps b=1,2,4,8,inf",
     extra_flags: &[],
+    ignored_flags: &[],
     nets: Nets::Static,
     churn_variants: false,
     build,

@@ -28,6 +28,7 @@ pub const EXPERIMENT: Experiment = Experiment {
     name: "f8",
     about: "churn: pairing fairness x churn scripts x faults, quiescence-aware recovery",
     extra_flags: &["drop", "horizon"],
+    ignored_flags: &[],
     nets: Nets::Any,
     churn_variants: true,
     build,

@@ -30,6 +30,7 @@ pub const EXPERIMENT: Experiment = Experiment {
     name: "flat",
     about: "flat SoA/CSR engine vs boxed executor throughput",
     extra_flags: &["threads"],
+    ignored_flags: &[],
     nets: Nets::Static,
     churn_variants: false,
     build,

@@ -6,8 +6,9 @@
 //! Shared flags (every experiment): `--workers N` (parallelism; output
 //! is byte-identical for every N), `--ndjson` / `--json` (machine
 //! output), plus the harness sweep flags `--sizes`, `--seeds`, `--seed`,
-//! `--rounds`, `--eps` where the experiment honours them. Experiments
-//! may add extras (e.g. F6's `--drops` / `--crashes`).
+//! `--rounds`, `--eps` where the experiment honours them; a sweep flag
+//! an experiment's cells never read is an error, not a silent no-op.
+//! Experiments may add extras (e.g. F6's `--drops` / `--crashes`).
 
 pub mod f1;
 pub mod f2;
@@ -41,6 +42,9 @@ pub struct Experiment {
     pub about: &'static str,
     /// Experiment-specific flags accepted on top of [`SWEEP_FLAGS`].
     pub extra_flags: &'static [&'static str],
+    /// Sweep flags the cells never read (Table 1's cells run a fixed set
+    /// of networks, whatever the axes say); naming one is an error.
+    pub ignored_flags: &'static [&'static str],
     /// The networks the cells run on.
     pub nets: Nets,
     /// Whether the variant axis holds [`ChurnPlan`] labels, whose
@@ -153,6 +157,11 @@ pub fn run_collect(
         return Err(SpecError(format!(
             "unexpected arguments {:?} for `{name}`",
             args.bare()
+        )));
+    }
+    if let Some(flag) = exp.ignored_flags.iter().find(|f| args.is_set(f)) {
+        return Err(SpecError(format!(
+            "`{name}` does not take --{flag}: its cells never read it"
         )));
     }
     let mut valid: Vec<&str> = SWEEP_FLAGS.to_vec();
@@ -327,6 +336,8 @@ mod tests {
         assert!(find("f3").is_none(), "F3 rides inside f2");
         let argv = vec!["--nonsense".to_string()];
         assert!(run("f6", &argv).is_err(), "unknown flag rejected");
+        let argv = vec!["--sizes".to_string(), "0,5".to_string()];
+        assert!(run("table1", &argv).is_err(), "ignored flag rejected");
         assert!(run("nope", &[]).is_err(), "unknown experiment rejected");
     }
 

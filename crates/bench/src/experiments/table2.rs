@@ -24,6 +24,7 @@ pub const EXPERIMENT: Experiment = Experiment {
     name: "table2",
     about: "certify every cell of Table 2 (dynamic networks), incl. the known open-cell partials",
     extra_flags: &[],
+    ignored_flags: &[],
     nets: Nets::Unchecked,
     churn_variants: false,
     build,

@@ -36,13 +36,15 @@ fn sweep(args: &[&str]) -> (Option<i32>, String) {
     (code, std::fs::read_to_string(&log).unwrap_or_default())
 }
 
-/// Run `kya sweep ARGS` and assert it fails cleanly.
-fn assert_clean_error(args: &[&str]) {
+/// Run `kya sweep ARGS`, assert it fails cleanly, and return its
+/// standard error.
+fn assert_clean_error(args: &[&str]) -> String {
     let (code, stderr) = sweep(args);
     let case = format!("kya sweep {args:?}");
     assert_eq!(code, Some(1), "{case}: {stderr}");
     assert!(stderr.starts_with("kya: "), "{case}: {stderr}");
     assert!(!stderr.contains("panicked"), "{case}: {stderr}");
+    stderr
 }
 
 #[test]
@@ -71,6 +73,25 @@ fn scripts_that_do_not_fit_are_errors() {
         &["flat", "--threads", "0"],
     ] {
         assert_clean_error(args);
+    }
+}
+
+/// Table 1's cells run a fixed set of networks, so every axis flag they
+/// would ignore is an error that names the flag, where it used to rerun
+/// the same verdicts under a label they never read.
+#[test]
+fn flags_table1_ignores_are_errors() {
+    for (flag, value) in [
+        ("--sizes", "0,5"),
+        ("--topologies", "ring:5"),
+        ("--seeds", "1,2"),
+        ("--seed", "7"),
+        ("--rounds", "10"),
+        ("--eps", "0.1"),
+        ("--engine", "flat"),
+    ] {
+        let stderr = assert_clean_error(&["table1", flag, value]);
+        assert!(stderr.contains(flag), "kya sweep table1 {flag}: {stderr}");
     }
 }
 

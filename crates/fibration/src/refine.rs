@@ -132,6 +132,15 @@ pub(crate) fn in_key(class: usize, port: Option<u32>) -> InKey {
 /// result is exact (no hashing collisions). Rounds stop when the class
 /// count stops growing, after at most `n` rounds.
 ///
+/// **Singleton invariant.** Refinement only ever splits classes, and a
+/// signature starts with the vertex's own class, so a vertex alone in
+/// its class is alone in every later round. Such a vertex takes the next
+/// fresh id in vertex order, without building, sorting or interning a
+/// signature: only vertices of classes with two or more members pay for
+/// in-keys and intern lookups. The ids differ from a full re-signing
+/// round only in their numbering, which [`Partition::from_class_ids`]
+/// canonicalizes, so the result is the same partition.
+///
 /// # Panics
 ///
 /// Panics if `init.len() != g.n()`.
@@ -162,24 +171,44 @@ pub fn coarsest_equitable_partition(g: &Digraph, init: &[u64]) -> Partition {
 
     let mut keys: Vec<InKey> = vec![0; in_src_port.len()];
     let mut next = vec![0usize; n];
+    let mut size = vec![0usize; n];
     // A partition into singletons cannot split further.
     while num_classes < n {
-        for (key, &(src, port)) in keys.iter_mut().zip(&in_src_port) {
-            *key = in_key(class_of[src], port);
+        size[..num_classes].fill(0);
+        for &c in &class_of {
+            size[c] += 1;
         }
+        let splittable = |v: Vertex| size[class_of[v]] > 1;
+        let mut signed = 0;
+        for v in (0..n).filter(|&v| splittable(v)) {
+            let range = g.in_range(v);
+            for (key, &(src, port)) in keys[range.clone()]
+                .iter_mut()
+                .zip(&in_src_port[range.clone()])
+            {
+                *key = in_key(class_of[src], port);
+            }
+            keys[range].sort_unstable();
+            signed += 1;
+        }
+        // At most one entry per signed vertex, so the table never regrows.
+        let mut ids: HashMap<(usize, &[InKey]), usize> = HashMap::with_capacity(signed);
+        let mut fresh = 0;
         for v in 0..n {
-            keys[g.in_range(v)].sort_unstable();
+            next[v] = if splittable(v) {
+                *ids.entry((class_of[v], &keys[g.in_range(v)]))
+                    .or_insert(fresh)
+            } else {
+                fresh
+            };
+            if next[v] == fresh {
+                fresh += 1;
+            }
         }
-        let mut ids: HashMap<(usize, &[InKey]), usize> = HashMap::with_capacity(num_classes);
-        for v in 0..n {
-            let signature = (class_of[v], &keys[g.in_range(v)]);
-            let fresh = ids.len();
-            next[v] = *ids.entry(signature).or_insert(fresh);
-        }
-        if ids.len() == num_classes {
+        if fresh == num_classes {
             break;
         }
-        num_classes = ids.len();
+        num_classes = fresh;
         std::mem::swap(&mut class_of, &mut next);
     }
     Partition::from_class_ids(&class_of)

@@ -23,6 +23,10 @@ use kya_graph::{Digraph, DynamicGraph};
 /// Message loss changes only what a round delivers: attach a
 /// [`FaultPlan`] with [`Execution::faults`] and every round applies its
 /// crash, drop and duplication coins in flight (see [`crate::faults`]).
+///
+/// A round's inboxes, lost-message lists and crash flags live in buffers
+/// the execution keeps across rounds: every round leaves them empty, so
+/// after the first round a round allocates no containers of its own.
 #[derive(Clone, Debug)]
 pub struct Execution<A: Algorithm> {
     algo: A,
@@ -30,6 +34,13 @@ pub struct Execution<A: Algorithm> {
     round: u64,
     plan: Option<FaultPlan>,
     events: FaultEvents,
+    /// `inboxes[v]`: what agent `v` receives this round.
+    inboxes: Vec<Vec<A::Msg>>,
+    /// `lost[v]`: what agent `v` sent this round that the plan kept from
+    /// its recipient; one list per agent under a plan, none without.
+    lost: Vec<Vec<A::Msg>>,
+    /// Whether each agent is crashed this round; empty without a plan.
+    frozen: Vec<bool>,
 }
 
 impl<A: Algorithm> Execution<A> {
@@ -41,6 +52,9 @@ impl<A: Algorithm> Execution<A> {
             round: 0,
             plan: None,
             events: FaultEvents::default(),
+            inboxes: Vec::new(),
+            lost: Vec::new(),
+            frozen: Vec::new(),
         }
     }
 
@@ -275,24 +289,19 @@ impl<A: Algorithm> Execution<A> {
         self.round += 1;
         let t = self.round;
         let n = graph.n();
-        let frozen: Vec<bool> = match &self.plan {
-            Some(plan) => (0..n).map(|v| plan.is_crashed(v, t)).collect(),
-            None => Vec::new(),
-        };
-        if frozen.contains(&true) {
+        self.frozen.clear();
+        if let Some(plan) = &self.plan {
+            self.frozen.extend((0..n).map(|v| plan.is_crashed(v, t)));
+            self.lost.resize_with(n, Vec::new);
+        }
+        if self.frozen.contains(&true) {
             self.events.crashed_rounds += 1;
             self.events.last_fault_round = t;
         }
+        self.inboxes.resize_with(n, Vec::new);
         obs.on_round_start(t, &self.states);
-        let cx = RoundCtx::new(&self.algo, graph, t, frozen);
+        let cx = RoundCtx::new(&self.algo, graph, t, &self.frozen);
 
-        let mut inboxes: Vec<Vec<A::Msg>> = (0..n)
-            .map(|v| Vec::with_capacity(graph.indegree(v)))
-            .collect();
-        let mut lost: Vec<Vec<A::Msg>> = match &self.plan {
-            Some(_) => (0..n).map(|_| Vec::new()).collect(),
-            None => Vec::new(),
-        };
         let order = graph.port_ranks();
         for (v, msgs) in schedule.sends(&cx, &self.states).enumerate() {
             for (msg, &e) in msgs.into_iter().zip(order.out_edges_ranked(v)) {
@@ -309,22 +318,22 @@ impl<A: Algorithm> Execution<A> {
                         *count += 1;
                         self.events.last_fault_round = t;
                         obs.on_message_dropped(t, v, dst, &msg);
-                        lost[v].push(msg);
+                        self.lost[v].push(msg);
                         continue;
                     }
                     if plan.duplicates(t, v, dst) {
                         self.events.duplicated += 1;
                         self.events.last_fault_round = t;
                         obs.on_message(t, v, dst, &msg);
-                        inboxes[dst].push(msg.clone());
+                        self.inboxes[dst].push(msg.clone());
                     }
                 }
                 obs.on_message(t, v, dst, &msg);
-                inboxes[dst].push(msg);
+                self.inboxes[dst].push(msg);
             }
         }
 
-        schedule.transitions(&cx, &mut self.states, inboxes, &lost);
+        schedule.transitions(&cx, &mut self.states, &mut self.inboxes, &mut self.lost);
         obs.on_round_end(t, &self.algo, &self.states);
     }
 }
@@ -336,13 +345,13 @@ struct RoundCtx<'r, A: Algorithm> {
     graph: &'r Digraph,
     round: u64,
     /// Crashed agents this round; empty without a fault plan.
-    frozen: Vec<bool>,
+    frozen: &'r [bool],
 }
 
 impl<'r, A: Algorithm> RoundCtx<'r, A> {
     /// The context of round `round` on `graph`, after checking the
     /// self-loop closure of §2.1.
-    fn new(algo: &'r A, graph: &'r Digraph, round: u64, frozen: Vec<bool>) -> Self {
+    fn new(algo: &'r A, graph: &'r Digraph, round: u64, frozen: &'r [bool]) -> Self {
         if !graph.is_self_loop_closed() {
             for v in 0..graph.n() {
                 assert!(
@@ -415,19 +424,20 @@ trait Schedule<A: Algorithm> {
         states: &'s [A::State],
     ) -> impl Iterator<Item = Vec<A::Msg>> + 's;
 
-    /// Replace every live agent's state by its transition.
+    /// Replace every live agent's state by its transition, then empty
+    /// every inbox and lost list for the next round.
     fn transitions(
         &self,
         cx: &RoundCtx<'_, A>,
         states: &mut Vec<A::State>,
-        inboxes: Vec<Vec<A::Msg>>,
-        lost: &[Vec<A::Msg>],
+        inboxes: &mut [Vec<A::Msg>],
+        lost: &mut [Vec<A::Msg>],
     );
 }
 
 /// Every agent on the calling thread, in agent order. Sends are
 /// produced as the routing pass consumes them, and each inbox is
-/// dropped as soon as its agent has transitioned in place.
+/// emptied as soon as its agent has transitioned in place.
 struct Inline;
 
 impl<A: Algorithm> Schedule<A> for Inline {
@@ -443,14 +453,16 @@ impl<A: Algorithm> Schedule<A> for Inline {
         &self,
         cx: &RoundCtx<'_, A>,
         states: &mut Vec<A::State>,
-        inboxes: Vec<Vec<A::Msg>>,
-        lost: &[Vec<A::Msg>],
+        inboxes: &mut [Vec<A::Msg>],
+        lost: &mut [Vec<A::Msg>],
     ) {
-        for (v, inbox) in inboxes.into_iter().enumerate() {
-            if let Some(next) = cx.transition(v, &states[v], &inbox, lost) {
+        for (v, inbox) in inboxes.iter_mut().enumerate() {
+            if let Some(next) = cx.transition(v, &states[v], inbox, lost) {
                 states[v] = next;
             }
+            inbox.clear();
         }
+        lost.iter_mut().for_each(Vec::clear);
     }
 }
 
@@ -479,8 +491,8 @@ where
         &self,
         cx: &RoundCtx<'_, A>,
         states: &mut Vec<A::State>,
-        inboxes: Vec<Vec<A::Msg>>,
-        lost: &[Vec<A::Msg>],
+        inboxes: &mut [Vec<A::Msg>],
+        lost: &mut [Vec<A::Msg>],
     ) {
         let current = &states[..];
         let next = map_agents(&shard_ranges(current.len(), self.0), |v| {
@@ -488,6 +500,8 @@ where
                 .unwrap_or_else(|| current[v].clone())
         });
         *states = next;
+        inboxes.iter_mut().for_each(Vec::clear);
+        lost.iter_mut().for_each(Vec::clear);
     }
 }
 
@@ -843,6 +857,90 @@ mod tests {
         let g = generators::directed_ring(2).with_self_loops();
         let mut exec = Execution::new(Broadcast(SetGossip), vec![vec![1], vec![2]]);
         exec.drive(&g, RunConfig::rounds(1).threads(0));
+    }
+
+    /// Records what each transition saw: `(transitions, inbox length,
+    /// lost count)`. Messages carry the sender's transition count.
+    #[derive(Clone)]
+    struct Tally;
+    impl Algorithm for Tally {
+        type State = (u64, usize, usize);
+        type Msg = u64;
+        type Output = u64;
+        fn send(&self, s: &Self::State, outdegree: usize) -> Vec<u64> {
+            vec![s.0; outdegree]
+        }
+        fn transition(&self, s: &Self::State, inbox: &[u64]) -> Self::State {
+            (s.0 + 1, inbox.len(), 0)
+        }
+        fn reabsorb(&self, s: &Self::State, lost: &[u64]) -> Self::State {
+            (s.0, s.1, lost.len())
+        }
+        fn output(&self, s: &Self::State) -> u64 {
+            s.0
+        }
+    }
+
+    /// What round `t` delivers to and returns to every agent under
+    /// `plan`, worked out edge by edge from the plan's coins.
+    fn expected_counts(plan: &FaultPlan, g: &Digraph, t: u64) -> Vec<(usize, usize)> {
+        let mut counts = vec![(0, 0); g.n()];
+        for e in g.edges() {
+            let (src, dst) = (e.src, e.dst);
+            if plan.is_crashed(src, t) {
+                continue;
+            }
+            if src == dst {
+                counts[dst].0 += 1;
+            } else if plan.is_crashed(dst, t) || plan.drops(t, src, dst) {
+                counts[src].1 += 1;
+            } else {
+                counts[dst].0 += 1 + usize::from(plan.duplicates(t, src, dst));
+            }
+        }
+        counts
+    }
+
+    #[test]
+    fn reused_round_buffers_hold_exactly_one_round() {
+        use kya_graph::RandomDynamicGraph;
+        let n = 9;
+        let net = RandomDynamicGraph::directed(n, 7, 5);
+        let plan = FaultPlan::new(3)
+            .drop_links(0.3)
+            .duplicate(0.3)
+            .crash(4, 3..6);
+        let (rounds, split) = (12, 5);
+        for threads in [1, 2] {
+            let mut exec = Execution::new(Tally, vec![(0, 0, 0); n]).faults(plan.clone());
+            let mut twin = None;
+            for t in 1..=rounds {
+                let before = exec.states().to_vec();
+                exec.drive(&net, RunConfig::rounds(1).threads(threads));
+                let expected = expected_counts(&plan, &net.graph(t), t);
+                for (v, (&(ticks, inbox, lost), &(delivered, returned))) in
+                    exec.states().iter().zip(&expected).enumerate()
+                {
+                    let case = format!("threads {threads}, round {t}, agent {v}");
+                    if plan.is_crashed(v, t) {
+                        assert_eq!(exec.states()[v], before[v], "{case}: frozen");
+                    } else {
+                        assert_eq!(ticks, before[v].0 + 1, "{case}: transitioned");
+                        assert_eq!(inbox, delivered, "{case}: inbox length");
+                        assert_eq!(lost, returned, "{case}: lost count");
+                    }
+                }
+                if t == split {
+                    twin = Some(exec.clone());
+                }
+            }
+            let mut twin = twin.expect("cloned mid-run");
+            twin.drive(&net, RunConfig::rounds(rounds - split).threads(threads));
+            assert_eq!(twin.states(), exec.states(), "threads {threads}");
+            assert_eq!(twin.events(), exec.events(), "threads {threads}");
+            assert!(exec.events().dropped > 0 && exec.events().duplicated > 0);
+            assert!(exec.events().crashed_rounds > 0);
+        }
     }
 
     #[test]
